@@ -3,12 +3,9 @@
 //! isolation: derived per-probe nanoseconds, chunked TLS push vs. a
 //! per-record mutex baseline, and a multi-producer stress group.
 
-use causeway_core::event::{CallKind, TraceEvent};
-use causeway_core::ids::{InterfaceId, LogicalThreadId, MethodIndex, NodeId, ObjectId, ProcessId};
+use causeway_bench::sample_record;
 use causeway_core::monitor::ProbeMode;
-use causeway_core::record::{CallSite, FunctionKey, ProbeRecord};
 use causeway_core::sink::LogStore;
-use causeway_core::uuid::Uuid;
 use causeway_core::value::Value;
 use causeway_orb::prelude::*;
 use criterion::{BenchmarkId, Criterion, black_box, criterion_group, criterion_main};
@@ -106,25 +103,6 @@ criterion_group!(
     bench_multi_producer,
 );
 criterion_main!(benches);
-
-/// A synthetic record for sink-only benches (the push path never looks at
-/// the payload, so the fields just need to exist).
-fn sample_record(seq: u64) -> ProbeRecord {
-    ProbeRecord {
-        uuid: Uuid(seq as u128),
-        seq,
-        event: TraceEvent::StubStart,
-        kind: CallKind::Sync,
-        site: CallSite { node: NodeId(0), process: ProcessId(0), thread: LogicalThreadId(0) },
-        func: FunctionKey::new(InterfaceId(0), MethodIndex(0), ObjectId(0)),
-        wall_start: None,
-        wall_end: None,
-        cpu_start: None,
-        cpu_end: None,
-        oneway_child: None,
-        oneway_parent: None,
-    }
-}
 
 /// Derived per-probe cost: times plain vs. instrumented calls with one
 /// long timed loop each and divides the per-call delta by the four probes

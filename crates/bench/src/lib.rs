@@ -17,10 +17,34 @@
 //! | `exp_baseline_ovation` | §5 — OVATION's causal ambiguity |
 //! | `exp_sta_mingling` | §2.2 — STA causal mingling and the fix |
 //!
-//! Criterion benches: `probe_overhead`, `dscg_scaling`,
+//! Criterion benches: `probe_overhead`, `write_path`, `dscg_scaling`,
 //! `ftl_vs_trace_object`, `analyzer_phases`.
 
+use causeway_core::event::{CallKind, TraceEvent};
+use causeway_core::ids::{InterfaceId, LogicalThreadId, MethodIndex, NodeId, ObjectId, ProcessId};
+use causeway_core::record::{CallSite, FunctionKey, ProbeRecord};
+use causeway_core::uuid::Uuid;
 use std::time::{Duration, Instant};
+
+/// A synthetic record for sink and codec benches (neither the push path
+/// nor the fixed-width encoder looks at the payload, so the fields just
+/// need to exist).
+pub fn sample_record(seq: u64) -> ProbeRecord {
+    ProbeRecord {
+        uuid: Uuid(seq as u128),
+        seq,
+        event: TraceEvent::StubStart,
+        kind: CallKind::Sync,
+        site: CallSite { node: NodeId(0), process: ProcessId(0), thread: LogicalThreadId(0) },
+        func: FunctionKey::new(InterfaceId(0), MethodIndex(0), ObjectId(0)),
+        wall_start: None,
+        wall_end: None,
+        cpu_start: None,
+        cpu_end: None,
+        oneway_child: None,
+        oneway_parent: None,
+    }
+}
 
 /// Formats a duration in adaptive human units.
 pub fn fmt_duration(d: Duration) -> String {

@@ -41,6 +41,16 @@
 //! parallelizes the same way JSONL line parsing does — without serde
 //! and without per-line scanning, since the fixed record width makes
 //! every split point pure arithmetic.
+//!
+//! ## Write path
+//!
+//! A chunk frame is built in place: the 8 header bytes are reserved, the
+//! records are encoded straight into the output buffer, and length and
+//! checksum are back-patched — [`write_run_log`] does so on its output
+//! buffer, [`SegmentWriter`] on a frame buffer it reuses, followed by one
+//! unbuffered write per frame. [`put_frame`] and [`write_frame`] frame an
+//! already-built payload and serve everything that is not a chunk frame:
+//! header, seal, and the analyzer's history and exemplar spills.
 
 use bytes::BufMut;
 use causeway_core::deploy::{Deployment, NodeInfo, ProcessInfo};
@@ -52,7 +62,7 @@ use causeway_core::runlog::RunLog;
 use causeway_core::sink::Chunk;
 use causeway_core::wire::{self, RECORD_WIRE_LEN};
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 /// The 8-byte file magic opening every segment.
@@ -368,6 +378,39 @@ fn decode_header(payload: &[u8]) -> Result<Header, SegmentError> {
     Ok(Header { vocab, deployment, expected_records })
 }
 
+/// Appends one whole chunk frame — `[len][crc]` and the chunk payload —
+/// to `buf`, encoding the records straight into place: the 8 header bytes
+/// are reserved first and back-patched once the payload they describe has
+/// been written, so no record is copied after it is encoded.
+///
+/// # Panics
+///
+/// Panics when the payload would exceed [`MAX_FRAME_BYTES`], as
+/// [`put_frame`] does; callers split batches at [`MAX_CHUNK_RECORDS`].
+fn put_chunk_frame(buf: &mut Vec<u8>, thread: LogicalThreadId, records: &[ProbeRecord]) {
+    let payload_len = 9 + records.len() * RECORD_WIRE_LEN;
+    assert!(
+        payload_len <= MAX_FRAME_BYTES,
+        "chunk frame of {} records exceeds MAX_FRAME_BYTES and would be unreadable",
+        records.len()
+    );
+    let frame = buf.len();
+    buf.reserve(8 + payload_len);
+    buf.put_slice(&[0u8; 8]);
+    buf.put_u8(KIND_CHUNK);
+    buf.put_u32_le(thread.0);
+    buf.put_u32_le(records.len() as u32);
+    for record in records {
+        wire::encode_record(record, buf);
+    }
+    let crc = wire::crc32(&buf[frame + 8..]);
+    buf[frame..frame + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    buf[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// The chunk payload built on its own — the reference the tests frame
+/// with [`put_frame`]/[`write_frame`] and compare [`put_chunk_frame`] to.
+#[cfg(test)]
 fn encode_chunk(thread: LogicalThreadId, records: &[ProbeRecord]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(9 + records.len() * RECORD_WIRE_LEN);
     buf.put_u8(KIND_CHUNK);
@@ -422,11 +465,14 @@ fn decode_seal(payload: &[u8]) -> Result<(u64, Option<u64>), SegmentError> {
 
 /// Streams a run's sealed chunks to an append-only segment file.
 ///
-/// The header frame is written (and flushed) on creation, so even a
-/// process killed immediately afterwards leaves a recoverable — if empty
-/// — segment behind. Every appended chunk frame is flushed through the
-/// OS before `append_chunk` returns: a crash loses only chunks the sink
-/// had not yet sealed, never bytes buffered inside this writer.
+/// The header frame is written on creation, so even a process killed
+/// immediately afterwards leaves a recoverable — if empty — segment
+/// behind. Every appended chunk is encoded in place into one frame buffer
+/// the writer reuses — length and checksum back-patched in front of the
+/// records — and handed to the OS with a single unbuffered `write_all`
+/// before `append_chunk` returns: a crash loses only chunks the sink had
+/// not yet sealed, never bytes buffered inside this writer, and a frame
+/// is never split across writes.
 ///
 /// # Example
 ///
@@ -447,7 +493,10 @@ fn decode_seal(payload: &[u8]) -> Result<(u64, Option<u64>), SegmentError> {
 /// ```
 #[derive(Debug)]
 pub struct SegmentWriter {
-    out: BufWriter<File>,
+    out: File,
+    /// The frame being built; kept between appends so a steady stream of
+    /// chunks encodes into the same allocation.
+    frame: Vec<u8>,
     records_written: u64,
     sealed: bool,
 }
@@ -469,15 +518,15 @@ impl SegmentWriter {
         deployment: &Deployment,
         expected_records: Option<u64>,
     ) -> io::Result<SegmentWriter> {
-        let file = File::create(path)?;
-        let mut out = BufWriter::new(file);
-        out.write_all(SEGMENT_MAGIC)?;
-        write_frame(&mut out, &encode_header(vocab, deployment, expected_records))?;
-        out.flush()?;
-        Ok(SegmentWriter { out, records_written: 0, sealed: false })
+        let mut out = File::create(path)?;
+        let mut frame = SEGMENT_MAGIC.to_vec();
+        write_frame(&mut frame, &encode_header(vocab, deployment, expected_records))?;
+        out.write_all(&frame)?;
+        Ok(SegmentWriter { out, frame, records_written: 0, sealed: false })
     }
 
-    /// Appends one sealed sink chunk as a checksummed frame and flushes.
+    /// Appends one sealed sink chunk as a checksummed frame, written
+    /// through to the OS before returning.
     ///
     /// # Errors
     ///
@@ -486,8 +535,9 @@ impl SegmentWriter {
         self.append_records(chunk.thread, &chunk.records)
     }
 
-    /// Appends an explicit record batch as chunk frames and flushes. A
-    /// batch larger than [`MAX_CHUNK_RECORDS`] is split across several
+    /// Appends an explicit record batch as chunk frames, each written
+    /// through to the OS before returning. A batch larger than
+    /// [`MAX_CHUNK_RECORDS`] is split across several
     /// frames, so no frame ever exceeds the [`MAX_FRAME_BYTES`] bound the
     /// reader enforces.
     ///
@@ -508,14 +558,19 @@ impl SegmentWriter {
         records: &[ProbeRecord],
         records_per_frame: usize,
     ) -> io::Result<()> {
-        if records.is_empty() {
-            write_frame(&mut self.out, &encode_chunk(thread, records))?;
-        } else {
-            for batch in records.chunks(records_per_frame.max(1)) {
-                write_frame(&mut self.out, &encode_chunk(thread, batch))?;
+        let records_per_frame = records_per_frame.clamp(1, MAX_CHUNK_RECORDS);
+        let mut rest = records;
+        // At least one frame, so an empty chunk is still on record.
+        loop {
+            let (batch, tail) = rest.split_at(rest.len().min(records_per_frame));
+            self.frame.clear();
+            put_chunk_frame(&mut self.frame, thread, batch);
+            self.out.write_all(&self.frame)?;
+            rest = tail;
+            if rest.is_empty() {
+                break;
             }
         }
-        self.out.flush()?;
         self.records_written += records.len() as u64;
         Ok(())
     }
@@ -534,10 +589,11 @@ impl SegmentWriter {
     ///
     /// Propagates write and sync errors.
     pub fn finish(mut self, expected_records: Option<u64>) -> io::Result<()> {
-        write_frame(&mut self.out, &encode_seal(self.records_written, expected_records))?;
-        self.out.flush()?;
+        self.frame.clear();
+        put_frame(&mut self.frame, &encode_seal(self.records_written, expected_records));
+        self.out.write_all(&self.frame)?;
         self.sealed = true;
-        self.out.get_ref().sync_all()
+        self.out.sync_all()
     }
 }
 
@@ -560,7 +616,7 @@ pub fn write_run_log_with_frame(run: &RunLog, records_per_frame: usize) -> Vec<u
     put_frame(&mut buf, &encode_header(&run.vocab, &run.deployment, run.expected_records));
     for batch in run.records.chunks(records_per_frame) {
         let thread = batch.first().map(|r| r.site.thread).unwrap_or(LogicalThreadId(0));
-        put_frame(&mut buf, &encode_chunk(thread, batch));
+        put_chunk_frame(&mut buf, thread, batch);
     }
     put_frame(&mut buf, &encode_seal(run.records.len() as u64, run.expected_records));
     buf
@@ -732,6 +788,7 @@ mod tests {
     use causeway_core::ids::MethodIndex;
     use causeway_core::record::{CallSite, FunctionKey};
     use causeway_core::uuid::Uuid;
+    use proptest::prelude::*;
 
     fn rec(seq: u64) -> ProbeRecord {
         ProbeRecord {
@@ -908,6 +965,127 @@ mod tests {
         assert!(recovery.is_clean());
         assert_eq!(recovery.chunk_frames, 4, "10 records at 3 per frame");
         assert_eq!(recovery.run.records, run.records);
+    }
+
+    /// A record with every optional field present or absent independently
+    /// (one `present` bit each), so the in-place encoder is compared on
+    /// all 64 flag combinations.
+    fn arbitrary_record() -> impl Strategy<Value = ProbeRecord> {
+        let stamps = (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>());
+        let ids =
+            (any::<u16>(), any::<u16>(), any::<u32>(), any::<u32>(), any::<u16>(), any::<u64>());
+        let oneway = (any::<u128>(), any::<u128>(), any::<u64>());
+        (any::<u128>(), any::<u64>(), 0usize..16, 0u8..64, stamps, ids, oneway).prop_map(
+            |(uuid, seq, tags, present, stamps, ids, oneway)| {
+                let opt = |bit: u8| present & (1 << bit) != 0;
+                ProbeRecord {
+                    uuid: Uuid(uuid),
+                    seq,
+                    event: TraceEvent::ALL[tags % 4],
+                    kind: [
+                        CallKind::Sync,
+                        CallKind::Oneway,
+                        CallKind::Collocated,
+                        CallKind::CustomMarshal,
+                    ][tags / 4],
+                    site: CallSite {
+                        node: NodeId(ids.0),
+                        process: ProcessId(ids.1),
+                        thread: LogicalThreadId(ids.2),
+                    },
+                    func: FunctionKey::new(InterfaceId(ids.3), MethodIndex(ids.4), ObjectId(ids.5)),
+                    wall_start: opt(0).then_some(stamps.0),
+                    wall_end: opt(1).then_some(stamps.1),
+                    cpu_start: opt(2).then_some(stamps.2),
+                    cpu_end: opt(3).then_some(stamps.3),
+                    oneway_child: opt(4).then_some(Uuid(oneway.0)),
+                    oneway_parent: opt(5).then_some((Uuid(oneway.1), oneway.2)),
+                }
+            },
+        )
+    }
+
+    /// The frame `put_chunk_frame` must reproduce: the payload built on
+    /// its own, then framed.
+    fn reference_chunk_frame(thread: LogicalThreadId, records: &[ProbeRecord]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_frame(&mut buf, &encode_chunk(thread, records));
+        buf
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn in_place_chunk_frames_equal_the_framed_payload(
+            pool in proptest::collection::vec(arbitrary_record(), 1..24),
+            thread in any::<u32>(),
+            prefix in proptest::collection::vec(any::<u8>(), 0..20),
+        ) {
+            let thread = LogicalThreadId(thread);
+            for count in [0usize, 1, 255, 256] {
+                let records: Vec<ProbeRecord> =
+                    pool.iter().cycle().take(count).cloned().collect();
+                // Appended after whatever the buffer already holds.
+                let mut got = prefix.clone();
+                put_chunk_frame(&mut got, thread, &records);
+                let mut want = prefix.clone();
+                want.extend(reference_chunk_frame(thread, &records));
+                prop_assert!(got == want, "frames differ at {} records", count);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_chunk_frame_equals_the_framed_payload_at_the_frame_bound() {
+        let records: Vec<ProbeRecord> = (0..MAX_CHUNK_RECORDS as u64).map(rec).collect();
+        let mut got = Vec::new();
+        put_chunk_frame(&mut got, LogicalThreadId(3), &records);
+        assert!(got == reference_chunk_frame(LogicalThreadId(3), &records));
+        assert!(next_frame(&got, 0).is_some(), "the largest frame is still readable");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_FRAME_BYTES")]
+    fn in_place_chunk_frame_refuses_one_record_too_many() {
+        let records = vec![rec(0); MAX_CHUNK_RECORDS + 1];
+        put_chunk_frame(&mut Vec::new(), LogicalThreadId(0), &records);
+    }
+
+    #[test]
+    fn writer_file_is_byte_identical_to_reference_frames() {
+        let path = std::env::temp_dir()
+            .join(format!("segment_identity_test_{}.cwseg", std::process::id()));
+        let run = sample_run(700);
+        // Chunk shapes a sink produces: a dispatch's few records, an empty
+        // chunk, a full one, and a batch the writer must split (cap 3
+        // stands in for MAX_CHUNK_RECORDS).
+        let (few, rest) = run.records.split_at(2);
+        let (full, rest) = rest.split_at(256);
+        let (split, tail) = rest.split_at(10);
+        let mut want = SEGMENT_MAGIC.to_vec();
+        write_frame(&mut want, &encode_header(&run.vocab, &run.deployment, None)).unwrap();
+        {
+            let mut writer =
+                SegmentWriter::create(&path, &run.vocab, &run.deployment, None).unwrap();
+            for (thread, batch) in [(0, few), (1, &[][..]), (2, full), (4, tail)] {
+                let thread = LogicalThreadId(thread);
+                writer.append_chunk(&Chunk { thread, records: batch.to_vec() }).unwrap();
+                write_frame(&mut want, &encode_chunk(thread, batch)).unwrap();
+            }
+            writer.append_records_capped(LogicalThreadId(3), split, 3).unwrap();
+            for batch in split.chunks(3) {
+                write_frame(&mut want, &encode_chunk(LogicalThreadId(3), batch)).unwrap();
+            }
+            assert_eq!(writer.records_written(), 700);
+            writer.finish(Some(700)).unwrap();
+            write_frame(&mut want, &encode_seal(700, Some(700))).unwrap();
+        }
+        let got = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(got == want, "writer bytes differ from the reference framing");
+        let recovery = recover_run_log(&got).unwrap();
+        assert!(recovery.is_clean());
+        assert_eq!(recovery.chunk_frames, 4 + 4, "four appends plus 10 records at 3 per frame");
     }
 
     #[test]

@@ -226,3 +226,17 @@ fn flipped_bits_never_yield_garbage_records() {
         }
     }
 }
+
+/// Bytes are the parent's bytes: a segment written by `write_run_log` at
+/// commit d28141a — before the sliced CRC, the stack-array record codec
+/// and in-place frames — from a 100-call commercial system run in
+/// `ProbeMode::Both` (404 records). It must still read strictly, and
+/// re-encoding what was read must reproduce the file exactly.
+#[test]
+fn segment_written_by_the_parent_commit_reads_clean_and_re_encodes_identically() {
+    let fixture: &[u8] = include_bytes!("fixtures/parent_d28141a_write_run_log.cwseg");
+    let run = read_run_log(fixture).expect("the parent's segment verifies and decodes");
+    assert_eq!(run.len(), 404);
+    assert_eq!(run.expected_records, Some(404));
+    assert!(write_run_log(&run) == fixture, "re-encoded bytes differ from the parent's");
+}

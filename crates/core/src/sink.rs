@@ -27,6 +27,16 @@
 //! No other thread ever touches an open chunk, which is exactly why no
 //! synchronization is needed on the record path.
 //!
+//! Sealing hands over **what was recorded, not the buffer**. Most seals are
+//! part-full — a server worker seals after every dispatch, with the two to
+//! a handful of records that dispatch pushed — so a part-full seal moves
+//! its records into an exact-size vector and the thread keeps its buffer;
+//! only a buffer that reached [`CHUNK_CAPACITY`] is itself handed over (and
+//! replaced). A thread's buffer starts empty and grows on demand, so a
+//! thread-per-request thread that pushes two records never allocates a
+//! full chunk's worth. Sealed-but-undrained memory is therefore
+//! proportional to the records buffered, not to the number of seals.
+//!
 //! The store also assigns dense process-local [`LogicalThreadId`]s, which is
 //! how scattered records are attributed to "the 32 threads" of a run without
 //! leaking OS thread handles into the data model.
@@ -103,7 +113,8 @@ fn sink_metrics() -> &'static SinkMetrics {
 ///
 /// Small enough that a live consumer sees records promptly even under
 /// steady load; large enough that the channel send amortizes to well under
-/// a nanosecond per record.
+/// a nanosecond per record. This is a seal *threshold*, not an allocation
+/// size: a chunk sealed earlier carries exactly the records pushed so far.
 pub const CHUNK_CAPACITY: usize = 256;
 
 /// A sealed batch of records from one thread, in push (chronological)
@@ -179,8 +190,15 @@ impl LocalSlot {
         if self.buf.is_empty() {
             return;
         }
-        let records =
-            std::mem::replace(&mut self.buf, Vec::with_capacity(CHUNK_CAPACITY));
+        // Hand over what was recorded, not the buffer (module docs): only
+        // a full buffer is itself the chunk.
+        let records = if self.buf.len() >= CHUNK_CAPACITY {
+            std::mem::replace(&mut self.buf, Vec::with_capacity(CHUNK_CAPACITY))
+        } else {
+            let mut exact = Vec::with_capacity(self.buf.len());
+            exact.append(&mut self.buf);
+            exact
+        };
         let m = sink_metrics();
         m.chunks_sealed.add(1);
         m.chunks_open.dec();
@@ -224,7 +242,8 @@ impl LocalRegistry {
             store: Arc::downgrade(store),
             thread,
             epoch: store.flush_epoch.load(Ordering::Relaxed),
-            buf: Vec::with_capacity(CHUNK_CAPACITY),
+            // Grows on demand: most threads seal long before a chunk fills.
+            buf: Vec::new(),
             tx: store.chunk_tx.clone(),
         });
         let last = self.slots.len() - 1;
@@ -405,9 +424,10 @@ impl LogStore {
     /// For a *complete* drain, reach quiescence first: idle runtimes flush
     /// at their blocking points and exited threads flush on termination.
     pub fn drain(&self) -> Vec<ProbeRecord> {
-        let mut out = Vec::new();
-        for chunk in self.drain_chunks() {
-            out.extend(chunk.records);
+        let chunks = self.drain_chunks();
+        let mut out = Vec::with_capacity(chunks.iter().map(Chunk::len).sum());
+        for mut chunk in chunks {
+            out.append(&mut chunk.records);
         }
         out
     }
@@ -529,6 +549,55 @@ mod tests {
         store.flush_current_thread();
         assert_eq!(store.try_recv_chunk().expect("flushed").len(), 10);
         assert!(store.is_empty());
+    }
+
+    /// Slack a drained chunk stream carries: allocated vs recorded.
+    fn capacity_and_len(chunks: &[Chunk]) -> (usize, usize) {
+        chunks
+            .iter()
+            .fold((0, 0), |(cap, len), c| (cap + c.records.capacity(), len + c.records.len()))
+    }
+
+    /// The bug behind a 1 GB resident set for a 162 MB log: every seal
+    /// used to hand over the whole `CHUNK_CAPACITY` buffer, however few
+    /// records the dispatch had pushed into it.
+    #[test]
+    fn part_full_seals_hand_over_what_was_recorded_not_the_buffer() {
+        // A worker that seals after every two-record dispatch.
+        let store = LogStore::new();
+        let mut chunks = Vec::new();
+        for i in 0..1000u64 {
+            store.push(rec(&store, 2 * i));
+            store.push(rec(&store, 2 * i + 1));
+            assert_eq!(store.len(), 2, "exact before the seal");
+            store.flush_current_thread();
+            assert_eq!(store.len(), 2, "sealing hands nothing out");
+            chunks.push(store.try_recv_chunk().expect("one chunk per flush"));
+            assert_eq!(store.len(), 0, "exact after the receive");
+        }
+        let (capacity, len) = capacity_and_len(&chunks);
+        assert_eq!(len, 2000);
+        assert!(capacity <= 2 * len, "{capacity} record slots allocated for {len} records");
+        let seqs: Vec<u64> = chunks.iter().flat_map(|c| &c.records).map(|r| r.seq).collect();
+        assert_eq!(seqs, (0..2000).collect::<Vec<_>>(), "push order across seals");
+
+        // Thread-per-request: 64 threads that push two records and exit.
+        let store = LogStore::new();
+        for t in 0..64u64 {
+            let s = store.clone();
+            std::thread::spawn(move || {
+                s.push(rec(&s, 2 * t));
+                s.push(rec(&s, 2 * t + 1));
+            })
+            .join()
+            .unwrap();
+        }
+        assert_eq!(store.len(), 128);
+        let chunks = store.drain_chunks();
+        assert_eq!(store.len(), 0);
+        let (capacity, len) = capacity_and_len(&chunks);
+        assert_eq!((chunks.len(), len), (64, 128));
+        assert!(capacity <= 2 * len, "{capacity} record slots allocated for {len} records");
     }
 
     #[test]

@@ -474,14 +474,18 @@ impl System {
     /// Gathers every process's scattered logs plus the vocabulary snapshot
     /// and deployment into a [`RunLog`]. Call after [`System::quiesce`].
     pub fn harvest(&self) -> RunLog {
-        let mut records = Vec::new();
+        // One allocation for the whole run: at quiescence `len()` is exact.
+        let buffered: usize = self.orbs.iter().map(|orb| orb.monitor().store().len()).sum();
+        let mut records = Vec::with_capacity(buffered);
         let mut expected = 0u64;
         for orb in &self.orbs {
             let store = orb.monitor().store();
             // Captured before the drain so the analyzer can detect records
             // stranded in unsealed chunks (harvest before quiescence).
             expected += store.len() as u64;
-            records.extend(store.drain());
+            for mut chunk in store.drain_chunks() {
+                records.append(&mut chunk.records);
+            }
         }
         let mut run = RunLog::new(records, self.vocab.snapshot(), self.deployment.clone());
         run.expected_records = Some(expected);
