@@ -18,7 +18,7 @@
 //!   and reply (`skel_end → stub_end`) whenever the two sides ran on
 //!   different tracks, which includes grafted one-way children — become
 //!   **flow arrows** (`s`/`f`);
-//! * reconstruction [`Abnormality`] reports become **instant events** at
+//! * reconstruction [`Abnormality`](crate::dscg::Abnormality) reports become **instant events** at
 //!   the offending record's stamp;
 //! * process names from the deployment become `process_name` metadata.
 //!

@@ -319,7 +319,7 @@ impl ExemplarStore {
     /// Shields a retained chain from eviction: the uuids a fired alert
     /// publishes must keep resolving at `/exemplars?id=` for as long as an
     /// operator might follow the link, however much faster traffic arrives
-    /// afterwards. Bounded FIFO — pinning past [`PIN_CAPACITY`] releases
+    /// afterwards. Bounded FIFO — pinning past `PIN_CAPACITY` releases
     /// the oldest pin; pinning an unretained chain is a no-op. Pins are
     /// not spilled: after a restart the replayed store keeps whatever the
     /// unpinned admission order retains.

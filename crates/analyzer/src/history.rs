@@ -798,9 +798,20 @@ mod tests {
         HistoryEntry { window: snapshot(index, latency_ns, 4), folded }
     }
 
+    /// A store counting evictions and spills in counters of its own: the
+    /// registry's are process-global, so tests evicting in parallel would
+    /// land in them too.
+    fn isolated(cap_windows: usize, cap_bytes: usize) -> WindowHistory {
+        WindowHistory {
+            evictions: Counter::detached(),
+            spilled: Counter::detached(),
+            ..WindowHistory::new(cap_windows, cap_bytes)
+        }
+    }
+
     #[test]
     fn ring_caps_by_window_count_and_counts_evictions() {
-        let mut history = WindowHistory::new(4, usize::MAX);
+        let mut history = isolated(4, usize::MAX);
         let before = history.evictions();
         for i in 0..10u64 {
             history.push(entry(i, 1000));
@@ -860,7 +871,7 @@ mod tests {
     #[test]
     fn eviction_spills_and_lookup_serves_past_the_ring() {
         let spill = TempSpill::new("evict");
-        let mut history = WindowHistory::new(4, usize::MAX);
+        let mut history = isolated(4, usize::MAX);
         history.enable_spill(&spill.0).unwrap();
         let spilled_before = history.spilled();
         for i in 0..10u64 {

@@ -51,13 +51,22 @@
 //! Time is explicit: every mutating entry point has an `_at(now_ns)` variant
 //! so tests are deterministic; the plain variants stamp with a monotonic
 //! clock started at construction.
+//!
+//! Ingest cost does not grow with the open chains: one grouping pass sorts
+//! a batch chain → shard → first-appearance rank, looking a chain up only
+//! where consecutive records change chain; each shard feeds every chain's
+//! records through the analyzer's one per-chain step loop; the analyzer's
+//! gauges are O(1) counters; and flamegraph paths are interned per shard
+//! (one id per distinct rendered path, keyed by parent id and series), so
+//! folding a completed chain does no string work for stacks already seen —
+//! strings are rendered only at window close and `/flamegraph` reads.
 
 use crate::chrome_trace;
 use crate::exemplar::{self, ExemplarConfig, ExemplarStore};
 use crate::history::{diff_folded, BurnRule, BurnState, HistoryEntry, WindowHistory};
 use crate::incident::{self, HypothesisKind, Incident, IncidentStore};
 use crate::latency::LatencyHistogram;
-use crate::online::{OnlineAnalyzer, OnlineEvent, OpenChainSummary};
+use crate::online::{group_by_chain, OnlineAnalyzer, OnlineEvent, OpenChainSummary};
 use crate::render::{self, CompletedCall};
 use causeway_collector::db::MonitoringDb;
 use causeway_collector::json::{self, Json};
@@ -786,11 +795,9 @@ struct Shard {
     /// window; a completion racing a window close lands here instead.
     floor: u64,
     chain_events: HashMap<Uuid, ChainCompletions>,
-    /// Cumulative folded flamegraph stacks (shard's share; capped).
-    folded: BTreeMap<String, u64>,
-    /// Stacks folded during the current tumbling window only (the
-    /// per-window delta merged into the history store at window close).
-    window_folded: BTreeMap<String, u64>,
+    /// This shard's share of the folded flamegraph stacks, cumulative and
+    /// for the current tumbling window (both capped).
+    stacks: StackTable,
 }
 
 impl Shard {
@@ -800,8 +807,7 @@ impl Shard {
             slices: BTreeMap::new(),
             floor: 0,
             chain_events: HashMap::new(),
-            folded: BTreeMap::new(),
-            window_folded: BTreeMap::new(),
+            stacks: StackTable::default(),
         }
     }
 }
@@ -899,9 +905,9 @@ struct Control {
     /// Chains that tripped an abnormality in the current window — the
     /// re-check pass must not tombstone a chain that misbehaved again.
     window_abnormal: Vec<Uuid>,
-    /// Recent abnormal chains with their messages, oldest first, bounded at
-    /// [`RECENT_ABNORMAL_CAP`] — the abnormal-chain evidence pool.
-    recent_abnormal: VecDeque<(Uuid, String)>,
+    /// Recent abnormal chains with their messages — the abnormal-chain
+    /// evidence pool.
+    recent_abnormal: RecentAbnormal,
     /// Adaptive probe control-plane bookkeeping (see [`ProbeCtl`]).
     probe_ctl: ProbeCtl,
     /// Tail-biased exemplar reservoirs: the chains behind the percentiles
@@ -910,30 +916,58 @@ struct Control {
     exemplars: ExemplarStore,
 }
 
-/// A cross-chain, order-sensitive side effect of one analyzer event,
-/// collected per chain group under the shard lock and replayed under the
-/// control lock in batch first-appearance order — the exact order a serial
-/// analyzer would have emitted it.
-enum Effect {
-    /// A completed invocation: totals and the `/latency` index.
-    Completed { key: SeriesKey },
-    /// A Figure-4 reconstruction failure: totals and the evidence pools.
-    Abnormal { chain: Uuid, message: String },
+/// The recent abnormal chains retained as incident evidence, oldest first
+/// and bounded at [`RECENT_ABNORMAL_CAP`], with a per-chain entry count
+/// beside the ring so membership is O(1).
+#[derive(Debug, Default)]
+struct RecentAbnormal {
+    ring: VecDeque<(Uuid, String)>,
+    count: HashMap<Uuid, usize>,
 }
 
-/// One chain's contiguous event group from a shard's ingest, tagged with
-/// the chain's first-appearance rank in the original batch.
+impl RecentAbnormal {
+    fn push(&mut self, chain: Uuid, message: String) {
+        self.ring.push_back((chain, message));
+        *self.count.entry(chain).or_insert(0) += 1;
+        while self.ring.len() > RECENT_ABNORMAL_CAP {
+            let (old, _) = self.ring.pop_front().expect("ring over its cap");
+            let left = self.count.get_mut(&old).expect("counted on push");
+            *left -= 1;
+            if *left == 0 {
+                self.count.remove(&old);
+            }
+        }
+    }
+
+    fn contains(&self, chain: Uuid) -> bool {
+        self.count.contains_key(&chain)
+    }
+
+    fn iter(&self) -> impl DoubleEndedIterator<Item = &(Uuid, String)> {
+        self.ring.iter()
+    }
+}
+
+/// What one chain's ingest leaves for the replay phase: the cross-chain,
+/// order-sensitive effects, collected under the shard lock and replayed
+/// under the control lock in batch first-appearance order — the exact
+/// order a serial analyzer would have emitted them. (Completions only add
+/// to commutative totals, so they are summed per batch instead.)
 struct ChainGroup {
     chain: Uuid,
+    /// The chain's first-appearance rank in the batch.
     rank: usize,
-    effects: Vec<Effect>,
-    /// The chain's buffered completions when it went idle this batch.
-    idle: Option<ChainCompletions>,
-    /// Exemplar candidate computed under the shard lock when the chain
-    /// went idle: the root call's series and compensated latency. The
-    /// admission decision itself happens in the replay phase.
-    candidate: Option<(SeriesKey, u64)>,
+    /// Figure-4 reconstruction failures, in order: totals and the evidence
+    /// pools.
+    abnormal: Vec<String>,
+    /// Set when the chain went idle this batch.
+    idle: Option<IdleChain>,
 }
+
+/// An idle chain's buffered completions, with the exemplar candidate
+/// computed under the shard lock: the root call's series and compensated
+/// latency. The admission decision itself happens in the replay phase.
+type IdleChain = (ChainCompletions, Option<(SeriesKey, u64)>);
 
 /// The exemplar selection input for one completed chain: the slowest root
 /// (depth-0) call's series and latency. Chain-local, so it is computed
@@ -1050,7 +1084,7 @@ impl LiveMonitor {
                 window_gauges: HashMap::new(),
                 incidents,
                 window_abnormal: Vec::new(),
-                recent_abnormal: VecDeque::new(),
+                recent_abnormal: RecentAbnormal::default(),
                 probe_ctl: ProbeCtl::default(),
                 exemplars,
             }),
@@ -1249,88 +1283,87 @@ impl LiveMonitor {
     /// Ingests a batch of probe records at an explicit time.
     ///
     /// Three phases. A short control-locked phase advances window time and
-    /// retains raw records for `/trace`. Then records route lock-free by
-    /// `uuid % shards` (a chain's records always land on one shard, in
-    /// order) and each touched shard runs the Figure-4 reconstruction and
-    /// absorbs slice aggregates under its own lock — concurrent batches
-    /// only contend when they share a shard. Finally the cross-chain,
-    /// order-sensitive effects are replayed under the control lock in the
-    /// batch's chain first-appearance order — exactly the order a serial
-    /// analyzer emits its event groups, which is what makes sharded output
-    /// bit-identical to the serial monitor.
+    /// retains raw records for `/trace`. Then one grouping pass sorts the
+    /// batch chain → shard → first-appearance rank (a chain's records
+    /// always land on one shard, in order; the chain is looked up only
+    /// where the run of records changes chain), and each touched shard runs
+    /// its chains through the Figure-4 reconstruction and absorbs slice
+    /// aggregates under its own lock — concurrent batches only contend when
+    /// they share a shard. Finally the cross-chain, order-sensitive effects
+    /// are replayed under the control lock in the batch's chain
+    /// first-appearance order — exactly the order a serial analyzer emits
+    /// its event groups, which is what makes sharded output bit-identical
+    /// to the serial monitor.
     pub fn ingest_batch_at(&self, records: Vec<ProbeRecord>, now_ns: u64) {
         let target = {
             let mut c = self.control_lock();
             self.roll_locked(&mut c, now_ns);
-            for record in &records {
-                if c.window_records.len() < self.cfg.trace_capacity {
-                    c.window_records.push(record.clone());
-                } else {
-                    c.window_records_dropped += 1;
-                }
-            }
+            let room = self.cfg.trace_capacity.saturating_sub(c.window_records.len());
+            let kept = room.min(records.len());
+            c.window_records.extend_from_slice(&records[..kept]);
+            c.window_records_dropped += (records.len() - kept) as u64;
             c.current.expect("roll_locked sets current")
         };
 
+        let mut chains = group_by_chain(records);
         let n = self.shards.len();
-        let mut rank_of: HashMap<Uuid, usize> = HashMap::new();
-        let mut parts: Vec<Vec<ProbeRecord>> = (0..n).map(|_| Vec::new()).collect();
-        for record in records {
-            let next = rank_of.len();
-            rank_of.entry(record.uuid).or_insert(next);
-            parts[shard_of(record.uuid, n)].push(record);
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (rank, (chain, _)) in chains.iter().enumerate() {
+            by_shard[shard_of(*chain, n)].push(rank);
         }
-
+        let mut completed: BTreeMap<SeriesKey, u64> = BTreeMap::new();
         let mut groups: Vec<ChainGroup> = Vec::new();
-        for (index, batch) in parts.into_iter().enumerate() {
-            if batch.is_empty() {
+        for (index, ranks) in by_shard.into_iter().enumerate() {
+            if ranks.is_empty() {
                 continue;
             }
             // Shard guards drop before the control lock below: a thread
             // holding a shard never waits on control (see module docs).
             let mut shard = self.shard_lock(index);
-            let mut events = Vec::new();
-            shard.analyzer.ingest_batch_with_threads(batch, 1, &mut |e| events.push(e));
-            self.absorb_shard(&mut shard, target, events, &rank_of, &mut groups);
+            // A completion racing a concurrent window close lands in the
+            // first still-open slice rather than mutating a finalized window.
+            let apply_at = target.max(shard.floor);
+            for rank in ranks {
+                let (chain, records) = (chains[rank].0, std::mem::take(&mut chains[rank].1));
+                groups.extend(self.absorb_chain(
+                    &mut shard,
+                    apply_at,
+                    chain,
+                    rank,
+                    records,
+                    &mut completed,
+                ));
+            }
         }
-        groups.sort_by_key(|g| g.rank);
+        groups.sort_unstable_by_key(|g| g.rank);
 
         {
             let mut c = self.control_lock();
             let spw = self.cfg.slices.max(1) as u64;
             let window_index = c.current.map_or(0, |slice| slice / spw);
-            for mut group in groups {
-                let mut abnormal_now = false;
-                for effect in group.effects.drain(..) {
-                    match effect {
-                        Effect::Completed { key } => {
-                            c.total_completed += 1;
-                            *c.known_series.entry(key).or_insert(0) += 1;
-                        }
-                        Effect::Abnormal { chain, message } => {
-                            abnormal_now = true;
-                            c.total_abnormalities += 1;
-                            if !c.window_abnormal.contains(&chain)
-                                && c.window_abnormal.len() < WINDOW_ABNORMAL_CAP
-                            {
-                                c.window_abnormal.push(chain);
-                            }
-                            c.recent_abnormal.push_back((chain, message));
-                            while c.recent_abnormal.len() > RECENT_ABNORMAL_CAP {
-                                c.recent_abnormal.pop_front();
-                            }
-                        }
+            for (key, calls) in completed {
+                c.total_completed += calls;
+                *c.known_series.entry(key).or_insert(0) += calls;
+            }
+            for group in groups {
+                let abnormal_now = !group.abnormal.is_empty();
+                for message in group.abnormal {
+                    c.total_abnormalities += 1;
+                    if !c.window_abnormal.contains(&group.chain)
+                        && c.window_abnormal.len() < WINDOW_ABNORMAL_CAP
+                    {
+                        c.window_abnormal.push(group.chain);
                     }
+                    c.recent_abnormal.push(group.chain, message);
                 }
-                if let Some(completions) = group.idle {
+                if let Some((completions, candidate)) = group.idle {
                     // Exemplar *admission* (reservoir publication) rides
                     // the rank-ordered replay: same order as a serial
                     // monitor, so the store is shard-count independent. A
                     // chain that misbehaved in an earlier batch still
                     // counts as abnormal via the retained evidence pool.
-                    if let Some((series, latency_ns)) = group.candidate {
-                        let abnormal = abnormal_now
-                            || c.recent_abnormal.iter().any(|(chain, _)| *chain == group.chain);
+                    if let Some((series, latency_ns)) = candidate {
+                        let abnormal = abnormal_now || c.recent_abnormal.contains(group.chain);
                         c.exemplars.offer(
                             series,
                             group.chain,
@@ -1359,123 +1392,65 @@ impl LiveMonitor {
         self.roll_locked(&mut c, now_ns);
     }
 
-    /// Absorbs one shard's event stream: slice aggregates, flamegraph
-    /// folding and chain buffers mutate the shard in place (chain-local,
-    /// order-insensitive across chains); the cross-chain effects are
-    /// collected per chain group for rank-ordered replay under the control
-    /// lock. The analyzer emits each chain's events as one contiguous
-    /// group, so groups are cut on chain change.
-    fn absorb_shard(
+    /// Runs one chain's records through its shard: the Figure-4 step, the
+    /// slice aggregates (completions are also summed into `completed`) and
+    /// the chain's completion buffer; when the chain goes idle its state is
+    /// forgotten and its calls folded into the flamegraph maps. All of that
+    /// is chain-local. What must replay in batch order under the control
+    /// lock comes back as the chain's group, or `None` when there is
+    /// nothing to replay.
+    fn absorb_chain(
         &self,
         shard: &mut Shard,
-        target: u64,
-        events: Vec<OnlineEvent>,
-        rank_of: &HashMap<Uuid, usize>,
-        groups: &mut Vec<ChainGroup>,
-    ) {
-        // A completion racing a concurrent window close lands in the first
-        // still-open slice rather than mutating a finalized window.
-        let apply_at = target.max(shard.floor);
-        let mut open: Option<ChainGroup> = None;
-        for event in events {
-            let chain = match &event {
-                OnlineEvent::CallCompleted { chain, .. }
-                | OnlineEvent::Abnormality { chain, .. }
-                | OnlineEvent::ChainIdle { chain, .. } => *chain,
-            };
-            if open.as_ref().map(|g| g.chain) != Some(chain) {
-                if let Some(done) = open.take() {
-                    groups.push(done);
-                }
-                let rank = rank_of.get(&chain).copied().unwrap_or(usize::MAX);
-                open = Some(ChainGroup {
-                    chain,
-                    rank,
-                    effects: Vec::new(),
-                    idle: None,
-                    candidate: None,
-                });
-            }
-            let group = open.as_mut().expect("group just opened");
-            match event {
-                OnlineEvent::CallCompleted { chain, func, kind, depth, latency_ns } => {
-                    let latency = latency_ns.unwrap_or(0);
-                    let key = (func.interface, func.method);
-                    let slice = shard.slices.entry(apply_at).or_default();
-                    slice.series.entry(key).or_default().record(latency);
-                    slice.completed_calls += 1;
-                    let pending = shard.chain_events.entry(chain).or_default();
-                    if pending.len() < self.cfg.chain_event_capacity {
-                        pending.push(CompletedCall { func, kind, depth, latency_ns: latency });
-                    }
-                    group.effects.push(Effect::Completed { key });
-                }
-                OnlineEvent::Abnormality { chain, at_seq, message } => {
-                    shard.slices.entry(apply_at).or_default().abnormalities += 1;
-                    group.effects.push(Effect::Abnormal {
-                        chain,
-                        message: format!("seq {at_seq}: {message}"),
-                    });
-                }
-                OnlineEvent::ChainIdle { chain, .. } => {
-                    // Completed transactions must not accumulate analyzer
-                    // state forever in a long-running service.
-                    shard.analyzer.forget_chain(chain);
-                    if let Some(completions) = shard.chain_events.remove(&chain) {
-                        self.fold_completions(shard, &completions);
-                        // Exemplar *selection* happens here, under the
-                        // shard lock: the chain's root series and latency
-                        // are chain-local facts. Admission is deferred to
-                        // the rank-ordered replay so the reservoirs stay
-                        // bit-identical at any shard count.
-                        group.candidate = exemplar_candidate(&completions);
-                        group.idle = Some(completions);
-                    }
+        apply_at: u64,
+        chain: Uuid,
+        rank: usize,
+        records: Vec<ProbeRecord>,
+        completed: &mut BTreeMap<SeriesKey, u64>,
+    ) -> Option<ChainGroup> {
+        let Shard { analyzer, slices, chain_events, stacks, .. } = shard;
+        let slice = slices.entry(apply_at).or_default();
+        let mut calls = chain_events.remove(&chain);
+        let mut abnormal = Vec::new();
+        let mut idle = false;
+        analyzer.ingest_chain(chain, records, &mut |event| match event {
+            OnlineEvent::CallCompleted { func, kind, depth, latency_ns, .. } => {
+                let latency = latency_ns.unwrap_or(0);
+                let key = (func.interface, func.method);
+                slice.series.entry(key).or_default().record(latency);
+                slice.completed_calls += 1;
+                *completed.entry(key).or_insert(0) += 1;
+                let calls = calls.get_or_insert_with(Vec::new);
+                if calls.len() < self.cfg.chain_event_capacity {
+                    calls.push(CompletedCall { func, kind, depth, latency_ns: latency });
                 }
             }
-        }
-        if let Some(done) = open.take() {
-            groups.push(done);
-        }
-    }
-
-    /// Folds one completed chain's call forest into the shard's cumulative
-    /// and per-window flamegraph maps (both capped at `cfg.stack_capacity`
-    /// per shard).
-    fn fold_completions(&self, shard: &mut Shard, completions: &[CompletedCall]) {
-        let forest = render::completion_forest(completions);
-        // Iterative pre-order walk, threading the folded path down.
-        let mut lines: Vec<(String, u64)> = Vec::new();
-        let mut work: Vec<(&render::CompletionNode, String)> = forest
-            .iter()
-            .map(|root| {
-                let frame = format!(
-                    "{}.{}",
-                    self.vocab.interface_name(root.call.func.interface),
-                    self.vocab.method_name(root.call.func.interface, root.call.func.method)
-                );
-                (root, frame)
-            })
-            .collect();
-        while let Some((node, path)) = work.pop() {
-            let child_ns: u64 = node.children.iter().map(|c| c.call.latency_ns).sum();
-            let self_ns = node.call.latency_ns.saturating_sub(child_ns);
-            for child in &node.children {
-                let frame = format!(
-                    "{};{}.{}",
-                    path,
-                    self.vocab.interface_name(child.call.func.interface),
-                    self.vocab.method_name(child.call.func.interface, child.call.func.method)
-                );
-                work.push((child, frame));
+            OnlineEvent::Abnormality { at_seq, message, .. } => {
+                slice.abnormalities += 1;
+                abnormal.push(format!("seq {at_seq}: {message}"));
             }
-            lines.push((path, self_ns));
+            OnlineEvent::ChainIdle { .. } => idle = true,
+        });
+        if !idle {
+            if let Some(calls) = calls {
+                chain_events.insert(chain, calls);
+            }
+            let replay = !abnormal.is_empty();
+            return replay.then_some(ChainGroup { chain, rank, abnormal, idle: None });
         }
-        let cap = self.cfg.stack_capacity.max(1);
-        for (path, self_ns) in lines {
-            fold_into(&mut shard.window_folded, cap, &self.stack_evictions, path.clone(), self_ns);
-            fold_into(&mut shard.folded, cap, &self.stack_evictions, path, self_ns);
-        }
+        // Completed transactions must not accumulate analyzer state forever
+        // in a long-running service.
+        analyzer.forget_chain(chain);
+        let idle = calls.map(|calls| {
+            stacks.fold(&calls, &self.vocab, self.cfg.stack_capacity.max(1), &self.stack_evictions);
+            // Exemplar *selection* happens here, under the shard lock: the
+            // chain's root series and latency are chain-local facts.
+            // Admission is deferred to the rank-ordered replay so the
+            // reservoirs stay bit-identical at any shard count.
+            let candidate = exemplar_candidate(&calls);
+            (calls, candidate)
+        });
+        Some(ChainGroup { chain, rank, abnormal, idle })
     }
 
     /// Retains a completed chain's events for `/dscg`, evicting the oldest
@@ -1576,9 +1551,7 @@ impl LiveMonitor {
             // view until the next finalization.
             shard.slices = shard.slices.split_off(&start);
             shard.floor = end;
-            for (stack, self_ns) in std::mem::take(&mut shard.window_folded) {
-                *folded.entry(stack).or_insert(0) += self_ns;
-            }
+            shard.stacks.close_window(&mut folded);
         }
 
         self.export_window_gauges(c, &snap);
@@ -2089,9 +2062,7 @@ impl LiveMonitor {
         let mut merged = BTreeMap::new();
         for shard in &self.shards {
             let shard = lock_recover(shard, "shard");
-            for (stack, self_ns) in &shard.folded {
-                *merged.entry(stack.clone()).or_insert(0) += self_ns;
-            }
+            shard.stacks.render_cumulative(&mut merged);
         }
         merged
     }
@@ -2857,31 +2828,211 @@ fn render_folded(folded: &BTreeMap<String, u64>) -> String {
     out
 }
 
-/// Adds `self_ns` to `path`'s folded-stack total, keeping the map at most
-/// `cap` entries by evicting the smallest-valued stack (counted) when a
-/// *new* stack would otherwise push it over.
-fn fold_into(
-    map: &mut BTreeMap<String, u64>,
-    cap: usize,
-    evictions: &Counter,
-    path: String,
-    self_ns: u64,
-) {
-    if let Some(total) = map.get_mut(&path) {
-        *total += self_ns;
-        return;
-    }
-    if map.len() >= cap {
-        // Evicting the coldest stack loses the least flamegraph area; the
-        // O(n) scan only runs once the cap is hit and a new stack appears.
-        if let Some(coldest) =
-            map.iter().min_by_key(|(_, ns)| **ns).map(|(stack, _)| stack.clone())
-        {
-            map.remove(&coldest);
-            evictions.inc();
+/// The parent of a root frame in a [`StackTable`], and of a root call in
+/// its fold walk.
+const NO_PARENT: usize = usize::MAX;
+
+/// A shard's stack table is compacted to the ids its folded maps still
+/// hold once it grows past this many times `stack_capacity` entries (the
+/// two maps hold at most twice that).
+const STACK_TABLE_SLACK: usize = 4;
+
+/// One shard's folded flamegraph stacks, interned: every distinct rendered
+/// path (`a;b;c`) has one id, found by (parent id, series) and rendered
+/// once, and the cumulative and per-window folded maps are keyed by id.
+/// They become `BTreeMap<String, u64>` only at window close and at
+/// `/flamegraph` reads.
+#[derive(Debug, Default)]
+struct StackTable {
+    /// (parent id or [`NO_PARENT`], series) → id.
+    ids: HashMap<(usize, SeriesKey), usize>,
+    /// Id → rendered path.
+    paths: Vec<Arc<str>>,
+    /// Rendered path → id: series whose names render alike share one id,
+    /// as they shared one string key before interning.
+    by_path: HashMap<Arc<str>, usize>,
+    /// Cumulative folded stacks (capped).
+    folded: FoldedIds,
+    /// Stacks folded during the current tumbling window only (the
+    /// per-window delta merged into the history store at window close).
+    window: FoldedIds,
+}
+
+impl StackTable {
+    /// Folds one completed chain's calls — in the analyzer's post-order,
+    /// children before parents — into both maps (each capped at `cap`).
+    ///
+    /// No call tree is built. A forward pass links each call to the parent
+    /// that adopts it, by the rule [`render::completion_forest`] uses (a
+    /// call at depth `d` takes the run of depth-`d + 1` subtrees on top of
+    /// the stack; orphans stay roots), and sums its children's latencies.
+    /// The fold then visits the calls in reverse post-order — a parent
+    /// before its children, last child first — which is the order the
+    /// string fold walked its trees in, so cap evictions pick the same
+    /// stacks.
+    fn fold(
+        &mut self,
+        completions: &[CompletedCall],
+        vocab: &VocabSnapshot,
+        cap: usize,
+        evictions: &Counter,
+    ) {
+        if self.size() > STACK_TABLE_SLACK * cap {
+            self.compact();
+        }
+        // Per call: (parent call, its children's latency sum, path id).
+        let mut walk: Vec<(usize, u64, usize)> = Vec::with_capacity(completions.len());
+        let mut roots: Vec<usize> = Vec::new();
+        for (i, call) in completions.iter().enumerate() {
+            let mut child_ns = 0;
+            while let Some(&top) = roots.last() {
+                if completions[top].depth != call.depth + 1 {
+                    break;
+                }
+                roots.pop();
+                walk[top].0 = i;
+                child_ns += completions[top].latency_ns;
+            }
+            roots.push(i);
+            walk.push((NO_PARENT, child_ns, 0));
+        }
+        for (i, call) in completions.iter().enumerate().rev() {
+            let (parent, child_ns, _) = walk[i];
+            let parent = if parent == NO_PARENT { NO_PARENT } else { walk[parent].2 };
+            let id = self.intern(parent, (call.func.interface, call.func.method), vocab);
+            walk[i].2 = id;
+            let self_ns = call.latency_ns.saturating_sub(child_ns);
+            self.window.add(id, self_ns, cap, &self.paths, evictions);
+            self.folded.add(id, self_ns, cap, &self.paths, evictions);
         }
     }
-    map.insert(path, self_ns);
+
+    /// The id of `parent`'s path extended by `series`' frame.
+    fn intern(&mut self, parent: usize, series: SeriesKey, vocab: &VocabSnapshot) -> usize {
+        if let Some(&id) = self.ids.get(&(parent, series)) {
+            return id;
+        }
+        let iface = vocab.interface_name(series.0);
+        let method = vocab.method_name(series.0, series.1);
+        let path = if parent == NO_PARENT {
+            format!("{iface}.{method}")
+        } else {
+            format!("{};{iface}.{method}", self.paths[parent])
+        };
+        let id = match self.by_path.get(path.as_str()) {
+            Some(&id) => id,
+            None => {
+                let path: Arc<str> = path.into();
+                self.paths.push(Arc::clone(&path));
+                self.by_path.insert(path, self.paths.len() - 1);
+                self.paths.len() - 1
+            }
+        };
+        self.ids.insert((parent, series), id);
+        id
+    }
+
+    /// Sum-merges the cumulative stacks into `out` by rendered path.
+    fn render_cumulative(&self, out: &mut BTreeMap<String, u64>) {
+        self.folded.render_into(&self.paths, out);
+    }
+
+    /// Sum-merges the current window's stacks into `out` by rendered path
+    /// and starts the next window empty.
+    fn close_window(&mut self, out: &mut BTreeMap<String, u64>) {
+        self.window.render_into(&self.paths, out);
+        self.window = FoldedIds::default();
+    }
+
+    /// Entries in the table: the larger of its two indexes.
+    fn size(&self) -> usize {
+        self.ids.len().max(self.paths.len())
+    }
+
+    /// Keeps only the paths a folded map holds, under dense new ids; the
+    /// (parent, series) links are re-learned as folds meet them again.
+    fn compact(&mut self) {
+        let live: Vec<usize> = (0..self.paths.len())
+            .filter(|&id| self.folded.get(id).is_some() || self.window.get(id).is_some())
+            .collect();
+        self.folded = self.folded.remap(&live);
+        self.window = self.window.remap(&live);
+        self.paths = live.iter().map(|&id| Arc::clone(&self.paths[id])).collect();
+        self.by_path = self.paths.iter().enumerate().map(|(id, p)| (Arc::clone(p), id)).collect();
+        self.ids.clear();
+    }
+}
+
+/// A capped folded-stack map keyed by [`StackTable`] id.
+#[derive(Debug, Default)]
+struct FoldedIds {
+    /// Self time per id; `None` while the id is not in the map.
+    ns: Vec<Option<u64>>,
+    len: usize,
+}
+
+impl FoldedIds {
+    fn get(&self, id: usize) -> Option<u64> {
+        self.ns.get(id).copied().flatten()
+    }
+
+    /// Adds `self_ns` to stack `id`'s total, keeping the map at most `cap`
+    /// entries by evicting the smallest-valued stack (counted) when a *new*
+    /// stack would otherwise push it over. Ties go to the smallest path, as
+    /// in a string-keyed map.
+    fn add(
+        &mut self,
+        id: usize,
+        self_ns: u64,
+        cap: usize,
+        paths: &[Arc<str>],
+        evictions: &Counter,
+    ) {
+        if id >= self.ns.len() {
+            self.ns.resize(id + 1, None);
+        }
+        if let Some(total) = &mut self.ns[id] {
+            *total += self_ns;
+            return;
+        }
+        if self.len >= cap {
+            // Evicting the coldest stack loses the least flamegraph area;
+            // the O(n) scan only runs once the cap is hit and a new stack
+            // appears.
+            let coldest = self
+                .ns
+                .iter()
+                .enumerate()
+                .filter_map(|(id, ns)| ns.map(|ns| (ns, id)))
+                .min_by(|a, b| a.0.cmp(&b.0).then_with(|| paths[a.1].cmp(&paths[b.1])));
+            if let Some((_, coldest)) = coldest {
+                self.ns[coldest] = None;
+                self.len -= 1;
+                evictions.inc();
+            }
+        }
+        self.ns[id] = Some(self_ns);
+        self.len += 1;
+    }
+
+    /// This map with `live[new]`'s entry at `new`.
+    fn remap(&self, live: &[usize]) -> FoldedIds {
+        let ns: Vec<Option<u64>> = live.iter().map(|&id| self.get(id)).collect();
+        FoldedIds { len: ns.iter().flatten().count(), ns }
+    }
+
+    /// Sum-merges the stacks into `out` by rendered path.
+    fn render_into(&self, paths: &[Arc<str>], out: &mut BTreeMap<String, u64>) {
+        for (id, ns) in self.ns.iter().enumerate() {
+            let Some(ns) = *ns else { continue };
+            match out.get_mut(&*paths[id]) {
+                Some(total) => *total += ns,
+                None => {
+                    out.insert(paths[id].to_string(), ns);
+                }
+            }
+        }
+    }
 }
 
 fn merge_slice(snap: &mut WindowSnapshot, slice: &Slice) {
@@ -3496,8 +3647,9 @@ mod tests {
         m.ingest_batch_at(sync_call(3, 1, 0, 3000), 30);
         for index in 0..m.shards.len() {
             let shard = m.shard_lock(index);
-            assert!(shard.folded.len() <= 2, "cumulative map capped: {:?}", shard.folded);
-            assert!(shard.window_folded.len() <= 2, "window map capped");
+            let stacks = &shard.stacks;
+            assert!(stacks.folded.len <= 2, "cumulative map capped: {:?}", stacks.folded);
+            assert!(stacks.window.len <= 2, "window map capped");
         }
         let after = MetricsRegistry::global()
             .counter_value("causeway_live_stack_evictions")
@@ -3548,6 +3700,165 @@ mod tests {
         // The chain's per-chain analyzer state is gone entirely (not just
         // filtered out of the summaries).
         assert!(!shard.analyzer.forget_chain(Uuid(1)), "state already dropped");
+    }
+
+    #[test]
+    fn ingest_never_walks_the_open_chains() {
+        let m = monitor();
+        // 50,000 chains left open: a long-running monitor's backlog.
+        let open: Vec<ProbeRecord> = (0..50_000u128)
+            .map(|chain| record(1_000 + chain, 1, TraceEvent::StubStart, 0, 0, 7, 0, 1))
+            .collect();
+        m.ingest_batch_at(open, 10);
+        for index in 0..m.shards.len() {
+            m.shard_lock(index).analyzer.walks.set(0);
+        }
+        for batch in 0..20u128 {
+            let mut records = sync_call(batch, 0, 0, 1000);
+            records.push(record(1_000 + batch, 2, TraceEvent::SkelStart, 0, 0, 7, 2, 3));
+            m.ingest_batch_at(records, 20 + batch as u64);
+        }
+        let (_, health) = m.health_json();
+        for index in 0..m.shards.len() {
+            let walks = m.shard_lock(index).analyzer.walks.get();
+            assert_eq!(walks, 0, "shard {index}: ingest and the gauges walked its chains");
+        }
+        assert_eq!(health.get("open_chains"), Some(&Json::Num(50_000.0)));
+        assert_eq!(m.total_completed(), 20);
+    }
+
+    /// The string fold the interned [`StackTable`] replaced, kept as the
+    /// reference it must match: rebuild the call forest, walk it threading
+    /// `format!`ed paths down, fold each line into both string-keyed maps.
+    fn string_fold(
+        window: &mut BTreeMap<String, u64>,
+        folded: &mut BTreeMap<String, u64>,
+        completions: &[CompletedCall],
+        vocab: &VocabSnapshot,
+        cap: usize,
+        evictions: &Counter,
+    ) {
+        let frame = |call: &CompletedCall| {
+            format!(
+                "{}.{}",
+                vocab.interface_name(call.func.interface),
+                vocab.method_name(call.func.interface, call.func.method)
+            )
+        };
+        let forest = render::completion_forest(completions);
+        let mut lines: Vec<(String, u64)> = Vec::new();
+        let mut work: Vec<(&render::CompletionNode, String)> =
+            forest.iter().map(|root| (root, frame(&root.call))).collect();
+        while let Some((node, path)) = work.pop() {
+            let child_ns: u64 = node.children.iter().map(|c| c.call.latency_ns).sum();
+            let self_ns = node.call.latency_ns.saturating_sub(child_ns);
+            for child in &node.children {
+                work.push((child, format!("{path};{}", frame(&child.call))));
+            }
+            lines.push((path, self_ns));
+        }
+        for (path, self_ns) in lines {
+            fold_into(window, cap, evictions, path.clone(), self_ns);
+            fold_into(folded, cap, evictions, path, self_ns);
+        }
+    }
+
+    /// [`string_fold`]'s capped insert.
+    fn fold_into(
+        map: &mut BTreeMap<String, u64>,
+        cap: usize,
+        evictions: &Counter,
+        path: String,
+        self_ns: u64,
+    ) {
+        if let Some(total) = map.get_mut(&path) {
+            *total += self_ns;
+            return;
+        }
+        if map.len() >= cap {
+            if let Some(coldest) =
+                map.iter().min_by_key(|(_, ns)| **ns).map(|(stack, _)| stack.clone())
+            {
+                map.remove(&coldest);
+                evictions.inc();
+            }
+        }
+        map.insert(path, self_ns);
+    }
+
+    /// Names that make distinct stacks render alike: `A`/`b.c` and `A.b`/`c`
+    /// are both `A.b.c`; the root `X.y;Z`/`w` renders like `X.y` with a
+    /// `Z.w` child; ids past the end all render as placeholders.
+    fn colliding_vocab() -> VocabSnapshot {
+        let iface = |name: &str, methods: &[&str]| InterfaceEntry {
+            name: name.to_owned(),
+            methods: methods.iter().map(|m| (*m).to_owned()).collect(),
+        };
+        VocabSnapshot {
+            interfaces: vec![
+                iface("A", &["b.c", "x"]),
+                iface("A.b", &["c"]),
+                iface("X", &["y"]),
+                iface("Z", &["w"]),
+                iface("X.y;Z", &["w"]),
+            ],
+            ..VocabSnapshot::default()
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// The interned fold equals the string fold: the same cumulative
+        /// and per-window maps, the same evictions, on irregular depth
+        /// runs (orphans become extra roots), colliding names and caps of
+        /// 1–3 — and the table stays bounded.
+        #[test]
+        fn interned_fold_matches_the_string_fold(
+            chains in prop::collection::vec(
+                (
+                    // Small latencies, so eviction ties are common.
+                    prop::collection::vec((0usize..4, 0u32..7, 0u16..2, 0u64..6), 0..16),
+                    any::<bool>(),
+                ),
+                1..10,
+            ),
+            cap in 1usize..4,
+        ) {
+            let vocab = colliding_vocab();
+            let (mut window, mut folded) = (BTreeMap::new(), BTreeMap::new());
+            let mut table = StackTable::default();
+            let (string_evictions, interned_evictions) = (Counter::detached(), Counter::detached());
+            for (calls, close) in chains {
+                let completions: Vec<CompletedCall> = calls
+                    .into_iter()
+                    .map(|(depth, iface, method, latency_ns)| CompletedCall {
+                        func: FunctionKey::new(
+                            InterfaceId(iface),
+                            MethodIndex(method),
+                            ObjectId(0),
+                        ),
+                        kind: CallKind::Sync,
+                        depth,
+                        latency_ns,
+                    })
+                    .collect();
+                string_fold(&mut window, &mut folded, &completions, &vocab, cap, &string_evictions);
+                table.fold(&completions, &vocab, cap, &interned_evictions);
+                prop_assert!(table.size() <= STACK_TABLE_SLACK * cap + completions.len());
+                let mut cumulative = BTreeMap::new();
+                table.render_cumulative(&mut cumulative);
+                prop_assert_eq!(render_folded(&cumulative), render_folded(&folded));
+                prop_assert_eq!(interned_evictions.get(), string_evictions.get());
+                if close {
+                    let mut closed = BTreeMap::new();
+                    table.close_window(&mut closed);
+                    prop_assert_eq!(&closed, &std::mem::take(&mut window));
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,14 @@
 //! abnormal transition appeared. Unlike the off-line [`crate::dscg::Dscg`]
 //! pass, no quiescence is required — which is precisely what an adaptive
 //! runtime manager needs.
+//!
+//! Per-record cost does not grow with the number of open chains. Every
+//! ingest entry point — [`OnlineAnalyzer::ingest`], the batch paths and the
+//! live monitor's pre-grouped chains — runs one per-chain step loop; a
+//! record that arrives in order while nothing is buffered goes straight to
+//! the Figure-4 machine instead of through the re-sequencing buffer, and
+//! the open-chain and buffered-record counts are kept exact as each
+//! chain's before/after contribution, so reading them is O(1).
 
 use causeway_core::event::{CallKind, TraceEvent};
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
@@ -130,13 +138,31 @@ pub enum OnlineEvent {
     },
 }
 
+/// The wall stamps of one probe: all that `L(F)` and `O_F` read of it.
+#[derive(Debug, Clone, Copy)]
+struct Stamps {
+    wall_start: Option<u64>,
+    wall_end: Option<u64>,
+}
+
+impl Stamps {
+    fn of(record: &ProbeRecord) -> Stamps {
+        Stamps { wall_start: record.wall_start, wall_end: record.wall_end }
+    }
+
+    /// The probe's own duration, as [`ProbeRecord::wall_span`].
+    fn span(self) -> Option<u64> {
+        Some(self.wall_end?.saturating_sub(self.wall_start?))
+    }
+}
+
 #[derive(Debug)]
 struct OpenCall {
     func: FunctionKey,
     kind: CallKind,
-    stub_start: Option<ProbeRecord>,
-    skel_start: Option<ProbeRecord>,
-    skel_end: Option<ProbeRecord>,
+    stub_start: Option<Stamps>,
+    skel_start: Option<Stamps>,
+    skel_end: Option<Stamps>,
     /// Probe spans of completed children, for `O_F` compensation.
     child_overhead_ns: u64,
 }
@@ -150,6 +176,72 @@ struct ChainState {
     pending: BTreeMap<u64, ProbeRecord>,
     stack: Vec<OpenCall>,
     completed_calls: usize,
+}
+
+impl ChainState {
+    /// This chain's share of the analyzer's (open chains, buffered records)
+    /// counts.
+    fn load(&self) -> (usize, usize) {
+        let open = !self.stack.is_empty() || !self.pending.is_empty();
+        (usize::from(open), self.pending.len())
+    }
+
+    /// The step loop behind every ingest entry point: re-sequences
+    /// `records` (all of `chain`) into the Figure-4 machine, then reports
+    /// the chain idle if it has no open work left.
+    fn step(
+        &mut self,
+        chain: Uuid,
+        records: impl IntoIterator<Item = ProbeRecord>,
+        sink: &mut impl FnMut(OnlineEvent),
+    ) {
+        let mut fed = 0;
+        for record in records {
+            fed += 1;
+            if self.pending.is_empty() && record.seq == self.processed + 1 {
+                // In order with nothing buffered: inserting and draining
+                // would hand this record, and only it, to `apply`.
+                self.processed = record.seq;
+                OnlineAnalyzer::apply(chain, self, record, sink);
+                continue;
+            }
+            self.pending.insert(record.seq, record);
+            // Drain the contiguous prefix.
+            while let Some(record) = {
+                let next = self.processed + 1;
+                self.pending.remove(&next)
+            } {
+                self.processed = record.seq;
+                OnlineAnalyzer::apply(chain, self, record, sink);
+            }
+        }
+        online_metrics().records.add(fed);
+        if self.stack.is_empty() && self.pending.is_empty() && self.completed_calls > 0 {
+            emit(sink, OnlineEvent::ChainIdle { chain, completed_calls: self.completed_calls });
+        }
+    }
+}
+
+/// Groups a batch by chain in first-appearance order, keeping each chain's
+/// records in batch order. The chain is looked up only where consecutive
+/// records change chain.
+pub(crate) fn group_by_chain(records: Vec<ProbeRecord>) -> Vec<(Uuid, Vec<ProbeRecord>)> {
+    // Record UUIDs come from outside the process: keep the keyed hasher.
+    let mut rank_of: HashMap<Uuid, usize> = HashMap::new();
+    let mut chains: Vec<(Uuid, Vec<ProbeRecord>)> = Vec::new();
+    let mut run: Option<(Uuid, usize)> = None;
+    for record in records {
+        let rank = match run {
+            Some((chain, rank)) if chain == record.uuid => rank,
+            _ => *rank_of.entry(record.uuid).or_insert_with(|| {
+                chains.push((record.uuid, Vec::new()));
+                chains.len() - 1
+            }),
+        };
+        run = Some((record.uuid, rank));
+        chains[rank].1.push(record);
+    }
+    chains
 }
 
 /// Incremental, order-tolerant causality analyzer.
@@ -169,6 +261,14 @@ struct ChainState {
 #[derive(Debug, Default)]
 pub struct OnlineAnalyzer {
     chains: HashMap<Uuid, ChainState>,
+    /// Chains with open invocations or buffered records: the sum of every
+    /// chain's [`ChainState::load`], adjusted wherever a chain changes.
+    open: usize,
+    /// Records in every chain's re-sequencing buffer, kept the same way.
+    buffered: usize,
+    /// Whole-map walks so far (test-only): ingest must never walk.
+    #[cfg(test)]
+    pub(crate) walks: std::cell::Cell<usize>,
 }
 
 impl OnlineAnalyzer {
@@ -178,21 +278,43 @@ impl OnlineAnalyzer {
     }
 
     /// Chains with unfinished work (open invocations or buffered records).
+    /// O(1).
     pub fn open_chains(&self) -> usize {
-        self.chains
-            .values()
-            .filter(|c| !c.stack.is_empty() || !c.pending.is_empty())
-            .count()
+        self.open
     }
 
-    /// Records buffered waiting for out-of-order predecessors.
+    /// Records buffered waiting for out-of-order predecessors. O(1).
     pub fn buffered_records(&self) -> usize {
-        self.chains.values().map(|c| c.pending.len()).sum()
+        self.buffered
+    }
+
+    /// Moves the counts from a chain's `before` load to its `after` load.
+    fn account(&mut self, before: (usize, usize), after: (usize, usize)) {
+        self.open = self.open + after.0 - before.0;
+        self.buffered = self.buffered + after.1 - before.1;
+    }
+
+    /// Feeds records that all belong to `chain`, in order; `sink` receives
+    /// the chain's events, [`OnlineEvent::ChainIdle`] evaluated once at the
+    /// end.
+    pub(crate) fn ingest_chain(
+        &mut self,
+        chain: Uuid,
+        records: impl IntoIterator<Item = ProbeRecord>,
+        sink: &mut impl FnMut(OnlineEvent),
+    ) {
+        let state = self.chains.entry(chain).or_default();
+        let before = state.load();
+        state.step(chain, records, sink);
+        let after = state.load();
+        self.account(before, after);
     }
 
     /// A point-in-time description of every chain with unfinished work, for
     /// live status endpoints. Sorted by chain UUID for stable output.
     pub fn open_chain_summaries(&self) -> Vec<OpenChainSummary> {
+        #[cfg(test)]
+        self.walks.set(self.walks.get() + 1);
         let mut out: Vec<OpenChainSummary> = self
             .chains
             .iter()
@@ -217,7 +339,13 @@ impl OnlineAnalyzer {
     /// chain mid-flight is safe but lossy: later records for it start a
     /// fresh state and will be reported as a sequence gap.
     pub fn forget_chain(&mut self, chain: Uuid) -> bool {
-        self.chains.remove(&chain).is_some()
+        match self.chains.remove(&chain) {
+            Some(state) => {
+                self.account(state.load(), (0, 0));
+                true
+            }
+            None => false,
+        }
     }
 
     /// Publishes this analyzer's instantaneous state (open chains,
@@ -225,8 +353,7 @@ impl OnlineAnalyzer {
     ///
     /// Called automatically by the batch consumption paths
     /// ([`Self::poll_store`], [`Self::follow_store`], [`Self::drain_store`],
-    /// [`Self::finish`]); both queries walk every chain, so the per-record
-    /// [`Self::ingest`] path deliberately does not.
+    /// [`Self::finish`]).
     pub fn publish_metrics(&self) {
         let m = online_metrics();
         m.open_chains.set(self.open_chains() as i64);
@@ -235,21 +362,7 @@ impl OnlineAnalyzer {
 
     /// Feeds one record; `sink` receives any events it triggers.
     pub fn ingest(&mut self, record: ProbeRecord, sink: &mut impl FnMut(OnlineEvent)) {
-        online_metrics().records.add(1);
-        let chain = record.uuid;
-        let state = self.chains.entry(chain).or_default();
-        state.pending.insert(record.seq, record);
-        // Drain the contiguous prefix.
-        while let Some(record) = {
-            let next = state.processed + 1;
-            state.pending.remove(&next)
-        } {
-            state.processed = record.seq;
-            Self::apply(chain, state, record, sink);
-        }
-        if state.stack.is_empty() && state.pending.is_empty() && state.completed_calls > 0 {
-            emit(sink, OnlineEvent::ChainIdle { chain, completed_calls: state.completed_calls });
-        }
+        self.ingest_chain(record.uuid, [record], sink);
     }
 
     /// Feeds every record of a sealed chunk, in the producing thread's
@@ -282,46 +395,21 @@ impl OnlineAnalyzer {
         threads: usize,
         sink: &mut impl FnMut(OnlineEvent),
     ) {
-        online_metrics().records.add(records.len() as u64);
-        // Shard by chain in first-appearance order.
-        let mut shard_of: HashMap<Uuid, usize> = HashMap::new();
-        let mut shards: Vec<(Uuid, Vec<ProbeRecord>)> = Vec::new();
-        for record in records {
-            let idx = *shard_of.entry(record.uuid).or_insert_with(|| {
-                shards.push((record.uuid, Vec::new()));
-                shards.len() - 1
-            });
-            shards[idx].1.push(record);
-        }
         // Move each touched chain's state out to its worker.
-        let work: Vec<(Uuid, ChainState, Vec<ProbeRecord>)> = shards
+        let work: Vec<(Uuid, ChainState, Vec<ProbeRecord>)> = group_by_chain(records)
             .into_iter()
-            .map(|(uuid, recs)| (uuid, self.chains.remove(&uuid).unwrap_or_default(), recs))
+            .map(|(chain, records)| (chain, self.chains.remove(&chain).unwrap_or_default(), records))
             .collect();
-        let done = pool::par_map_vec(work, threads, |(chain, mut state, recs)| {
+        let done = pool::par_map_vec(work, threads, |(chain, mut state, records)| {
+            let before = state.load();
             let mut events = Vec::new();
-            for record in recs {
-                state.pending.insert(record.seq, record);
-                // Drain the contiguous prefix, as `ingest` does.
-                while let Some(record) = {
-                    let next = state.processed + 1;
-                    state.pending.remove(&next)
-                } {
-                    state.processed = record.seq;
-                    Self::apply(chain, &mut state, record, &mut |e| events.push(e));
-                }
-            }
-            if state.stack.is_empty() && state.pending.is_empty() && state.completed_calls > 0 {
-                events
-                    .push(OnlineEvent::ChainIdle { chain, completed_calls: state.completed_calls });
-            }
-            (chain, state, events)
+            state.step(chain, records, &mut |e| events.push(e));
+            (chain, state, before, events)
         });
-        for (chain, state, events) in done {
+        for (chain, state, before, events) in done {
+            self.account(before, state.load());
             self.chains.insert(chain, state);
-            for event in events {
-                sink(event);
-            }
+            events.into_iter().for_each(&mut *sink);
         }
     }
 
@@ -373,10 +461,13 @@ impl OnlineAnalyzer {
     /// Forces out everything still buffered (end of run): gaps are reported
     /// as abnormalities, open invocations as incomplete.
     pub fn finish(&mut self, sink: &mut impl FnMut(OnlineEvent)) {
+        #[cfg(test)]
+        self.walks.set(self.walks.get() + 1);
         let mut chains: Vec<Uuid> = self.chains.keys().copied().collect();
         chains.sort();
         for chain in chains {
             let mut state = self.chains.remove(&chain).expect("key listed");
+            self.account(state.load(), (0, 0));
             while let Some((&seq, _)) = state.pending.iter().next() {
                 if seq != state.processed + 1 {
                     emit(sink, OnlineEvent::Abnormality {
@@ -421,7 +512,7 @@ impl OnlineAnalyzer {
                 state.stack.push(OpenCall {
                     func: record.func,
                     kind: record.kind,
-                    stub_start: Some(record),
+                    stub_start: Some(Stamps::of(&record)),
                     skel_start: None,
                     skel_end: None,
                     child_overhead_ns: 0,
@@ -431,13 +522,13 @@ impl OnlineAnalyzer {
                 if top_matches
                     && state.stack.last().map(|o| o.skel_start.is_none()).unwrap_or(false)
                 {
-                    state.stack.last_mut().expect("matched").skel_start = Some(record);
+                    state.stack.last_mut().expect("matched").skel_start = Some(Stamps::of(&record));
                 } else if state.stack.is_empty() && record.kind == CallKind::Oneway {
                     state.stack.push(OpenCall {
                         func: record.func,
                         kind: record.kind,
                         stub_start: None,
-                        skel_start: Some(record),
+                        skel_start: Some(Stamps::of(&record)),
                         skel_end: None,
                         child_overhead_ns: 0,
                     });
@@ -457,7 +548,7 @@ impl OnlineAnalyzer {
                         let open = state.stack.last().expect("matched");
                         open.kind == CallKind::Oneway && open.stub_start.is_none()
                     };
-                    state.stack.last_mut().expect("matched").skel_end = Some(record);
+                    state.stack.last_mut().expect("matched").skel_end = Some(Stamps::of(&record));
                     if is_oneway_root {
                         Self::complete_top(chain, state, sink);
                     }
@@ -542,13 +633,13 @@ impl OnlineAnalyzer {
 fn compensated_latency(open: &OpenCall, stub_end: &ProbeRecord) -> Option<u64> {
     let window = match open.kind {
         CallKind::Collocated | CallKind::CustomMarshal => {
-            let end = open.skel_end.as_ref()?.wall_start?;
-            let start = open.skel_start.as_ref()?.wall_end?;
+            let end = open.skel_end?.wall_start?;
+            let start = open.skel_start?.wall_end?;
             end.saturating_sub(start)
         }
         _ => {
             let end = stub_end.wall_start?;
-            let start = open.stub_start.as_ref()?.wall_end?;
+            let start = open.stub_start?.wall_end?;
             end.saturating_sub(start)
         }
     };
@@ -557,17 +648,14 @@ fn compensated_latency(open: &OpenCall, stub_end: &ProbeRecord) -> Option<u64> {
 
 /// The probe spans of a completed call that sat inside its caller's window.
 fn caller_side_spans(open: &OpenCall, stub_end: &ProbeRecord) -> u64 {
-    let mut spans = 0u64;
-    let records: [&Option<ProbeRecord>; 3] = [&open.stub_start, &open.skel_start, &open.skel_end];
-    for record in records.into_iter().flatten() {
-        // One-way children only occupy the caller with their stub probes.
-        if open.kind == CallKind::Oneway && record.event.is_skel_side() {
-            continue;
-        }
-        spans += record.wall_span().unwrap_or(0);
+    let span = |stamps: Option<Stamps>| stamps.and_then(Stamps::span).unwrap_or(0);
+    let mut spans = span(open.stub_start);
+    // One-way children only occupy the caller with their stub probes.
+    if open.kind != CallKind::Oneway {
+        spans += span(open.skel_start);
+        spans += span(open.skel_end);
     }
-    spans += stub_end.wall_span().unwrap_or(0);
-    spans
+    spans + stub_end.wall_span().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -843,5 +931,57 @@ mod tests {
             .collect();
         assert_eq!(completed.len(), 2);
         assert!(completed.contains(&1) && completed.contains(&2));
+    }
+
+    /// The step without the in-order fast path: every record through the
+    /// re-sequencing buffer, as before the fast path existed.
+    fn step_via_buffer(
+        states: &mut HashMap<Uuid, ChainState>,
+        record: ProbeRecord,
+        sink: &mut impl FnMut(OnlineEvent),
+    ) {
+        let chain = record.uuid;
+        let state = states.entry(chain).or_default();
+        state.pending.insert(record.seq, record);
+        while let Some(record) = {
+            let next = state.processed + 1;
+            state.pending.remove(&next)
+        } {
+            state.processed = record.seq;
+            OnlineAnalyzer::apply(chain, state, record, sink);
+        }
+        if state.stack.is_empty() && state.pending.is_empty() && state.completed_calls > 0 {
+            sink(OnlineEvent::ChainIdle { chain, completed_calls: state.completed_calls });
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// In-order records skip the buffer, yet every stream — in order,
+        /// reordered, with gaps and repeats — yields exactly the events the
+        /// insert-then-drain path produces.
+        #[test]
+        fn fast_path_emits_what_the_buffer_would(
+            raw in prop::collection::vec((0u128..3, 1u64..9, 0usize..4, 0usize..2, 0u64..2), 0..60),
+        ) {
+            let kinds = [CallKind::Sync, CallKind::Oneway];
+            let records: Vec<ProbeRecord> = raw
+                .into_iter()
+                .map(|(uuid, seq, event, kind, object)| {
+                    let wall = (seq * 10, seq * 10 + 1);
+                    rec(uuid, seq, TraceEvent::ALL[event], kinds[kind], object, wall)
+                })
+                .collect();
+            let (events, _) = collect(records.clone());
+            let mut states = HashMap::new();
+            let mut expected = Vec::new();
+            for record in records {
+                step_via_buffer(&mut states, record, &mut |e| expected.push(e));
+            }
+            prop_assert_eq!(events, expected);
+        }
     }
 }

@@ -18,7 +18,7 @@
 //! | `exp_sta_mingling` | §2.2 — STA causal mingling and the fix |
 //!
 //! Criterion benches: `probe_overhead`, `write_path`, `dscg_scaling`,
-//! `ftl_vs_trace_object`, `analyzer_phases`.
+//! `ftl_vs_trace_object`, `analyzer_phases`, `live_ingest`.
 
 use causeway_core::event::{CallKind, TraceEvent};
 use causeway_core::ids::{InterfaceId, LogicalThreadId, MethodIndex, NodeId, ObjectId, ProcessId};

@@ -176,6 +176,7 @@ fn concurrent_mixed_shapes_stay_untangled() {
     std::thread::scope(|scope| {
         for lane in 0..8 {
             let client = system.client(driver);
+            let system = &system;
             scope.spawn(move || {
                 for i in 0..20 {
                     client.begin_root();
@@ -183,6 +184,9 @@ fn concurrent_mixed_shapes_stay_untangled() {
                     client.invoke_oneway(&obj, "note", vec![Value::I64(i)]).unwrap();
                     client.invoke(&obj, "work", vec![Value::I64(i)]).unwrap();
                 }
+                // `scope` may return before this thread's exit-time flush
+                // has run: seal its records while it is live.
+                system.flush_local_logs();
             });
         }
     });

@@ -2,7 +2,7 @@
 //! future-work item: "to automate or semi-automate test harness generation
 //! for multithreaded and distributed systems testing".
 //!
-//! [`derive`] turns a reconstructed DSCG back into an executable workload
+//! [`derive()`] turns a reconstructed DSCG back into an executable workload
 //! specification: the same call trees, the same process placement, the same
 //! invocation kinds, and (optionally) the same per-invocation self latency
 //! as timed `Work` actions. [`execute`] then replays that specification on

@@ -11,6 +11,7 @@
 
 use causeway::analyzer::cpu::CpuAnalysis;
 use causeway::analyzer::dscg::{CallNode, Dscg};
+use causeway::analyzer::online::{OnlineAnalyzer, OnlineEvent};
 use causeway::collector::db::MonitoringDb;
 use causeway::collector::jsonl;
 use causeway::core::deploy::Deployment;
@@ -389,6 +390,174 @@ proptest! {
         let text = jsonl::write_run(&run);
         let restored = jsonl::read_run(&text).expect("own output reads back");
         prop_assert_eq!(restored, run);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// On-line analyzer: exact counters, batch == per-record
+// ---------------------------------------------------------------------------
+
+/// Well-formed nested synchronous calls on chains 100.., then garbage from
+/// [`arbitrary_record`]; each record dropped (1 in 8) or delivered twice
+/// (1 in 8), and the whole stream reordered.
+fn disordered_stream() -> impl Strategy<Value = Vec<ProbeRecord>> {
+    (
+        prop::collection::vec((100u128..104, 1usize..4), 0..6),
+        prop::collection::vec(arbitrary_record(), 0..40),
+        prop::collection::vec(any::<u64>(), 0..120),
+    )
+        .prop_map(|(calls, garbage, dice)| {
+            let mut next_seq = std::collections::HashMap::new();
+            let mut stream = Vec::new();
+            for (chain, depth) in calls {
+                let seq = next_seq.entry(chain).or_insert(0u64);
+                let mut record = |event, object: u64| {
+                    *seq += 1;
+                    ProbeRecord {
+                        uuid: Uuid(chain),
+                        seq: *seq,
+                        event,
+                        kind: CallKind::Sync,
+                        site: CallSite {
+                            node: NodeId(0),
+                            process: ProcessId(0),
+                            thread: LogicalThreadId(0),
+                        },
+                        func: FunctionKey::new(InterfaceId(0), MethodIndex(0), ObjectId(object)),
+                        wall_start: Some(*seq * 10),
+                        wall_end: Some(*seq * 10 + 1),
+                        cpu_start: None,
+                        cpu_end: None,
+                        oneway_child: None,
+                        oneway_parent: None,
+                    }
+                };
+                let mut opening = Vec::new();
+                let mut closing = Vec::new();
+                for level in 0..depth as u64 {
+                    opening.push(record(TraceEvent::StubStart, level));
+                    opening.push(record(TraceEvent::SkelStart, level));
+                }
+                for level in (0..depth as u64).rev() {
+                    closing.push(record(TraceEvent::SkelEnd, level));
+                    closing.push(record(TraceEvent::StubEnd, level));
+                }
+                stream.extend(opening);
+                stream.extend(closing);
+            }
+            stream.extend(garbage);
+            let mut dice = dice.into_iter().cycle();
+            // No dice: every record kept once, in order.
+            let mut roll = move || dice.next().unwrap_or(7);
+            let mut keyed = Vec::new();
+            for record in stream {
+                match roll() % 8 {
+                    0 => continue,
+                    1 => keyed.push((roll(), record.clone())),
+                    _ => {}
+                }
+                keyed.push((roll(), record));
+            }
+            keyed.sort_by_key(|(key, _)| *key);
+            keyed.into_iter().map(|(_, record)| record).collect()
+        })
+}
+
+/// The counters must equal a full recount over the open-chain summaries.
+fn assert_counts_exact(analyzer: &OnlineAnalyzer) {
+    let summaries = analyzer.open_chain_summaries();
+    assert_eq!(analyzer.open_chains(), summaries.len());
+    let buffered: usize = summaries.iter().map(|s| s.buffered_records).sum();
+    assert_eq!(analyzer.buffered_records(), buffered);
+}
+
+fn chain_of(event: &OnlineEvent) -> Uuid {
+    match event {
+        OnlineEvent::CallCompleted { chain, .. }
+        | OnlineEvent::ChainIdle { chain, .. }
+        | OnlineEvent::Abnormality { chain, .. } => *chain,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Batches (serial and parallel), per-record ingest, forgetting and
+    /// the final sweep keep `open_chains()` / `buffered_records()` exact,
+    /// and a batch emits what per-record ingest emits for each chain, in
+    /// first-appearance order, with `ChainIdle` evaluated once at the end.
+    #[test]
+    fn online_counters_stay_exact_and_batches_match_per_record_ingest(
+        stream in disordered_stream(),
+        cuts in prop::collection::vec(1usize..24, 1..8),
+        threads in prop_oneof![Just(1usize), Just(3usize)],
+    ) {
+        let mut serial = OnlineAnalyzer::new();
+        let mut batched = OnlineAnalyzer::new();
+        let mut rest = stream.as_slice();
+        let mut cuts = cuts.into_iter().cycle();
+        while !rest.is_empty() {
+            let (batch, tail) = rest.split_at(cuts.next().unwrap_or(1).min(rest.len()));
+            rest = tail;
+
+            // Per-record reference, remembering which events each record
+            // triggered.
+            let mut per_record: Vec<(Uuid, Vec<OnlineEvent>)> = Vec::new();
+            for record in batch {
+                let mut events = Vec::new();
+                serial.ingest(record.clone(), &mut |e| events.push(e));
+                per_record.push((record.uuid, events));
+                assert_counts_exact(&serial);
+            }
+            let mut expected = Vec::new();
+            let mut seen = Vec::new();
+            for (chain, _) in &per_record {
+                if seen.contains(chain) {
+                    continue;
+                }
+                seen.push(*chain);
+                let mine: Vec<&Vec<OnlineEvent>> =
+                    per_record.iter().filter(|(c, _)| c == chain).map(|(_, e)| e).collect();
+                expected.extend(mine.iter().flat_map(|events| events.iter()).filter(|e| {
+                    !matches!(e, OnlineEvent::ChainIdle { .. })
+                }).cloned());
+                if let Some(idle @ OnlineEvent::ChainIdle { .. }) =
+                    mine.last().and_then(|events| events.last())
+                {
+                    expected.push(idle.clone());
+                }
+            }
+
+            let mut events = Vec::new();
+            batched.ingest_batch_with_threads(batch.to_vec(), threads, &mut |e| events.push(e));
+            assert_counts_exact(&batched);
+            prop_assert_eq!(&events, &expected);
+
+            // Forget what went idle, as the live monitor does, plus one
+            // chain mid-flight (safe but lossy) on both sides.
+            let mut forget: Vec<Uuid> = events
+                .iter()
+                .filter(|e| matches!(e, OnlineEvent::ChainIdle { .. }))
+                .map(chain_of)
+                .collect();
+            forget.extend(batch.first().map(|r| r.uuid));
+            for chain in forget {
+                prop_assert_eq!(serial.forget_chain(chain), batched.forget_chain(chain));
+                assert_counts_exact(&serial);
+                assert_counts_exact(&batched);
+            }
+            prop_assert_eq!(serial.open_chains(), batched.open_chains());
+            prop_assert_eq!(serial.buffered_records(), batched.buffered_records());
+        }
+        let mut serial_end = Vec::new();
+        let mut batched_end = Vec::new();
+        serial.finish(&mut |e| serial_end.push(e));
+        batched.finish(&mut |e| batched_end.push(e));
+        prop_assert_eq!(serial_end, batched_end);
+        for analyzer in [&serial, &batched] {
+            assert_counts_exact(analyzer);
+            prop_assert_eq!(analyzer.open_chains(), 0);
+        }
     }
 }
 
