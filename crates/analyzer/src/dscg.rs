@@ -1,19 +1,22 @@
 //! Dynamic System Call Graph reconstruction.
 //!
 //! For each unique Function UUID the analyzer sorts the chain's events by
-//! ascending event number and parses them with the state machine of the
-//! paper's Figure 4. A synchronous invocation contributes the pattern
-//! `F.stub_start … F.skel_start … (children) … F.skel_end … F.stub_end`;
-//! a one-way invocation contributes `F.stub_start F.stub_end` on the parent
-//! chain and `F.skel_start … (children) … F.skel_end` at the head of a fresh
-//! child chain, which is grafted back under its fork site.
+//! ascending event number and feeds them to the Figure-4 machine (the
+//! private `figure4` module), keeping whole records in its frames: each
+//! closed frame becomes a [`CallNode`]. A synchronous invocation
+//! contributes the pattern `F.stub_start … F.skel_start … (children) …
+//! F.skel_end … F.stub_end`; a one-way invocation contributes
+//! `F.stub_start F.stub_end` on the parent chain and `F.skel_start …
+//! (children) … F.skel_end` at the head of a fresh child chain, which is
+//! grafted back under its fork site (grafting is off-line only).
 //!
-//! When adjacent records follow none of the legal transitions, the analyzer
+//! When adjacent records follow none of the legal transitions, the machine
 //! "indicates the failure and restarts from the next log record" — each such
 //! failure is reported as an [`Abnormality`].
 
+use crate::figure4::{Close, Consumer, Frame, Machine};
 use causeway_collector::db::MonitoringDb;
-use causeway_core::event::{CallKind, TraceEvent};
+use causeway_core::event::CallKind;
 use causeway_core::pool;
 use causeway_core::record::{FunctionKey, ProbeRecord};
 use causeway_core::uuid::Uuid;
@@ -47,19 +50,6 @@ pub struct CallNode {
 }
 
 impl CallNode {
-    fn new(func: FunctionKey, kind: CallKind) -> CallNode {
-        CallNode {
-            func,
-            kind,
-            stub_start: None,
-            skel_start: None,
-            skel_end: None,
-            stub_end: None,
-            children: Vec::new(),
-            complete: false,
-        }
-    }
-
     /// Total number of nodes in this subtree (including self).
     pub fn size(&self) -> usize {
         let mut count = 0;
@@ -278,15 +268,20 @@ impl Dscg {
         // Parse every chain independently on the pool; each shard returns
         // its tree plus the abnormalities it alone observed.
         let shards = pool::par_map(uuids, threads, |&uuid| {
-            let mut local = Vec::new();
-            let chain = parse_chain(uuid, &db.events_for(uuid), &mut local);
-            (chain, local)
+            let mut builder =
+                TreeBuilder { chain: uuid, roots: Vec::new(), abnormalities: Vec::new() };
+            let mut machine = Machine::default();
+            for record in db.events_for(uuid) {
+                machine.step(record, &mut builder);
+            }
+            machine.finish(&mut builder);
+            builder
         });
         let mut abnormalities = Vec::new();
-        let mut parsed: HashMap<Uuid, ParsedChain> = HashMap::with_capacity(shards.len());
-        for (&uuid, (chain, local)) in uuids.iter().zip(shards) {
-            abnormalities.extend(local);
-            parsed.insert(uuid, chain);
+        let mut parsed: HashMap<Uuid, Vec<CallNode>> = HashMap::with_capacity(shards.len());
+        for (&uuid, chain) in uuids.iter().zip(shards) {
+            abnormalities.extend(chain.abnormalities);
+            parsed.insert(uuid, chain.roots);
         }
 
         // Graft one-way child chains under their fork sites. A chain is a
@@ -298,30 +293,26 @@ impl Dscg {
                 child_chains.insert(child, record.uuid);
             }
         }
-        for (&uuid, chain) in &parsed {
-            if let Some((parent, _)) = chain.oneway_parent {
+        for (&uuid, roots) in &parsed {
+            // The first one-way chain head (a root without a stub side)
+            // that carries a parent marker.
+            let marker = roots
+                .iter()
+                .filter(|root| root.stub_start.is_none())
+                .find_map(|root| root.skel_start.as_ref()?.oneway_parent);
+            if let Some((parent, _)) = marker {
                 child_chains.entry(uuid).or_insert(parent);
             }
         }
 
         // Extract child chains from the map so they can be moved into their
         // parents. Chains forming cycles (corruption) degrade to roots.
-        let mut children_by_id: HashMap<Uuid, ParsedChain> = HashMap::new();
+        let mut children_by_id: HashMap<Uuid, Vec<CallNode>> = HashMap::new();
         for &child in child_chains.keys() {
             if let Some(chain) = parsed.remove(&child) {
                 children_by_id.insert(child, chain);
             }
         }
-
-        // Graft, deepest-first: repeatedly attach child chains whose parent
-        // is already rooted or is itself a pending child.
-        let mut trees: Vec<CallTree> = Vec::new();
-        let mut order: Vec<Uuid> = db
-            .unique_uuids()
-            .iter()
-            .copied()
-            .filter(|u| parsed.contains_key(u))
-            .collect();
 
         // Build final trees: graft child chains into parsed chains with an
         // explicit work stack (deep trees must not recurse). Each popped
@@ -330,7 +321,7 @@ impl Dscg {
         // chains attach transitively exactly as the old recursion did.
         fn graft_into(
             roots: &mut [CallNode],
-            children_by_id: &mut HashMap<Uuid, ParsedChain>,
+            children_by_id: &mut HashMap<Uuid, Vec<CallNode>>,
             abnormalities: &mut Vec<Abnormality>,
         ) {
             let mut stack: Vec<&mut CallNode> = roots.iter_mut().collect();
@@ -338,13 +329,13 @@ impl Dscg {
                 if node.kind == CallKind::Oneway {
                     if let Some(child_id) = node.stub_start.as_ref().and_then(|r| r.oneway_child) {
                         if let Some(mut chain) = children_by_id.remove(&child_id) {
-                            match chain.roots.len() {
+                            match chain.len() {
                                 0 => {
                                     // The message never arrived (lost one-way):
                                     // nothing to graft; the node stays skel-less.
                                 }
                                 1 => {
-                                    let mut root = chain.roots.pop().expect("len checked");
+                                    let mut root = chain.pop().expect("len checked");
                                     node.skel_start = root.skel_start.take();
                                     node.skel_end = root.skel_end.take();
                                     node.children = std::mem::take(&mut root.children);
@@ -359,7 +350,7 @@ impl Dscg {
                                         ),
                                     });
                                     // Keep them all as children of the fork node.
-                                    node.children.append(&mut chain.roots);
+                                    node.children.append(&mut chain);
                                 }
                             }
                         }
@@ -369,24 +360,24 @@ impl Dscg {
             }
         }
 
-        for uuid in order.drain(..) {
-            let mut chain = parsed.remove(&uuid).expect("filtered to parsed chains");
-            graft_into(&mut chain.roots, &mut children_by_id, &mut abnormalities);
-            trees.push(CallTree { chain: uuid, roots: std::mem::take(&mut chain.roots) });
+        let mut trees = Vec::new();
+        for &uuid in uuids {
+            let Some(mut roots) = parsed.remove(&uuid) else { continue };
+            graft_into(&mut roots, &mut children_by_id, &mut abnormalities);
+            trees.push(CallTree { chain: uuid, roots });
         }
 
         // Orphaned child chains (their fork record was lost): surface them
         // as their own trees plus an abnormality.
-        let mut orphans: Vec<Uuid> = children_by_id.keys().copied().collect();
-        orphans.sort();
-        for uuid in orphans {
-            let chain = children_by_id.remove(&uuid).expect("key just listed");
+        let mut orphans: Vec<(Uuid, Vec<CallNode>)> = children_by_id.into_iter().collect();
+        orphans.sort_by_key(|&(uuid, _)| uuid);
+        for (uuid, roots) in orphans {
             abnormalities.push(Abnormality {
                 chain: uuid,
                 at_seq: None,
                 message: "one-way child chain without a reachable fork site".into(),
             });
-            trees.push(CallTree { chain: uuid, roots: chain.roots });
+            trees.push(CallTree { chain: uuid, roots });
         }
 
         Dscg { trees, abnormalities }
@@ -407,158 +398,48 @@ impl Dscg {
     }
 }
 
-struct ParsedChain {
+/// One chain's tree, built from the Figure-4 machine's decisions: each
+/// closed frame becomes a node under its parent frame, or a root.
+struct TreeBuilder {
+    chain: Uuid,
     roots: Vec<CallNode>,
-    /// Parent marker when this chain began life as a one-way callee.
-    oneway_parent: Option<(Uuid, u64)>,
+    abnormalities: Vec<Abnormality>,
 }
 
-/// The Figure-4 state machine over one chain's seq-sorted events.
-fn parse_chain(
-    chain: Uuid,
-    events: &[&ProbeRecord],
-    abnormalities: &mut Vec<Abnormality>,
-) -> ParsedChain {
-    let mut roots: Vec<CallNode> = Vec::new();
-    // Stack of open invocations; `usize` indexes into a scratch arena to
-    // avoid fighting the borrow checker with nested `&mut`.
-    let mut arena: Vec<CallNode> = Vec::new();
-    let mut stack: Vec<usize> = Vec::new();
-    let mut oneway_parent = None;
-
-    fn close(
-        arena: &mut [CallNode],
-        stack: &mut Vec<usize>,
-        roots: &mut Vec<CallNode>,
-        complete: bool,
+impl Consumer<ProbeRecord, Vec<CallNode>> for TreeBuilder {
+    fn closed(
+        &mut self,
+        frame: Frame<ProbeRecord, Vec<CallNode>>,
+        how: Close,
+        parent: Option<&mut Frame<ProbeRecord, Vec<CallNode>>>,
+        _depth: usize,
     ) {
-        let idx = stack.pop().expect("caller checks non-empty");
-        let placeholder = CallNode::new(
-            FunctionKey::new(
-                causeway_core::ids::InterfaceId(u32::MAX),
-                causeway_core::ids::MethodIndex(u16::MAX),
-                causeway_core::ids::ObjectId(u64::MAX),
-            ),
-            CallKind::Sync,
-        );
-        let mut node = std::mem::replace(&mut arena[idx], placeholder);
-        node.complete = complete;
-        match stack.last() {
-            Some(&parent) => arena[parent].children.push(node),
-            None => roots.push(node),
-        }
-    }
-
-    let mut abnormal = |seq: u64, message: String| {
-        abnormalities.push(Abnormality { chain, at_seq: Some(seq), message });
-    };
-
-    for record in events {
-        let top_matches = |arena: &Vec<CallNode>, stack: &Vec<usize>| {
-            stack
-                .last()
-                .map(|&i| arena[i].func == record.func)
-                .unwrap_or(false)
+        let node = CallNode {
+            func: frame.func,
+            kind: frame.kind,
+            stub_start: frame.stub_start,
+            skel_start: frame.skel_start,
+            skel_end: frame.skel_end,
+            stub_end: frame.stub_end,
+            children: frame.children,
+            complete: matches!(how, Close::Completed | Close::Sent),
         };
-        match record.event {
-            TraceEvent::StubStart => {
-                let mut node = CallNode::new(record.func, record.kind);
-                node.stub_start = Some((*record).clone());
-                arena.push(node);
-                stack.push(arena.len() - 1);
-            }
-            TraceEvent::SkelStart => {
-                if top_matches(&arena, &stack)
-                    && arena[*stack.last().expect("matched")].skel_start.is_none()
-                    && arena[*stack.last().expect("matched")].stub_start.is_some()
-                {
-                    let idx = *stack.last().expect("matched");
-                    arena[idx].skel_start = Some((*record).clone());
-                } else if stack.is_empty() && record.kind == CallKind::Oneway {
-                    // Head of a one-way child chain.
-                    let mut node = CallNode::new(record.func, record.kind);
-                    node.skel_start = Some((*record).clone());
-                    if oneway_parent.is_none() {
-                        oneway_parent = record.oneway_parent;
-                    }
-                    arena.push(node);
-                    stack.push(arena.len() - 1);
-                } else {
-                    abnormal(
-                        record.seq,
-                        format!("unexpected skel_start for {}", record.func),
-                    );
-                }
-            }
-            TraceEvent::SkelEnd => {
-                if top_matches(&arena, &stack) {
-                    let idx = *stack.last().expect("matched");
-                    if arena[idx].skel_start.is_some() && arena[idx].skel_end.is_none() {
-                        arena[idx].skel_end = Some((*record).clone());
-                        // One-way skeleton side completes here (no stub_end
-                        // will arrive on this chain).
-                        if arena[idx].kind == CallKind::Oneway && arena[idx].stub_start.is_none() {
-                            close(&mut arena, &mut stack, &mut roots, true);
-                        }
-                    } else {
-                        abnormal(
-                            record.seq,
-                            format!("skel_end without open skeleton for {}", record.func),
-                        );
-                    }
-                } else {
-                    abnormal(record.seq, format!("unexpected skel_end for {}", record.func));
-                }
-            }
-            TraceEvent::StubEnd => {
-                if top_matches(&arena, &stack) {
-                    let idx = *stack.last().expect("matched");
-                    let node = &mut arena[idx];
-                    let legal = match node.kind {
-                        // One-way stub side: stub_start then stub_end, no
-                        // skeleton events on this chain.
-                        CallKind::Oneway => node.stub_start.is_some() && node.skel_end.is_none(),
-                        // Synchronous / collocated: the skeleton must have
-                        // closed first.
-                        _ => node.skel_end.is_some(),
-                    };
-                    if legal && node.stub_end.is_none() {
-                        node.stub_end = Some((*record).clone());
-                        close(&mut arena, &mut stack, &mut roots, true);
-                    } else {
-                        abnormal(
-                            record.seq,
-                            format!("stub_end out of order for {}", record.func),
-                        );
-                        // Restart heuristic: force-close the confused frame
-                        // so subsequent records can re-synchronize.
-                        close(&mut arena, &mut stack, &mut roots, false);
-                    }
-                } else {
-                    abnormal(record.seq, format!("unexpected stub_end for {}", record.func));
-                }
-            }
+        match parent {
+            Some(parent) => parent.children.push(node),
+            None => self.roots.push(node),
         }
     }
 
-    // Anything left open never completed (lost records / crash).
-    while !stack.is_empty() {
-        let idx = *stack.last().expect("non-empty");
-        abnormalities.push(Abnormality {
-            chain,
-            at_seq: None,
-            message: format!("invocation {} never completed", arena[idx].func),
-        });
-        close(&mut arena, &mut stack, &mut roots, false);
+    fn abnormal(&mut self, at_seq: Option<u64>, message: String) {
+        self.abnormalities.push(Abnormality { chain: self.chain, at_seq, message });
     }
-
-    ParsedChain { roots, oneway_parent }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use causeway_core::deploy::Deployment;
+    use causeway_core::event::TraceEvent;
     use causeway_core::ids::*;
     use causeway_core::names::VocabSnapshot;
     use causeway_core::record::CallSite;

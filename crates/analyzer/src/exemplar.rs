@@ -32,17 +32,16 @@
 use crate::live::SeriesKey;
 use crate::render::{completion_forest, CompletedCall, CompletionNode};
 use causeway_collector::json::Json;
-use causeway_collector::segment::{next_frame, write_frame};
+use causeway_collector::segment::{open_frame_log, write_frame};
 use causeway_core::event::CallKind;
 use causeway_core::ids::{InterfaceId, MethodIndex, ObjectId};
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
 use causeway_core::names::VocabSnapshot;
 use causeway_core::record::FunctionKey;
 use causeway_core::uuid::Uuid;
-use causeway_core::wire;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Seek, SeekFrom, Write as _};
+use std::fs::File;
+use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Static configuration of an [`ExemplarStore`].
@@ -670,53 +669,9 @@ impl ExemplarSpill {
     /// unrelated file.
     fn open(path: impl AsRef<Path>) -> io::Result<(ExemplarSpill, Vec<Exemplar>)> {
         let path = path.as_ref().to_path_buf();
-        let existing = match std::fs::read(&path) {
-            Ok(bytes)
-                if bytes.len() >= SPILL_MAGIC.len()
-                    && bytes[..SPILL_MAGIC.len()] == SPILL_MAGIC[..] =>
-            {
-                Some(bytes)
-            }
-            Ok(bytes) if SPILL_MAGIC.starts_with(&bytes) => None,
-            Ok(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "{} exists but is not an exemplar spill segment; refusing to overwrite it",
-                        path.display()
-                    ),
-                ));
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-        let mut replay = Vec::new();
-        let (file, end) = match existing {
-            Some(bytes) => {
-                let mut at = SPILL_MAGIC.len();
-                while let Some(frame) = next_frame(&bytes, at) {
-                    if wire::crc32(frame.payload) != frame.crc {
-                        break;
-                    }
-                    let Some(exemplar) = decode_exemplar(frame.payload) else {
-                        break;
-                    };
-                    replay.push(exemplar);
-                    at = frame.end;
-                }
-                let mut file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(at as u64)?; // drop the torn tail, if any
-                file.seek(SeekFrom::End(0))?;
-                (file, at as u64)
-            }
-            None => {
-                let mut file = File::create(&path)?;
-                file.write_all(SPILL_MAGIC)?;
-                file.flush()?;
-                (file, SPILL_MAGIC.len() as u64)
-            }
-        };
-        Ok((ExemplarSpill { path, out: BufWriter::new(file), end }, replay))
+        let (out, end, frames) = open_frame_log(&path, SPILL_MAGIC, decode_exemplar)?;
+        let replay = frames.into_iter().map(|(_, _, exemplar)| exemplar).collect();
+        Ok((ExemplarSpill { path, out, end }, replay))
     }
 
     /// Appends one admission as a checksummed frame and flushes it.

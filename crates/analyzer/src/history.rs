@@ -24,13 +24,13 @@
 use crate::incident::wall_clock_ms;
 use crate::latency::LatencyHistogram;
 use crate::live::{AlertEvent, AlertRule, SeriesAgg, WindowSnapshot};
-use causeway_collector::segment::{next_frame, write_frame};
+use causeway_collector::segment::{next_frame, open_frame_log, write_frame};
 use causeway_core::ids::{InterfaceId, MethodIndex};
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
 use causeway_core::wire;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -333,55 +333,10 @@ impl HistorySpill {
     /// Otherwise propagates file create/read/seek/truncate failures.
     pub fn open(path: impl AsRef<Path>) -> io::Result<HistorySpill> {
         let path = path.as_ref().to_path_buf();
-        let existing = match std::fs::read(&path) {
-            Ok(bytes)
-                if bytes.len() >= SPILL_MAGIC.len()
-                    && bytes[..SPILL_MAGIC.len()] == SPILL_MAGIC[..] =>
-            {
-                Some(bytes)
-            }
-            // Empty files (and a torn magic from our own interrupted
-            // create) are safe to rewrite from scratch.
-            Ok(bytes) if SPILL_MAGIC.starts_with(&bytes) => None,
-            Ok(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "{} exists but is not a history spill segment; refusing to overwrite it",
-                        path.display()
-                    ),
-                ));
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-        let mut index = BTreeMap::new();
-        let (file, end) = match existing {
-            Some(bytes) => {
-                let mut at = SPILL_MAGIC.len();
-                while let Some(frame) = next_frame(&bytes, at) {
-                    if wire::crc32(frame.payload) != frame.crc {
-                        break;
-                    }
-                    let Some(entry) = decode_entry(frame.payload) else {
-                        break;
-                    };
-                    index.insert(entry.window.index, (at as u64, (frame.end - at) as u32));
-                    at = frame.end;
-                }
-                let mut file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(at as u64)?; // drop the torn tail, if any
-                file.seek(SeekFrom::End(0))?;
-                (file, at as u64)
-            }
-            None => {
-                let mut file = File::create(&path)?;
-                file.write_all(SPILL_MAGIC)?;
-                file.flush()?;
-                (file, SPILL_MAGIC.len() as u64)
-            }
-        };
-        Ok(HistorySpill { path, out: BufWriter::new(file), index, end })
+        let (out, end, frames) = open_frame_log(&path, SPILL_MAGIC, decode_entry)?;
+        let index =
+            frames.into_iter().map(|(at, len, entry)| (entry.window.index, (at, len))).collect();
+        Ok(HistorySpill { path, out, index, end })
     }
 
     /// Appends one evicted entry as a checksummed frame and flushes, so the
@@ -772,6 +727,7 @@ mod tests {
     use super::*;
     use crate::live::{AlertCmp, AlertMetric};
     use std::collections::BTreeMap;
+    use std::fs::OpenOptions;
 
     fn snapshot(index: u64, p_latency_ns: u64, calls: u64) -> WindowSnapshot {
         let mut series = BTreeMap::new();

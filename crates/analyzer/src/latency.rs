@@ -12,8 +12,13 @@
 //! child invocations `i`, where `R` is `{1,2,3,4}` for synchronous children
 //! and `{1,4}` for one-way children (whose skeleton probes run elsewhere and
 //! do not occupy the caller's window).
+//!
+//! This module is the formulas' only home: [`node_latency`] reads them off
+//! a reconstructed tree, and the on-line analyzer applies the same code to
+//! each call it sees complete, with `O_F` summed as the children close.
 
 use crate::dscg::{CallNode, Dscg, walk_nodes};
+use crate::figure4::Probe;
 use causeway_core::event::CallKind;
 use causeway_core::ids::{InterfaceId, MethodIndex};
 use causeway_core::pool;
@@ -31,57 +36,76 @@ pub struct NodeLatency {
 /// Computes `L(F)` for one node, or `None` when the needed wall stamps are
 /// absent (latency probing was off, or the invocation is incomplete).
 pub fn node_latency(node: &CallNode) -> Option<NodeLatency> {
-    let overhead = child_probe_overhead(node);
-    let window = match node.kind {
-        CallKind::Sync => {
-            let end = node.stub_end.as_ref()?.wall_start?;
-            let start = node.stub_start.as_ref()?.wall_end?;
-            end.saturating_sub(start)
-        }
-        CallKind::Oneway => {
-            // Prefer the skeleton side (actual execution) when the fork was
-            // grafted; fall back to the stub side (send cost) otherwise.
-            match (&node.skel_start, &node.skel_end) {
-                (Some(ss), Some(se)) => se.wall_start?.saturating_sub(ss.wall_end?),
-                _ => {
-                    let end = node.stub_end.as_ref()?.wall_start?;
-                    let start = node.stub_start.as_ref()?.wall_end?;
-                    end.saturating_sub(start)
-                }
-            }
-        }
-        CallKind::Collocated | CallKind::CustomMarshal => {
-            let end = node.skel_end.as_ref()?.wall_start?;
-            let start = node.skel_start.as_ref()?.wall_end?;
-            end.saturating_sub(start)
-        }
-    };
-    Some(NodeLatency {
-        latency_ns: window.saturating_sub(overhead),
-        overhead_ns: overhead,
-    })
+    let overhead = node.children.iter().map(|child| CallStamps::of(child).overhead_share()).sum();
+    CallStamps::of(node).latency(overhead)
 }
 
-/// `O_F`: the summed probe spans of the immediate children, restricted to
-/// the probes that execute inside the caller's measured window.
-fn child_probe_overhead(node: &CallNode) -> u64 {
-    let mut total = 0u64;
-    for child in &node.children {
-        let caller_side = match child.kind {
-            CallKind::Oneway => [&child.stub_start, &child.stub_end].to_vec(),
-            _ => [
-                &child.stub_start,
-                &child.skel_start,
-                &child.skel_end,
-                &child.stub_end,
-            ]
-            .to_vec(),
-        };
-        for record in caller_side.into_iter().flatten() {
-            total += record.wall_span().unwrap_or(0);
-        }
+/// The wall stamps of one probe: all that `L(F)` and `O_F` read of it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stamps {
+    pub(crate) wall_start: Option<u64>,
+    pub(crate) wall_end: Option<u64>,
+}
+
+impl Stamps {
+    /// The probe's own duration, as
+    /// [`causeway_core::record::ProbeRecord::wall_span`].
+    fn span(self) -> Option<u64> {
+        Some(self.wall_end?.saturating_sub(self.wall_start?))
     }
-    total
+}
+
+/// One invocation's four probes, as `L(F)` and `O_F` read them — the only
+/// place either formula is written. The off-line trees and the on-line
+/// analyzer both call it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CallStamps {
+    kind: CallKind,
+    probes: [Option<Stamps>; 4],
+}
+
+impl CallStamps {
+    /// From the probes in call order: stub start, skeleton start, skeleton
+    /// end, stub end.
+    pub(crate) fn new<P: Probe>(kind: CallKind, probes: [&Option<P>; 4]) -> CallStamps {
+        CallStamps { kind, probes: probes.map(|p| p.as_ref().map(Probe::stamps)) }
+    }
+
+    fn of(node: &CallNode) -> CallStamps {
+        let probes = [&node.stub_start, &node.skel_start, &node.skel_end, &node.stub_end];
+        CallStamps::new(node.kind, probes)
+    }
+
+    /// `L(F)`, given `O_F`.
+    pub(crate) fn latency(&self, overhead_ns: u64) -> Option<NodeLatency> {
+        let [stub_start, skel_start, skel_end, stub_end] = self.probes;
+        let window = |from: Option<Stamps>, to: Option<Stamps>| {
+            Some(to?.wall_start?.saturating_sub(from?.wall_end?))
+        };
+        let window = match self.kind {
+            CallKind::Sync => window(stub_start, stub_end),
+            // Prefer the skeleton side (actual execution) when there is one
+            // — a grafted fork or a one-way chain head; fall back to the
+            // stub side (send cost) otherwise.
+            CallKind::Oneway if skel_start.is_some() && skel_end.is_some() => {
+                window(skel_start, skel_end)
+            }
+            CallKind::Oneway => window(stub_start, stub_end),
+            CallKind::Collocated | CallKind::CustomMarshal => window(skel_start, skel_end),
+        }?;
+        Some(NodeLatency { latency_ns: window.saturating_sub(overhead_ns), overhead_ns })
+    }
+
+    /// This invocation's term of its caller's `O_F`: the spans of its
+    /// probes that ran inside the caller's window.
+    pub(crate) fn overhead_share(&self) -> u64 {
+        let [stub_start, skel_start, skel_end, stub_end] = self.probes;
+        let caller_side = match self.kind {
+            CallKind::Oneway => [stub_start, stub_end, None, None],
+            _ => [stub_start, skel_start, skel_end, stub_end],
+        };
+        caller_side.into_iter().flatten().filter_map(Stamps::span).sum()
+    }
 }
 
 /// Aggregate latency statistics for one (interface, method).

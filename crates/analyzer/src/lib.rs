@@ -4,9 +4,14 @@
 //! **Dynamic System Call Graph** from the causality records, then compute
 //! end-to-end timing latency and system-wide CPU consumption on top of it.
 //!
-//! * [`dscg`] — the Figure-4 state machine that parses each causal chain's
-//!   event stream into a call tree, with "abnormal" transition reporting and
-//!   restart; one-way child chains are grafted under their fork sites.
+//! * `figure4` (private) — the paper's Figure-4 state machine, written once,
+//!   with "abnormal" transition reporting and restart. Two consumers drive
+//!   it: [`dscg`] and [`online`].
+//! * [`dscg`] — feeds each causal chain's seq-sorted events to the machine
+//!   and keeps the closed invocations as a call tree; one-way child chains
+//!   are grafted under their fork sites.
+//! * [`online`] — re-sequences records as they arrive, feeds them to the
+//!   same machine and emits management events instead of trees.
 //! * [`latency`] — `L(F) = P_{F,4,start} − P_{F,1,end} − O_F` with the
 //!   probe-overhead compensation `O_F`, plus per-method statistics.
 //! * [`cpu`] — self CPU `SC_F`, descendant CPU `DC_F` as a vector per
@@ -35,6 +40,7 @@ pub mod chrome_trace;
 pub mod cpu;
 pub mod dscg;
 pub mod exemplar;
+mod figure4;
 pub mod history;
 pub mod hotspot;
 pub mod incident;

@@ -3703,6 +3703,18 @@ mod tests {
     }
 
     #[test]
+    fn a_chain_with_a_duplicated_record_goes_idle_and_is_forgotten() {
+        let m = monitor();
+        let mut records = sync_call(1, 0, 0, 1000);
+        records.insert(2, records[1].clone());
+        m.ingest_batch_at(records, 10);
+        assert_eq!(m.open_chain_summaries().len(), 0);
+        let mut shard = m.shard_lock(shard_of(Uuid(1), m.shards.len()));
+        assert_eq!(shard.analyzer.buffered_records(), 0);
+        assert!(!shard.analyzer.forget_chain(Uuid(1)), "state already dropped");
+    }
+
+    #[test]
     fn ingest_never_walks_the_open_chains() {
         let m = monitor();
         // 50,000 chains left open: a long-running monitor's backlog.

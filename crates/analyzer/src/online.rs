@@ -10,6 +10,13 @@
 //! pass, no quiescence is required — which is precisely what an adaptive
 //! runtime manager needs.
 //!
+//! Each chain's re-sequenced records drive the same Figure-4 machine the
+//! off-line trees are built with (the private `figure4` module), keeping
+//! only wall stamps per open call; latency comes from the same
+//! `L(F)`/`O_F` as [`crate::latency::node_latency`]. A record whose event
+//! number was already processed is a duplicate delivery: it is dropped and
+//! counted.
+//!
 //! Per-record cost does not grow with the number of open chains. Every
 //! ingest entry point — [`OnlineAnalyzer::ingest`], the batch paths and the
 //! live monitor's pre-grouped chains — runs one per-chain step loop; a
@@ -18,7 +25,9 @@
 //! the open-chain and buffered-record counts are kept exact as each
 //! chain's before/after contribution, so reading them is O(1).
 
-use causeway_core::event::{CallKind, TraceEvent};
+use crate::figure4::{Close, Consumer, Frame, Machine};
+use crate::latency::Stamps;
+use causeway_core::event::CallKind;
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
 use causeway_core::pool;
 use causeway_core::record::{FunctionKey, ProbeRecord};
@@ -33,6 +42,7 @@ use std::time::Duration;
 /// identity — monitors create them freely).
 struct OnlineMetrics {
     records: Counter,
+    duplicates: Counter,
     completed: Counter,
     abnormalities: Counter,
     open_chains: Gauge,
@@ -48,6 +58,10 @@ fn online_metrics() -> &'static OnlineMetrics {
             records: r.counter(
                 "causeway_online_records_total",
                 "probe records processed by on-line analyzers",
+            ),
+            duplicates: r.counter(
+                "causeway_online_duplicate_records_total",
+                "records dropped or replaced because their event number was already seen",
             ),
             completed: r.counter(
                 "causeway_online_calls_completed_total",
@@ -138,35 +152,6 @@ pub enum OnlineEvent {
     },
 }
 
-/// The wall stamps of one probe: all that `L(F)` and `O_F` read of it.
-#[derive(Debug, Clone, Copy)]
-struct Stamps {
-    wall_start: Option<u64>,
-    wall_end: Option<u64>,
-}
-
-impl Stamps {
-    fn of(record: &ProbeRecord) -> Stamps {
-        Stamps { wall_start: record.wall_start, wall_end: record.wall_end }
-    }
-
-    /// The probe's own duration, as [`ProbeRecord::wall_span`].
-    fn span(self) -> Option<u64> {
-        Some(self.wall_end?.saturating_sub(self.wall_start?))
-    }
-}
-
-#[derive(Debug)]
-struct OpenCall {
-    func: FunctionKey,
-    kind: CallKind,
-    stub_start: Option<Stamps>,
-    skel_start: Option<Stamps>,
-    skel_end: Option<Stamps>,
-    /// Probe spans of completed children, for `O_F` compensation.
-    child_overhead_ns: u64,
-}
-
 #[derive(Debug, Default)]
 struct ChainState {
     /// The highest event number processed so far (dense numbering: the next
@@ -174,7 +159,9 @@ struct ChainState {
     processed: u64,
     /// Out-of-order arrivals waiting for their predecessors.
     pending: BTreeMap<u64, ProbeRecord>,
-    stack: Vec<OpenCall>,
+    /// Open calls keep their probes' wall stamps and the summed
+    /// caller-side probe spans (`O_F`) of their closed children.
+    machine: Machine<Stamps, u64>,
     completed_calls: usize,
 }
 
@@ -182,7 +169,7 @@ impl ChainState {
     /// This chain's share of the analyzer's (open chains, buffered records)
     /// counts.
     fn load(&self) -> (usize, usize) {
-        let open = !self.stack.is_empty() || !self.pending.is_empty();
+        let open = self.machine.open_calls() > 0 || !self.pending.is_empty();
         (usize::from(open), self.pending.len())
     }
 
@@ -196,29 +183,86 @@ impl ChainState {
         sink: &mut impl FnMut(OnlineEvent),
     ) {
         let mut fed = 0;
+        let mut duplicates = 0;
         for record in records {
             fed += 1;
-            if self.pending.is_empty() && record.seq == self.processed + 1 {
-                // In order with nothing buffered: inserting and draining
-                // would hand this record, and only it, to `apply`.
-                self.processed = record.seq;
-                OnlineAnalyzer::apply(chain, self, record, sink);
+            if record.seq <= self.processed {
+                // A duplicate delivery: buffering it would pin the chain
+                // open, since the drain never reaches a past seq.
+                duplicates += 1;
                 continue;
             }
-            self.pending.insert(record.seq, record);
-            // Drain the contiguous prefix.
-            while let Some(record) = {
-                let next = self.processed + 1;
-                self.pending.remove(&next)
-            } {
+            if self.pending.is_empty() && record.seq == self.processed + 1 {
+                // In order with nothing buffered: inserting and draining
+                // would hand this record, and only it, to the machine.
                 self.processed = record.seq;
-                OnlineAnalyzer::apply(chain, self, record, sink);
+                self.apply(chain, &record, sink);
+                continue;
+            }
+            duplicates += u64::from(self.pending.insert(record.seq, record).is_some());
+            // Drain the contiguous prefix.
+            while let Some(record) = self.pending.remove(&(self.processed + 1)) {
+                self.processed = record.seq;
+                self.apply(chain, &record, sink);
             }
         }
-        online_metrics().records.add(fed);
-        if self.stack.is_empty() && self.pending.is_empty() && self.completed_calls > 0 {
+        let m = online_metrics();
+        m.records.add(fed);
+        if duplicates > 0 {
+            m.duplicates.add(duplicates);
+        }
+        if self.machine.open_calls() == 0 && self.pending.is_empty() && self.completed_calls > 0 {
             emit(sink, OnlineEvent::ChainIdle { chain, completed_calls: self.completed_calls });
         }
+    }
+
+    /// One Figure-4 transition.
+    fn apply(&mut self, chain: Uuid, record: &ProbeRecord, sink: &mut impl FnMut(OnlineEvent)) {
+        let completed_calls = &mut self.completed_calls;
+        let mut out = Emitter { chain, processed: self.processed, completed_calls, sink };
+        self.machine.step(record, &mut out);
+    }
+}
+
+/// Turns the machine's decisions on one chain into [`OnlineEvent`]s.
+struct Emitter<'a, S> {
+    chain: Uuid,
+    /// Reported as the position of end-of-stream abnormalities.
+    processed: u64,
+    completed_calls: &'a mut usize,
+    sink: &'a mut S,
+}
+
+impl<S: FnMut(OnlineEvent)> Consumer<Stamps, u64> for Emitter<'_, S> {
+    fn closed(
+        &mut self,
+        frame: Frame<Stamps, u64>,
+        how: Close,
+        parent: Option<&mut Frame<Stamps, u64>>,
+        depth: usize,
+    ) {
+        let stamps = frame.stamps();
+        if let Some(parent) = parent {
+            parent.children += stamps.overhead_share();
+        }
+        if how == Close::Completed {
+            *self.completed_calls += 1;
+            emit(self.sink, OnlineEvent::CallCompleted {
+                chain: self.chain,
+                func: frame.func,
+                kind: frame.kind,
+                depth,
+                latency_ns: stamps.latency(frame.children).map(|l| l.latency_ns),
+            });
+        }
+    }
+
+    fn abnormal(&mut self, at_seq: Option<u64>, message: String) {
+        emit(self.sink, OnlineEvent::Abnormality {
+            chain: self.chain,
+            at_seq: at_seq.unwrap_or(self.processed),
+            message,
+        });
     }
 }
 
@@ -318,11 +362,11 @@ impl OnlineAnalyzer {
         let mut out: Vec<OpenChainSummary> = self
             .chains
             .iter()
-            .filter(|(_, c)| !c.stack.is_empty() || !c.pending.is_empty())
+            .filter(|(_, c)| c.load().0 > 0)
             .map(|(&chain, c)| OpenChainSummary {
                 chain,
-                open_calls: c.stack.len(),
-                innermost: c.stack.last().map(|o| o.func),
+                open_calls: c.machine.open_calls(),
+                innermost: c.machine.innermost(),
                 buffered_records: c.pending.len(),
                 completed_calls: c.completed_calls,
                 processed_seq: c.processed,
@@ -468,7 +512,7 @@ impl OnlineAnalyzer {
         for chain in chains {
             let mut state = self.chains.remove(&chain).expect("key listed");
             self.account(state.load(), (0, 0));
-            while let Some((&seq, _)) = state.pending.iter().next() {
+            while let Some((seq, record)) = state.pending.pop_first() {
                 if seq != state.processed + 1 {
                     emit(sink, OnlineEvent::Abnormality {
                         chain,
@@ -479,188 +523,20 @@ impl OnlineAnalyzer {
                         ),
                     });
                 }
-                let record = state.pending.remove(&seq).expect("key just read");
                 state.processed = seq;
-                Self::apply(chain, &mut state, record, sink);
+                state.apply(chain, &record, sink);
             }
-            for open in state.stack.drain(..).rev() {
-                emit(sink, OnlineEvent::Abnormality {
-                    chain,
-                    at_seq: state.processed,
-                    message: format!("invocation {} never completed", open.func),
-                });
-            }
+            let ChainState { processed, machine, completed_calls, .. } = &mut state;
+            machine.finish(&mut Emitter { chain, processed: *processed, completed_calls, sink });
         }
         self.publish_metrics();
     }
-
-    /// The incremental Figure-4 state machine (mirrors the off-line parser
-    /// in [`crate::dscg`]).
-    fn apply(
-        chain: Uuid,
-        state: &mut ChainState,
-        record: ProbeRecord,
-        sink: &mut impl FnMut(OnlineEvent),
-    ) {
-        let top_matches = state
-            .stack
-            .last()
-            .map(|open| open.func == record.func)
-            .unwrap_or(false);
-        match record.event {
-            TraceEvent::StubStart => {
-                state.stack.push(OpenCall {
-                    func: record.func,
-                    kind: record.kind,
-                    stub_start: Some(Stamps::of(&record)),
-                    skel_start: None,
-                    skel_end: None,
-                    child_overhead_ns: 0,
-                });
-            }
-            TraceEvent::SkelStart => {
-                if top_matches
-                    && state.stack.last().map(|o| o.skel_start.is_none()).unwrap_or(false)
-                {
-                    state.stack.last_mut().expect("matched").skel_start = Some(Stamps::of(&record));
-                } else if state.stack.is_empty() && record.kind == CallKind::Oneway {
-                    state.stack.push(OpenCall {
-                        func: record.func,
-                        kind: record.kind,
-                        stub_start: None,
-                        skel_start: Some(Stamps::of(&record)),
-                        skel_end: None,
-                        child_overhead_ns: 0,
-                    });
-                } else {
-                    emit(sink, OnlineEvent::Abnormality {
-                        chain,
-                        at_seq: record.seq,
-                        message: format!("unexpected skel_start for {}", record.func),
-                    });
-                }
-            }
-            TraceEvent::SkelEnd => {
-                if top_matches
-                    && state.stack.last().map(|o| o.skel_start.is_some()).unwrap_or(false)
-                {
-                    let is_oneway_root = {
-                        let open = state.stack.last().expect("matched");
-                        open.kind == CallKind::Oneway && open.stub_start.is_none()
-                    };
-                    state.stack.last_mut().expect("matched").skel_end = Some(Stamps::of(&record));
-                    if is_oneway_root {
-                        Self::complete_top(chain, state, sink);
-                    }
-                } else {
-                    emit(sink, OnlineEvent::Abnormality {
-                        chain,
-                        at_seq: record.seq,
-                        message: format!("unexpected skel_end for {}", record.func),
-                    });
-                }
-            }
-            TraceEvent::StubEnd => {
-                let legal = top_matches && {
-                    let open = state.stack.last().expect("matched");
-                    match open.kind {
-                        CallKind::Oneway => open.stub_start.is_some() && open.skel_end.is_none(),
-                        _ => open.skel_end.is_some(),
-                    }
-                };
-                if legal {
-                    let depth = state.stack.len() - 1;
-                    let open = state.stack.last().expect("matched");
-                    let latency = compensated_latency(open, &record);
-                    let func = open.func;
-                    let kind = open.kind;
-                    // The one-way stub side only confirms the *send*; the
-                    // call completes on its child chain (skeleton side), so
-                    // emitting here would double-count the invocation.
-                    let is_oneway_send = open.kind == CallKind::Oneway && open.skel_end.is_none();
-                    // Charge this call's caller-side probe spans to the
-                    // parent's overhead accumulator.
-                    let caller_spans = caller_side_spans(open, &record);
-                    state.stack.pop();
-                    if let Some(parent) = state.stack.last_mut() {
-                        parent.child_overhead_ns += caller_spans;
-                    }
-                    if !is_oneway_send {
-                        state.completed_calls += 1;
-                        emit(
-                            sink,
-                            OnlineEvent::CallCompleted { chain, func, kind, depth, latency_ns: latency },
-                        );
-                    }
-                } else {
-                    emit(sink, OnlineEvent::Abnormality {
-                        chain,
-                        at_seq: record.seq,
-                        message: format!("stub_end out of order for {}", record.func),
-                    });
-                    // Restart heuristic: drop the confused frame.
-                    if top_matches {
-                        state.stack.pop();
-                    }
-                }
-            }
-        }
-    }
-
-    fn complete_top(chain: Uuid, state: &mut ChainState, sink: &mut impl FnMut(OnlineEvent)) {
-        let open = state.stack.pop().expect("caller checked");
-        let depth = state.stack.len();
-        // One-way skeleton side: latency from the skel window.
-        let latency = match (&open.skel_start, &open.skel_end) {
-            (Some(start), Some(end)) => match (start.wall_end, end.wall_start) {
-                (Some(s), Some(e)) => Some(e.saturating_sub(s).saturating_sub(open.child_overhead_ns)),
-                _ => None,
-            },
-            _ => None,
-        };
-        state.completed_calls += 1;
-        emit(sink, OnlineEvent::CallCompleted {
-            chain,
-            func: open.func,
-            kind: open.kind,
-            depth,
-            latency_ns: latency,
-        });
-    }
-}
-
-/// `L(F)` for a closing synchronous/one-way-stub-side call.
-fn compensated_latency(open: &OpenCall, stub_end: &ProbeRecord) -> Option<u64> {
-    let window = match open.kind {
-        CallKind::Collocated | CallKind::CustomMarshal => {
-            let end = open.skel_end?.wall_start?;
-            let start = open.skel_start?.wall_end?;
-            end.saturating_sub(start)
-        }
-        _ => {
-            let end = stub_end.wall_start?;
-            let start = open.stub_start?.wall_end?;
-            end.saturating_sub(start)
-        }
-    };
-    Some(window.saturating_sub(open.child_overhead_ns))
-}
-
-/// The probe spans of a completed call that sat inside its caller's window.
-fn caller_side_spans(open: &OpenCall, stub_end: &ProbeRecord) -> u64 {
-    let span = |stamps: Option<Stamps>| stamps.and_then(Stamps::span).unwrap_or(0);
-    let mut spans = span(open.stub_start);
-    // One-way children only occupy the caller with their stub probes.
-    if open.kind != CallKind::Oneway {
-        spans += span(open.skel_start);
-        spans += span(open.skel_end);
-    }
-    spans + stub_end.wall_span().unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use causeway_core::event::TraceEvent;
     use causeway_core::ids::*;
     use causeway_core::record::CallSite;
 
@@ -820,6 +696,33 @@ mod tests {
     }
 
     #[test]
+    fn a_duplicated_record_is_dropped_and_the_chain_goes_idle() {
+        let mut records = sync_call(1, 1, 7, 0);
+        records.insert(2, records[1].clone()); // seq 2 delivered twice
+        let (mut events, mut analyzer) = collect(records);
+        assert_eq!(analyzer.open_chains(), 0);
+        assert_eq!(analyzer.buffered_records(), 0);
+        assert!(matches!(events[0], OnlineEvent::CallCompleted { latency_ns: Some(95), .. }));
+        assert_eq!(events[1], OnlineEvent::ChainIdle { chain: Uuid(1), completed_calls: 1 });
+        assert_eq!(events.len(), 2, "no abnormality: {events:?}");
+        analyzer.finish(&mut |e| events.push(e));
+        assert_eq!(events.len(), 2, "nothing left for the end-of-stream sweep: {events:?}");
+    }
+
+    #[test]
+    fn a_second_arrival_for_a_buffered_seq_replaces_the_first() {
+        let records = sync_call(1, 1, 7, 0);
+        let mut analyzer = OnlineAnalyzer::new();
+        let mut events = Vec::new();
+        for i in [3, 2, 2, 1, 0] {
+            analyzer.ingest(records[i].clone(), &mut |e| events.push(e));
+        }
+        assert_eq!(analyzer.buffered_records(), 0);
+        assert_eq!(events.len(), 2, "{events:?}");
+        assert!(matches!(events[1], OnlineEvent::ChainIdle { .. }));
+    }
+
+    #[test]
     fn live_chunk_stream_from_a_monitor_is_complete() {
         use causeway_core::monitor::{Monitor, ProbeMode};
         use causeway_core::sink::CHUNK_CAPACITY;
@@ -933,8 +836,8 @@ mod tests {
         assert!(completed.contains(&1) && completed.contains(&2));
     }
 
-    /// The step without the in-order fast path: every record through the
-    /// re-sequencing buffer, as before the fast path existed.
+    /// The step without the in-order fast path: every record not yet
+    /// processed goes through the re-sequencing buffer.
     fn step_via_buffer(
         states: &mut HashMap<Uuid, ChainState>,
         record: ProbeRecord,
@@ -942,15 +845,17 @@ mod tests {
     ) {
         let chain = record.uuid;
         let state = states.entry(chain).or_default();
-        state.pending.insert(record.seq, record);
+        if record.seq > state.processed {
+            state.pending.insert(record.seq, record);
+        }
         while let Some(record) = {
             let next = state.processed + 1;
             state.pending.remove(&next)
         } {
             state.processed = record.seq;
-            OnlineAnalyzer::apply(chain, state, record, sink);
+            state.apply(chain, &record, sink);
         }
-        if state.stack.is_empty() && state.pending.is_empty() && state.completed_calls > 0 {
+        if state.machine.open_calls() == 0 && state.pending.is_empty() && state.completed_calls > 0 {
             sink(OnlineEvent::ChainIdle { chain, completed_calls: state.completed_calls });
         }
     }

@@ -61,8 +61,8 @@ use causeway_core::record::ProbeRecord;
 use causeway_core::runlog::RunLog;
 use causeway_core::sink::Chunk;
 use causeway_core::wire::{self, RECORD_WIRE_LEN};
-use std::fs::File;
-use std::io::{self, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// The 8-byte file magic opening every segment.
@@ -122,7 +122,7 @@ fn corrupt(message: impl Into<String>) -> SegmentError {
 }
 
 // ---------------------------------------------------------------------------
-// Frame primitives (shared with the analyzer's history spill).
+// Frame primitives (shared with the analyzer's history and exemplar spills).
 // ---------------------------------------------------------------------------
 
 /// Appends one `[len][crc][payload]` frame to `buf`.
@@ -192,6 +192,68 @@ pub fn next_frame(bytes: &[u8], offset: usize) -> Option<RawFrame<'_>> {
     }
     let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
     Some(RawFrame { payload: &rest[8..8 + len], end: offset + 8 + len, crc })
+}
+
+/// What [`open_frame_log`] returns: the append handle, the offset one past
+/// the last intact frame, and each intact frame's `(offset, frame length,
+/// decoded payload)`.
+pub type OpenedFrameLog<T> = (BufWriter<File>, u64, Vec<(u64, u32, T)>);
+
+/// Opens or creates a frame-log file — `magic`, then [`write_frame`] frames
+/// — the open path shared by the analyzer's history and exemplar spills.
+///
+/// An existing file is read frame by frame with [`next_frame`]. The scan
+/// stops at the first frame that is torn, fails its checksum or is rejected
+/// by `decode`; the file is truncated there and appends continue after the
+/// last intact frame. A missing or empty file, or one holding only part of
+/// `magic` (an interrupted create), is created afresh.
+///
+/// # Errors
+///
+/// Refuses (`InvalidData`) a file holding any other data — a mistyped path
+/// must not destroy an unrelated file. Otherwise propagates file
+/// read/create/truncate failures.
+pub fn open_frame_log<T>(
+    path: &Path,
+    magic: &[u8],
+    mut decode: impl FnMut(&[u8]) -> Option<T>,
+) -> io::Result<OpenedFrameLog<T>> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
+    };
+    if !bytes.starts_with(magic) {
+        if !magic.starts_with(&bytes) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{} exists but is not a {} segment; refusing to overwrite it",
+                    path.display(),
+                    String::from_utf8_lossy(magic).trim_end()
+                ),
+            ));
+        }
+        let mut file = File::create(path)?;
+        file.write_all(magic)?;
+        return Ok((BufWriter::new(file), magic.len() as u64, Vec::new()));
+    }
+    let mut frames = Vec::new();
+    let mut at = magic.len();
+    while let Some(frame) = next_frame(&bytes, at) {
+        if wire::crc32(frame.payload) != frame.crc {
+            break;
+        }
+        let Some(value) = decode(frame.payload) else {
+            break;
+        };
+        frames.push((at as u64, (frame.end - at) as u32, value));
+        at = frame.end;
+    }
+    let mut file = OpenOptions::new().write(true).open(path)?;
+    file.set_len(at as u64)?; // drop the torn tail, if any
+    file.seek(SeekFrom::End(0))?;
+    Ok((BufWriter::new(file), at as u64, frames))
 }
 
 // ---------------------------------------------------------------------------

@@ -357,6 +357,7 @@ pub fn execute(spec: &ReplaySpec, probe_mode: ProbeMode) -> RunLog {
 mod tests {
     use super::*;
     use crate::pps::{Pps, PpsConfig, PpsDeployment};
+    use causeway_analyzer::cpu::CpuAnalysis;
     use causeway_analyzer::dscg::Dscg;
 
     fn shape(dscg: &Dscg, db: &MonitoringDb) -> Vec<Vec<String>> {
@@ -455,20 +456,20 @@ mod tests {
             .any(tree_has_work);
         assert!(has_work, "derived harness carries timing actions");
 
-        let replay_run = execute(&spec, ProbeMode::Latency);
+        let replay_run = execute(&spec, ProbeMode::Both);
         let replay_db = MonitoringDb::from_run(replay_run);
         let replayed = Dscg::build(&replay_db);
-        // Root latency of the replay is in the same order of magnitude as
-        // the original (both dominated by the replayed Work actions).
-        let root_latency = |dscg: &Dscg| {
-            causeway_analyzer::latency::node_latency(&dscg.trees[0].roots[0])
-                .map(|l| l.latency_ns)
-                .unwrap_or(0)
-        };
+        // The replay's root CPU is in the same order of magnitude as the
+        // original's root latency: both are dominated by the stages' work,
+        // which the replay credits to its virtual CPU clock exactly, so
+        // the replayed side does not depend on how loaded the host is.
         let original = Dscg::build(&db);
-        let a = root_latency(&original) as f64;
-        let b = root_latency(&replayed) as f64;
-        assert!(b > a * 0.3 && b < a * 3.0, "original {a} ns vs replay {b} ns");
+        let a = causeway_analyzer::latency::node_latency(&original.trees[0].roots[0])
+            .map(|l| l.latency_ns)
+            .unwrap_or(0) as f64;
+        let cpu = CpuAnalysis::compute(&replayed, replay_db.deployment());
+        let b = cpu.per_node[0].inclusive().total() as f64;
+        assert!(b > a * 0.3 && b < a * 3.0, "original {a} ns vs replay root CPU {b} ns");
     }
 
     fn tree_has_work(node: &ReplayNode) -> bool {

@@ -7,10 +7,13 @@
 //! * event numbering density per chain;
 //! * CPU conservation (inclusive CPU of a root equals the sum of self CPU
 //!   over its subtree);
-//! * analyzer totality on arbitrary (even nonsensical) record streams.
+//! * analyzer totality on arbitrary (even nonsensical) record streams;
+//! * **one Figure-4 machine**: the off-line trees and the on-line events
+//!   agree on every chain, legal or not, in any arrival order.
 
 use causeway::analyzer::cpu::CpuAnalysis;
-use causeway::analyzer::dscg::{CallNode, Dscg};
+use causeway::analyzer::dscg::{walk_pre_post, CallNode, Dscg, Visit};
+use causeway::analyzer::latency::node_latency;
 use causeway::analyzer::online::{OnlineAnalyzer, OnlineEvent};
 use causeway::collector::db::MonitoringDb;
 use causeway::collector::jsonl;
@@ -558,6 +561,132 @@ proptest! {
             assert_counts_exact(analyzer);
             prop_assert_eq!(analyzer.open_chains(), 0);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One Figure-4 machine: off-line trees and on-line events agree
+// ---------------------------------------------------------------------------
+
+/// One chain with dense, distinct event numbers `1..=n`: events, kinds and
+/// three functions from small alphabets, arbitrary wall stamps. Three
+/// records in four take the next legal step of the calls the generator has
+/// opened; the rest are drawn at random, so legal calls, nested calls and
+/// every kind of mismatch all occur.
+fn figure4_chain() -> impl Strategy<Value = Vec<ProbeRecord>> {
+    let token = (
+        0usize..4,     // 0: a random record; else the next legal step
+        0usize..4,     // event (a legal step opens a new call on 0)
+        0usize..3,     // kind
+        0u64..3,       // object
+        0u64..2_000,   // wall start
+        0u64..40,      // wall span; 0 = unstamped
+    );
+    prop::collection::vec(token, 1..48).prop_map(|tokens| {
+        let kinds = [CallKind::Sync, CallKind::Oneway, CallKind::Collocated];
+        // The generator's own open calls: (object, kind, next probe).
+        let mut open: Vec<(u64, CallKind, usize)> = Vec::new();
+        let mut records = Vec::new();
+        for (i, (mode, event, kind, object, start, span)) in tokens.into_iter().enumerate() {
+            let (mut event, mut kind, mut object) = (TraceEvent::ALL[event], kinds[kind], object);
+            if mode > 0 {
+                match open.last_mut() {
+                    Some(top) if event != TraceEvent::StubStart => {
+                        let next = if top.1 == CallKind::Oneway { 3 } else { top.2 };
+                        (object, kind, event) = (top.0, top.1, TraceEvent::ALL[next]);
+                        top.2 = next + 1;
+                        if event == TraceEvent::StubEnd {
+                            open.pop();
+                        }
+                    }
+                    _ => {
+                        event = TraceEvent::StubStart;
+                        open.push((object, kind, 1));
+                    }
+                }
+            }
+            records.push(ProbeRecord {
+                uuid: Uuid(1),
+                seq: i as u64 + 1,
+                event,
+                kind,
+                site: CallSite {
+                    node: NodeId(0),
+                    process: ProcessId(0),
+                    thread: LogicalThreadId(0),
+                },
+                func: FunctionKey::new(InterfaceId(0), MethodIndex(0), ObjectId(object)),
+                wall_start: (span > 0).then_some(start),
+                wall_end: (span > 0).then_some(start + span),
+                cpu_start: None,
+                cpu_end: None,
+                oneway_child: None,
+                oneway_parent: None,
+            });
+        }
+        records
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The off-line trees and the on-line events are two readings of one
+    /// machine: the same completed calls (post-order, with the same
+    /// depth and `L(F)`) and the same abnormalities in the same order,
+    /// whatever order the on-line analyzer receives the records in.
+    #[test]
+    fn offline_trees_and_online_events_agree(
+        records in figure4_chain(),
+        keys in prop::collection::vec(any::<u64>(), 48..49),
+    ) {
+        let n = records.len() as u64;
+        let db = MonitoringDb::from_run(RunLog::new(
+            records.clone(),
+            VocabSnapshot::default(),
+            Deployment::new(),
+        ));
+        let dscg = Dscg::build(&db);
+        let mut offline_calls = Vec::new();
+        for tree in &dscg.trees {
+            walk_pre_post(&tree.roots, &mut |node, depth, visit| {
+                // A one-way stub side completes on its child chain.
+                let stub_side = node.kind == CallKind::Oneway && node.stub_start.is_some();
+                if visit == Visit::Exit && node.complete && !stub_side {
+                    let latency = node_latency(node).map(|l| l.latency_ns);
+                    offline_calls.push((node.func, node.kind, depth, latency));
+                }
+            });
+        }
+        let offline_abnormal: Vec<(u64, String)> = dscg
+            .abnormalities
+            .iter()
+            .map(|a| (a.at_seq.unwrap_or(n), a.message.clone()))
+            .collect();
+
+        let mut shuffled: Vec<(u64, ProbeRecord)> = keys.into_iter().zip(records).collect();
+        shuffled.sort_by_key(|(key, _)| *key);
+        let mut analyzer = OnlineAnalyzer::new();
+        let mut events = Vec::new();
+        for (_, record) in shuffled {
+            analyzer.ingest(record, &mut |e| events.push(e));
+        }
+        analyzer.finish(&mut |e| events.push(e));
+        let mut online_calls = Vec::new();
+        let mut online_abnormal = Vec::new();
+        for event in events {
+            match event {
+                OnlineEvent::CallCompleted { func, kind, depth, latency_ns, .. } => {
+                    online_calls.push((func, kind, depth, latency_ns));
+                }
+                OnlineEvent::Abnormality { at_seq, message, .. } => {
+                    online_abnormal.push((at_seq, message));
+                }
+                OnlineEvent::ChainIdle { .. } => {}
+            }
+        }
+        prop_assert_eq!(online_calls, offline_calls);
+        prop_assert_eq!(online_abnormal, offline_abnormal);
     }
 }
 
