@@ -127,20 +127,23 @@ impl Ccsg {
 
     /// Builds the CCSG using up to `threads` worker threads.
     ///
-    /// Each tree aggregates into its own partial scaffold on the pool; the
-    /// partials then merge in tree order, so every aggregated node's
-    /// instance list accumulates in exactly the serial absorb order and the
-    /// output is bit-identical at any thread count.
+    /// Each contiguous range of trees aggregates into its own partial
+    /// scaffold on the pool; the partials then merge in tree order, so every
+    /// aggregated node's instance list accumulates in exactly the serial
+    /// absorb order and the output is bit-identical at any thread count.
     pub fn build_with_threads(dscg: &Dscg, deployment: &Deployment, threads: usize) -> Ccsg {
-        let shards = pool::par_map(&dscg.trees, threads, |tree| {
-            let mut partial = Aggregate::default();
-            partial.absorb_tree(&tree.roots, deployment);
-            partial
-        });
-        let mut builder = Aggregate::default();
-        for shard in shards {
-            builder.merge(shard);
-        }
+        let builder = pool::fold_ranges(
+            dscg.trees.len(),
+            threads,
+            |range| {
+                let mut partial = Aggregate::default();
+                for tree in &dscg.trees[range] {
+                    partial.absorb_tree(&tree.roots, deployment);
+                }
+                partial
+            },
+            Aggregate::merge,
+        );
         let mut system_total = CpuVector::new();
         let roots = builder.finish(&mut system_total);
         Ccsg { roots, system_total }
@@ -206,12 +209,8 @@ impl Aggregate {
                     let index = self.entry_index(path.last().copied(), node.func);
                     let entry = &mut self.entries[index];
                     entry.invocation_times += 1;
-                    let instance_marker = node
-                        .stub_start
-                        .as_ref()
-                        .or(node.skel_start.as_ref())
-                        .map(|r| r.seq)
-                        .unwrap_or(0);
+                    let instance_marker =
+                        node.stub_start.or(node.skel_start).map_or(0, |probe| probe.seq);
                     entry.included_instances.push(instance_marker);
                     entry.self_cpu.add_vector(&self_cpu_of(node, deployment));
                     path.push(index);
@@ -228,7 +227,7 @@ impl Aggregate {
     }
 
     /// Merges another scaffold into this one. Each (path, function) entry
-    /// merges independently; the caller merges shards in tree order so
+    /// merges independently; the caller merges partials in tree order so
     /// instance lists concatenate in the serial absorb order.
     fn merge(&mut self, mut other: Aggregate) {
         let mut stack: Vec<(FunctionKey, usize, Option<usize>)> = other
@@ -312,14 +311,14 @@ pub fn format_sec_usec(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dscg::CallTree;
+    use crate::dscg::{CallTree, NodeProbe};
     use causeway_core::event::{CallKind, TraceEvent};
     use causeway_core::ids::*;
     use causeway_core::record::{CallSite, ProbeRecord};
     use causeway_core::uuid::Uuid;
 
-    fn stamped(event: TraceEvent, cpu: (u64, u64)) -> ProbeRecord {
-        ProbeRecord {
+    fn stamped(event: TraceEvent, cpu: (u64, u64)) -> NodeProbe {
+        NodeProbe::from(&ProbeRecord {
             uuid: Uuid(1),
             seq: 1,
             event,
@@ -336,22 +335,22 @@ mod tests {
             cpu_end: Some(cpu.1),
             oneway_child: None,
             oneway_parent: None,
-        }
+        })
     }
 
     fn leaf(object: u64, self_ns: u64) -> CallNode {
-        let mut node = CallNode {
+        CallNode {
             func: FunctionKey::new(InterfaceId(0), MethodIndex(0), ObjectId(object)),
             kind: CallKind::Sync,
+            chain: Uuid(1),
             stub_start: Some(stamped(TraceEvent::StubStart, (0, 0))),
             skel_start: Some(stamped(TraceEvent::SkelStart, (0, 100))),
             skel_end: Some(stamped(TraceEvent::SkelEnd, (100 + self_ns, 100 + self_ns))),
             stub_end: Some(stamped(TraceEvent::StubEnd, (0, 0))),
+            oneway_child: None,
             children: Vec::new(),
             complete: true,
-        };
-        node.stub_start.as_mut().unwrap().func = node.func;
-        node
+        }
     }
 
     fn deployment() -> Deployment {

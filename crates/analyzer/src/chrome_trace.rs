@@ -30,12 +30,12 @@
 //! [`ProbeMode::CausalityOnly`]: causeway_core::monitor::ProbeMode
 //! [`ProbeMode::Cpu`]: causeway_core::monitor::ProbeMode
 
-use crate::dscg::{CallNode, Dscg};
+use crate::dscg::{CallNode, Dscg, NodeProbe};
 use causeway_collector::db::MonitoringDb;
 use causeway_collector::json::Json;
 use causeway_core::event::CallKind;
 use causeway_core::names::VocabSnapshot;
-use causeway_core::record::ProbeRecord;
+use causeway_core::record::CallSite;
 
 /// Microsecond timestamp (the trace-event unit) from a nanosecond stamp.
 /// Sub-microsecond precision is kept as a fraction, which the format
@@ -45,14 +45,14 @@ fn us(ns: u64) -> Json {
 }
 
 /// The common envelope of one trace event.
-fn event(name: &str, ph: &str, cat: &str, ts_ns: u64, site: &ProbeRecord) -> Vec<(&'static str, Json)> {
+fn event(name: &str, ph: &str, cat: &str, ts_ns: u64, site: CallSite) -> Vec<(&'static str, Json)> {
     vec![
         ("name", Json::Str(name.to_owned())),
         ("ph", Json::Str(ph.to_owned())),
         ("cat", Json::Str(cat.to_owned())),
         ("ts", us(ts_ns)),
-        ("pid", Json::Num(site.site.process.0 as f64)),
-        ("tid", Json::Num(site.site.thread.0 as f64)),
+        ("pid", Json::Num(site.process.0 as f64)),
+        ("tid", Json::Num(site.thread.0 as f64)),
     ]
 }
 
@@ -88,18 +88,18 @@ impl Exporter<'_> {
         self.next_id += 1;
 
         // Client slice: the caller-observed window.
-        if let (Some(start), Some(end)) = (&node.stub_start, &node.stub_end) {
-            if let (Some(ts), Some(te)) = (start.wall_start, end.wall_end) {
-                let mut fields = event(&name, "X", "stub", ts, start);
+        if let (Some(start), Some(end)) = (node.stub_start, node.stub_end) {
+            if let (Some(ts), Some(te)) = (start.wall_start(), end.wall_end()) {
+                let mut fields = event(&name, "X", "stub", ts, start.site);
                 fields.push(("dur", us(te.saturating_sub(ts))));
                 fields.push(("args", node_args(node)));
                 self.push(fields);
             }
         }
         // Server slice: the dispatch window.
-        if let (Some(start), Some(end)) = (&node.skel_start, &node.skel_end) {
-            if let (Some(ts), Some(te)) = (start.wall_start, end.wall_end) {
-                let mut fields = event(&name, "X", "skel", ts, start);
+        if let (Some(start), Some(end)) = (node.skel_start, node.skel_end) {
+            if let (Some(ts), Some(te)) = (start.wall_start(), end.wall_end()) {
+                let mut fields = event(&name, "X", "skel", ts, start.site);
                 fields.push(("dur", us(te.saturating_sub(ts))));
                 fields.push(("args", node_args(node)));
                 self.push(fields);
@@ -108,16 +108,16 @@ impl Exporter<'_> {
 
         // Async span over the full client-visible window (server window for
         // grafted one-way children, which have no client side).
-        let (span_open, span_close) = match (&node.stub_start, &node.stub_end) {
+        let (span_open, span_close) = match (node.stub_start, node.stub_end) {
             (Some(open), Some(close)) => (Some(open), Some(close)),
-            _ => (node.skel_start.as_ref(), node.skel_end.as_ref()),
+            _ => (node.skel_start, node.skel_end),
         };
         if let (Some(open), Some(close)) = (span_open, span_close) {
-            if let (Some(ts), Some(te)) = (open.wall_start, close.wall_end) {
-                let mut fields = event(&name, "b", "invocation", ts, open);
+            if let (Some(ts), Some(te)) = (open.wall_start(), close.wall_end()) {
+                let mut fields = event(&name, "b", "invocation", ts, open.site);
                 fields.push(("id", Json::Str(format!("{id}"))));
                 self.push(fields);
-                let mut fields = event(&name, "e", "invocation", te, close);
+                let mut fields = event(&name, "e", "invocation", te, close.site);
                 fields.push(("id", Json::Str(format!("{id}"))));
                 self.push(fields);
             }
@@ -126,9 +126,9 @@ impl Exporter<'_> {
         // Flow arrows for the causal edges that crossed tracks. The request
         // edge exists for synchronous and one-way calls alike (the FTL on
         // the wire); the reply edge only when a reply actually flowed.
-        self.flow(&name, id, "request", node.stub_start.as_ref(), node.skel_start.as_ref());
+        self.flow(&name, id, "request", node.stub_start, node.skel_start);
         if node.kind != CallKind::Oneway {
-            self.flow(&name, id, "reply", node.skel_end.as_ref(), node.stub_end.as_ref());
+            self.flow(&name, id, "reply", node.skel_end, node.stub_end);
         }
     }
 
@@ -140,19 +140,19 @@ impl Exporter<'_> {
         name: &str,
         id: u64,
         edge: &str,
-        from: Option<&ProbeRecord>,
-        to: Option<&ProbeRecord>,
+        from: Option<NodeProbe>,
+        to: Option<NodeProbe>,
     ) {
         let (Some(from), Some(to)) = (from, to) else { return };
         if from.site.process == to.site.process && from.site.thread == to.site.thread {
             return;
         }
-        let (Some(ts_from), Some(ts_to)) = (from.wall_end, to.wall_start) else { return };
+        let (Some(ts_from), Some(ts_to)) = (from.wall_end(), to.wall_start()) else { return };
         let flow_name = format!("{edge} {name}");
-        let mut fields = event(&flow_name, "s", "causality", ts_from, from);
+        let mut fields = event(&flow_name, "s", "causality", ts_from, from.site);
         fields.push(("id", Json::Str(format!("{edge}-{id}"))));
         self.push(fields);
-        let mut fields = event(&flow_name, "f", "causality", ts_to, to);
+        let mut fields = event(&flow_name, "f", "causality", ts_to, to.site);
         fields.push(("id", Json::Str(format!("{edge}-{id}"))));
         fields.push(("bp", Json::Str("e".to_owned())));
         self.push(fields);
@@ -163,19 +163,9 @@ impl Exporter<'_> {
 fn node_args(node: &CallNode) -> Json {
     Json::obj([
         ("kind", Json::Str(format!("{:?}", node.kind))),
-        ("chain", Json::Str(chain_of(node))),
+        ("chain", Json::Str(node.chain.to_string())),
         ("complete", Json::Bool(node.complete)),
     ])
-}
-
-/// The chain uuid of a node's first stamped record, for the detail pane.
-fn chain_of(node: &CallNode) -> String {
-    [&node.stub_start, &node.skel_start, &node.skel_end, &node.stub_end]
-        .into_iter()
-        .flatten()
-        .next()
-        .map(|r| r.uuid.to_string())
-        .unwrap_or_default()
 }
 
 /// Converts a monitoring database into Chrome trace-event JSON.
@@ -220,7 +210,7 @@ pub fn export(db: &MonitoringDb) -> String {
         });
         let Some(record) = record else { continue };
         let Some(ts) = record.wall_start else { continue };
-        let mut fields = event(&abnormality.message, "i", "abnormality", ts, &record);
+        let mut fields = event(&abnormality.message, "i", "abnormality", ts, record.site);
         fields.push(("s", Json::Str("p".to_owned())));
         exporter.push(fields);
     }

@@ -15,12 +15,31 @@ use crate::dscg::{CallNode, Dscg, Visit, walk_pre_post};
 use causeway_core::deploy::Deployment;
 use causeway_core::ids::CpuTypeId;
 use causeway_core::pool;
-use std::collections::BTreeMap;
 
 /// CPU nanoseconds bucketed by processor type — the paper's `<C1..CM>`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// A deployment has a handful of processor types and most vectors carry one
+/// or two, so the components live in a small sorted array that moves to the
+/// heap only past two. A component added with zero nanoseconds is present
+/// (it iterates, and a vector holding it differs from one without it).
+#[derive(Clone, Default)]
 pub struct CpuVector {
-    buckets: BTreeMap<CpuTypeId, u64>,
+    buckets: Buckets,
+}
+
+/// Components a [`CpuVector`] holds before it moves to the heap.
+const INLINE_CPU_TYPES: usize = 2;
+
+#[derive(Clone)]
+enum Buckets {
+    Inline(u8, [(CpuTypeId, u64); INLINE_CPU_TYPES]),
+    Spilled(Vec<(CpuTypeId, u64)>),
+}
+
+impl Default for Buckets {
+    fn default() -> Buckets {
+        Buckets::Inline(0, [(CpuTypeId(0), 0); INLINE_CPU_TYPES])
+    }
 }
 
 impl CpuVector {
@@ -36,36 +55,79 @@ impl CpuVector {
         v
     }
 
+    /// The components, in cpu-type order.
+    fn components(&self) -> &[(CpuTypeId, u64)] {
+        match &self.buckets {
+            Buckets::Inline(len, slots) => &slots[..usize::from(*len)],
+            Buckets::Spilled(spilled) => spilled,
+        }
+    }
+
     /// Adds `ns` to one component.
     pub fn add(&mut self, cpu_type: CpuTypeId, ns: u64) {
-        *self.buckets.entry(cpu_type).or_insert(0) += ns;
+        let at = self.components().partition_point(|&(t, _)| t < cpu_type);
+        let component = (cpu_type, ns);
+        match &mut self.buckets {
+            Buckets::Inline(len, slots) => {
+                let held = usize::from(*len);
+                if at < held && slots[at].0 == cpu_type {
+                    slots[at].1 += ns;
+                } else if held < INLINE_CPU_TYPES {
+                    slots.copy_within(at..held, at + 1);
+                    slots[at] = component;
+                    *len += 1;
+                } else {
+                    let mut spilled = slots.to_vec();
+                    spilled.insert(at, component);
+                    self.buckets = Buckets::Spilled(spilled);
+                }
+            }
+            Buckets::Spilled(spilled) => match spilled.get_mut(at) {
+                Some(existing) if existing.0 == cpu_type => existing.1 += ns,
+                _ => spilled.insert(at, component),
+            },
+        }
     }
 
     /// Component-wise addition.
     pub fn add_vector(&mut self, other: &CpuVector) {
-        for (&cpu_type, &ns) in &other.buckets {
+        for &(cpu_type, ns) in other.components() {
             self.add(cpu_type, ns);
         }
     }
 
     /// One component's value.
     pub fn get(&self, cpu_type: CpuTypeId) -> u64 {
-        self.buckets.get(&cpu_type).copied().unwrap_or(0)
+        self.components().iter().find(|&&(t, _)| t == cpu_type).map_or(0, |&(_, ns)| ns)
     }
 
     /// Sum across all components.
     pub fn total(&self) -> u64 {
-        self.buckets.values().sum()
+        self.components().iter().map(|&(_, ns)| ns).sum()
     }
 
     /// Iterates (cpu type, ns) in cpu-type order.
     pub fn iter(&self) -> impl Iterator<Item = (CpuTypeId, u64)> + '_ {
-        self.buckets.iter().map(|(&k, &v)| (k, v))
+        self.components().iter().copied()
     }
 
     /// `true` when every component is zero or absent.
     pub fn is_zero(&self) -> bool {
         self.total() == 0
+    }
+}
+
+impl PartialEq for CpuVector {
+    fn eq(&self, other: &CpuVector) -> bool {
+        self.components() == other.components()
+    }
+}
+
+impl Eq for CpuVector {}
+
+impl std::fmt::Debug for CpuVector {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -106,22 +168,27 @@ impl CpuAnalysis {
 
     /// Runs phases 1 and 2 using up to `threads` worker threads.
     ///
-    /// Every tree's `SC`/`DC` roll-up is independent, so trees shard across
-    /// the pool; per-tree pre-order slices concatenate in tree order, which
-    /// is exactly the serial `Dscg::walk` alignment.
+    /// Every tree's `SC`/`DC` roll-up is independent, so contiguous ranges
+    /// of trees shard across the pool; per-range pre-order slices
+    /// concatenate in tree order, which is exactly the serial `Dscg::walk`
+    /// alignment.
     pub fn compute_with_threads(dscg: &Dscg, deployment: &Deployment, threads: usize) -> CpuAnalysis {
-        let shards = pool::par_map(&dscg.trees, threads, |tree| {
-            let mut slice = Vec::new();
-            let mut tree_total = CpuVector::new();
-            compute_tree(&tree.roots, deployment, &mut slice, &mut tree_total);
-            (slice, tree_total)
-        });
-        let mut per_node = Vec::new();
-        let mut system_total = CpuVector::new();
-        for (slice, tree_total) in shards {
-            per_node.extend(slice);
-            system_total.add_vector(&tree_total);
-        }
+        let (per_node, system_total) = pool::fold_ranges(
+            dscg.trees.len(),
+            threads,
+            |range| {
+                let mut per_node = Vec::new();
+                let mut total = CpuVector::new();
+                for tree in &dscg.trees[range] {
+                    compute_tree(&tree.roots, deployment, &mut per_node, &mut total);
+                }
+                (per_node, total)
+            },
+            |(per_node, system_total), (slice, total)| {
+                per_node.extend(slice);
+                system_total.add_vector(&total);
+            },
+        );
         CpuAnalysis { per_node, system_total }
     }
 }
@@ -166,7 +233,7 @@ pub fn self_cpu_of(node: &CallNode, deployment: &Deployment) -> CpuVector {
     let (Some(skel_start), Some(skel_end)) = (&node.skel_start, &node.skel_end) else {
         return CpuVector::new();
     };
-    let (Some(window_start), Some(window_end)) = (skel_start.cpu_end, skel_end.cpu_start) else {
+    let (Some(window_start), Some(window_end)) = (skel_start.cpu_end(), skel_end.cpu_start()) else {
         return CpuVector::new();
     };
     let mut window = window_end.saturating_sub(window_start);
@@ -176,8 +243,8 @@ pub fn self_cpu_of(node: &CallNode, deployment: &Deployment) -> CpuVector {
         // exist for every child kind, and for collocated children the whole
         // execution sits inside the bracket (it is re-added via DC).
         // For a grafted one-way child the bracket is its stub side.
-        let start = child.stub_start.as_ref().and_then(|r| r.cpu_start);
-        let end = child.stub_end.as_ref().and_then(|r| r.cpu_end);
+        let start = child.stub_start.and_then(|probe| probe.cpu_start());
+        let end = child.stub_end.and_then(|probe| probe.cpu_end());
         if let (Some(start), Some(end)) = (start, end) {
             window = window.saturating_sub(end.saturating_sub(start));
         }
@@ -192,13 +259,15 @@ pub fn self_cpu_of(node: &CallNode, deployment: &Deployment) -> CpuVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dscg::CallTree;
+    use crate::dscg::{CallTree, NodeProbe};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use causeway_core::event::{CallKind, TraceEvent};
     use causeway_core::ids::*;
     use causeway_core::record::{CallSite, FunctionKey, ProbeRecord};
     use causeway_core::uuid::Uuid;
 
-    fn cpu_stamp(event: TraceEvent, node_id: u16, start: u64, end: u64) -> ProbeRecord {
+    fn record_on(event: TraceEvent, node_id: u16, start: u64, end: u64) -> ProbeRecord {
         ProbeRecord {
             uuid: Uuid(1),
             seq: 0,
@@ -219,6 +288,10 @@ mod tests {
         }
     }
 
+    fn cpu_stamp(event: TraceEvent, node_id: u16, start: u64, end: u64) -> NodeProbe {
+        NodeProbe::from(&record_on(event, node_id, start, end))
+    }
+
     /// A sync node whose skeleton ran on `node_id`, with the given cpu
     /// stamps for probes (1, 2, 3, 4): each pair (start, end).
     fn node_on(
@@ -231,10 +304,12 @@ mod tests {
         CallNode {
             func: FunctionKey::new(InterfaceId(0), MethodIndex(0), ObjectId(node_id as u64)),
             kind: CallKind::Sync,
+            chain: Uuid(1),
             stub_start: Some(cpu_stamp(TraceEvent::StubStart, 0, p1.0, p1.1)),
             skel_start: Some(cpu_stamp(TraceEvent::SkelStart, node_id, p2.0, p2.1)),
             skel_end: Some(cpu_stamp(TraceEvent::SkelEnd, node_id, p3.0, p3.1)),
             stub_end: Some(cpu_stamp(TraceEvent::StubEnd, 0, p4.0, p4.1)),
+            oneway_child: None,
             children: Vec::new(),
             complete: true,
         }
@@ -325,10 +400,99 @@ mod tests {
     fn missing_cpu_stamps_yield_zero_vector() {
         let d = two_type_deployment();
         let mut node = node_on(0, (0, 0), (0, 0), (0, 0), (0, 0));
-        node.skel_start.as_mut().unwrap().cpu_end = None;
+        let unstamped = ProbeRecord { cpu_end: None, ..record_on(TraceEvent::SkelStart, 0, 0, 0) };
+        node.skel_start = Some(NodeProbe::from(&unstamped));
         assert!(self_cpu_of(&node, &d).is_zero());
         node.skel_start = None;
         assert!(self_cpu_of(&node, &d).is_zero());
+    }
+
+    /// One step of a `CpuVector` / `BTreeMap` comparison: add to one
+    /// component, or add a vector built from `(type, ns)` pairs.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Add(u16, u64),
+        AddVector(Vec<(u16, u64)>),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Five cpu types (past the inline capacity), and a share of
+        // zero-nanosecond additions.
+        let ns = prop_oneof![Just(0u64), 0u64..1_000_000];
+        let pair = (0u16..5, ns);
+        prop_oneof![
+            pair.clone().prop_map(|(t, ns)| Op::Add(t, ns)),
+            proptest::collection::vec(pair, 0..6).prop_map(Op::AddVector),
+        ]
+    }
+
+    fn apply(ops: &[Op]) -> (CpuVector, BTreeMap<CpuTypeId, u64>) {
+        let mut vector = CpuVector::new();
+        let mut reference = BTreeMap::new();
+        for op in ops {
+            match op {
+                Op::Add(t, ns) => {
+                    vector.add(CpuTypeId(*t), *ns);
+                    *reference.entry(CpuTypeId(*t)).or_insert(0) += ns;
+                }
+                Op::AddVector(pairs) => {
+                    let mut other = CpuVector::new();
+                    for &(t, ns) in pairs {
+                        other.add(CpuTypeId(t), ns);
+                        *reference.entry(CpuTypeId(t)).or_insert(0) += ns;
+                    }
+                    vector.add_vector(&other);
+                }
+            }
+        }
+        (vector, reference)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn cpu_vector_matches_a_btreemap(
+            a in proptest::collection::vec(op(), 0..12),
+            b in proptest::collection::vec(op(), 0..12),
+        ) {
+            let (va, ra) = apply(&a);
+            let (vb, rb) = apply(&b);
+            let entries = |m: &BTreeMap<CpuTypeId, u64>| -> Vec<(CpuTypeId, u64)> {
+                m.iter().map(|(&t, &ns)| (t, ns)).collect()
+            };
+            prop_assert_eq!(va.iter().collect::<Vec<_>>(), entries(&ra));
+            for t in 0..6 {
+                prop_assert_eq!(va.get(CpuTypeId(t)), ra.get(&CpuTypeId(t)).copied().unwrap_or(0));
+            }
+            prop_assert_eq!(va.total(), ra.values().sum::<u64>());
+            prop_assert_eq!(va.is_zero(), ra.values().all(|&ns| ns == 0));
+            prop_assert_eq!(va == vb, ra == rb);
+            // Summing the two either way round matches the reference sum.
+            let mut sum = va.clone();
+            sum.add_vector(&vb);
+            let mut reverse = vb.clone();
+            reverse.add_vector(&va);
+            let mut reference = ra.clone();
+            for (t, ns) in rb {
+                *reference.entry(t).or_insert(0) += ns;
+            }
+            prop_assert_eq!(sum.iter().collect::<Vec<_>>(), entries(&reference));
+            prop_assert!(sum == reverse);
+        }
+    }
+
+    #[test]
+    fn zero_components_are_present() {
+        let mut v = CpuVector::single(CpuTypeId(3), 0);
+        assert_eq!(v.iter().collect::<Vec<_>>(), vec![(CpuTypeId(3), 0)]);
+        assert_ne!(v, CpuVector::new(), "a present zero differs from absence");
+        assert!(v.is_zero());
+        for t in [2, 0, 4, 1] {
+            v.add(CpuTypeId(t), u64::from(t));
+        }
+        let types: Vec<u16> = v.iter().map(|(t, _)| t.0).collect();
+        assert_eq!(types, vec![0, 1, 2, 3, 4], "sorted past the inline capacity");
+        assert_eq!(v.total(), 1 + 2 + 4);
     }
 
     #[test]

@@ -1,26 +1,90 @@
 //! Dynamic System Call Graph reconstruction.
 //!
-//! For each unique Function UUID the analyzer sorts the chain's events by
-//! ascending event number and feeds them to the Figure-4 machine (the
-//! private `figure4` module), keeping whole records in its frames: each
-//! closed frame becomes a [`CallNode`]. A synchronous invocation
-//! contributes the pattern `F.stub_start … F.skel_start … (children) …
-//! F.skel_end … F.stub_end`; a one-way invocation contributes
-//! `F.stub_start F.stub_end` on the parent chain and `F.skel_start …
-//! (children) … F.skel_end` at the head of a fresh child chain, which is
-//! grafted back under its fork site (grafting is off-line only).
+//! For each unique Function UUID the analyzer reads the chain's events in
+//! ascending event-number order off the database index and feeds them to
+//! the Figure-4 machine (the private `figure4` module), keeping each probe's
+//! event number, site and stamps in its frames: each closed frame becomes a
+//! [`CallNode`]. A synchronous invocation contributes the pattern
+//! `F.stub_start … F.skel_start … (children) … F.skel_end … F.stub_end`; a
+//! one-way invocation contributes `F.stub_start F.stub_end` on the parent
+//! chain and `F.skel_start … (children) … F.skel_end` at the head of a fresh
+//! child chain, which is grafted back under its fork site (grafting is
+//! off-line only).
 //!
 //! When adjacent records follow none of the legal transitions, the machine
 //! "indicates the failure and restarts from the next log record" — each such
 //! failure is reported as an [`Abnormality`].
 
-use crate::figure4::{Close, Consumer, Frame, Machine};
+use crate::figure4::{Close, Consumer, Frame, Machine, Probe};
+use crate::latency::Stamps;
 use causeway_collector::db::MonitoringDb;
-use causeway_core::event::CallKind;
+use causeway_core::event::{CallKind, TraceEvent};
 use causeway_core::pool;
-use causeway_core::record::{FunctionKey, ProbeRecord};
+use causeway_core::record::{CallSite, FunctionKey, ProbeRecord};
 use causeway_core::uuid::Uuid;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+
+/// What a call node keeps of one probe record: its event number, where it
+/// fired, and whichever of its four stamps were recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeProbe {
+    /// The event number issued on the record's chain.
+    pub seq: u64,
+    /// Where the probe fired.
+    pub site: CallSite,
+    /// Wall start, wall end, CPU start, CPU end; zero where not recorded.
+    stamps: [u64; 4],
+    /// Bit `i` set: `stamps[i]` was recorded.
+    recorded: u8,
+}
+
+impl NodeProbe {
+    fn stamp(&self, i: usize) -> Option<u64> {
+        (self.recorded & (1 << i) != 0).then_some(self.stamps[i])
+    }
+
+    /// Wall stamp when the probe began, ns (latency mode only).
+    pub fn wall_start(&self) -> Option<u64> {
+        self.stamp(0)
+    }
+
+    /// Wall stamp when the probe finished, ns (latency mode only).
+    pub fn wall_end(&self) -> Option<u64> {
+        self.stamp(1)
+    }
+
+    /// CPU counter when the probe began, ns (CPU mode only).
+    pub fn cpu_start(&self) -> Option<u64> {
+        self.stamp(2)
+    }
+
+    /// CPU counter when the probe finished, ns (CPU mode only).
+    pub fn cpu_end(&self) -> Option<u64> {
+        self.stamp(3)
+    }
+}
+
+impl From<&ProbeRecord> for NodeProbe {
+    fn from(record: &ProbeRecord) -> NodeProbe {
+        let stamps = [record.wall_start, record.wall_end, record.cpu_start, record.cpu_end];
+        let mut recorded = 0;
+        for (i, stamp) in stamps.iter().enumerate() {
+            recorded |= u8::from(stamp.is_some()) << i;
+        }
+        let stamps = stamps.map(|stamp| stamp.unwrap_or(0));
+        NodeProbe { seq: record.seq, site: record.site, stamps, recorded }
+    }
+}
+
+impl Probe for NodeProbe {
+    fn of(record: &ProbeRecord) -> NodeProbe {
+        NodeProbe::from(record)
+    }
+
+    fn stamps(&self) -> Stamps {
+        Stamps { wall_start: self.wall_start(), wall_end: self.wall_end() }
+    }
+}
 
 /// One reconstructed invocation in the call graph.
 ///
@@ -33,14 +97,20 @@ pub struct CallNode {
     pub func: FunctionKey,
     /// How it was invoked.
     pub kind: CallKind,
-    /// Probe-1 record (client side), when observed.
-    pub stub_start: Option<ProbeRecord>,
-    /// Probe-2 record (server side), when observed.
-    pub skel_start: Option<ProbeRecord>,
-    /// Probe-3 record (server side), when observed.
-    pub skel_end: Option<ProbeRecord>,
-    /// Probe-4 record (client side), when observed.
-    pub stub_end: Option<ProbeRecord>,
+    /// The chain whose records this node was built from — for a grafted
+    /// one-way call, the chain of its stub side.
+    pub chain: Uuid,
+    /// Probe 1 (client side), when observed.
+    pub stub_start: Option<NodeProbe>,
+    /// Probe 2 (server side), when observed.
+    pub skel_start: Option<NodeProbe>,
+    /// Probe 3 (server side), when observed.
+    pub skel_end: Option<NodeProbe>,
+    /// Probe 4 (client side), when observed.
+    pub stub_end: Option<NodeProbe>,
+    /// For a one-way call's stub side: the fresh chain its stub start
+    /// spawned for the callee, grafted under this node when found.
+    pub oneway_child: Option<Uuid>,
     /// Child invocations in call order (one-way children included after
     /// grafting).
     pub children: Vec<CallNode>,
@@ -131,10 +201,12 @@ impl Clone for CallNode {
             CallNode {
                 func: node.func,
                 kind: node.kind,
-                stub_start: node.stub_start.clone(),
-                skel_start: node.skel_start.clone(),
-                skel_end: node.skel_end.clone(),
-                stub_end: node.stub_end.clone(),
+                chain: node.chain,
+                stub_start: node.stub_start,
+                skel_start: node.skel_start,
+                skel_end: node.skel_end,
+                stub_end: node.stub_end,
+                oneway_child: node.oneway_child,
                 children: Vec::with_capacity(node.children.len()),
                 complete: node.complete,
             }
@@ -163,6 +235,8 @@ impl PartialEq for CallNode {
         while let Some((a, b)) = stack.pop() {
             if a.func != b.func
                 || a.kind != b.kind
+                || a.chain != b.chain
+                || a.oneway_child != b.oneway_child
                 || a.complete != b.complete
                 || a.stub_start != b.stub_start
                 || a.skel_start != b.skel_start
@@ -258,57 +332,49 @@ impl Dscg {
     /// Reconstructs the DSCG using up to `threads` worker threads.
     ///
     /// Chains are sharded by Function UUID — causal identity — so every
-    /// chain parses independently; per-chain trees and abnormality lists
-    /// then merge back in the existing chain-first-appearance order, which
-    /// makes the output bit-identical at any thread count. The grafting of
-    /// one-way child chains is a cross-chain fix-up and stays serial (it is
-    /// O(nodes moved), a small fraction of parse cost).
+    /// chain parses independently off its slice of the database index;
+    /// per-chain trees and abnormality lists then merge back in the existing
+    /// chain-first-appearance order, which makes the output bit-identical at
+    /// any thread count. The grafting of one-way child chains is a
+    /// cross-chain fix-up and stays serial (it is O(nodes moved), a small
+    /// fraction of parse cost).
     pub fn build_with_threads(db: &MonitoringDb, threads: usize) -> Dscg {
         let uuids = db.unique_uuids();
         // Parse every chain independently on the pool; each shard returns
-        // its tree plus the abnormalities it alone observed.
-        let shards = pool::par_map(uuids, threads, |&uuid| {
-            let mut builder =
-                TreeBuilder { chain: uuid, roots: Vec::new(), abnormalities: Vec::new() };
+        // its tree, the abnormalities it alone observed, and the one-way
+        // links its records carry.
+        let positions: Vec<usize> = (0..uuids.len()).collect();
+        let shards = pool::par_map(&positions, threads, |&position| {
+            let mut builder = TreeBuilder::new(uuids[position]);
             let mut machine = Machine::default();
-            for record in db.events_for(uuid) {
+            for record in db.chain_events(position) {
+                if let Some(child) = record.oneway_child {
+                    builder.forks.push(child);
+                }
                 machine.step(record, &mut builder);
             }
             machine.finish(&mut builder);
             builder
         });
+
+        // A chain is a child when some record forked it, or when one of its
+        // own one-way heads carried a parent marker.
         let mut abnormalities = Vec::new();
+        let mut child_chains: HashSet<Uuid> = HashSet::new();
         let mut parsed: HashMap<Uuid, Vec<CallNode>> = HashMap::with_capacity(shards.len());
         for (&uuid, chain) in uuids.iter().zip(shards) {
             abnormalities.extend(chain.abnormalities);
+            child_chains.extend(chain.forks);
+            if chain.has_parent_marker {
+                child_chains.insert(uuid);
+            }
             parsed.insert(uuid, chain.roots);
-        }
-
-        // Graft one-way child chains under their fork sites. A chain is a
-        // child when some stub-start record pointed at it, or when its own
-        // head carried a parent marker.
-        let mut child_chains: HashMap<Uuid, Uuid> = HashMap::new(); // child -> parent
-        for record in db.records() {
-            if let Some(child) = record.oneway_child {
-                child_chains.insert(child, record.uuid);
-            }
-        }
-        for (&uuid, roots) in &parsed {
-            // The first one-way chain head (a root without a stub side)
-            // that carries a parent marker.
-            let marker = roots
-                .iter()
-                .filter(|root| root.stub_start.is_none())
-                .find_map(|root| root.skel_start.as_ref()?.oneway_parent);
-            if let Some((parent, _)) = marker {
-                child_chains.entry(uuid).or_insert(parent);
-            }
         }
 
         // Extract child chains from the map so they can be moved into their
         // parents. Chains forming cycles (corruption) degrade to roots.
         let mut children_by_id: HashMap<Uuid, Vec<CallNode>> = HashMap::new();
-        for &child in child_chains.keys() {
+        for child in child_chains {
             if let Some(chain) = parsed.remove(&child) {
                 children_by_id.insert(child, chain);
             }
@@ -327,7 +393,7 @@ impl Dscg {
             let mut stack: Vec<&mut CallNode> = roots.iter_mut().collect();
             while let Some(node) = stack.pop() {
                 if node.kind == CallKind::Oneway {
-                    if let Some(child_id) = node.stub_start.as_ref().and_then(|r| r.oneway_child) {
+                    if let Some(child_id) = node.oneway_child {
                         if let Some(mut chain) = children_by_id.remove(&child_id) {
                             match chain.len() {
                                 0 => {
@@ -399,28 +465,64 @@ impl Dscg {
 }
 
 /// One chain's tree, built from the Figure-4 machine's decisions: each
-/// closed frame becomes a node under its parent frame, or a root.
+/// closed frame becomes a node under its parent frame, or a root. Beside
+/// the tree it collects the one-way links the chain's records carry.
 struct TreeBuilder {
     chain: Uuid,
     roots: Vec<CallNode>,
     abnormalities: Vec<Abnormality>,
+    /// Per open frame, innermost last: the chain its opening stub start
+    /// forked.
+    open_forks: Vec<Option<Uuid>>,
+    /// Every chain a record of this chain forked.
+    forks: Vec<Uuid>,
+    /// Some one-way head of this chain named a parent chain.
+    has_parent_marker: bool,
 }
 
-impl Consumer<ProbeRecord, Vec<CallNode>> for TreeBuilder {
+impl TreeBuilder {
+    fn new(chain: Uuid) -> TreeBuilder {
+        TreeBuilder {
+            chain,
+            roots: Vec::new(),
+            abnormalities: Vec::new(),
+            open_forks: Vec::new(),
+            forks: Vec::new(),
+            has_parent_marker: false,
+        }
+    }
+}
+
+impl Consumer<NodeProbe, Vec<CallNode>> for TreeBuilder {
+    fn opened(&mut self, record: &ProbeRecord) {
+        let fork = match record.event {
+            TraceEvent::StubStart if record.kind == CallKind::Oneway => record.oneway_child,
+            TraceEvent::StubStart => None,
+            // The head of a one-way child chain.
+            _ => {
+                self.has_parent_marker |= record.oneway_parent.is_some();
+                None
+            }
+        };
+        self.open_forks.push(fork);
+    }
+
     fn closed(
         &mut self,
-        frame: Frame<ProbeRecord, Vec<CallNode>>,
+        frame: Frame<NodeProbe, Vec<CallNode>>,
         how: Close,
-        parent: Option<&mut Frame<ProbeRecord, Vec<CallNode>>>,
+        parent: Option<&mut Frame<NodeProbe, Vec<CallNode>>>,
         _depth: usize,
     ) {
         let node = CallNode {
             func: frame.func,
             kind: frame.kind,
+            chain: self.chain,
             stub_start: frame.stub_start,
             skel_start: frame.skel_start,
             skel_end: frame.skel_end,
             stub_end: frame.stub_end,
+            oneway_child: self.open_forks.pop().expect("every open frame has a fork slot"),
             children: frame.children,
             complete: matches!(how, Close::Completed | Close::Sent),
         };
@@ -627,6 +729,28 @@ mod tests {
         let dscg = build(records);
         assert!(dscg.abnormalities.is_empty());
         assert_eq!(dscg.trees[0].roots[0].kind, CallKind::Collocated);
+    }
+
+    #[test]
+    fn call_nodes_stay_compact() {
+        // Four probe slots of event number, site and stamps — not four
+        // whole records (880 B a node when they were).
+        assert!(std::mem::size_of::<CallNode>() <= 400, "{}", std::mem::size_of::<CallNode>());
+        assert!(std::mem::size_of::<Option<NodeProbe>>() <= 64);
+    }
+
+    #[test]
+    fn node_probes_keep_exactly_the_recorded_stamps() {
+        let mut record = rec(1, 5, TraceEvent::SkelStart, CallKind::Sync, 1);
+        record.wall_start = Some(0);
+        record.cpu_end = Some(u64::MAX);
+        let probe = NodeProbe::from(&record);
+        assert_eq!((probe.seq, probe.site), (5, record.site));
+        assert_eq!(probe.wall_start(), Some(0), "a zero stamp is still a stamp");
+        assert_eq!((probe.wall_end(), probe.cpu_start()), (None, None));
+        assert_eq!(probe.cpu_end(), Some(u64::MAX));
+        record.wall_start = None;
+        assert_ne!(NodeProbe::from(&record), probe);
     }
 
     #[test]

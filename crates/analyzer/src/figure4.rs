@@ -10,10 +10,10 @@
 //! record": it reports an abnormality and carries on.
 //!
 //! Two consumers drive it. The off-line tree builder in [`crate::dscg`]
-//! keeps whole records in its frames and turns each closed frame into a
-//! `CallNode`. The on-line analyzer in [`crate::online`] keeps only wall
-//! stamps and turns each closed frame into management events, after
-//! re-sequencing the chain's records itself.
+//! keeps each probe's event number, site and stamps in its frames and turns
+//! each closed frame into a `CallNode`. The on-line analyzer in
+//! [`crate::online`] keeps only wall stamps and turns each closed frame into
+//! management events, after re-sequencing the chain's records itself.
 //!
 //! # Where a record is out of place
 //!
@@ -43,16 +43,6 @@ pub(crate) trait Probe {
     fn of(record: &ProbeRecord) -> Self;
     /// The wall stamps `L(F)` and `O_F` read.
     fn stamps(&self) -> Stamps;
-}
-
-impl Probe for ProbeRecord {
-    fn of(record: &ProbeRecord) -> ProbeRecord {
-        record.clone()
-    }
-
-    fn stamps(&self) -> Stamps {
-        <Stamps as Probe>::of(self)
-    }
 }
 
 impl Probe for Stamps {
@@ -102,6 +92,9 @@ pub(crate) enum Close {
 
 /// Receives what the machine decides.
 pub(crate) trait Consumer<P, X> {
+    /// `record` opened a frame: a stub start, or the head of a one-way
+    /// child chain.
+    fn opened(&mut self, _record: &ProbeRecord) {}
     /// `frame` left the stack `how`. `parent` is the frame it was nested in
     /// (`None` at top level) and `depth` its nesting depth (0 = top level).
     fn closed(
@@ -146,14 +139,14 @@ impl<P: Probe, X: Default> Machine<P, X> {
         let idle = self.stack.is_empty();
         let top = self.stack.last_mut().filter(|frame| frame.func == func);
         match record.event {
-            TraceEvent::StubStart => self.open(record, Some(P::of(record)), None),
+            TraceEvent::StubStart => self.open(record, Some(P::of(record)), None, consumer),
             TraceEvent::SkelStart => match top {
                 Some(frame) if frame.stub_start.is_some() && frame.skel_start.is_none() => {
                     frame.skel_start = Some(P::of(record));
                 }
                 // Head of a one-way child chain.
                 None if idle && record.kind == CallKind::Oneway => {
-                    self.open(record, None, Some(P::of(record)));
+                    self.open(record, None, Some(P::of(record)), consumer);
                 }
                 _ => consumer.abnormal(seq, format!("unexpected skel_start for {func}")),
             },
@@ -204,7 +197,14 @@ impl<P: Probe, X: Default> Machine<P, X> {
         }
     }
 
-    fn open(&mut self, record: &ProbeRecord, stub_start: Option<P>, skel_start: Option<P>) {
+    fn open(
+        &mut self,
+        record: &ProbeRecord,
+        stub_start: Option<P>,
+        skel_start: Option<P>,
+        consumer: &mut impl Consumer<P, X>,
+    ) {
+        consumer.opened(record);
         self.stack.push(Frame {
             func: record.func,
             kind: record.kind,

@@ -102,6 +102,7 @@ pub fn critical_path(tree: &CallTree) -> Vec<PathStep> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dscg::NodeProbe;
     use causeway_core::event::TraceEvent;
     use causeway_core::ids::*;
     use causeway_core::record::{CallSite, FunctionKey, ProbeRecord};
@@ -131,18 +132,16 @@ mod tests {
     /// A sync node spanning `[start, end]` on the wall (zero-width probes).
     fn node(object: u64, method: u16, start: u64, end: u64) -> CallNode {
         let func = FunctionKey::new(InterfaceId(0), MethodIndex(method), ObjectId(object));
-        let make = |event, t| {
-            let mut r = stamp(event, t, t);
-            r.func = func;
-            r
-        };
+        let make = |event, t| Some(NodeProbe::from(&stamp(event, t, t)));
         CallNode {
             func,
             kind: CallKind::Sync,
-            stub_start: Some(make(TraceEvent::StubStart, start)),
-            skel_start: Some(make(TraceEvent::SkelStart, start + 1)),
-            skel_end: Some(make(TraceEvent::SkelEnd, end - 1)),
-            stub_end: Some(make(TraceEvent::StubEnd, end)),
+            chain: Uuid(1),
+            stub_start: make(TraceEvent::StubStart, start),
+            skel_start: make(TraceEvent::SkelStart, start + 1),
+            skel_end: make(TraceEvent::SkelEnd, end - 1),
+            stub_end: make(TraceEvent::StubEnd, end),
+            oneway_child: None,
             children: vec![],
             complete: true,
         }

@@ -145,30 +145,33 @@ impl LatencyAnalysis {
 
     /// Computes per-method statistics using up to `threads` worker threads.
     ///
-    /// Trees shard across the pool; each shard collects its `L(F)` samples
-    /// in walk order, and the merge appends shard maps in tree order — the
-    /// exact sample sequence the serial walk produces, so the (stable) sort
-    /// and percentile math below yield bit-identical statistics.
+    /// Contiguous ranges of trees shard across the pool; each range collects
+    /// its `L(F)` samples in walk order, and the merge appends range maps in
+    /// tree order — the exact sample sequence the serial walk produces, so
+    /// the (stable) sort and percentile math below yield bit-identical
+    /// statistics.
     pub fn compute_with_threads(dscg: &Dscg, threads: usize) -> LatencyAnalysis {
-        let shard_maps = pool::par_map(&dscg.trees, threads, |tree| {
-            let mut samples: BTreeMap<(InterfaceId, MethodIndex), Vec<NodeLatency>> =
-                BTreeMap::new();
-            walk_nodes(&tree.roots, &mut |node, _| {
-                if let Some(lat) = node_latency(node) {
-                    samples
-                        .entry((node.func.interface, node.func.method))
-                        .or_default()
-                        .push(lat);
+        let samples = pool::fold_ranges(
+            dscg.trees.len(),
+            threads,
+            |range| {
+                let mut samples: BTreeMap<(InterfaceId, MethodIndex), Vec<NodeLatency>> =
+                    BTreeMap::new();
+                for tree in &dscg.trees[range] {
+                    walk_nodes(&tree.roots, &mut |node, _| {
+                        if let Some(lat) = node_latency(node) {
+                            samples.entry(node.func.method_key()).or_default().push(lat);
+                        }
+                    });
                 }
-            });
-            samples
-        });
-        let mut samples: BTreeMap<(InterfaceId, MethodIndex), Vec<NodeLatency>> = BTreeMap::new();
-        for map in shard_maps {
-            for (key, values) in map {
-                samples.entry(key).or_default().extend(values);
-            }
-        }
+                samples
+            },
+            |samples, part| {
+                for (key, values) in part {
+                    samples.entry(key).or_default().extend(values);
+                }
+            },
+        );
         let per_method = samples
             .into_iter()
             .map(|(key, mut values)| {
@@ -209,7 +212,7 @@ fn percentile(sorted: &[NodeLatency], pct: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dscg::CallTree;
+    use crate::dscg::{CallTree, NodeProbe};
     use causeway_core::event::TraceEvent;
     use causeway_core::ids::*;
     use causeway_core::record::{CallSite, FunctionKey, ProbeRecord};
@@ -237,7 +240,7 @@ mod tests {
     }
 
     fn sync_node(p1: (u64, u64), p2: (u64, u64), p3: (u64, u64), p4: (u64, u64)) -> CallNode {
-        let mut records = [
+        let records = [
             stamp(1, TraceEvent::StubStart, p1.0, p1.1),
             stamp(2, TraceEvent::SkelStart, p2.0, p2.1),
             stamp(3, TraceEvent::SkelEnd, p3.0, p3.1),
@@ -246,10 +249,12 @@ mod tests {
         CallNode {
             func: records[0].func,
             kind: CallKind::Sync,
-            stub_start: Some(records[0].clone()),
-            skel_start: Some(records[1].clone()),
-            skel_end: Some(std::mem::replace(&mut records[2], stamp(0, TraceEvent::SkelEnd, 0, 0))),
-            stub_end: Some(records[3].clone()),
+            chain: Uuid(1),
+            stub_start: Some(NodeProbe::from(&records[0])),
+            skel_start: Some(NodeProbe::from(&records[1])),
+            skel_end: Some(NodeProbe::from(&records[2])),
+            stub_end: Some(NodeProbe::from(&records[3])),
+            oneway_child: None,
             children: Vec::new(),
             complete: true,
         }
@@ -314,7 +319,8 @@ mod tests {
     #[test]
     fn missing_stamps_yield_none() {
         let mut node = sync_node((0, 10), (20, 25), (80, 85), (90, 95));
-        node.stub_end.as_mut().unwrap().wall_start = None;
+        let unstamped = ProbeRecord { wall_start: None, ..stamp(4, TraceEvent::StubEnd, 90, 95) };
+        node.stub_end = Some(NodeProbe::from(&unstamped));
         assert!(node_latency(&node).is_none());
         let mut node2 = sync_node((0, 10), (20, 25), (80, 85), (90, 95));
         node2.stub_start = None;
@@ -482,32 +488,34 @@ pub fn histograms(
     histograms_with_threads(dscg, pool::configured_threads())
 }
 
-/// Per-method latency histograms using up to `threads` worker threads.
-/// Bucket counts are order-insensitive sums, so any merge order yields the
-/// serial result.
+/// Per-method latency histograms using up to `threads` worker threads,
+/// one partial per contiguous range of trees. Bucket counts are
+/// order-insensitive sums, so any merge order yields the serial result.
 pub fn histograms_with_threads(
     dscg: &Dscg,
     threads: usize,
 ) -> BTreeMap<(InterfaceId, MethodIndex), LatencyHistogram> {
-    let shard_maps = pool::par_map(&dscg.trees, threads, |tree| {
-        let mut shard: BTreeMap<(InterfaceId, MethodIndex), LatencyHistogram> = BTreeMap::new();
-        walk_nodes(&tree.roots, &mut |node, _| {
-            if let Some(lat) = node_latency(node) {
-                shard
-                    .entry((node.func.interface, node.func.method))
-                    .or_default()
-                    .record(lat.latency_ns);
+    pool::fold_ranges(
+        dscg.trees.len(),
+        threads,
+        |range| {
+            let mut part: BTreeMap<(InterfaceId, MethodIndex), LatencyHistogram> =
+                BTreeMap::new();
+            for tree in &dscg.trees[range] {
+                walk_nodes(&tree.roots, &mut |node, _| {
+                    if let Some(lat) = node_latency(node) {
+                        part.entry(node.func.method_key()).or_default().record(lat.latency_ns);
+                    }
+                });
             }
-        });
-        shard
-    });
-    let mut out: BTreeMap<(InterfaceId, MethodIndex), LatencyHistogram> = BTreeMap::new();
-    for map in shard_maps {
-        for (key, hist) in map {
-            out.entry(key).or_default().merge(&hist);
-        }
-    }
-    out
+            part
+        },
+        |out, part| {
+            for (key, hist) in part {
+                out.entry(key).or_default().merge(&hist);
+            }
+        },
+    )
 }
 
 #[cfg(test)]

@@ -331,7 +331,7 @@ pub fn sequence_chart(dscg: &Dscg, vocab: &VocabSnapshot, width: usize) -> Strin
                 _ => return,
             },
         };
-        if let (Some(start), Some(end)) = (record_start.wall_start, record_end.wall_end) {
+        if let (Some(start), Some(end)) = (record_start.wall_start(), record_end.wall_end()) {
             spans.push(Span {
                 entity: (record_start.site.process, record_start.site.thread),
                 start,
@@ -417,7 +417,7 @@ pub fn sequence_chart(dscg: &Dscg, vocab: &VocabSnapshot, width: usize) -> Strin
 mod tests {
     use super::*;
     use crate::ccsg::Ccsg;
-    use crate::dscg::{CallTree, Dscg};
+    use crate::dscg::{CallTree, Dscg, NodeProbe};
     use causeway_core::deploy::Deployment;
     use causeway_core::event::{CallKind, TraceEvent};
     use causeway_core::ids::*;
@@ -435,8 +435,8 @@ mod tests {
         v
     }
 
-    fn rec(event: TraceEvent) -> ProbeRecord {
-        ProbeRecord {
+    fn rec(event: TraceEvent) -> NodeProbe {
+        NodeProbe::from(&ProbeRecord {
             uuid: Uuid(1),
             seq: 1,
             event,
@@ -453,17 +453,19 @@ mod tests {
             cpu_end: Some(10),
             oneway_child: None,
             oneway_parent: None,
-        }
+        })
     }
 
     fn simple_dscg() -> Dscg {
         let node = CallNode {
             func: FunctionKey::new(InterfaceId(0), MethodIndex(0), ObjectId(3)),
             kind: CallKind::Sync,
+            chain: Uuid(1),
             stub_start: Some(rec(TraceEvent::StubStart)),
             skel_start: Some(rec(TraceEvent::SkelStart)),
             skel_end: Some(rec(TraceEvent::SkelEnd)),
             stub_end: Some(rec(TraceEvent::StubEnd)),
+            oneway_child: None,
             children: vec![],
             complete: true,
         };
@@ -586,15 +588,15 @@ mod tests {
 #[cfg(test)]
 mod sequence_chart_tests {
     use super::*;
-    use crate::dscg::{CallNode, CallTree, Dscg};
+    use crate::dscg::{CallNode, CallTree, Dscg, NodeProbe};
     use causeway_core::event::{CallKind, TraceEvent};
     use causeway_core::ids::*;
     use causeway_core::names::{InterfaceEntry, VocabSnapshot};
     use causeway_core::record::{CallSite, FunctionKey, ProbeRecord};
     use causeway_core::uuid::Uuid;
 
-    fn stamped(event: TraceEvent, process: u16, t: u64) -> ProbeRecord {
-        ProbeRecord {
+    fn stamped(event: TraceEvent, process: u16, t: u64) -> NodeProbe {
+        NodeProbe::from(&ProbeRecord {
             uuid: Uuid(1),
             seq: 1,
             event,
@@ -611,7 +613,7 @@ mod sequence_chart_tests {
             cpu_end: None,
             oneway_child: None,
             oneway_parent: None,
-        }
+        })
     }
 
     fn vocab() -> VocabSnapshot {
@@ -628,10 +630,12 @@ mod sequence_chart_tests {
         let node = CallNode {
             func: FunctionKey::new(InterfaceId(0), MethodIndex(0), ObjectId(1)),
             kind: CallKind::Sync,
+            chain: Uuid(1),
             stub_start: Some(stamped(TraceEvent::StubStart, 0, 0)),
             skel_start: Some(stamped(TraceEvent::SkelStart, 1, 100)),
             skel_end: Some(stamped(TraceEvent::SkelEnd, 1, 900)),
             stub_end: Some(stamped(TraceEvent::StubEnd, 0, 1000)),
+            oneway_child: None,
             children: vec![],
             complete: true,
         };

@@ -56,8 +56,8 @@ impl OvationAnalysis {
         let mut windows: Vec<ClientWindow> = Vec::new();
         let mut node_id = 0usize;
         dscg.walk(&mut |node, _| {
-            if let (Some(start), Some(end)) = (&node.stub_start, &node.stub_end) {
-                if let (Some(pre), Some(post)) = (start.wall_start, end.wall_end) {
+            if let (Some(start), Some(end)) = (node.stub_start, node.stub_end) {
+                if let (Some(pre), Some(post)) = (start.wall_start(), end.wall_end()) {
                     windows.push(ClientWindow {
                         node_id,
                         pre,
@@ -75,10 +75,10 @@ impl OvationAnalysis {
         dscg.walk(&mut |node, _| {
             let my_id = node_id;
             node_id += 1;
-            let (Some(skel_start), Some(skel_end)) = (&node.skel_start, &node.skel_end) else {
+            let (Some(skel_start), Some(skel_end)) = (node.skel_start, node.skel_end) else {
                 return;
             };
-            let (Some(s_start), Some(s_end)) = (skel_start.wall_start, skel_end.wall_end) else {
+            let (Some(s_start), Some(s_end)) = (skel_start.wall_start(), skel_end.wall_end()) else {
                 return;
             };
             // Collocated executions share the caller's entity; OVATION pairs
@@ -87,9 +87,7 @@ impl OvationAnalysis {
             let servant_entity = (skel_start.site.process, skel_start.site.thread);
             let has_remote_stub = node
                 .stub_start
-                .as_ref()
-                .map(|r| (r.site.process, r.site.thread) != servant_entity)
-                .unwrap_or(false);
+                .is_some_and(|probe| (probe.site.process, probe.site.thread) != servant_entity);
             if !has_remote_stub {
                 return;
             }

@@ -120,10 +120,12 @@ mod tests {
         CallNode {
             func: FunctionKey::new(InterfaceId(0), MethodIndex(0), ObjectId(object)),
             kind: CallKind::Sync,
+            chain: causeway_core::uuid::Uuid(1),
             stub_start: None,
             skel_start: None,
             skel_end: None,
             stub_end: None,
+            oneway_child: None,
             children: vec![],
             complete: true,
         }

@@ -39,11 +39,15 @@ pub struct ScaleStats {
 #[derive(Debug, Clone)]
 pub struct MonitoringDb {
     run: RunLog,
-    /// Record indexes per chain, sorted by ascending event number (the
-    /// paper's "second query").
-    by_uuid: HashMap<Uuid, Vec<usize>>,
     /// Chains in first-appearance order, for deterministic iteration.
     uuid_order: Vec<Uuid>,
+    /// Each chain's position in `uuid_order`.
+    positions: HashMap<Uuid, u32>,
+    /// Record indexes grouped by chain in `uuid_order` order, each group
+    /// sorted by ascending event number (the paper's "second query").
+    by_chain: Vec<u32>,
+    /// Chain `c`'s group is `by_chain[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
 }
 
 impl MonitoringDb {
@@ -56,25 +60,69 @@ impl MonitoringDb {
     /// Like [`MonitoringDb::from_run`] with an explicit worker count. The
     /// per-chain sorts are independent, so the result is identical at any
     /// thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the run holds more than `u32::MAX` records.
     pub fn from_run_with_threads(run: RunLog, threads: usize) -> MonitoringDb {
-        let mut by_uuid: HashMap<Uuid, Vec<usize>> = HashMap::new();
-        let mut uuid_order = Vec::new();
-        for (idx, record) in run.records.iter().enumerate() {
-            let entry = by_uuid.entry(record.uuid).or_insert_with(|| {
-                uuid_order.push(record.uuid);
-                Vec::new()
-            });
-            entry.push(idx);
-        }
         let records = &run.records;
-        let mut chains: Vec<&mut Vec<usize>> = by_uuid.values_mut().collect();
-        pool::par_for_each_mut(&mut chains, threads, |indexes| {
-            // Ascending event number; ties (which only occur in corrupted
-            // logs) break by probe order then record index for determinism.
-            indexes.sort_by_key(|&i| (records[i].seq, records[i].event.probe_number(), i));
-        });
-        drop(chains);
-        MonitoringDb { run, by_uuid, uuid_order }
+        assert!(
+            u32::try_from(records.len()).is_ok(),
+            "a monitoring database indexes at most u32::MAX records"
+        );
+        // Each record's chain position. Consecutive records mostly share a
+        // chain, so the map is consulted only where the chain changes.
+        let mut positions: HashMap<Uuid, u32> = HashMap::new();
+        let mut uuid_order = Vec::new();
+        let mut chain_of = Vec::with_capacity(records.len());
+        let mut current: Option<(Uuid, u32)> = None;
+        for record in records {
+            let position = match current {
+                Some((uuid, position)) if uuid == record.uuid => position,
+                _ => {
+                    let next = uuid_order.len() as u32;
+                    let position = *positions.entry(record.uuid).or_insert_with(|| {
+                        uuid_order.push(record.uuid);
+                        next
+                    });
+                    current = Some((record.uuid, position));
+                    position
+                }
+            };
+            chain_of.push(position);
+        }
+
+        // Group by chain (a counting sort), keyed for the per-chain sort by
+        // ascending event number; ties (which only occur in corrupted logs)
+        // break by probe order then record index for determinism.
+        let mut starts = vec![0u32; uuid_order.len() + 1];
+        for &position in &chain_of {
+            starts[position as usize + 1] += 1;
+        }
+        for c in 1..starts.len() {
+            starts[c] += starts[c - 1];
+        }
+        let mut keys = vec![0u128; records.len()];
+        let mut next = starts.clone();
+        for (index, (record, &position)) in records.iter().zip(&chain_of).enumerate() {
+            let slot = &mut next[position as usize];
+            keys[*slot as usize] = (u128::from(record.seq) << 64)
+                | (u128::from(record.event.probe_number()) << 32)
+                | index as u128;
+            *slot += 1;
+        }
+        drop(chain_of);
+        let mut groups: Vec<&mut [u128]> = Vec::with_capacity(uuid_order.len());
+        let mut rest = keys.as_mut_slice();
+        for bounds in starts.windows(2) {
+            let (group, tail) = rest.split_at_mut((bounds[1] - bounds[0]) as usize);
+            groups.push(group);
+            rest = tail;
+        }
+        pool::par_for_each_mut(&mut groups, threads, |group| group.sort_unstable());
+        drop(groups);
+        let by_chain = keys.into_iter().map(|key| key as u32).collect();
+        MonitoringDb { run, uuid_order, positions, by_chain, starts }
     }
 
     /// The full record table.
@@ -103,12 +151,24 @@ impl MonitoringDb {
         &self.uuid_order
     }
 
+    /// The events of the chain at `position` in [`MonitoringDb::unique_uuids`],
+    /// sorted by ascending event number — the analyzer's second query,
+    /// read straight off the index.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `position` is out of range.
+    pub fn chain_events(&self, position: usize) -> impl ExactSizeIterator<Item = &ProbeRecord> {
+        let group = self.starts[position] as usize..self.starts[position + 1] as usize;
+        self.by_chain[group].iter().map(|&i| &self.run.records[i as usize])
+    }
+
     /// The events of one chain sorted by ascending event number — the
-    /// analyzer's second query.
+    /// analyzer's second query, by UUID.
     pub fn events_for(&self, uuid: Uuid) -> Vec<&ProbeRecord> {
-        self.by_uuid
+        self.positions
             .get(&uuid)
-            .map(|indexes| indexes.iter().map(|&i| &self.run.records[i]).collect())
+            .map(|&position| self.chain_events(position as usize).collect())
             .unwrap_or_default()
     }
 
@@ -116,7 +176,6 @@ impl MonitoringDb {
     pub fn scale_stats(&self) -> ScaleStats {
         let mut methods = HashSet::new();
         let mut interfaces = HashSet::new();
-        let mut components = HashSet::new();
         let mut objects = HashSet::new();
         let mut threads = HashSet::new();
         let mut processes = HashSet::new();
@@ -128,12 +187,15 @@ impl MonitoringDb {
             methods.insert(r.func.method_key());
             interfaces.insert(r.func.interface);
             objects.insert(r.func.object);
-            if let Some(obj) = self.run.vocab.object(r.func.object) {
-                components.insert(obj.component);
-            }
             threads.insert((r.site.process, r.site.thread));
             processes.insert(r.site.process);
         }
+        // One vocabulary lookup per distinct object, not per record.
+        let components: HashSet<_> = objects
+            .iter()
+            .filter_map(|&object| self.run.vocab.object(object))
+            .map(|entry| entry.component)
+            .collect();
         ScaleStats {
             total_records: self.run.records.len(),
             calls,
@@ -189,17 +251,6 @@ impl DbBuilder {
     /// Synthesizes the database with the run's dimension tables.
     pub fn finish(self, vocab: VocabSnapshot, deployment: Deployment) -> MonitoringDb {
         MonitoringDb::from_run(RunLog::new(self.records, vocab, deployment))
-    }
-
-    /// Like [`DbBuilder::finish`] with an explicit worker count for the
-    /// per-chain index sorts.
-    pub fn finish_with_threads(
-        self,
-        vocab: VocabSnapshot,
-        deployment: Deployment,
-        threads: usize,
-    ) -> MonitoringDb {
-        MonitoringDb::from_run_with_threads(RunLog::new(self.records, vocab, deployment), threads)
     }
 }
 
@@ -285,6 +336,60 @@ mod tests {
         assert_eq!(stats.unique_chains, 2);
         assert_eq!(stats.processes, 2);
         assert_eq!(stats.threads, 2);
+    }
+
+    #[test]
+    fn scale_stats_resolve_each_object_to_its_component() {
+        use causeway_core::names::{ComponentId, ObjectEntry};
+        let mut vocab = VocabSnapshot::default();
+        vocab.components.push("Shared".into());
+        for object in [1, 2] {
+            vocab.objects.push((
+                ObjectId(object),
+                ObjectEntry {
+                    label: format!("shared#{object}"),
+                    interface: InterfaceId(0),
+                    component: ComponentId(0),
+                    process: ProcessId(0),
+                },
+            ));
+        }
+        // Objects 1 and 2 share a component; object 3 is unknown to the
+        // vocabulary and contributes none.
+        let records: Vec<ProbeRecord> = [1, 2, 3, 1, 2]
+            .into_iter()
+            .enumerate()
+            .map(|(i, object)| {
+                let mut r = rec(1, i as u64 + 1, TraceEvent::StubStart);
+                r.func.object = ObjectId(object);
+                r
+            })
+            .collect();
+        let db = MonitoringDb::from_run(RunLog::new(records, vocab, Deployment::new()));
+        let stats = db.scale_stats();
+        assert_eq!(stats.unique_objects, 3);
+        assert_eq!(stats.unique_components, 1);
+    }
+
+    #[test]
+    fn chain_events_read_each_group_in_event_order() {
+        // Chains interleave and change on almost every record.
+        let db = db_from(vec![
+            rec(2, 2, TraceEvent::StubEnd),
+            rec(1, 2, TraceEvent::SkelStart),
+            rec(2, 1, TraceEvent::StubStart),
+            rec(1, 1, TraceEvent::StubStart),
+            rec(1, 1, TraceEvent::StubStart),
+            rec(3, 7, TraceEvent::SkelEnd),
+        ]);
+        assert_eq!(db.unique_uuids(), &[Uuid(2), Uuid(1), Uuid(3)]);
+        let seqs = |position| db.chain_events(position).map(|r| r.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(0), vec![1, 2]);
+        assert_eq!(seqs(1), vec![1, 1, 2]);
+        assert_eq!(seqs(2), vec![7]);
+        for (position, &uuid) in db.unique_uuids().iter().enumerate() {
+            assert_eq!(db.chain_events(position).collect::<Vec<_>>(), db.events_for(uuid));
+        }
     }
 
     #[test]

@@ -36,11 +36,12 @@
 //! the shortfall of a crashed run surfaces through
 //! [`RunLog::missing_records`] exactly like a stranded-chunk harvest.
 //!
-//! Checksum verification and record decoding are sharded across
-//! [`pool`] workers frame-by-frame, so binary ingest of a large segment
-//! parallelizes the same way JSONL line parsing does — without serde
-//! and without per-line scanning, since the fixed record width makes
-//! every split point pure arithmetic.
+//! Checksum verification is sharded across [`pool`] workers
+//! frame-by-frame — without serde and without per-line scanning, since the
+//! fixed record width makes every split point pure arithmetic. The records
+//! of the verified prefix then decode in order straight into one table,
+//! sized once from the frames' record counts, so each record is written
+//! exactly once.
 //!
 //! ## Write path
 //!
@@ -484,12 +485,13 @@ fn encode_chunk(thread: LogicalThreadId, records: &[ProbeRecord]) -> Vec<u8> {
     buf
 }
 
-fn decode_chunk(payload: &[u8]) -> Result<Chunk, SegmentError> {
+/// A chunk payload's encoded records, once its framing checks out.
+fn chunk_records(payload: &[u8]) -> Result<&[u8], SegmentError> {
     let mut r = Reader::new(payload);
     if r.u8()? != KIND_CHUNK {
         return Err(corrupt("not a chunk frame"));
     }
-    let thread = LogicalThreadId(r.u32()?);
+    let _thread = r.u32()?;
     let count = r.u32()? as usize;
     let body = r.take(
         count
@@ -497,9 +499,7 @@ fn decode_chunk(payload: &[u8]) -> Result<Chunk, SegmentError> {
             .ok_or_else(|| corrupt("chunk record count overflows"))?,
     )?;
     r.done()?;
-    let records = wire::decode_records(body)
-        .map_err(|e| corrupt(format!("chunk record decode failed: {e}")))?;
-    Ok(Chunk { thread, records })
+    Ok(body)
 }
 
 fn encode_seal(records: u64, expected_records: Option<u64>) -> Vec<u8> {
@@ -713,17 +713,18 @@ impl Recovery {
 }
 
 /// Body of one verified non-header frame.
-enum FrameBody {
-    Chunk(Chunk),
+enum FrameBody<'a> {
+    /// A chunk frame's records, still encoded.
+    Chunk(&'a [u8]),
     Seal { records: u64, expected: Option<u64> },
 }
 
-fn verify_frame(frame: &RawFrame<'_>) -> Result<FrameBody, SegmentError> {
+fn verify_frame<'a>(frame: &RawFrame<'a>) -> Result<FrameBody<'a>, SegmentError> {
     if wire::crc32(frame.payload) != frame.crc {
         return Err(corrupt("frame checksum mismatch"));
     }
     match frame.payload.first() {
-        Some(&KIND_CHUNK) => decode_chunk(frame.payload).map(FrameBody::Chunk),
+        Some(&KIND_CHUNK) => chunk_records(frame.payload).map(FrameBody::Chunk),
         Some(&KIND_SEAL) => {
             decode_seal(frame.payload).map(|(records, expected)| FrameBody::Seal { records, expected })
         }
@@ -774,41 +775,65 @@ pub fn recover_run_log_with_threads(
         frames.push(frame);
     }
 
-    // Parallel verify + decode; the fold below truncates at the first
-    // frame that fails, exactly as a serial scan would.
+    // Parallel checksum verification; the fold below truncates at the
+    // first frame that fails, exactly as a serial scan would.
     let verified = pool::par_map(&frames, threads, verify_frame);
 
-    let mut run = RunLog::new(Vec::new(), header.vocab, header.deployment);
-    run.expected_records = header.expected_records;
-    let mut sealed = false;
-    let mut chunk_frames = 0usize;
-    let mut good_end = header_frame.end;
+    // The chunk frames of the clean prefix, each with the end offset of
+    // its frame.
+    let mut chunks: Vec<(&[u8], usize)> = Vec::new();
+    let mut rows = 0usize;
+    let mut seal = None;
     for (frame, body) in frames.iter().zip(verified) {
         match body {
             // A chunk after the seal means the writer was violated; the
             // seal stays authoritative and the rest is discarded.
-            Ok(FrameBody::Chunk(chunk)) if !sealed => {
-                run.push_chunk(chunk);
-                chunk_frames += 1;
-                good_end = frame.end;
+            Ok(FrameBody::Chunk(records)) if seal.is_none() => {
+                chunks.push((records, frame.end));
+                rows += records.len() / RECORD_WIRE_LEN;
             }
-            Ok(FrameBody::Seal { records, expected }) if !sealed => {
-                if records != run.records.len() as u64 {
+            Ok(FrameBody::Seal { records, expected }) if seal.is_none() => {
+                if records != rows as u64 {
                     // The seal disagrees with what precedes it: trust the
                     // verified chunks, drop the seal.
                     break;
                 }
-                sealed = true;
-                run.expected_records = expected;
-                good_end = frame.end;
+                seal = Some((expected, frame.end));
             }
             _ => break,
         }
     }
+
+    // One record table, sized from the verified frames' counts, which each
+    // frame's records decode straight into, in order. A frame whose records
+    // do not decode ends the clean prefix (and with it the seal) just as a
+    // bad checksum does.
+    let mut table = Vec::with_capacity(rows);
+    for (i, &(records, _)) in chunks.iter().enumerate() {
+        let first_row = table.len();
+        let decoded = records
+            .chunks_exact(RECORD_WIRE_LEN)
+            .try_for_each(|bytes| wire::decode_record(bytes).map(|record| table.push(record)));
+        if decoded.is_err() {
+            table.truncate(first_row);
+            chunks.truncate(i);
+            seal = None;
+            break;
+        }
+    }
+    let good_end = match (seal, chunks.last()) {
+        (Some((_, end)), _) | (None, Some(&(_, end))) => end,
+        (None, None) => header_frame.end,
+    };
+    let mut run = RunLog::new(table, header.vocab, header.deployment);
+    run.expected_records = match seal {
+        Some((expected, _)) => expected,
+        None => header.expected_records,
+    };
     Ok(Recovery {
         run,
-        sealed,
-        chunk_frames,
+        sealed: seal.is_some(),
+        chunk_frames: chunks.len(),
         truncated_bytes: (bytes.len() - good_end) as u64,
     })
 }
@@ -939,6 +964,50 @@ mod tests {
             "shortfall is exact"
         );
         assert!(read_run_log(&bytes).is_err(), "strict mode refuses damage");
+    }
+
+    /// A middle frame damaged three ways — torn length word, bad checksum,
+    /// a record that will not decode under a valid checksum — truncates to
+    /// the same clean prefix with the same reported shortfall.
+    #[test]
+    fn damage_in_a_middle_frame_truncates_to_the_same_prefix() {
+        let run = sample_run(128);
+        let bytes = write_run_log_with_frame(&run, 16);
+        let mut starts = Vec::new();
+        let mut at = next_frame(&bytes, SEGMENT_MAGIC.len()).unwrap().end;
+        while let Some(frame) = next_frame(&bytes, at) {
+            starts.push(at);
+            at = frame.end;
+        }
+        assert_eq!(starts.len(), 8 + 1, "eight chunk frames and the seal");
+        let damaged = starts[3];
+        let torn = {
+            let mut b = bytes.clone();
+            b[damaged..damaged + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            b
+        };
+        let bad_crc = {
+            let mut b = bytes.clone();
+            b[damaged + 4] ^= 1;
+            b
+        };
+        let undecodable = {
+            let mut b = bytes.clone();
+            let payload = damaged + 8;
+            let len = u32::from_le_bytes(b[damaged..damaged + 4].try_into().unwrap()) as usize;
+            b[payload + 9 + RECORD_WIRE_LEN + 24] = 9; // an unknown event tag
+            let crc = wire::crc32(&b[payload..payload + len]);
+            b[damaged + 4..damaged + 8].copy_from_slice(&crc.to_le_bytes());
+            b
+        };
+        for (how, bytes) in [("torn", torn), ("bad crc", bad_crc), ("undecodable", undecodable)] {
+            let recovery = recover_run_log(&bytes).unwrap();
+            assert_eq!(recovery.chunk_frames, 3, "{how}");
+            assert_eq!(recovery.run.records, run.records[..48], "{how}");
+            assert_eq!(recovery.run.missing_records(), Some(128 - 48), "{how}");
+            assert!(!recovery.sealed, "{how}");
+            assert_eq!(recovery.truncated_bytes, (bytes.len() - damaged) as u64, "{how}");
+        }
     }
 
     #[test]

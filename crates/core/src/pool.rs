@@ -17,6 +17,7 @@
 //! pinned with the `CAUSEWAY_ANALYZER_THREADS` environment variable (the
 //! `causeway_analyze` CLI exposes it as `--threads`).
 
+use std::ops::Range;
 use std::sync::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -113,6 +114,29 @@ where
     taken
 }
 
+/// Builds one partial result per contiguous range covering `0..len` — one
+/// range when `threads <= 1`, otherwise about four per worker — on up to
+/// `threads` workers, then folds the partials into the first with `merge`,
+/// in range order. A pass whose merge appends in order therefore reproduces
+/// its serial result at any thread count, while building a handful of
+/// partials instead of one per item.
+pub fn fold_ranges<R, F, M>(len: usize, threads: usize, part: F, mut merge: M) -> R
+where
+    R: Send + Default,
+    F: Fn(Range<usize>) -> R + Sync,
+    M: FnMut(&mut R, R),
+{
+    let parts = if threads <= 1 { 1 } else { (threads * 4).min(len).max(1) };
+    let ranges: Vec<Range<usize>> =
+        (0..parts).map(|i| i * len / parts..(i + 1) * len / parts).collect();
+    let mut partials = par_map(&ranges, threads, |range| part(range.clone())).into_iter();
+    let mut folded = partials.next().unwrap_or_default();
+    for partial in partials {
+        merge(&mut folded, partial);
+    }
+    folded
+}
+
 /// Runs `f` on every element of a mutable slice across up to `threads`
 /// scoped workers (contiguous static partitioning — each worker owns a
 /// disjoint sub-slice).
@@ -161,6 +185,26 @@ mod tests {
         assert_eq!(out.len(), 100);
         assert_eq!(out[0], "0!");
         assert_eq!(out[99], "99!");
+    }
+
+    #[test]
+    fn fold_ranges_covers_the_input_in_order() {
+        for len in [0usize, 1, 3, 10, 257] {
+            for threads in [1, 2, 3, 7] {
+                let mut partials = 1;
+                let folded = fold_ranges(
+                    len,
+                    threads,
+                    |range| range.collect::<Vec<_>>(),
+                    |folded, partial| {
+                        partials += 1;
+                        folded.extend(partial);
+                    },
+                );
+                assert_eq!(folded, (0..len).collect::<Vec<_>>(), "{len} {threads}");
+                assert_eq!(partials == 1, threads == 1 || len <= 1, "{len} {threads}");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 use crate::deploy::Deployment;
 use crate::names::VocabSnapshot;
 use crate::record::ProbeRecord;
-use crate::sink::Chunk;
 use serde::{Deserialize, Serialize};
 
 /// Everything harvested from one system run.
@@ -66,21 +65,6 @@ impl RunLog {
         let expected = self.expected_records?;
         let actual = self.records.len() as u64;
         (expected > actual).then(|| expected - actual)
-    }
-
-    /// Appends a sealed chunk's records (streaming harvest: a collector
-    /// can accumulate a run log chunk-by-chunk as producers seal them,
-    /// instead of waiting for one big post-hoc drain).
-    pub fn push_chunk(&mut self, chunk: Chunk) {
-        self.records.extend(chunk.records);
-    }
-
-    /// Appends a whole stream of sealed chunks in arrival order — how
-    /// segment recovery reassembles a run frame by frame.
-    pub fn push_chunks(&mut self, chunks: impl IntoIterator<Item = Chunk>) {
-        for chunk in chunks {
-            self.push_chunk(chunk);
-        }
     }
 }
 

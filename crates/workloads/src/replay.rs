@@ -234,10 +234,7 @@ pub fn derive_from_dscg(dscg: &Dscg, db: &MonitoringDb, options: DeriveOptions) 
 
 /// The process an invocation executed in (skeleton side preferred).
 fn execution_process(node: &CallNode) -> Option<ProcessId> {
-    node.skel_start
-        .as_ref()
-        .or(node.stub_start.as_ref())
-        .map(|r| r.site.process)
+    node.skel_start.or(node.stub_start).map(|probe| probe.site.process)
 }
 
 /// Replays a harness on a fresh system, returning the new run's log.

@@ -323,7 +323,7 @@ fn oneway_stub_side_latency_is_send_cost_only() {
     // Grafted one-way: the skeleton window carries the callee's 800 ns.
     assert_eq!(node_latency(node).unwrap().latency_ns, 800);
     // The stub side window (send cost) was zero under manual clocks.
-    let stub_window = node.stub_end.as_ref().unwrap().wall_start.unwrap()
-        - node.stub_start.as_ref().unwrap().wall_end.unwrap();
+    let stub_window = node.stub_end.unwrap().wall_start().unwrap()
+        - node.stub_start.unwrap().wall_end().unwrap();
     assert_eq!(stub_window, 0);
 }
