@@ -1,24 +1,21 @@
 //! `causeway-analyze` — the stand-alone off-line characterization tool.
 //!
-//! Reads a run log — the JSONL format produced by
-//! `causeway_collector::jsonl::write_run`, or the binary segment format
-//! produced by `causeway_collector::segment` — and prints the requested
-//! views:
+//! Reads a run log in the binary segment format of
+//! `causeway_collector::segment` — what `online_monitor --segment PATH`
+//! streams to disk, or `segment::write_run_log` produces — and prints the
+//! requested views:
 //!
 //! ```text
-//! causeway_analyze <runlog> [--format=auto|jsonl|bin] [--stats] [--dscg]
-//!                           [--latency] [--cpu] [--ccsg] [--dot] [--lossy]
-//!                           [--max-nodes N] [--threads N]
+//! causeway_analyze <runlog> [--stats] [--dscg] [--latency] [--cpu] [--ccsg]
+//!                           [--dot] [--lossy] [--max-nodes N] [--threads N]
 //! causeway_analyze trace <runlog> [--lossy] [--threads N]
 //! ```
 //!
-//! With no view flags, `--stats --dscg` is assumed. `--format=auto` (the
-//! default) sniffs the segment magic, so `.cwseg` files just work. For a
-//! binary segment, `--lossy` runs crash recovery: the longest clean frame
-//! prefix is analyzed and the truncation is reported. The `trace`
-//! subcommand writes Chrome trace-event JSON to stdout — redirect it to a
-//! file and open it in [Perfetto](https://ui.perfetto.dev) or
-//! `chrome://tracing`.
+//! With no view flags, `--stats --dscg` is assumed. `--lossy` runs crash
+//! recovery: the longest clean frame prefix is analyzed and the truncation
+//! is reported. The `trace` subcommand writes Chrome trace-event JSON to
+//! stdout — redirect it to a file and open it in
+//! [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`.
 
 use causeway_analyzer::ccsg::Ccsg;
 use causeway_analyzer::chrome_trace;
@@ -28,26 +25,13 @@ use causeway_analyzer::latency::LatencyAnalysis;
 use causeway_analyzer::hotspot;
 use causeway_analyzer::render::{AsciiOptions, ascii_tree, ccsg_xml, dot, sequence_chart};
 use causeway_collector::db::MonitoringDb;
-use causeway_collector::jsonl;
 use causeway_collector::segment;
 use causeway_core::pool;
 use causeway_core::runlog::RunLog;
 use std::process::ExitCode;
 
-/// The on-disk run-log encoding to expect.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    /// Sniff: segment magic → binary, anything else → JSONL.
-    Auto,
-    /// Line-oriented JSON (`jsonl::write_run`).
-    Jsonl,
-    /// Checksummed binary segment (`segment::write_run_log`).
-    Bin,
-}
-
 struct Options {
     path: String,
-    format: Format,
     trace: bool,
     stats: bool,
     dscg: bool,
@@ -68,7 +52,6 @@ fn parse_args() -> Result<Options, String> {
     let mut first_positional = true;
     let mut options = Options {
         path: String::new(),
-        format: Format::Auto,
         trace: false,
         stats: false,
         dscg: false,
@@ -108,13 +91,6 @@ fn parse_args() -> Result<Options, String> {
                     .filter(|&n: &usize| n > 0)
                     .ok_or("--threads needs a positive number")?;
             }
-            "--format" => {
-                let value = args.next().ok_or("--format needs auto, jsonl, or bin")?;
-                options.format = parse_format(&value)?;
-            }
-            other if other.starts_with("--format=") => {
-                options.format = parse_format(&other["--format=".len()..])?;
-            }
             "--help" | "-h" => return Err("help".into()),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag {other}"));
@@ -147,60 +123,29 @@ fn parse_args() -> Result<Options, String> {
     Ok(options)
 }
 
-fn parse_format(value: &str) -> Result<Format, String> {
-    match value {
-        "auto" => Ok(Format::Auto),
-        "jsonl" => Ok(Format::Jsonl),
-        "bin" => Ok(Format::Bin),
-        other => Err(format!("unknown format {other:?} (want auto, jsonl, or bin)")),
+/// Loads the run from raw segment bytes, honoring `--lossy`.
+fn load_run(bytes: &[u8], options: &Options) -> Result<RunLog, String> {
+    if !bytes.starts_with(segment::SEGMENT_MAGIC) {
+        return Err(format!(
+            "{} is not a run-log segment: it does not start with the CWSEG01 magic \
+             (write one with `online_monitor --segment PATH`)",
+            options.path,
+        ));
     }
-}
-
-/// Loads the run from raw file bytes according to the (possibly sniffed)
-/// format, honoring `--lossy` in both encodings.
-fn load_run(bytes: Vec<u8>, options: &Options) -> Result<RunLog, String> {
-    let format = match options.format {
-        Format::Auto => {
-            if bytes.starts_with(segment::SEGMENT_MAGIC) {
-                Format::Bin
-            } else {
-                Format::Jsonl
-            }
+    if options.lossy {
+        let recovery = segment::recover_run_log_with_threads(bytes, options.threads)
+            .map_err(|e| e.to_string())?;
+        if !recovery.is_clean() {
+            eprintln!(
+                "warning: segment recovered, not read cleanly: {} trailing byte(s) \
+                 dropped, sealed={}",
+                recovery.truncated_bytes, recovery.sealed,
+            );
         }
-        explicit => explicit,
-    };
-    match format {
-        Format::Bin if options.lossy => {
-            let recovery = segment::recover_run_log_with_threads(&bytes, options.threads)
-                .map_err(|e| e.to_string())?;
-            if !recovery.is_clean() {
-                eprintln!(
-                    "warning: segment recovered, not read cleanly: {} trailing byte(s) \
-                     dropped, sealed={}",
-                    recovery.truncated_bytes, recovery.sealed,
-                );
-            }
-            Ok(recovery.run)
-        }
-        Format::Bin => segment::read_run_log_with_threads(&bytes, options.threads)
-            .map_err(|e| format!("{e} (try --lossy to recover a damaged segment)")),
-        Format::Jsonl => {
-            let text = String::from_utf8(bytes)
-                .map_err(|_| "run log is not UTF-8 (binary segment? try --format=bin)")?;
-            if options.lossy {
-                let (run, skipped) =
-                    jsonl::read_run_lossy_with_threads(&text, options.threads)
-                        .map_err(|e| e.to_string())?;
-                if skipped > 0 {
-                    eprintln!("warning: skipped {skipped} corrupt record lines");
-                }
-                Ok(run)
-            } else {
-                jsonl::read_run_with_threads(&text, options.threads)
-                    .map_err(|e| format!("{e} (try --lossy for damaged logs)"))
-            }
-        }
-        Format::Auto => unreachable!("resolved above"),
+        Ok(recovery.run)
+    } else {
+        segment::read_run_log_with_threads(bytes, options.threads)
+            .map_err(|e| format!("{e} (try --lossy to recover a damaged segment)"))
     }
 }
 
@@ -212,7 +157,7 @@ fn main() -> ExitCode {
                 eprintln!("error: {message}\n");
             }
             eprintln!(
-                "usage: causeway_analyze <runlog> [--format=auto|jsonl|bin] [--stats] [--dscg] [--latency] \
+                "usage: causeway_analyze <runlog> [--stats] [--dscg] [--latency] \
                  [--cpu] [--ccsg] [--dot] [--chart] [--hotspots] [--histogram] [--lossy] [--max-nodes N] [--threads N]\n\
                  \x20      causeway_analyze trace <runlog> [--lossy] [--threads N]   Chrome trace JSON on stdout"
             );
@@ -228,7 +173,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let run = match load_run(bytes, &options) {
+    let run = match load_run(&bytes, &options) {
         Ok(run) => run,
         Err(message) => {
             eprintln!("error: {message}");

@@ -226,13 +226,13 @@ pub fn export(db: &MonitoringDb) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use causeway_collector::db::DbBuilder;
     use causeway_collector::json;
     use causeway_core::deploy::Deployment;
     use causeway_core::event::TraceEvent;
     use causeway_core::ids::*;
     use causeway_core::names::SystemVocab;
     use causeway_core::record::{CallSite, FunctionKey, ProbeRecord};
+    use causeway_core::runlog::RunLog;
     use causeway_core::uuid::Uuid;
 
     fn rec(
@@ -272,14 +272,13 @@ mod tests {
         let node = deployment.add_node("box", cpu);
         deployment.add_process("client", node);
         deployment.add_process("server", node);
-        let mut builder = DbBuilder::new();
-        builder.ingest_records([
+        let records = vec![
             rec(1, TraceEvent::StubStart, 0, 0, (1_000, 2_000)),
             rec(2, TraceEvent::SkelStart, 1, 0, (5_000, 6_000)),
             rec(3, TraceEvent::SkelEnd, 1, 0, (20_000, 21_000)),
             rec(4, TraceEvent::StubEnd, 0, 0, (25_000, 26_000)),
-        ]);
-        builder.finish(vocab.snapshot(), deployment)
+        ];
+        MonitoringDb::from_run(RunLog::new(records, vocab.snapshot(), deployment))
     }
 
     #[test]
@@ -327,8 +326,7 @@ mod tests {
         let mut deployment = Deployment::new();
         let node = deployment.add_node("box", vocab.intern_cpu_type("T"));
         deployment.add_process("p", node);
-        let mut builder = DbBuilder::new();
-        let mut records = [
+        let mut records = vec![
             rec(1, TraceEvent::StubStart, 0, 0, (0, 0)),
             rec(2, TraceEvent::SkelStart, 0, 0, (0, 0)),
             rec(3, TraceEvent::SkelEnd, 0, 0, (0, 0)),
@@ -338,8 +336,7 @@ mod tests {
             record.wall_start = None;
             record.wall_end = None;
         }
-        builder.ingest_records(records);
-        let db = builder.finish(vocab.snapshot(), deployment);
+        let db = MonitoringDb::from_run(RunLog::new(records, vocab.snapshot(), deployment));
         let parsed = json::parse(&export(&db)).unwrap();
         let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
         assert!(

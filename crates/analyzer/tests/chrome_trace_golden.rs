@@ -13,13 +13,14 @@
 //! ```
 
 use causeway_analyzer::chrome_trace;
-use causeway_collector::db::{DbBuilder, MonitoringDb};
+use causeway_collector::db::MonitoringDb;
 use causeway_collector::json::{self, Json};
 use causeway_core::deploy::Deployment;
 use causeway_core::event::{CallKind, TraceEvent};
 use causeway_core::ids::*;
 use causeway_core::names::SystemVocab;
 use causeway_core::record::{CallSite, FunctionKey, ProbeRecord};
+use causeway_core::runlog::RunLog;
 use causeway_core::uuid::Uuid;
 
 const JOB_CHAIN: Uuid = Uuid(0xA11CE);
@@ -95,8 +96,7 @@ fn printing_pipeline_db() -> MonitoringDb {
     );
     notify_head.oneway_parent = Some((JOB_CHAIN, 5));
 
-    let mut builder = DbBuilder::new();
-    builder.ingest_records([
+    let records = vec![
         rec(JOB_CHAIN, 1, TraceEvent::StubStart, sync, submit, 0, 0, (1_000, 1_200)),
         rec(JOB_CHAIN, 2, TraceEvent::SkelStart, sync, submit, 1, 0, (2_000, 2_200)),
         rec(JOB_CHAIN, 3, TraceEvent::StubStart, sync, rasterize, 1, 0, (3_000, 3_200)),
@@ -109,8 +109,8 @@ fn printing_pipeline_db() -> MonitoringDb {
         rec(JOB_CHAIN, 10, TraceEvent::StubEnd, sync, submit, 0, 0, (9_000, 9_200)),
         notify_head,
         rec(NOTIFY_CHAIN, 2, TraceEvent::SkelEnd, oneway, notify, 3, 1, (5_800, 5_900)),
-    ]);
-    builder.finish(vocab.snapshot(), deployment)
+    ];
+    MonitoringDb::from_run(RunLog::new(records, vocab.snapshot(), deployment))
 }
 
 const GOLDEN_PATH: &str =

@@ -7,7 +7,7 @@
 //!
 //! 1. the wire payload grows linearly in chain length (vs. the FTL's
 //!    constant 24 bytes) — see [`TraceObject::wire_size`] and the
-//!    `ftl_vs_trace_object` bench;
+//!    `exp_payload_growth` experiment;
 //! 2. the entry list alone cannot determine the *hierarchical* call graph:
 //!    a cascading pattern (`F(); G();`) and a nesting pattern (`F{ G() }`)
 //!    concatenate the *same* entries — see

@@ -7,14 +7,17 @@
 //! dual-processor Windows 2000 computer."
 //!
 //! This binary generates the synthetic commercial system at the same scale,
-//! runs the full monitored workload, computes the DSCG, and prints the
-//! paper-vs-measured comparison plus a Figure-5-style excerpt of the graph.
-//! Pass `--small` for a quick run at reduced scale.
+//! runs the full monitored workload, persists it as a segment and reads it
+//! back, computes the DSCG, and prints the paper-vs-measured comparison plus
+//! a Figure-5-style excerpt of the graph. It asserts that the segment
+//! round-trips the run bit-identically and that the sharded DSCG build
+//! equals the serial one. Pass `--small` for a quick run at reduced scale.
 
 use causeway_bench::{banner, fmt_duration, print_table, timed};
 use causeway_analyzer::dscg::Dscg;
 use causeway_analyzer::render::{AsciiOptions, ascii_tree};
 use causeway_collector::db::MonitoringDb;
+use causeway_collector::segment;
 use causeway_workloads::{CommercialConfig, CommercialSystem};
 
 fn main() {
@@ -45,12 +48,19 @@ fn main() {
     let (roots, run_time) = timed(|| commercial.run());
     println!("  {roots} root transactions in {}", fmt_duration(run_time));
 
-    let (db, collect_time) = timed(|| MonitoringDb::from_run(commercial.finish()));
+    let (db, collect_time) = timed(|| {
+        let run = commercial.finish();
+        let bytes = segment::write_run_log(&run);
+        let decoded = segment::read_run_log(&bytes).expect("segment reads back");
+        assert!(decoded == run, "segment round-trip must be bit-identical");
+        MonitoringDb::from_run(decoded)
+    });
     let stats = db.scale_stats();
-    println!("  collected + synthesized in {}", fmt_duration(collect_time));
+    println!("  collected, persisted, re-read + synthesized in {}", fmt_duration(collect_time));
 
-    let (dscg, dscg_time) = timed(|| Dscg::build(&db));
+    let (dscg, dscg_time) = timed(|| Dscg::build_with_threads(&db, 1));
     assert!(dscg.abnormalities.is_empty(), "healthy run must be clean");
+    assert!(Dscg::build_with_threads(&db, 2) == dscg, "sharded DSCG must equal the serial one");
 
     println!("\n--- scale statistics (paper vs. measured) ---");
     print_table(

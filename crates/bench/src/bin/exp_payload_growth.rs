@@ -20,8 +20,12 @@ fn main() {
 
     let detail_len = 32; // bytes of verbose call info per TO entry
     let mut rows = Vec::new();
+    let mut previous_to_size = 0;
     for depth in [1usize, 10, 100, 1_000, 10_000, 100_000] {
         let to = TraceObject::simulate_chain(depth, detail_len);
+        assert!(to.wire_size() > previous_to_size, "Trace Object grows with depth");
+        assert!(to.wire_size() >= depth * detail_len, "Trace Object carries every entry");
+        previous_to_size = to.wire_size();
         let mut ftl = FunctionTxLog::fresh();
         for _ in 0..depth {
             ftl.next_seq();

@@ -1,7 +1,9 @@
 //! # causeway-bench
 //!
 //! Experiment harness: one binary per table/figure of the paper's
-//! evaluation (see `DESIGN.md` §5 for the index) plus Criterion benches.
+//! evaluation (see `DESIGN.md` §5 for the index). Each binary asserts the
+//! bound the paper states and exits non-zero when it does not hold; the
+//! per-layer timings live in the perf ledger (`bench_report/`).
 //!
 //! | Binary | Reproduces |
 //! |---|---|
@@ -16,35 +18,8 @@
 //! | `exp_baseline_gprof` | §5 — gprof's cross-boundary blindness |
 //! | `exp_baseline_ovation` | §5 — OVATION's causal ambiguity |
 //! | `exp_sta_mingling` | §2.2 — STA causal mingling and the fix |
-//!
-//! Criterion benches: `probe_overhead`, `write_path`, `dscg_scaling`,
-//! `ftl_vs_trace_object`, `analyzer_phases`, `live_ingest`.
 
-use causeway_core::event::{CallKind, TraceEvent};
-use causeway_core::ids::{InterfaceId, LogicalThreadId, MethodIndex, NodeId, ObjectId, ProcessId};
-use causeway_core::record::{CallSite, FunctionKey, ProbeRecord};
-use causeway_core::uuid::Uuid;
 use std::time::{Duration, Instant};
-
-/// A synthetic record for sink and codec benches (neither the push path
-/// nor the fixed-width encoder looks at the payload, so the fields just
-/// need to exist).
-pub fn sample_record(seq: u64) -> ProbeRecord {
-    ProbeRecord {
-        uuid: Uuid(seq as u128),
-        seq,
-        event: TraceEvent::StubStart,
-        kind: CallKind::Sync,
-        site: CallSite { node: NodeId(0), process: ProcessId(0), thread: LogicalThreadId(0) },
-        func: FunctionKey::new(InterfaceId(0), MethodIndex(0), ObjectId(0)),
-        wall_start: None,
-        wall_end: None,
-        cpu_start: None,
-        cpu_end: None,
-        oneway_child: None,
-        oneway_parent: None,
-    }
-}
 
 /// Formats a duration in adaptive human units.
 pub fn fmt_duration(d: Duration) -> String {

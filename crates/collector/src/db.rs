@@ -210,50 +210,6 @@ impl MonitoringDb {
     }
 }
 
-/// Incremental database builder fed by sealed log chunks.
-///
-/// A collector can accumulate records chunk-by-chunk as producers seal
-/// them — pulling from [`causeway_core::sink::LogStore::try_recv_chunk`]
-/// while the run is still executing — and synthesize the database once,
-/// at the end. The post-hoc [`MonitoringDb::from_run`] path remains for
-/// harvested [`RunLog`]s.
-#[derive(Debug, Default)]
-pub struct DbBuilder {
-    records: Vec<ProbeRecord>,
-}
-
-impl DbBuilder {
-    /// An empty builder.
-    pub fn new() -> DbBuilder {
-        DbBuilder::default()
-    }
-
-    /// Appends one sealed chunk's records.
-    pub fn ingest_chunk(&mut self, chunk: causeway_core::sink::Chunk) {
-        self.records.extend(chunk.records);
-    }
-
-    /// Appends loose records (e.g. merged from another domain's drain).
-    pub fn ingest_records(&mut self, records: impl IntoIterator<Item = ProbeRecord>) {
-        self.records.extend(records);
-    }
-
-    /// Records accumulated so far.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when nothing has been ingested yet.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Synthesizes the database with the run's dimension tables.
-    pub fn finish(self, vocab: VocabSnapshot, deployment: Deployment) -> MonitoringDb {
-        MonitoringDb::from_run(RunLog::new(self.records, vocab, deployment))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,37 +376,5 @@ mod tests {
                 assert_eq!(serial.events_for(uuid), parallel.events_for(uuid));
             }
         }
-    }
-
-    #[test]
-    fn builder_over_chunks_matches_post_hoc_synthesis() {
-        use causeway_core::sink::Chunk;
-        let records = vec![
-            rec(1, 1, TraceEvent::StubStart),
-            rec(1, 2, TraceEvent::SkelStart),
-            rec(1, 3, TraceEvent::SkelEnd),
-            rec(1, 4, TraceEvent::StubEnd),
-            rec(2, 1, TraceEvent::StubStart),
-        ];
-        let mut builder = DbBuilder::new();
-        assert!(builder.is_empty());
-        // Stream the same records as two thread-chunks plus a loose tail.
-        builder.ingest_chunk(Chunk {
-            thread: LogicalThreadId(0),
-            records: records[..2].to_vec(),
-        });
-        builder.ingest_chunk(Chunk {
-            thread: LogicalThreadId(1),
-            records: records[2..4].to_vec(),
-        });
-        builder.ingest_records(records[4..].iter().cloned());
-        assert_eq!(builder.len(), 5);
-        let streamed = builder.finish(VocabSnapshot::default(), Deployment::new());
-        let posthoc = db_from(records);
-        assert_eq!(streamed.scale_stats(), posthoc.scale_stats());
-        assert_eq!(streamed.unique_uuids(), posthoc.unique_uuids());
-        let streamed_events: Vec<u64> =
-            streamed.events_for(Uuid(1)).iter().map(|r| r.seq).collect();
-        assert_eq!(streamed_events, vec![1, 2, 3, 4]);
     }
 }

@@ -1,9 +1,9 @@
 //! A minimal JSON reader/writer.
 //!
-//! The allowed dependency set has no `serde_json`; the persistence needs of
-//! this crate are flat records and two small dimension tables, so a compact
-//! hand-rolled JSON module keeps the repository dependency-free (see
-//! `DESIGN.md` §6).
+//! The allowed dependency set has no `serde_json`; the JSON needs of the
+//! workspace are the analyzer's views and small request bodies, so a
+//! compact hand-rolled JSON module keeps the repository dependency-free
+//! (see `DESIGN.md` §6).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -16,7 +16,7 @@ pub enum Json {
     /// `true` / `false`
     Bool(bool),
     /// Any number (stored as f64; integers up to 2^53 round-trip exactly,
-    /// which covers every id and nanosecond stamp this crate persists —
+    /// which covers every id and nanosecond stamp the views emit —
     /// u64 values beyond that are written as strings by the callers).
     Num(f64),
     /// A string.

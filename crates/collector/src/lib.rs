@@ -10,12 +10,13 @@
 //!   Function UUIDs ever created" and "sort the events associated with the
 //!   invocations sharing the UUID by ascending order"), along with dimension
 //!   lookups (names, deployment) and scale statistics.
-//! * [`jsonl`] — a line-oriented persistence format so runs can be written
-//!   to disk and analyzed off-line, as the paper's stand-alone analyzer
-//!   does.
-//! * [`segment`] — the durable binary storage spine: append-only segment
-//!   files of checksummed frames with crash-safe recovery, carrying the
-//!   fixed-width record encoding of `causeway_core::wire`.
+//! * [`segment`] — the one on-disk format: append-only segment files of
+//!   checksummed frames with crash-safe recovery, carrying the fixed-width
+//!   record encoding of `causeway_core::wire`, so runs can be written to
+//!   disk and analyzed off-line, as the paper's stand-alone analyzer does.
+//! * [`json`] — a small JSON value type, writer and parser: the analyzer's
+//!   JSON views (live endpoints, Chrome trace) and the live monitor's
+//!   request bodies.
 //!
 //! # Example
 //!
@@ -31,9 +32,6 @@
 
 pub mod db;
 pub mod json;
-pub mod jsonl;
-pub mod query;
 pub mod segment;
 
 pub use db::{MonitoringDb, ScaleStats};
-pub use query::Query;

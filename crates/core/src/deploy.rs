@@ -8,10 +8,9 @@
 //! CPU consumption accordingly.
 
 use crate::ids::{CpuTypeId, NodeId, ProcessId};
-use serde::{Deserialize, Serialize};
 
 /// One processor in the deployment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeInfo {
     /// Display name, e.g. `"hp-k460"`.
     pub name: String,
@@ -20,7 +19,7 @@ pub struct NodeInfo {
 }
 
 /// One operating-system process in the deployment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessInfo {
     /// Display name, e.g. `"render-server"`.
     pub name: String,
@@ -41,7 +40,7 @@ pub struct ProcessInfo {
 /// assert_eq!(d.node_of(p), Some(n));
 /// assert_eq!(d.cpu_type_of_process(p), Some(CpuTypeId(0)));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Deployment {
     /// Nodes in id order.
     pub nodes: Vec<NodeInfo>,

@@ -1,6 +1,5 @@
 //! Tracing events and invocation kinds.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four tracing events of the paper, one per probe of Figure 1.
@@ -9,7 +8,7 @@ use std::fmt;
 /// invocation path, and the *event chaining patterns* over a whole log
 /// (Table 1) are what let the analyzer distinguish sibling calls from
 /// parent/child (nested) calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceEvent {
     /// Probe 1 — start of the stub, right after the client invokes the
     /// function.
@@ -67,7 +66,7 @@ impl fmt::Display for TraceEvent {
 }
 
 /// The flavor of a component-object invocation (Section 2.2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CallKind {
     /// Ordinary synchronous remote invocation: the caller blocks until the
     /// reply arrives. All four probes fire, 1 and 4 on the caller thread,

@@ -10,7 +10,6 @@
 //! which concatenates and therefore grows linearly.)
 
 use crate::uuid::Uuid;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The paper's `Probe::FunctionTxLogType`: `{ UUID global_function_id;
@@ -27,7 +26,7 @@ use std::fmt;
 /// let wire = ftl.to_wire();
 /// assert_eq!(FunctionTxLog::from_wire(&wire).unwrap(), ftl);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FunctionTxLog {
     /// Names the causal chain this activity belongs to.
     pub global_function_id: Uuid,

@@ -12,9 +12,8 @@
 //!
 //! Deliberate non-goals: keep-alive, chunked encoding, TLS. Every request
 //! is one short-lived connection, which keeps the server loop trivially
-//! correct and the per-request overhead measurable (the
-//! `smoke_live_endpoint` CI gate holds it under 1.2× ingest throughput at
-//! a 10 Hz scrape rate).
+//! correct and the per-request overhead measurable (the perf ledger's
+//! `httpd.roundtrip_us.*` rows).
 //!
 //! # Example
 //!

@@ -4,7 +4,6 @@
 //! integers (C-NEWTYPE): a [`ProcessId`] can never be confused with a
 //! [`NodeId`] even though both wrap a `u16`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a *processor* (a machine / board) in the deployment.
@@ -12,7 +11,7 @@ use std::fmt;
 /// Each node carries a CPU type (see [`crate::deploy::NodeInfo`]); the
 /// analyzer reports descendant CPU consumption as a vector with one slot per
 /// distinct CPU type (`<C1, C2, … CM>` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u16);
 
 /// Identifies an operating-system *process* in the deployment.
@@ -20,7 +19,7 @@ pub struct NodeId(pub u16);
 /// In this reproduction a "process" is a runtime domain with its own object
 /// registry, server engine and transport inbox; crossing a process boundary
 /// always involves genuine byte-level marshalling (see `causeway-orb`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub u16);
 
 /// Identifies a thread *within a process*.
@@ -29,25 +28,25 @@ pub struct ProcessId(pub u16);
 /// process's [`crate::sink::LogStore`] the first time a thread records a
 /// probe, which mirrors how the paper reports "the code base is partitioned
 /// into 32 threads".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LogicalThreadId(pub u32);
 
 /// Identifies a component *object instance* (the paper's `ObjectID`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u64);
 
 /// Identifies an *interface* (an IDL `interface` declaration) by its interned
 /// name in the [`crate::names::SystemVocab`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InterfaceId(pub u32);
 
 /// Identifies a method *within* an interface by its declaration index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MethodIndex(pub u16);
 
 /// Identifies a processor *type* (e.g. `"HPUX"`, `"WindowsNT"`, `"VxWorks"`)
 /// by its interned name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CpuTypeId(pub u16);
 
 macro_rules! impl_display {

@@ -18,10 +18,10 @@
 //! 2. **Cheap to hold.** A subsystem resolves its handles once (typically
 //!    into a `OnceLock`-initialized struct) and clones are reference
 //!    bumps, so per-thread or per-store caching is free.
-//! 3. **Disable-able.** [`set_enabled`]`(false)` turns every handle update
-//!    into a branch-and-return, which is how the overhead budget
-//!    (`smoke_metrics_overhead`, CI-enforced at ≤ 2× the uninstrumented
-//!    sink push) is measured.
+//! 3. **Always on.** Views report some counters as facts (history
+//!    evictions, spill errors), so every handle update is unconditional.
+//!    The perf ledger measures what that costs (`sink.push_ns` and the
+//!    probe bracket rows).
 //!
 //! Naming convention (see `DESIGN.md` §5c): every metric is
 //! `causeway_<subsystem>_<quantity>[_<unit>][_total]` — `_total` for
@@ -45,22 +45,8 @@
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Process-wide metrics switch. On by default; flip off to measure the
-/// cost of the instrumentation itself (every handle update early-outs).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables every metric handle in the process.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// `true` when metric updates are being recorded.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// Histogram bucket count: bucket `i` holds values `v` with
 /// `floor(log2(v)) + 1 == i` (bucket 0 holds `v == 0`), so the full `u64`
@@ -86,18 +72,13 @@ impl Counter {
     /// the operation when `prev % stride == 0`).
     #[inline]
     pub fn inc(&self) -> u64 {
-        if !enabled() {
-            return u64::MAX; // never matches a sampling stride of 2^k
-        }
         self.0.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The current value.
@@ -131,17 +112,13 @@ impl Gauge {
     /// Adds `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        if enabled() {
-            self.0.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Overwrites the value.
     #[inline]
     pub fn set(&self, value: i64) {
-        if enabled() {
-            self.0.store(value, Ordering::Relaxed);
-        }
+        self.0.store(value, Ordering::Relaxed);
     }
 
     /// The current value.
@@ -193,9 +170,6 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn observe(&self, value: u64) {
-        if !enabled() {
-            return;
-        }
         let core = &*self.0;
         core.buckets[bucket_index(value).min(HISTOGRAM_BUCKETS - 1)]
             .fetch_add(1, Ordering::Relaxed);
@@ -748,13 +722,8 @@ fn with_label(labels: &str, key: &str, value: &str) -> String {
 mod tests {
     use super::*;
 
-    /// The enabled flag is process-global, so the one test that flips it
-    /// takes this lock exclusively while every other test holds it shared.
-    static FLAG: std::sync::RwLock<()> = std::sync::RwLock::new(());
-
     #[test]
     fn counters_and_gauges_round_trip() {
-        let _shared = FLAG.read().unwrap();
         let registry = MetricsRegistry::new();
         let c = registry.counter("t_total", "a counter");
         let g = registry.gauge("t_depth", "a gauge");
@@ -772,7 +741,6 @@ mod tests {
 
     #[test]
     fn handles_are_shared_by_name() {
-        let _shared = FLAG.read().unwrap();
         let registry = MetricsRegistry::new();
         let a = registry.counter("shared_total", "x");
         let b = registry.counter("shared_total", "x");
@@ -783,7 +751,6 @@ mod tests {
 
     #[test]
     fn labeled_series_are_distinct() {
-        let _shared = FLAG.read().unwrap();
         let registry = MetricsRegistry::new();
         let a = registry.counter_with("lbl_total", "x", &[("engine", "pool")]);
         let b = registry.counter_with("lbl_total", "x", &[("engine", "sta")]);
@@ -796,7 +763,6 @@ mod tests {
 
     #[test]
     fn exposition_carries_type_and_escaped_help_per_family() {
-        let _shared = FLAG.read().unwrap();
         let registry = MetricsRegistry::new();
         registry.counter("shape_total", "line one\nline two with a \\ backslash").inc();
         registry.gauge("shape_depth", "plain help").set(3);
@@ -820,7 +786,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a gauge")]
     fn kind_mismatch_panics() {
-        let _shared = FLAG.read().unwrap();
         let registry = MetricsRegistry::new();
         registry.counter("kind_total", "x");
         registry.gauge("kind_total", "x");
@@ -828,7 +793,6 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_log2() {
-        let _shared = FLAG.read().unwrap();
         let h = Histogram::detached();
         for v in [0u64, 1, 2, 3, 4, 1000, u64::MAX] {
             h.observe(v);
@@ -845,7 +809,6 @@ mod tests {
 
     #[test]
     fn quantiles_use_bucket_upper_bounds() {
-        let _shared = FLAG.read().unwrap();
         let h = Histogram::detached();
         for _ in 0..99 {
             h.observe(100); // bucket 7, upper bound 127
@@ -858,7 +821,6 @@ mod tests {
 
     #[test]
     fn concurrent_updates_sum_exactly() {
-        let _shared = FLAG.read().unwrap();
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 10_000;
         let registry = MetricsRegistry::new();
@@ -886,7 +848,6 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_is_stable() {
-        let _shared = FLAG.read().unwrap();
         let registry = MetricsRegistry::new();
         registry.counter("z_total", "last").add(3);
         registry.gauge("a_depth", "first").set(2);
@@ -918,7 +879,6 @@ z_total 3
 
     #[test]
     fn json_snapshot_is_parseable_shape() {
-        let _shared = FLAG.read().unwrap();
         let registry = MetricsRegistry::new();
         registry.counter("j_total", "x").add(7);
         let h = registry.histogram("j_ns", "x");
@@ -930,26 +890,7 @@ z_total 3
     }
 
     #[test]
-    fn disabled_metrics_drop_updates() {
-        let _exclusive = FLAG.write().unwrap();
-        let c = Counter::detached();
-        let g = Gauge::detached();
-        let h = Histogram::detached();
-        set_enabled(false);
-        c.inc();
-        g.inc();
-        h.observe(9);
-        set_enabled(true);
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
-        assert_eq!(h.count(), 0);
-        c.inc();
-        assert_eq!(c.get(), 1);
-    }
-
-    #[test]
     fn op_metrics_register_once_per_operation() {
-        let _shared = FLAG.read().unwrap();
         use crate::ids::{InterfaceId, MethodIndex};
         let ops = OpMetrics::new("test-op");
         let mut resolutions = 0;
@@ -973,7 +914,6 @@ z_total 3
 
     #[test]
     fn label_values_are_escaped() {
-        let _shared = FLAG.read().unwrap();
         let registry = MetricsRegistry::new();
         registry
             .counter_with("esc_total", "x", &[("path", "a\"b\\c\nd")])

@@ -9,13 +9,12 @@
 
 use crate::ids::{CpuTypeId, InterfaceId, MethodIndex, ObjectId, ProcessId};
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifies a component (a named unit of deployment that owns objects).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ComponentId(pub u32);
 
 impl std::fmt::Display for ComponentId {
@@ -25,7 +24,7 @@ impl std::fmt::Display for ComponentId {
 }
 
 /// Metadata for one registered interface.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InterfaceEntry {
     /// Fully qualified interface name, e.g. `"Example::Foo"`.
     pub name: String,
@@ -34,7 +33,7 @@ pub struct InterfaceEntry {
 }
 
 /// Metadata for one live component object instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectEntry {
     /// Human-readable instance label, e.g. `"Rasterizer#2"`.
     pub label: String,
@@ -216,7 +215,7 @@ impl SystemVocab {
 
 /// An immutable, serializable copy of the vocabulary, stored alongside the
 /// collected logs so the analyzer can print names off-line.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VocabSnapshot {
     /// Interned interfaces in id order.
     pub interfaces: Vec<InterfaceEntry>,

@@ -10,11 +10,10 @@
 use crate::event::{CallKind, TraceEvent};
 use crate::ids::{InterfaceId, LogicalThreadId, MethodIndex, NodeId, ObjectId, ProcessId};
 use crate::uuid::Uuid;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies *which function on which object* an invocation targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FunctionKey {
     /// The IDL interface the method belongs to.
     pub interface: InterfaceId,
@@ -44,7 +43,7 @@ impl fmt::Display for FunctionKey {
 }
 
 /// Where a probe fired: processor, process and logical thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CallSite {
     /// The processor (node) hosting the process.
     pub node: NodeId,
@@ -66,7 +65,7 @@ impl fmt::Display for CallSite {
 /// `cpu_*` only when CPU probing is enabled — per the paper, the two are not
 /// activated simultaneously by default to reduce interference, but causality
 /// (uuid/seq/event) is *always* captured.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeRecord {
     /// The causal chain this event belongs to.
     pub uuid: Uuid,

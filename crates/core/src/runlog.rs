@@ -8,10 +8,9 @@
 use crate::deploy::Deployment;
 use crate::names::VocabSnapshot;
 use crate::record::ProbeRecord;
-use serde::{Deserialize, Serialize};
 
 /// Everything harvested from one system run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunLog {
     /// All probe records, grouped by (process, thread) in drain order.
     pub records: Vec<ProbeRecord>,
@@ -26,7 +25,6 @@ pub struct RunLog {
     /// idle point, or the system was harvested before quiescence); the
     /// analyzer warns about it. `None` for logs assembled by hand or
     /// written by older tools.
-    #[serde(default)]
     pub expected_records: Option<u64>,
 }
 

@@ -9,7 +9,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
 use std::str::FromStr;
@@ -27,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// let text = a.to_string();
 /// assert_eq!(text.parse::<Uuid>().unwrap(), a);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Uuid(pub u128);
 
 /// Salt mixed into every per-thread generator so that two threads seeded in

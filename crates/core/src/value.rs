@@ -6,11 +6,10 @@
 //! reproduction honest: the FTL must ride the message, because nothing else
 //! survives the byte boundary.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dynamically typed IDL value.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum Value {
     /// The absence of a value (a `void` result).
     #[default]

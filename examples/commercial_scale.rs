@@ -9,7 +9,7 @@
 use causeway::analyzer::dscg::Dscg;
 use causeway::analyzer::render::{AsciiOptions, ascii_tree};
 use causeway::collector::db::MonitoringDb;
-use causeway::collector::jsonl;
+use causeway::collector::segment;
 use causeway::workloads::{CommercialConfig, CommercialSystem};
 use std::time::Instant;
 
@@ -37,9 +37,9 @@ fn main() {
 
     // Persist the raw monitoring data the way the paper's collector feeds
     // its relational database, then read it back.
-    let text = jsonl::write_run(&run);
-    println!("serialized run log: {:.1} MB", text.len() as f64 / 1e6);
-    let restored = jsonl::read_run(&text).expect("round trip");
+    let bytes = segment::write_run_log(&run);
+    println!("run-log segment: {:.1} MB", bytes.len() as f64 / 1e6);
+    let restored = segment::read_run_log(&bytes).expect("round trip");
 
     let db = MonitoringDb::from_run(restored);
     let stats = db.scale_stats();

@@ -8,7 +8,7 @@
 use causeway::analyzer::dscg::Dscg;
 use causeway::analyzer::render::{AsciiOptions, ascii_tree};
 use causeway::collector::db::MonitoringDb;
-use causeway::collector::jsonl;
+use causeway::collector::segment;
 use causeway::core::monitor::ProbeMode;
 use causeway::core::value::Value;
 use causeway::orb::prelude::*;
@@ -68,12 +68,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     system.shutdown();
     let run = system.harvest();
 
-    // Simulate a crash that truncated the persisted log mid-record.
-    let mut text = jsonl::write_run(&run);
-    let cut = text.len() - 40;
-    text.truncate(cut);
-    let (restored, skipped) = jsonl::read_run_lossy(&text)?;
-    println!("\ncrash-truncated log: recovered {} records, skipped {skipped}", restored.len());
+    // Simulate a crash that tore the persisted log mid-record: one record
+    // per frame, and the cut lands inside the last record's frame.
+    let mut bytes = segment::write_run_log_with_frame(&run, 1);
+    bytes.truncate(bytes.len() - 40);
+    let recovery = segment::recover_run_log(&bytes)?;
+    let restored = recovery.run;
+    println!(
+        "\ncrash-truncated log: recovered {} records, dropped {} torn byte(s), {} missing",
+        restored.len(),
+        recovery.truncated_bytes,
+        restored.missing_records().unwrap_or(0),
+    );
 
     let db = MonitoringDb::from_run(restored);
     let dscg = Dscg::build(&db);

@@ -7,7 +7,7 @@ use causeway_analyzer::dscg::Dscg;
 use causeway_analyzer::latency::LatencyAnalysis;
 use causeway_analyzer::render::{AsciiOptions, ascii_tree, ccsg_xml};
 use causeway_collector::db::MonitoringDb;
-use causeway_collector::jsonl;
+use causeway_collector::segment;
 use causeway_core::monitor::ProbeMode;
 use causeway_core::value::Value;
 use causeway_orb::prelude::*;
@@ -234,11 +234,11 @@ fn cpu_analysis_propagates_across_processor_types() {
 }
 
 #[test]
-fn runlog_round_trips_through_jsonl() {
+fn runlog_round_trips_through_segment() {
     let pipe = build_pipeline(ProbeMode::Latency);
     let db = run_pages(&pipe, 2);
-    let text = jsonl::write_run(db.run());
-    let restored = jsonl::read_run(&text).unwrap();
+    let bytes = segment::write_run_log(db.run());
+    let restored = segment::read_run_log(&bytes).unwrap();
     assert_eq!(&restored, db.run());
 
     // The analyzer produces the identical DSCG from the re-read log.

@@ -6,7 +6,7 @@
 use causeway::analyzer::dscg::Dscg;
 use causeway::analyzer::latency::LatencyAnalysis;
 use causeway::collector::db::MonitoringDb;
-use causeway::collector::jsonl;
+use causeway::collector::segment;
 use causeway::core::ids::ProcessId;
 use causeway::core::monitor::ProbeMode;
 use causeway::core::runlog::RunLog;
@@ -69,27 +69,27 @@ fn losing_the_driver_log_orphans_chains_but_keeps_structure() {
 }
 
 #[test]
-fn corrupted_jsonl_recovers_with_lossy_reader() {
+fn corrupted_segment_recovers_with_lossy_reader() {
     let run = pps_run(ProbeMode::Latency);
-    let mut text = jsonl::write_run(&run);
+    let mut bytes = segment::write_run_log_with_frame(&run, 16);
 
-    // Corrupt a handful of record lines in place (not the header).
-    let lines: Vec<&str> = text.lines().collect();
-    let mut rebuilt = String::new();
-    for (i, line) in lines.iter().enumerate() {
-        if i > 0 && i % 37 == 0 {
-            rebuilt.push_str("GARBAGE-NOT-JSON\n");
-        } else {
-            rebuilt.push_str(line);
-            rebuilt.push('\n');
-        }
+    // Flip one payload byte of a chunk frame in the middle of the segment
+    // (frame 0 is the header, the last one the seal).
+    let mut starts = Vec::new();
+    let mut cursor = segment::SEGMENT_MAGIC.len();
+    while let Some(frame) = segment::next_frame(&bytes, cursor) {
+        starts.push(cursor);
+        cursor = frame.end;
     }
-    text = rebuilt;
+    assert!(starts.len() >= 5, "enough chunk frames to damage a middle one");
+    bytes[starts[starts.len() / 2] + 8 + 20] ^= 0xFF;
 
-    assert!(jsonl::read_run(&text).is_err(), "strict mode refuses corruption");
-    let (restored, skipped) = jsonl::read_run_lossy(&text).expect("lossy mode succeeds");
-    assert!(skipped > 0);
+    assert!(segment::read_run_log(&bytes).is_err(), "strict mode refuses corruption");
+    let recovery = segment::recover_run_log(&bytes).expect("lossy mode succeeds");
+    let restored = recovery.run;
     assert!(restored.records.len() < run.records.len());
+    assert_eq!(restored.records[..], run.records[..restored.records.len()], "a clean prefix");
+    assert!(restored.missing_records().is_some_and(|missing| missing > 0));
 
     // The analyzer still reconstructs the undamaged chains; the damaged
     // ones are flagged.

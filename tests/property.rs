@@ -1,7 +1,7 @@
 //! Property-based tests over the core invariants:
 //!
-//! * marshalling and persistence round-trips, and decoder totality on
-//!   arbitrary garbage;
+//! * marshalling round-trips, and decoder totality on arbitrary garbage
+//!   (the segment format has its own in `crates/collector/tests`);
 //! * **reconstruction fidelity**: any randomly shaped call tree executed on
 //!   the real runtime is reconstructed *exactly* by the analyzer;
 //! * event numbering density per chain;
@@ -16,7 +16,6 @@ use causeway::analyzer::dscg::{walk_pre_post, CallNode, Dscg, Visit};
 use causeway::analyzer::latency::node_latency;
 use causeway::analyzer::online::{OnlineAnalyzer, OnlineEvent};
 use causeway::collector::db::MonitoringDb;
-use causeway::collector::jsonl;
 use causeway::core::deploy::Deployment;
 use causeway::core::event::{CallKind, TraceEvent};
 use causeway::core::ids::*;
@@ -70,12 +69,6 @@ proptest! {
     fn wire_decoder_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         // Must never panic; errors are fine.
         let _ = wire::decode_args(bytes::Bytes::from(bytes));
-    }
-
-    #[test]
-    fn jsonl_reader_is_total(text in ".{0,400}") {
-        let _ = jsonl::read_run(&text);
-        let _ = jsonl::read_run_lossy(&text);
     }
 
     #[test]
@@ -385,14 +378,6 @@ proptest! {
             let parallel = Dscg::build_with_threads(&db, threads);
             prop_assert_eq!(&parallel, &serial, "threads={}", threads);
         }
-    }
-
-    #[test]
-    fn jsonl_round_trips_arbitrary_records(records in prop::collection::vec(arbitrary_record(), 0..20)) {
-        let run = RunLog::new(records, VocabSnapshot::default(), Deployment::new());
-        let text = jsonl::write_run(&run);
-        let restored = jsonl::read_run(&text).expect("own output reads back");
-        prop_assert_eq!(restored, run);
     }
 }
 
