@@ -205,9 +205,9 @@ impl ExemplarStore {
     /// the segment and replays prior admissions through the admission
     /// logic, so the post-restart state matches the pre-restart state.
     /// A spill that cannot be attached degrades to memory-only capture,
-    /// recording the error for the read side.
-    pub fn new(cfg: ExemplarConfig) -> ExemplarStore {
-        let registry = MetricsRegistry::global();
+    /// recording the error for the read side. The
+    /// `causeway_live_exemplar_*` series go to `registry`.
+    pub fn new(cfg: ExemplarConfig, registry: &MetricsRegistry) -> ExemplarStore {
         let mut store = ExemplarStore {
             cfg: cfg.clone(),
             next_id: 0,
@@ -855,7 +855,7 @@ mod tests {
 
     #[test]
     fn eviction_is_fastest_first_never_fifo() {
-        let mut store = ExemplarStore::new(cfg(2, 0));
+        let mut store = ExemplarStore::new(cfg(2, 0), &MetricsRegistry::new());
         store.offer(series(), Uuid(1), 10, 0, false, &[call(10)]);
         store.offer(series(), Uuid(2), 30, 0, false, &[call(30)]);
         // A slower chain displaces the *fastest* retained one, not the
@@ -873,7 +873,7 @@ mod tests {
 
     #[test]
     fn pinned_exemplars_survive_eviction_by_slower_traffic() {
-        let mut store = ExemplarStore::new(cfg(2, 0));
+        let mut store = ExemplarStore::new(cfg(2, 0), &MetricsRegistry::new());
         store.offer(series(), Uuid(1), 10, 0, false, &[call(10)]);
         store.offer(series(), Uuid(2), 30, 0, false, &[call(30)]);
         // Pin the fastest — the member fastest-first eviction would take.
@@ -913,7 +913,7 @@ mod tests {
 
     #[test]
     fn abnormal_chains_always_admit_and_outlive_slow_ones() {
-        let mut store = ExemplarStore::new(cfg(2, 0));
+        let mut store = ExemplarStore::new(cfg(2, 0), &MetricsRegistry::new());
         store.offer(series(), Uuid(1), 100, 0, false, &[call(100)]);
         store.offer(series(), Uuid(2), 90, 0, false, &[call(90)]);
         // An abnormal chain admits regardless of latency, evicting the
@@ -929,7 +929,7 @@ mod tests {
 
     #[test]
     fn uniform_sample_admits_fast_chains_deterministically() {
-        let mut store = ExemplarStore::new(cfg(1, 1));
+        let mut store = ExemplarStore::new(cfg(1, 1), &MetricsRegistry::new());
         let fast_sampled = sampled_uuid();
         let fast_plain = unsampled_uuid(fast_sampled.0 + 1);
         store.offer(series(), Uuid(u128::MAX), 1_000_000, 0, false, &[call(1_000_000)]);
@@ -944,7 +944,7 @@ mod tests {
     fn global_count_and_byte_caps_evict_lowest_value_first() {
         let mut config = cfg(4, 0);
         config.max_total = 2;
-        let mut store = ExemplarStore::new(config);
+        let mut store = ExemplarStore::new(config, &MetricsRegistry::new());
         let other = (InterfaceId(1), MethodIndex(0));
         store.offer(series(), Uuid(1), 10, 0, false, &[call(10)]);
         store.offer(series(), Uuid(2), 30, 0, false, &[call(30)]);
@@ -958,7 +958,7 @@ mod tests {
 
         let mut tiny = cfg(4, 0);
         tiny.max_bytes = EXEMPLAR_BASE_COST; // no room for any completions
-        let mut store = ExemplarStore::new(tiny);
+        let mut store = ExemplarStore::new(tiny, &MetricsRegistry::new());
         assert_eq!(store.offer(series(), Uuid(9), 10, 0, false, &[call(10)]), None);
         assert_eq!(store.rejected(), 1);
         assert_eq!(store.len(), 0);
@@ -967,7 +967,7 @@ mod tests {
     #[test]
     fn disabled_store_captures_nothing() {
         let config = ExemplarConfig { enabled: false, ..ExemplarConfig::default() };
-        let mut store = ExemplarStore::new(config);
+        let mut store = ExemplarStore::new(config, &MetricsRegistry::new());
         assert_eq!(store.offer(series(), Uuid(1), 10, 0, true, &[call(10)]), None);
         assert!(store.is_empty());
         assert_eq!(store.admitted(), 0);
@@ -976,7 +976,7 @@ mod tests {
 
     #[test]
     fn breaching_prefers_breach_window_then_latency() {
-        let mut store = ExemplarStore::new(cfg(4, 0));
+        let mut store = ExemplarStore::new(cfg(4, 0), &MetricsRegistry::new());
         store.offer(series(), Uuid(1), 500, 3, false, &[call(500)]);
         store.offer(series(), Uuid(2), 100, 7, false, &[call(100)]);
         store.offer(series(), Uuid(3), 200, 7, false, &[call(200)]);
@@ -1029,7 +1029,7 @@ mod tests {
         let tmp = TempSpill::new("replay");
         let mut config = cfg(2, 0);
         config.spill = Some(tmp.0.clone());
-        let mut store = ExemplarStore::new(config.clone());
+        let mut store = ExemplarStore::new(config.clone(), &MetricsRegistry::new());
         store.offer(series(), Uuid(1), 10, 0, false, &[call(10)]);
         store.offer(series(), Uuid(2), 30, 0, false, &[call(30)]);
         store.offer(series(), Uuid(3), 20, 1, false, &[call(20)]);
@@ -1039,7 +1039,7 @@ mod tests {
 
         // Restart: the spill replays every admission through the same
         // caps, reproducing the surviving set and its ids.
-        let store = ExemplarStore::new(config);
+        let store = ExemplarStore::new(config, &MetricsRegistry::new());
         assert!(store.spill_error().is_none());
         let after: Vec<(u64, Uuid)> =
             store.series_sorted(series()).iter().map(|e| (e.id, e.chain)).collect();
@@ -1052,7 +1052,7 @@ mod tests {
         let tmp = TempSpill::new("foreign");
         std::fs::write(&tmp.0, b"definitely not a spill segment").unwrap();
         let config = ExemplarConfig { spill: Some(tmp.0.clone()), ..ExemplarConfig::default() };
-        let mut store = ExemplarStore::new(config);
+        let mut store = ExemplarStore::new(config, &MetricsRegistry::new());
         assert!(store.spill_error().is_some(), "foreign file must be refused");
         // Capture still works memory-only.
         assert!(store.offer(series(), Uuid(1), 10, 0, false, &[call(10)]).is_some());

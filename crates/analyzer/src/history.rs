@@ -84,9 +84,9 @@ pub struct WindowHistory {
 
 impl WindowHistory {
     /// Creates an empty store capped at `cap_windows` entries and
-    /// `cap_bytes` of approximate memory (both at least 1).
-    pub fn new(cap_windows: usize, cap_bytes: usize) -> WindowHistory {
-        let registry = MetricsRegistry::global();
+    /// `cap_bytes` of approximate memory (both at least 1), publishing its
+    /// `causeway_live_history_*` series to `registry`.
+    pub fn new(cap_windows: usize, cap_bytes: usize, registry: &MetricsRegistry) -> WindowHistory {
         WindowHistory {
             ring: VecDeque::new(),
             cap_windows: cap_windows.max(1),
@@ -638,9 +638,9 @@ pub struct BurnState {
 }
 
 impl BurnState {
-    /// Registers the rule's exported series and starts calm.
-    pub fn new(rule: BurnRule) -> BurnState {
-        let registry = MetricsRegistry::global();
+    /// Registers the rule's exported series in `registry` and starts
+    /// calm.
+    pub fn new(rule: BurnRule, registry: &MetricsRegistry) -> BurnState {
         let labels = [("alert", rule.condition.name.as_str())];
         let active_gauge = registry.gauge_with(
             "causeway_live_burn_active",
@@ -754,26 +754,17 @@ mod tests {
         HistoryEntry { window: snapshot(index, latency_ns, 4), folded }
     }
 
-    /// A store counting evictions and spills in counters of its own: the
-    /// registry's are process-global, so tests evicting in parallel would
-    /// land in them too.
-    fn isolated(cap_windows: usize, cap_bytes: usize) -> WindowHistory {
-        WindowHistory {
-            evictions: Counter::detached(),
-            spilled: Counter::detached(),
-            ..WindowHistory::new(cap_windows, cap_bytes)
-        }
-    }
-
     #[test]
     fn ring_caps_by_window_count_and_counts_evictions() {
-        let mut history = isolated(4, usize::MAX);
-        let before = history.evictions();
+        let registry = MetricsRegistry::new();
+        let mut history = WindowHistory::new(4, usize::MAX, &registry);
         for i in 0..10u64 {
             history.push(entry(i, 1000));
         }
         assert_eq!(history.len(), 4);
-        assert_eq!(history.evictions() - before, 6);
+        assert_eq!(history.evictions(), 6);
+        assert_eq!(registry.counter_value("causeway_live_history_evictions"), Some(6));
+        assert_eq!(registry.gauge_value("causeway_live_history_windows"), Some(4));
         assert!(history.get(5).is_none(), "evicted ordinal");
         assert_eq!(history.get(9).unwrap().window.index, 9);
         assert_eq!(history.get(6).unwrap().window.index, 6);
@@ -784,7 +775,7 @@ mod tests {
     fn ring_caps_by_bytes() {
         let one = entry(0, 1000).approx_bytes();
         // Room for roughly three entries; the count cap would allow eight.
-        let mut history = WindowHistory::new(8, one * 3 + one / 2);
+        let mut history = WindowHistory::new(8, one * 3 + one / 2, &MetricsRegistry::new());
         for i in 0..8u64 {
             history.push(entry(i, 1000));
         }
@@ -827,14 +818,15 @@ mod tests {
     #[test]
     fn eviction_spills_and_lookup_serves_past_the_ring() {
         let spill = TempSpill::new("evict");
-        let mut history = isolated(4, usize::MAX);
+        let registry = MetricsRegistry::new();
+        let mut history = WindowHistory::new(4, usize::MAX, &registry);
         history.enable_spill(&spill.0).unwrap();
-        let spilled_before = history.spilled();
         for i in 0..10u64 {
             history.push(entry(i, 1000 + i));
         }
         assert_eq!(history.len(), 4, "ring still caps at 4");
-        assert_eq!(history.spilled() - spilled_before, 6, "six evictions spilled");
+        assert_eq!(history.spilled(), 6, "six evictions spilled");
+        assert_eq!(registry.counter_value("causeway_live_history_spilled"), Some(6));
         assert_eq!(history.spill().unwrap().len(), 6);
         assert_eq!(history.spill().unwrap().min_index(), Some(0));
         assert_eq!(history.spill().unwrap().max_index(), Some(5));
@@ -859,10 +851,10 @@ mod tests {
     #[test]
     fn range_clamps_hostile_bounds_to_known_ordinals() {
         // An empty store answers instantly whatever the bounds.
-        let empty = WindowHistory::new(4, usize::MAX);
+        let empty = WindowHistory::new(4, usize::MAX, &MetricsRegistry::new());
         assert!(empty.range(0, u64::MAX, 100).is_empty());
         let spill = TempSpill::new("hostile_range");
-        let mut history = WindowHistory::new(4, usize::MAX);
+        let mut history = WindowHistory::new(4, usize::MAX, &MetricsRegistry::new());
         history.enable_spill(&spill.0).unwrap();
         for i in 0..10u64 {
             history.push(entry(i, 1000 + i));
@@ -892,7 +884,7 @@ mod tests {
         }
         // A fresh store (empty ring) reattached to the old spill file must
         // still serve the spilled ordinals through range().
-        let mut history = WindowHistory::new(4, usize::MAX);
+        let mut history = WindowHistory::new(4, usize::MAX, &MetricsRegistry::new());
         history.enable_spill(&spill.0).unwrap();
         assert!(history.is_empty());
         let served = history.range(0, u64::MAX, 100);
@@ -1001,8 +993,8 @@ mod tests {
 
     #[test]
     fn one_window_spike_never_fires_but_sustained_regression_does() {
-        let mut history = WindowHistory::new(32, usize::MAX);
-        let mut state = BurnState::new(burn_rule(3, 24));
+        let mut history = WindowHistory::new(32, usize::MAX, &MetricsRegistry::new());
+        let mut state = BurnState::new(burn_rule(3, 24), &MetricsRegistry::new());
         let mut transitions = Vec::new();
         // Calm, one-window spike, calm, sustained regression, recovery.
         let profile: Vec<u64> = [10_000; 4]

@@ -448,9 +448,9 @@ impl IncidentStore {
     /// Creates an empty store retaining at most `capacity` incidents. A
     /// capacity of 0 retains nothing: every open is immediately evicted
     /// (callers must treat a vanished just-opened incident as a skip, not
-    /// a bug — see `causeway_incident_dropped_total`).
-    pub fn new(capacity: usize) -> IncidentStore {
-        let registry = MetricsRegistry::global();
+    /// a bug — see `causeway_incident_dropped_total`). The
+    /// `causeway_incident_*` series go to `registry`.
+    pub fn new(capacity: usize, registry: &MetricsRegistry) -> IncidentStore {
         IncidentStore {
             incidents: VecDeque::new(),
             next_id: 1,
@@ -606,7 +606,7 @@ mod tests {
     use super::*;
 
     fn store_with_incident() -> (IncidentStore, u64) {
-        let mut store = IncidentStore::new(8);
+        let mut store = IncidentStore::new(8, &MetricsRegistry::new());
         let id = store.open("p95>1ms", 10, Some(6), 1_000);
         let incident = store.get_mut(id).unwrap();
         incident.add_hypothesis(
@@ -700,7 +700,7 @@ mod tests {
 
     #[test]
     fn ring_capacity_evicts_oldest_incidents() {
-        let mut store = IncidentStore::new(2);
+        let mut store = IncidentStore::new(2, &MetricsRegistry::new());
         let a = store.open("a", 1, None, 1);
         let b = store.open("b", 2, None, 2);
         let c = store.open("c", 3, None, 3);

@@ -34,12 +34,13 @@ use causeway_core::record::{FunctionKey, ProbeRecord};
 use causeway_core::sink::{Chunk, LogStore};
 use causeway_core::uuid::Uuid;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::OnceLock;
 use std::time::Duration;
 
-/// Self-observability handles for on-line analysis, aggregated across every
-/// analyzer in the process (an analyzer instance is not a stable series
-/// identity — monitors create them freely).
+/// Self-observability handles for on-line analysis. Analyzers given one
+/// registry aggregate into one set of series (an analyzer instance is not
+/// a stable series identity — monitors create them freely); the default
+/// handles belong to no registry.
+#[derive(Debug, Default)]
 struct OnlineMetrics {
     records: Counter,
     duplicates: Counter,
@@ -50,10 +51,8 @@ struct OnlineMetrics {
     lag: Gauge,
 }
 
-fn online_metrics() -> &'static OnlineMetrics {
-    static METRICS: OnceLock<OnlineMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = MetricsRegistry::global();
+impl OnlineMetrics {
+    fn register(r: &MetricsRegistry) -> OnlineMetrics {
         OnlineMetrics {
             records: r.counter(
                 "causeway_online_records_total",
@@ -84,14 +83,14 @@ fn online_metrics() -> &'static OnlineMetrics {
                 "records still in the polled store after the last poll",
             ),
         }
-    })
+    }
 }
 
 /// Forwards an event to the caller's sink, counting the countable ones.
-fn emit(sink: &mut impl FnMut(OnlineEvent), event: OnlineEvent) {
+fn emit(m: &OnlineMetrics, sink: &mut impl FnMut(OnlineEvent), event: OnlineEvent) {
     match &event {
-        OnlineEvent::CallCompleted { .. } => online_metrics().completed.add(1),
-        OnlineEvent::Abnormality { .. } => online_metrics().abnormalities.add(1),
+        OnlineEvent::CallCompleted { .. } => m.completed.add(1),
+        OnlineEvent::Abnormality { .. } => m.abnormalities.add(1),
         OnlineEvent::ChainIdle { .. } => {}
     }
     sink(event);
@@ -178,6 +177,7 @@ impl ChainState {
     /// the chain idle if it has no open work left.
     fn step(
         &mut self,
+        m: &OnlineMetrics,
         chain: Uuid,
         records: impl IntoIterator<Item = ProbeRecord>,
         sink: &mut impl FnMut(OnlineEvent),
@@ -196,30 +196,35 @@ impl ChainState {
                 // In order with nothing buffered: inserting and draining
                 // would hand this record, and only it, to the machine.
                 self.processed = record.seq;
-                self.apply(chain, &record, sink);
+                self.apply(m, chain, &record, sink);
                 continue;
             }
             duplicates += u64::from(self.pending.insert(record.seq, record).is_some());
             // Drain the contiguous prefix.
             while let Some(record) = self.pending.remove(&(self.processed + 1)) {
                 self.processed = record.seq;
-                self.apply(chain, &record, sink);
+                self.apply(m, chain, &record, sink);
             }
         }
-        let m = online_metrics();
         m.records.add(fed);
         if duplicates > 0 {
             m.duplicates.add(duplicates);
         }
         if self.machine.open_calls() == 0 && self.pending.is_empty() && self.completed_calls > 0 {
-            emit(sink, OnlineEvent::ChainIdle { chain, completed_calls: self.completed_calls });
+            emit(m, sink, OnlineEvent::ChainIdle { chain, completed_calls: self.completed_calls });
         }
     }
 
     /// One Figure-4 transition.
-    fn apply(&mut self, chain: Uuid, record: &ProbeRecord, sink: &mut impl FnMut(OnlineEvent)) {
+    fn apply(
+        &mut self,
+        metrics: &OnlineMetrics,
+        chain: Uuid,
+        record: &ProbeRecord,
+        sink: &mut impl FnMut(OnlineEvent),
+    ) {
         let completed_calls = &mut self.completed_calls;
-        let mut out = Emitter { chain, processed: self.processed, completed_calls, sink };
+        let mut out = Emitter { chain, processed: self.processed, completed_calls, metrics, sink };
         self.machine.step(record, &mut out);
     }
 }
@@ -230,6 +235,7 @@ struct Emitter<'a, S> {
     /// Reported as the position of end-of-stream abnormalities.
     processed: u64,
     completed_calls: &'a mut usize,
+    metrics: &'a OnlineMetrics,
     sink: &'a mut S,
 }
 
@@ -247,7 +253,7 @@ impl<S: FnMut(OnlineEvent)> Consumer<Stamps, u64> for Emitter<'_, S> {
         }
         if how == Close::Completed {
             *self.completed_calls += 1;
-            emit(self.sink, OnlineEvent::CallCompleted {
+            emit(self.metrics, self.sink, OnlineEvent::CallCompleted {
                 chain: self.chain,
                 func: frame.func,
                 kind: frame.kind,
@@ -258,7 +264,7 @@ impl<S: FnMut(OnlineEvent)> Consumer<Stamps, u64> for Emitter<'_, S> {
     }
 
     fn abnormal(&mut self, at_seq: Option<u64>, message: String) {
-        emit(self.sink, OnlineEvent::Abnormality {
+        emit(self.metrics, self.sink, OnlineEvent::Abnormality {
             chain: self.chain,
             at_seq: at_seq.unwrap_or(self.processed),
             message,
@@ -310,15 +316,23 @@ pub struct OnlineAnalyzer {
     open: usize,
     /// Records in every chain's re-sequencing buffer, kept the same way.
     buffered: usize,
+    metrics: OnlineMetrics,
     /// Whole-map walks so far (test-only): ingest must never walk.
     #[cfg(test)]
     pub(crate) walks: std::cell::Cell<usize>,
 }
 
 impl OnlineAnalyzer {
-    /// Creates an empty analyzer.
+    /// Creates an empty analyzer whose `causeway_online_*` handles belong
+    /// to no registry; [`OnlineAnalyzer::with_metrics`] publishes them.
     pub fn new() -> OnlineAnalyzer {
         OnlineAnalyzer::default()
+    }
+
+    /// Creates an empty analyzer publishing its `causeway_online_*` series
+    /// to `registry`.
+    pub fn with_metrics(registry: &MetricsRegistry) -> OnlineAnalyzer {
+        OnlineAnalyzer { metrics: OnlineMetrics::register(registry), ..OnlineAnalyzer::default() }
     }
 
     /// Chains with unfinished work (open invocations or buffered records).
@@ -349,7 +363,7 @@ impl OnlineAnalyzer {
     ) {
         let state = self.chains.entry(chain).or_default();
         let before = state.load();
-        state.step(chain, records, sink);
+        state.step(&self.metrics, chain, records, sink);
         let after = state.load();
         self.account(before, after);
     }
@@ -393,13 +407,13 @@ impl OnlineAnalyzer {
     }
 
     /// Publishes this analyzer's instantaneous state (open chains,
-    /// re-sequencing buffer depth) to the process-global metrics registry.
+    /// re-sequencing buffer depth) to its metrics registry.
     ///
     /// Called automatically by the batch consumption paths
     /// ([`Self::poll_store`], [`Self::follow_store`], [`Self::drain_store`],
     /// [`Self::finish`]).
     pub fn publish_metrics(&self) {
-        let m = online_metrics();
+        let m = &self.metrics;
         m.open_chains.set(self.open_chains() as i64);
         m.buffered.set(self.buffered_records() as i64);
     }
@@ -444,10 +458,11 @@ impl OnlineAnalyzer {
             .into_iter()
             .map(|(chain, records)| (chain, self.chains.remove(&chain).unwrap_or_default(), records))
             .collect();
+        let metrics = &self.metrics;
         let done = pool::par_map_vec(work, threads, |(chain, mut state, records)| {
             let before = state.load();
             let mut events = Vec::new();
-            state.step(chain, records, &mut |e| events.push(e));
+            state.step(metrics, chain, records, &mut |e| events.push(e));
             (chain, state, before, events)
         });
         for (chain, state, before, events) in done {
@@ -467,7 +482,7 @@ impl OnlineAnalyzer {
             ingested += chunk.len();
             self.ingest_chunk(chunk, sink);
         }
-        online_metrics().lag.set(store.len() as i64);
+        self.metrics.lag.set(store.len() as i64);
         self.publish_metrics();
         ingested
     }
@@ -514,7 +529,7 @@ impl OnlineAnalyzer {
             self.account(state.load(), (0, 0));
             while let Some((seq, record)) = state.pending.pop_first() {
                 if seq != state.processed + 1 {
-                    emit(sink, OnlineEvent::Abnormality {
+                    emit(&self.metrics, sink, OnlineEvent::Abnormality {
                         chain,
                         at_seq: seq,
                         message: format!(
@@ -524,10 +539,16 @@ impl OnlineAnalyzer {
                     });
                 }
                 state.processed = seq;
-                state.apply(chain, &record, sink);
+                state.apply(&self.metrics, chain, &record, sink);
             }
             let ChainState { processed, machine, completed_calls, .. } = &mut state;
-            machine.finish(&mut Emitter { chain, processed: *processed, completed_calls, sink });
+            machine.finish(&mut Emitter {
+                chain,
+                processed: *processed,
+                completed_calls,
+                metrics: &self.metrics,
+                sink,
+            });
         }
         self.publish_metrics();
     }
@@ -853,7 +874,7 @@ mod tests {
             state.pending.remove(&next)
         } {
             state.processed = record.seq;
-            state.apply(chain, &record, sink);
+            state.apply(&OnlineMetrics::default(), chain, &record, sink);
         }
         if state.machine.open_calls() == 0 && state.pending.is_empty() && state.completed_calls > 0 {
             sink(OnlineEvent::ChainIdle { chain, completed_calls: state.completed_calls });

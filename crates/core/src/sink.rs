@@ -48,15 +48,15 @@ use crossbeam::channel::{Receiver, Sender, unbounded};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Sink self-observability handles, resolved once per process against the
-/// global registry. Metrics are aggregated across stores on purpose:
-/// per-store labels would be unbounded-cardinality series (tests and
-/// short-lived systems mint store ids freely).
+/// Sink self-observability handles, resolved once per store against the
+/// registry it was given. Stores sharing a registry aggregate into one set
+/// of series on purpose: per-store labels would be unbounded-cardinality
+/// series (tests and short-lived systems mint store ids freely).
 struct SinkMetrics {
     records_pushed: Counter,
     records_drained: Counter,
@@ -68,10 +68,8 @@ struct SinkMetrics {
     epoch_seals: Counter,
 }
 
-fn sink_metrics() -> &'static SinkMetrics {
-    static METRICS: OnceLock<SinkMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = MetricsRegistry::global();
+impl SinkMetrics {
+    fn register(r: &MetricsRegistry) -> SinkMetrics {
         SinkMetrics {
             records_pushed: r.counter(
                 "causeway_sink_records_pushed_total",
@@ -106,7 +104,7 @@ fn sink_metrics() -> &'static SinkMetrics {
                 "chunks sealed because a producer noticed a flush epoch lap",
             ),
         }
-    })
+    }
 }
 
 /// Records per chunk before the owning thread seals it on its own.
@@ -160,6 +158,7 @@ struct StoreInner {
     flush_epoch: AtomicU64,
     chunk_tx: Sender<Chunk>,
     chunk_rx: Receiver<Chunk>,
+    metrics: Arc<SinkMetrics>,
 }
 
 impl fmt::Debug for StoreInner {
@@ -183,6 +182,8 @@ struct LocalSlot {
     epoch: u64,
     buf: Vec<ProbeRecord>,
     tx: Sender<Chunk>,
+    /// The store's handles: a slot may seal after its store is gone.
+    metrics: Arc<SinkMetrics>,
 }
 
 impl LocalSlot {
@@ -199,7 +200,7 @@ impl LocalSlot {
             exact.append(&mut self.buf);
             exact
         };
-        let m = sink_metrics();
+        let m = &self.metrics;
         m.chunks_sealed.add(1);
         m.chunks_open.dec();
         m.chunks_in_flight.inc();
@@ -245,6 +246,7 @@ impl LocalRegistry {
             // Grows on demand: most threads seal long before a chunk fills.
             buf: Vec::new(),
             tx: store.chunk_tx.clone(),
+            metrics: Arc::clone(&store.metrics),
         });
         let last = self.slots.len() - 1;
         self.slots.swap(0, last);
@@ -282,8 +284,16 @@ impl Default for LogStore {
 }
 
 impl LogStore {
-    /// Creates an empty store.
+    /// Creates an empty store publishing to
+    /// [`MetricsRegistry::global`]. Runtimes use
+    /// [`LogStore::with_metrics`] with the registry they own.
     pub fn new() -> LogStore {
+        LogStore::with_metrics(MetricsRegistry::global())
+    }
+
+    /// Creates an empty store publishing its `causeway_sink_*` series to
+    /// `registry`.
+    pub fn with_metrics(registry: &MetricsRegistry) -> LogStore {
         let (chunk_tx, chunk_rx) = unbounded();
         LogStore {
             inner: Arc::new(StoreInner {
@@ -293,6 +303,7 @@ impl LogStore {
                 flush_epoch: AtomicU64::new(0),
                 chunk_tx,
                 chunk_rx,
+                metrics: Arc::new(SinkMetrics::register(registry)),
             }),
         }
     }
@@ -306,9 +317,8 @@ impl LogStore {
     /// Appends a record to the calling thread's open chunk — no lock, no
     /// hash lookup; the chunk is owned exclusively by this thread.
     pub fn push(&self, record: ProbeRecord) {
-        let m = sink_metrics();
-        // `inc` returns the previous count (or u64::MAX when metrics are
-        // off, which never hits the stride), so one push in SAMPLE_STRIDE
+        let m = &*self.inner.metrics;
+        // `inc` returns the previous count, so one push in SAMPLE_STRIDE
         // pays for two clock reads and the rest stay a pure counter bump.
         let sampled = m.records_pushed.inc().is_multiple_of(metrics::SAMPLE_STRIDE);
         let push_started = if sampled { Some(Instant::now()) } else { None };
@@ -378,7 +388,7 @@ impl LogStore {
     /// coordinate, so a collector cannot *force* another thread's hand; it
     /// can only leave a note the producer honors on its own schedule.
     pub fn request_flush(&self) {
-        sink_metrics().flush_requests.add(1);
+        self.inner.metrics.flush_requests.add(1);
         self.inner.flush_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -402,12 +412,12 @@ impl LogStore {
     }
 
     /// Bookkeeping for a chunk leaving the store: the exact buffered count
-    /// and the process-global drain metrics.
+    /// and the drain metrics.
     fn note_received(&self, chunk: &Chunk) {
         self.inner
             .buffered
             .fetch_sub(chunk.records.len() as u64, Ordering::Relaxed);
-        let m = sink_metrics();
+        let m = &self.inner.metrics;
         m.records_drained.add(chunk.records.len() as u64);
         m.chunks_in_flight.dec();
     }
@@ -728,5 +738,23 @@ mod tests {
             .expect("producer seals a full chunk");
         assert_eq!(chunk.len(), CHUNK_CAPACITY);
         producer.join().unwrap();
+    }
+
+    #[test]
+    fn a_store_publishes_only_to_its_registry() {
+        let registry = MetricsRegistry::new();
+        let store = LogStore::with_metrics(&registry);
+        let other = LogStore::with_metrics(&MetricsRegistry::new());
+        for i in 0..(CHUNK_CAPACITY as u64 + 5) {
+            store.push(rec(&store, i));
+        }
+        other.push(rec(&other, 0));
+        assert_eq!(store.drain().len(), CHUNK_CAPACITY + 5);
+        let count = |name| registry.counter_value(name);
+        assert_eq!(count("causeway_sink_records_pushed_total"), Some(CHUNK_CAPACITY as u64 + 5));
+        assert_eq!(count("causeway_sink_records_drained_total"), Some(CHUNK_CAPACITY as u64 + 5));
+        assert_eq!(count("causeway_sink_chunks_sealed_total"), Some(2));
+        assert_eq!(registry.gauge_value("causeway_sink_chunks_open"), Some(0));
+        assert_eq!(registry.gauge_value("causeway_sink_chunks_in_flight"), Some(0));
     }
 }

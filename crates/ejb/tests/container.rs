@@ -259,3 +259,33 @@ fn stateless_instances_recycle_state_across_calls() {
     );
     container.shutdown();
 }
+
+#[test]
+fn containers_publish_to_their_own_registry_and_joiners_share_the_peer_s() {
+    let front = Container::builder(ProcessId(0), NodeId(0)).build();
+    let back = Container::builder(ProcessId(1), NodeId(0)).join(&front).build();
+    let alone = Container::builder(ProcessId(2), NodeId(0)).build();
+    for container in [&back, &alone] {
+        container.load_idl(IDL).unwrap();
+        let name = format!("java:global/Cart{}", container.process().0);
+        container.deploy(&name, "Shop::Cart", None, simple_bean()).unwrap();
+    }
+    for (container, calls) in [(&back, 3), (&alone, 2)] {
+        let client = container.client();
+        for i in 0..calls {
+            client.begin_root();
+            let name = format!("java:global/Cart{}", container.process().0);
+            client.call(&name, "add", vec![Value::I64(i)]).unwrap();
+        }
+        container.quiesce(Duration::from_secs(5)).unwrap();
+    }
+    let dispatched = |c: &Container| {
+        c.metrics().counter_value_with("causeway_engine_dispatch_total", &[("engine", "ejb")])
+    };
+    assert_eq!(dispatched(&back), Some(3));
+    assert_eq!(dispatched(&front), Some(3), "a joined container shares its peer's registry");
+    assert_eq!(dispatched(&alone), Some(2), "a lone container keeps its own");
+    for container in [&front, &back, &alone] {
+        container.shutdown();
+    }
+}

@@ -12,7 +12,7 @@
 //! additionally flush before blocking on an empty inbox, so a quiescent
 //! engine strands no records in open chunks.
 
-use crate::orb::{Orb, engine_metrics};
+use crate::orb::Orb;
 use crate::transport::{ConnKey, Incoming};
 use crossbeam::channel::{Receiver, Sender, TryRecvError, unbounded};
 use parking_lot::Mutex;
@@ -36,9 +36,9 @@ impl Queued {
 
     /// Records the queue wait (for requests; control messages are not a
     /// workload) and unwraps. Call exactly once, at pickup.
-    fn claim(self) -> Incoming {
+    fn claim(self, orb: &Orb) -> Incoming {
         if matches!(self.incoming, Incoming::Request(_)) {
-            engine_metrics()
+            orb.engine_metrics()
                 .queue_wait_ns
                 .observe(self.enqueued.elapsed().as_nanos() as u64);
         }
@@ -183,8 +183,8 @@ fn spawn_per_request(
                         let handle = std::thread::Builder::new()
                             .name(format!("{}-req", orb.process()))
                             .spawn(move || {
-                                let _worker = engine_metrics().worker();
-                                if let Incoming::Request(msg) = queued.claim() {
+                                let _worker = orb.engine_metrics().worker();
+                                if let Incoming::Request(msg) = queued.claim(&orb) {
                                     orb.dispatch(msg);
                                 }
                             })
@@ -214,9 +214,9 @@ fn spawn_pool(
             let handle = std::thread::Builder::new()
                 .name(format!("{}-pool{}", orb.process(), i))
                 .spawn(move || {
-                    let _worker = engine_metrics().worker();
+                    let _worker = orb.engine_metrics().worker();
                     while let Some(queued) = recv_flushing(&work_rx, &orb) {
-                        match queued.claim() {
+                        match queued.claim(&orb) {
                             Incoming::Request(msg) => orb.dispatch(msg),
                             Incoming::Stop => break,
                         }
@@ -282,9 +282,9 @@ fn spawn_per_connection(
                             let handle = std::thread::Builder::new()
                                 .name(format!("{}-conn{}", orb.process(), conn.0))
                                 .spawn(move || {
-                                    let _worker = engine_metrics().worker();
+                                    let _worker = orb.engine_metrics().worker();
                                     while let Some(queued) = recv_flushing(&conn_rx, &orb) {
-                                        match queued.claim() {
+                                        match queued.claim(&orb) {
                                             Incoming::Request(msg) => orb.dispatch(msg),
                                             Incoming::Stop => break,
                                         }

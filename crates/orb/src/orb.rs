@@ -12,29 +12,15 @@ use bytes::Bytes;
 use causeway_core::event::CallKind;
 use causeway_core::ftl::FunctionTxLog;
 use causeway_core::ids::{NodeId, ProcessId};
-use causeway_core::metrics::{EngineMetrics, MetricsRegistry, OpMetrics};
+use causeway_core::metrics::{EngineMetrics, OpMetrics};
 use causeway_core::monitor::Monitor;
 use causeway_core::names::SystemVocab;
 use causeway_core::record::FunctionKey;
 use causeway_core::uuid::Uuid;
 use causeway_core::wire;
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Self-observability handles for the ORB substrate, shared by every ORB in
-/// the process (series are labeled `engine="orb"`).
-pub(crate) fn engine_metrics() -> &'static EngineMetrics {
-    static METRICS: OnceLock<EngineMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| EngineMetrics::register(MetricsRegistry::global(), "orb"))
-}
-
-/// Per-operation dispatch series (`iface=`/`method=` labels on top of
-/// `engine="orb"`) — the keys the paper's Table 2 characterizes by.
-pub(crate) fn op_metrics() -> &'static OpMetrics {
-    static METRICS: OnceLock<OpMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| OpMetrics::new("orb"))
-}
 
 /// Default bound on each server engine's internal dispatch queue (and, for
 /// thread-per-request, on live request threads). Requests beyond it are
@@ -85,6 +71,12 @@ pub(crate) struct OrbInner {
     pub(crate) config: OrbConfig,
     pub(crate) pending: Arc<AtomicI64>,
     pub(crate) interceptors: parking_lot::RwLock<InterceptorSet>,
+    /// The system's `engine="orb"` dispatch series.
+    pub(crate) engine_metrics: EngineMetrics,
+    /// Per-operation dispatch series (`iface=`/`method=` labels on top of
+    /// `engine="orb"`) — the keys the paper's Table 2 characterizes by;
+    /// one cache shared by the system's ORBs.
+    pub(crate) op_metrics: Arc<OpMetrics>,
 }
 
 /// A per-process ORB handle. Cloning shares state.
@@ -106,6 +98,8 @@ impl Orb {
         fabric: Fabric,
         config: OrbConfig,
         pending: Arc<AtomicI64>,
+        engine_metrics: EngineMetrics,
+        op_metrics: Arc<OpMetrics>,
     ) -> Orb {
         Orb {
             inner: Arc::new(OrbInner {
@@ -120,6 +114,8 @@ impl Orb {
                 config,
                 pending,
                 interceptors: parking_lot::RwLock::new(InterceptorSet::new()),
+                engine_metrics,
+                op_metrics,
             }),
         }
     }
@@ -149,6 +145,12 @@ impl Orb {
         &self.inner.config
     }
 
+    /// The `engine="orb"` dispatch series of the system this ORB belongs
+    /// to.
+    pub(crate) fn engine_metrics(&self) -> &EngineMetrics {
+        &self.inner.engine_metrics
+    }
+
     /// A client bound to this process, for issuing invocations.
     pub fn client(&self) -> Client {
         Client::new(self.clone())
@@ -168,7 +170,7 @@ impl Orb {
     pub(crate) fn dispatch(&self, msg: RequestMsg) {
         // Busy time covers the whole dispatch — including the modelled
         // one-way transit sleep, which really does occupy the worker.
-        let _timer = engine_metrics().begin_dispatch();
+        let _timer = self.inner.engine_metrics.begin_dispatch();
         if !msg.net_delay.is_zero() {
             // One-way transit modelled on the server side because the
             // caller did not wait.
@@ -194,7 +196,7 @@ impl Orb {
     /// of a timeout), and releases the request's in-flight count — a shed
     /// request must not wedge quiescence.
     pub(crate) fn shed(&self, msg: RequestMsg) {
-        engine_metrics().shed.inc();
+        self.inner.engine_metrics.shed.inc();
         if let Some(reply) = &msg.reply {
             let _ = reply.send(ReplyMsg {
                 body: Err(format!(
@@ -252,7 +254,7 @@ impl Orb {
         };
 
         let func = FunctionKey::new(msg.interface, msg.method, msg.target);
-        let op = op_metrics().series(func.interface, func.method, || {
+        let op = self.inner.op_metrics.series(func.interface, func.method, || {
             (
                 self.inner
                     .vocab

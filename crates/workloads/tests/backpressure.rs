@@ -2,7 +2,6 @@
 //! surface as explicit shed load (`causeway_engine_shed_total`), never as
 //! an unbounded queue or a deadlock.
 
-use causeway_core::metrics::MetricsRegistry;
 use causeway_core::value::Value;
 use causeway_orb::prelude::*;
 use causeway_workloads::{run_open_loop, Arrivals};
@@ -41,11 +40,6 @@ fn thundering_herd_is_shed_with_metric_not_deadlock() {
         .unwrap();
     system.start();
 
-    let registry = MetricsRegistry::global();
-    let shed_before = registry
-        .counter_value_with("causeway_engine_shed_total", &[("engine", "orb")])
-        .unwrap_or(0);
-
     let schedule = Arrivals::ThunderingHerd {
         herds: 2,
         herd_size: 32,
@@ -61,10 +55,15 @@ fn thundering_herd_is_shed_with_metric_not_deadlock() {
         }
     });
 
-    let shed_after = registry
+    // The system's own registry: nothing else in the process moves it.
+    let shed = system
+        .metrics()
         .counter_value_with("causeway_engine_shed_total", &[("engine", "orb")])
         .unwrap_or(0);
-    let shed = shed_after - shed_before;
+    let dispatched = system
+        .metrics()
+        .counter_value_with("causeway_engine_dispatch_total", &[("engine", "orb")])
+        .unwrap_or(0);
 
     assert_eq!(report.offered, 64);
     assert_eq!(report.ok + report.errors, 64, "every arrival was answered");
@@ -73,12 +72,12 @@ fn thundering_herd_is_shed_with_metric_not_deadlock() {
         report.errors > 0,
         "a 64-call stampede against a 2-slot queue must shed: {report:?}"
     );
-    assert!(
-        shed >= report.errors as u64,
-        "every overload error is accounted in causeway_engine_shed_total \
-         ({shed} shed vs {} errors)",
-        report.errors
+    assert_eq!(
+        shed, report.errors as u64,
+        "every overload error, and nothing else, is accounted in \
+         causeway_engine_shed_total"
     );
+    assert_eq!(dispatched, report.ok as u64, "every served call was dispatched once");
 
     system.shutdown();
 }
