@@ -10,6 +10,7 @@
 
 use crate::hook::Extensions;
 use bytes::Bytes;
+use causeway_core::engine::Ticket;
 use causeway_core::ids::{InterfaceId, MethodIndex, ObjectId};
 use crossbeam::channel::{Receiver, Sender};
 use std::cell::RefCell;
@@ -51,10 +52,10 @@ pub struct OrpcMsg {
     pub extensions: Extensions,
     /// Where the reply goes; `None` for posted (fire-and-forget) calls.
     pub reply: Option<Sender<OrpcReply>>,
-    /// When the message was enqueued to its apartment — the apartment
-    /// thread reports the wait as
-    /// `causeway_engine_queue_wait_ns{engine="com"}` at pickup.
-    pub enqueued: std::time::Instant,
+    /// Counts the call in flight in the domain's gate until the message is
+    /// dropped; stamped at enqueue for
+    /// `causeway_engine_queue_wait_ns{engine="com"}`.
+    pub ticket: Ticket,
 }
 
 /// An ORPC reply message.

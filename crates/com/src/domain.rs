@@ -12,9 +12,11 @@ use crate::hook::{Extensions, attach_ftl, extract_ftl};
 use bytes::Bytes;
 use causeway_core::clock::{CpuClock, SystemClock, VirtualCpuClock, WallClock};
 use causeway_core::deploy::Deployment;
+use causeway_core::engine::{Gate, DEFAULT_QUEUE_CAPACITY};
 use causeway_core::event::CallKind;
+use causeway_core::ftl::FunctionTxLog;
 use causeway_core::ids::{InterfaceId, MethodIndex, NodeId, ObjectId, ProcessId};
-use causeway_core::metrics::{EngineMetrics, MetricsRegistry, OpMetrics};
+use causeway_core::metrics::MetricsRegistry;
 use causeway_core::monitor::{Monitor, ProbeMode, ProbePolicy};
 use causeway_core::sink::LogStore;
 use causeway_core::names::SystemVocab;
@@ -24,10 +26,10 @@ use causeway_core::value::Value;
 use causeway_core::{tss, wire};
 use causeway_idl::compile::{InstrumentMode, compile};
 use causeway_idl::parse;
-use crossbeam::channel::{Sender, bounded, unbounded};
+use crossbeam::channel::{RecvTimeoutError, Sender, bounded, unbounded};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -50,10 +52,6 @@ pub struct ComConfig {
     pub fix_mingling: bool,
     /// Reply timeout for synchronous calls.
     pub reply_timeout: Duration,
-    /// Bound on each apartment's dispatch queue; calls over it are
-    /// refused with [`ComError::Overloaded`] and counted in
-    /// `causeway_engine_shed_total{engine="com"}`. 0 is treated as 1.
-    pub queue_capacity: usize,
 }
 
 impl Default for ComConfig {
@@ -64,7 +62,6 @@ impl Default for ComConfig {
             instrumented: true,
             fix_mingling: true,
             reply_timeout: Duration::from_secs(30),
-            queue_capacity: 65_536,
         }
     }
 }
@@ -143,11 +140,6 @@ pub struct ComObjRef {
     pub apartment: ApartmentId,
 }
 
-struct ObjectRecord {
-    servant: Arc<dyn ComServant>,
-    apartment: ApartmentId,
-}
-
 struct DomainInner {
     process: ProcessId,
     node: NodeId,
@@ -155,16 +147,12 @@ struct DomainInner {
     vocab: SystemVocab,
     config: ComConfig,
     apartments: RwLock<HashMap<ApartmentId, Sender<AptIncoming>>>,
-    objects: RwLock<HashMap<ObjectId, ObjectRecord>>,
+    objects: RwLock<HashMap<ObjectId, Arc<dyn ComServant>>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
     next_apartment: AtomicU32,
-    pending: AtomicI64,
     metrics: MetricsRegistry,
-    /// The `engine="com"` dispatch series.
-    engine_metrics: EngineMetrics,
-    /// Per-operation dispatch series (`iface=`/`method=` on top of
-    /// `engine="com"`).
-    op_metrics: OpMetrics,
+    /// The `engine="com"` gate; its capacity bounds each apartment queue.
+    gate: Gate,
 }
 
 impl std::fmt::Debug for DomainInner {
@@ -252,9 +240,7 @@ impl ComDomainBuilder {
                 objects: RwLock::new(HashMap::new()),
                 handles: Mutex::new(Vec::new()),
                 next_apartment: AtomicU32::new(0),
-                pending: AtomicI64::new(0),
-                engine_metrics: EngineMetrics::register(&metrics, "com"),
-                op_metrics: OpMetrics::new(&metrics, "com"),
+                gate: Gate::new(&metrics, "com", DEFAULT_QUEUE_CAPACITY),
                 metrics,
             }),
         }
@@ -329,7 +315,7 @@ impl ComDomain {
                     std::thread::Builder::new()
                         .name(format!("{}-{id}-sta", self.inner.process))
                         .spawn(move || {
-                            let _worker = domain.inner.engine_metrics.worker();
+                            let _worker = domain.inner.gate.worker();
                             let _guard = enter_sta(rx.clone(), tx);
                             while let Ok(incoming) = rx.recv() {
                                 match incoming {
@@ -349,7 +335,7 @@ impl ComDomain {
                         std::thread::Builder::new()
                             .name(format!("{}-{id}-mta{i}", self.inner.process))
                             .spawn(move || {
-                                let _worker = domain.inner.engine_metrics.worker();
+                                let _worker = domain.inner.gate.worker();
                                 while let Ok(incoming) = rx.recv() {
                                     match incoming {
                                         AptIncoming::Call(msg) => domain.dispatch(msg),
@@ -392,10 +378,7 @@ impl ComDomain {
             .inner
             .vocab
             .register_object(label, iface, comp, self.inner.process);
-        self.inner
-            .objects
-            .write()
-            .insert(object, ObjectRecord { servant, apartment });
+        self.inner.objects.write().insert(object, servant);
         Ok(ComObjRef { object, interface: iface, apartment })
     }
 
@@ -406,7 +389,7 @@ impl ComDomain {
 
     /// Calls currently in flight.
     pub fn in_flight(&self) -> i64 {
-        self.inner.pending.load(Ordering::SeqCst)
+        self.inner.gate.in_flight()
     }
 
     /// Waits until no calls are in flight.
@@ -415,17 +398,7 @@ impl ComDomain {
     ///
     /// Returns the number of stuck calls as `Err` after `timeout`.
     pub fn quiesce(&self, timeout: Duration) -> Result<(), i64> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let pending = self.inner.pending.load(Ordering::SeqCst);
-            if pending <= 0 {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(pending);
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
+        self.inner.gate.quiesce(timeout)
     }
 
     /// Stops all apartments and joins their threads.
@@ -465,41 +438,23 @@ impl ComDomain {
 
     /// Server-side dispatch on an apartment thread.
     fn dispatch(&self, msg: OrpcMsg) {
-        let m = &self.inner.engine_metrics;
-        m.queue_wait_ns.observe(msg.enqueued.elapsed().as_nanos() as u64);
-        let _timer = m.begin_dispatch();
+        let mut dispatch = msg.ticket.dispatch(self.inner.monitor.store());
         let monitor = &self.inner.monitor;
         let instrumented = self.inner.config.instrumented;
         let func = FunctionKey::new(msg.interface, msg.method, msg.target);
-        let op = self.inner.op_metrics.series(func.interface, func.method, || {
-            (
-                self.inner
-                    .vocab
-                    .interface_name(func.interface)
-                    .unwrap_or_else(|| func.interface.to_string()),
-                self.inner
-                    .vocab
-                    .method_name(func.interface, func.method)
-                    .unwrap_or_else(|| func.method.to_string()),
-            )
-        });
-        op.dispatch.inc();
-        let op_started = std::time::Instant::now();
+        dispatch.op(func, &self.inner.vocab);
         // Posted (fire-and-forget) calls are the COM analog of one-way
         // invocations: they arrived on a fresh child chain.
         let kind = if msg.reply.is_none() { CallKind::Oneway } else { CallKind::Sync };
 
-        let record = self.inner.objects.read().get(&msg.target).map(|r| {
-            (Arc::clone(&r.servant), r.apartment)
-        });
-        let Some((servant, _)) = record else {
+        let servant = self.inner.objects.read().get(&msg.target).cloned();
+        let Some(servant) = servant else {
             if let Some(reply) = &msg.reply {
                 let _ = reply.send(OrpcReply {
                     body: Err(format!("unknown object {}", msg.target)),
                     extensions: Extensions::new(),
                 });
             }
-            self.inner.pending.fetch_sub(1, Ordering::SeqCst);
             return;
         };
 
@@ -523,7 +478,6 @@ impl ComDomain {
             Err(e) => Err(("MarshalError".to_owned(), e.to_string())),
         };
 
-        op.busy_ns.observe(op_started.elapsed().as_nanos() as u64);
         let mut extensions = Extensions::new();
         if instrumented && ftl.is_some() {
             let reply_ftl = monitor.skel_end(func, kind);
@@ -542,11 +496,6 @@ impl ComDomain {
             };
             let _ = reply.send(OrpcReply { body, extensions });
         }
-        // Seal this apartment thread's open log chunk before the call
-        // stops counting as in-flight, so quiescence implies every
-        // server-side record reached the collector stream.
-        monitor.store().flush_current_thread();
-        self.inner.pending.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -576,82 +525,17 @@ impl ComClient {
         method: &str,
         args: Vec<Value>,
     ) -> Result<Value, ComError> {
-        let inner = &self.domain.inner;
-        let midx = inner
-            .vocab
-            .method_index(target.interface, method)
-            .ok_or_else(|| ComError::UnknownMethod(format!("{method} on {}", target.interface)))?;
-
-        let monitor = &inner.monitor;
-        let instrumented = inner.config.instrumented;
-        let func = FunctionKey::new(target.interface, midx, target.object);
-        let kind = CallKind::Sync;
-
-        let out = instrumented.then(|| monitor.stub_start(func, kind));
-
-        let cpu = monitor.cpu_clock();
-        let token = cpu.region_begin();
-        let payload = wire::encode_args(&args);
-        let mut extensions = Extensions::new();
-        if let Some(out) = &out {
-            attach_ftl(&mut extensions, out.wire_ftl);
-        }
-        cpu.region_end(token);
-
-        let apt_tx = inner
-            .apartments
-            .read()
-            .get(&target.apartment)
-            .cloned()
-            .ok_or_else(|| ComError::ApartmentUnreachable(target.apartment.to_string()))?;
-
-        // Bounded admission: a full apartment queue sheds the call with an
-        // explicit overload error instead of queueing without bound.
-        if apt_tx.len() >= inner.config.queue_capacity.max(1) {
-            inner.engine_metrics.shed.inc();
-            if instrumented {
-                monitor.stub_end(func, kind, None);
-            }
-            return Err(ComError::Overloaded(format!(
-                "apartment {} queue at capacity",
-                target.apartment
-            )));
-        }
-
         let (reply_tx, reply_rx) = bounded::<OrpcReply>(1);
-        inner.pending.fetch_add(1, Ordering::SeqCst);
-        if apt_tx
-            .send(AptIncoming::Call(OrpcMsg {
-                target: target.object,
-                interface: target.interface,
-                method: midx,
-                payload,
-                extensions,
-                reply: Some(reply_tx),
-                enqueued: Instant::now(),
-            }))
-            .is_err()
-        {
-            inner.pending.fetch_sub(1, Ordering::SeqCst);
-            if instrumented {
-                monitor.stub_end(func, kind, None);
-            }
-            return Err(ComError::ApartmentUnreachable(target.apartment.to_string()));
-        }
-
-        let deadline = Instant::now() + inner.config.reply_timeout;
+        let func = self.send(target, method, args, Some(reply_tx))?;
+        let reply_timeout = self.domain.inner.config.reply_timeout;
+        let closed = || ComError::ApartmentUnreachable("reply channel closed".into());
+        let deadline = Instant::now() + reply_timeout;
         let reply = loop {
             // An STA thread pumps its own queue while waiting — the message
             // loop of §2.2.
             if let Some((pump_rx, pump_tx)) = current_pump() {
                 crossbeam::channel::select! {
-                    recv(reply_rx) -> r => match r {
-                        Ok(reply) => break reply,
-                        Err(_) => {
-                            if instrumented { monitor.stub_end(func, kind, None); }
-                            return Err(ComError::ApartmentUnreachable("reply channel closed".into()));
-                        }
-                    },
+                    recv(reply_rx) -> r => break r.map_err(|_| closed()),
                     recv(pump_rx) -> incoming => match incoming {
                         Ok(AptIncoming::Call(nested)) => {
                             self.dispatch_nested(nested);
@@ -665,28 +549,25 @@ impl ComClient {
                     },
                     default(Duration::from_millis(5)) => {
                         if Instant::now() >= deadline {
-                            if instrumented { monitor.stub_end(func, kind, None); }
-                            return Err(ComError::Timeout(format!("{func}")));
+                            break Err(ComError::Timeout(format!("{func}")));
                         }
                     }
                 }
             } else {
-                match reply_rx.recv_timeout(inner.config.reply_timeout) {
-                    Ok(reply) => break reply,
-                    Err(_) => {
-                        if instrumented {
-                            monitor.stub_end(func, kind, None);
-                        }
-                        return Err(ComError::Timeout(format!("{func}")));
-                    }
-                }
+                break reply_rx.recv_timeout(reply_timeout).map_err(|e| match e {
+                    RecvTimeoutError::Timeout => ComError::Timeout(format!("{func}")),
+                    RecvTimeoutError::Disconnected => closed(),
+                });
             }
         };
-
-        let reply_ftl = extract_ftl(&reply.extensions);
-        if instrumented {
-            monitor.stub_end(func, kind, reply_ftl);
-        }
+        let reply = match reply {
+            Ok(reply) => reply,
+            Err(e) => {
+                self.close_stub(func, CallKind::Sync, None);
+                return Err(e);
+            }
+        };
+        self.close_stub(func, CallKind::Sync, extract_ftl(&reply.extensions));
 
         match reply.body {
             Err(runtime) => Err(ComError::UnknownObject(runtime)),
@@ -709,6 +590,23 @@ impl ComClient {
         method: &str,
         args: Vec<Value>,
     ) -> Result<(), ComError> {
+        let func = self.send(target, method, args, None)?;
+        self.close_stub(func, CallKind::Oneway, None);
+        Ok(())
+    }
+
+    /// The proxy half of [`ComClient::invoke`] (with a `reply` sender) and
+    /// [`ComClient::post`] (without): resolves the method, opens the proxy
+    /// probe, marshals the arguments with the FTL — and, for a posted call,
+    /// the parent marker — in the extension headers, and enqueues the call
+    /// on its apartment. On failure the proxy probe is already closed.
+    fn send(
+        &self,
+        target: &ComObjRef,
+        method: &str,
+        args: Vec<Value>,
+        reply: Option<Sender<OrpcReply>>,
+    ) -> Result<FunctionKey, ComError> {
         let inner = &self.domain.inner;
         let midx = inner
             .vocab
@@ -716,11 +614,10 @@ impl ComClient {
             .ok_or_else(|| ComError::UnknownMethod(format!("{method} on {}", target.interface)))?;
 
         let monitor = &inner.monitor;
-        let instrumented = inner.config.instrumented;
         let func = FunctionKey::new(target.interface, midx, target.object);
-        let kind = CallKind::Oneway;
+        let kind = if reply.is_some() { CallKind::Sync } else { CallKind::Oneway };
 
-        let out = instrumented.then(|| monitor.stub_start(func, kind));
+        let out = inner.config.instrumented.then(|| monitor.stub_start(func, kind));
 
         let cpu = monitor.cpu_clock();
         let token = cpu.region_begin();
@@ -734,44 +631,44 @@ impl ComClient {
         }
         cpu.region_end(token);
 
-        let apt_tx = inner
-            .apartments
-            .read()
-            .get(&target.apartment)
-            .cloned()
-            .ok_or_else(|| ComError::ApartmentUnreachable(target.apartment.to_string()))?;
-
-        // Same bounded admission as the synchronous path: one-way senders
-        // do not wait, which is exactly how an open-loop burst overruns an
-        // unbounded queue.
-        if apt_tx.len() >= inner.config.queue_capacity.max(1) {
-            inner.engine_metrics.shed.inc();
-            if instrumented {
-                monitor.stub_end(func, kind, None);
-            }
-            return Err(ComError::Overloaded(format!(
+        let unreachable = || ComError::ApartmentUnreachable(target.apartment.to_string());
+        let apt_tx = inner.apartments.read().get(&target.apartment).cloned();
+        let refused = match apt_tx {
+            None => unreachable(),
+            // Bounded admission: a full apartment queue sheds the call with
+            // an explicit overload error instead of queueing without bound
+            // (posting callers do not wait, which is exactly how an
+            // open-loop burst overruns an unbounded queue).
+            Some(apt_tx) if !inner.gate.admits(apt_tx.len()) => ComError::Overloaded(format!(
                 "apartment {} queue at capacity",
                 target.apartment
-            )));
-        }
+            )),
+            Some(apt_tx) => {
+                let call = OrpcMsg {
+                    target: target.object,
+                    interface: target.interface,
+                    method: midx,
+                    payload,
+                    extensions,
+                    reply,
+                    ticket: inner.gate.enter(),
+                };
+                match apt_tx.send(AptIncoming::Call(call)) {
+                    Ok(()) => return Ok(func),
+                    Err(_) => unreachable(),
+                }
+            }
+        };
+        self.close_stub(func, kind, None);
+        Err(refused)
+    }
 
-        inner.pending.fetch_add(1, Ordering::SeqCst);
-        let sent = apt_tx.send(AptIncoming::Call(OrpcMsg {
-            target: target.object,
-            interface: target.interface,
-            method: midx,
-            payload,
-            extensions,
-            reply: None,
-            enqueued: Instant::now(),
-        }));
-        if sent.is_err() {
-            inner.pending.fetch_sub(1, Ordering::SeqCst);
+    /// Closes the proxy probe (probe 4) of an instrumented call.
+    fn close_stub(&self, func: FunctionKey, kind: CallKind, reply_ftl: Option<FunctionTxLog>) {
+        let inner = &self.domain.inner;
+        if inner.config.instrumented {
+            inner.monitor.stub_end(func, kind, reply_ftl);
         }
-        if instrumented {
-            monitor.stub_end(func, kind, None);
-        }
-        sent.map_err(|_| ComError::ApartmentUnreachable(target.apartment.to_string()))
     }
 
     /// Pumps the calling STA thread's message queue, dispatching every call

@@ -22,6 +22,9 @@
 //!   function implementation into its child calls and across sibling calls.
 //! * [`monitor::Monitor`] — the four probes of Figure 1, which record
 //!   [`record::ProbeRecord`]s into per-thread [`sink::LogStore`] buffers.
+//! * [`engine::Gate`] — the runtimes' one admission gate: in-flight
+//!   tickets, bounded admission, the dispatch bracket that seals a worker's
+//!   records before its request stops counting, and quiescence.
 //! * [`clock`] — pluggable wall and per-thread CPU clocks, including a
 //!   deterministic [`clock::ManualClock`] for tests and a
 //!   [`clock::VirtualCpuClock`] that substitutes for the HP-UX 11 per-thread
@@ -62,6 +65,7 @@
 
 pub mod clock;
 pub mod deploy;
+pub mod engine;
 pub mod error;
 pub mod event;
 pub mod ftl;

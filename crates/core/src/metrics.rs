@@ -533,7 +533,8 @@ impl MetricsRegistry {
     }
 }
 
-/// Dispatch-path handles shared by the runtime engines (ORB, COM, EJB).
+/// Dispatch-path handles shared by the runtime engines (ORB, COM, EJB),
+/// owned and updated by each runtime's [`crate::engine::Gate`].
 ///
 /// Each engine registers the same family names with an `engine` label, so
 /// one Prometheus scrape compares the substrates side by side:
@@ -555,23 +556,6 @@ pub struct EngineMetrics {
     pub shed: Counter,
 }
 
-/// RAII span for one dispatch: counts it, marks it in flight, and on drop
-/// charges the elapsed time to the engine's busy counter — so every exit
-/// path of a dispatch function is covered.
-#[derive(Debug)]
-pub struct DispatchTimer {
-    busy_ns: Counter,
-    inflight: Gauge,
-    started: std::time::Instant,
-}
-
-impl Drop for DispatchTimer {
-    fn drop(&mut self) {
-        self.busy_ns.add(self.started.elapsed().as_nanos() as u64);
-        self.inflight.dec();
-    }
-}
-
 /// RAII handle counting one live worker thread.
 #[derive(Debug)]
 pub struct WorkerHandle(Gauge);
@@ -583,17 +567,6 @@ impl Drop for WorkerHandle {
 }
 
 impl EngineMetrics {
-    /// Marks a dispatch as started; drop the returned timer when it ends.
-    pub fn begin_dispatch(&self) -> DispatchTimer {
-        self.dispatch.inc();
-        self.inflight.inc();
-        DispatchTimer {
-            busy_ns: self.busy_ns.clone(),
-            inflight: self.inflight.clone(),
-            started: std::time::Instant::now(),
-        }
-    }
-
     /// Marks a worker thread as live until the returned handle drops.
     pub fn worker(&self) -> WorkerHandle {
         self.workers.inc();
@@ -645,8 +618,8 @@ impl EngineMetrics {
 pub struct OpSeries {
     /// Dispatches of this operation.
     pub dispatch: Counter,
-    /// Nanoseconds the up-call (unmarshal + servant body + reply encode)
-    /// occupied a worker, per dispatch.
+    /// Nanoseconds the up-call (unmarshal, servant body, reply encode and
+    /// send) occupied a worker, per dispatch.
     pub busy_ns: Histogram,
 }
 

@@ -8,10 +8,11 @@ use crate::pool::InstancePool;
 use bytes::Bytes;
 use causeway_core::clock::{CpuClock, SystemClock, VirtualCpuClock, WallClock};
 use causeway_core::deploy::Deployment;
+use causeway_core::engine::{Gate, Ticket, DEFAULT_QUEUE_CAPACITY};
 use causeway_core::event::CallKind;
 use causeway_core::ftl::FunctionTxLog;
 use causeway_core::ids::{InterfaceId, NodeId, ObjectId, ProcessId};
-use causeway_core::metrics::{EngineMetrics, MetricsRegistry, OpMetrics};
+use causeway_core::metrics::MetricsRegistry;
 use causeway_core::monitor::{Monitor, ProbeMode, ProbePolicy};
 use causeway_core::names::SystemVocab;
 use causeway_core::runlog::RunLog;
@@ -20,13 +21,12 @@ use causeway_core::value::Value;
 use causeway_core::wire;
 use causeway_idl::compile::{InstrumentMode, compile};
 use causeway_idl::parse;
-use crossbeam::channel::{Receiver, Sender, bounded, unbounded};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, bounded, unbounded};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Container configuration.
 #[derive(Debug, Clone)]
@@ -46,10 +46,6 @@ pub struct ContainerConfig {
     pub default_pool_size: usize,
     /// Reply timeout for business calls.
     pub reply_timeout: Duration,
-    /// Bound on the container's dispatch queue; business calls over it
-    /// are refused with [`crate::error::EjbError::Overloaded`] and counted
-    /// in `causeway_engine_shed_total{engine="ejb"}`. 0 is treated as 1.
-    pub queue_capacity: usize,
 }
 
 impl Default for ContainerConfig {
@@ -61,7 +57,6 @@ impl Default for ContainerConfig {
             dispatch_threads: 4,
             default_pool_size: 8,
             reply_timeout: Duration::from_secs(30),
-            queue_capacity: 65_536,
         }
     }
 }
@@ -130,9 +125,10 @@ struct WorkItem {
     payload: Bytes,
     work_area: WorkArea,
     reply: Sender<WorkReply>,
-    /// Stamped at enqueue; the dispatch worker reports the wait as
+    /// Counts the call in flight in the domain's gate until the item is
+    /// dropped; stamped at enqueue for
     /// `causeway_engine_queue_wait_ns{engine="ejb"}`.
-    enqueued: Instant,
+    ticket: Ticket,
 }
 
 struct WorkReply {
@@ -157,11 +153,6 @@ struct ContainerInner {
     domain: Arc<DomainShared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     metrics: MetricsRegistry,
-    /// The `engine="ejb"` dispatch series.
-    engine_metrics: EngineMetrics,
-    /// Per-operation dispatch series (`iface=`/`method=` on top of
-    /// `engine="ejb"`).
-    op_metrics: OpMetrics,
 }
 
 impl std::fmt::Debug for ContainerInner {
@@ -179,13 +170,12 @@ enum ContainerMsg {
 }
 
 /// State shared by every container of one routing domain.
-#[derive(Default)]
 struct DomainShared {
     routes: RwLock<HashMap<ProcessId, Sender<ContainerMsg>>>,
-    /// In-flight business calls across the whole domain (a call increments
-    /// at the proxy and decrements at the dispatching container, which may
-    /// be a different one).
-    pending: AtomicI64,
+    /// The domain's `engine="ejb"` gate: a call enters at the proxy and is
+    /// released by the dispatching container, which may be a different
+    /// one. Its capacity bounds each container's dispatch queue.
+    gate: Gate,
 }
 
 /// One EJB container (one simulated process). Cloning shares state.
@@ -270,6 +260,12 @@ impl ContainerBuilder {
             .clone()
             .unwrap_or_else(|| ProbePolicy::new(self.config.probe_mode));
         let metrics = self.metrics.unwrap_or_default();
+        let domain = self.domain.unwrap_or_else(|| {
+            Arc::new(DomainShared {
+                routes: RwLock::default(),
+                gate: Gate::new(&metrics, "ejb", DEFAULT_QUEUE_CAPACITY),
+            })
+        });
         let monitor = Monitor::builder(self.process, self.node)
             .policy(probe_policy)
             .wall_clock(self.wall.unwrap_or_else(|| Arc::new(SystemClock::new())))
@@ -286,10 +282,8 @@ impl ContainerBuilder {
                 config: self.config,
                 beans: RwLock::new(HashMap::new()),
                 interceptors: RwLock::new(Vec::new()),
-                domain: self.domain.unwrap_or_default(),
+                domain,
                 workers: Mutex::new(Vec::new()),
-                engine_metrics: EngineMetrics::register(&metrics, "ejb"),
-                op_metrics: OpMetrics::new(&metrics, "ejb"),
                 metrics,
             }),
         };
@@ -325,7 +319,7 @@ impl Container {
                 std::thread::Builder::new()
                     .name(format!("{}-ejb{}", self.inner.process, i))
                     .spawn(move || {
-                        let _worker = container.inner.engine_metrics.worker();
+                        let _worker = container.inner.domain.gate.worker();
                         while let Ok(msg) = rx.recv() {
                             match msg {
                                 ContainerMsg::Work(item) => container.dispatch(item),
@@ -435,7 +429,7 @@ impl Container {
 
     /// Calls currently in flight across the routing domain.
     pub fn in_flight(&self) -> i64 {
-        self.inner.domain.pending.load(Ordering::SeqCst)
+        self.inner.domain.gate.in_flight()
     }
 
     /// Waits until no calls are in flight.
@@ -444,17 +438,7 @@ impl Container {
     ///
     /// Returns the stuck count after `timeout`.
     pub fn quiesce(&self, timeout: Duration) -> Result<(), i64> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let pending = self.inner.domain.pending.load(Ordering::SeqCst);
-            if pending <= 0 {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(pending);
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
+        self.inner.domain.gate.quiesce(timeout)
     }
 
     /// Stops this container's dispatch workers.
@@ -490,26 +474,11 @@ impl Container {
     /// Server-side dispatch: skeleton probe, pool checkout, interceptor
     /// chain, business method, checkin, reply.
     fn dispatch(&self, item: WorkItem) {
-        let m = &self.inner.engine_metrics;
-        m.queue_wait_ns.observe(item.enqueued.elapsed().as_nanos() as u64);
-        let _timer = m.begin_dispatch();
+        let mut dispatch = item.ticket.dispatch(self.inner.monitor.store());
         let monitor = &self.inner.monitor;
         let instrumented = self.inner.config.instrumented;
         let func = causeway_core::record::FunctionKey::new(item.interface, item.method, item.bean);
-        let op = self.inner.op_metrics.series(func.interface, func.method, || {
-            (
-                self.inner
-                    .vocab
-                    .interface_name(func.interface)
-                    .unwrap_or_else(|| func.interface.to_string()),
-                self.inner
-                    .vocab
-                    .method_name(func.interface, func.method)
-                    .unwrap_or_else(|| func.method.to_string()),
-            )
-        });
-        op.dispatch.inc();
-        let op_started = std::time::Instant::now();
+        dispatch.op(func, &self.inner.vocab);
         let kind = CallKind::Sync;
 
         let deployment = self.inner.beans.read().get(&item.bean).cloned();
@@ -518,7 +487,6 @@ impl Container {
                 body: Err(format!("no bean {} in {}", item.bean, self.inner.process)),
                 work_area: WorkArea::new(),
             });
-            self.inner.domain.pending.fetch_sub(1, Ordering::SeqCst);
             return;
         };
 
@@ -557,7 +525,6 @@ impl Container {
             Err(e) => Err(("MarshalError".to_owned(), e.to_string())),
         };
 
-        op.busy_ns.observe(op_started.elapsed().as_nanos() as u64);
         let mut work_area = WorkArea::new();
         if instrumented {
             let reply_ftl = monitor.skel_end(func, kind);
@@ -577,11 +544,6 @@ impl Container {
             Err(app) => Ok(Err(app)),
         };
         let _ = item.reply.send(WorkReply { body, work_area });
-        // Seal this dispatch thread's open log chunk before the call stops
-        // counting as in-flight, so quiescence implies every server-side
-        // record reached the collector stream.
-        monitor.store().flush_current_thread();
-        self.inner.domain.pending.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -661,56 +623,46 @@ impl EjbClient {
         }
         cpu.region_end(token);
 
-        let route = inner.domain.routes.read().get(&target.container).cloned();
-        let Some(route) = route else {
-            if instrumented {
-                monitor.stub_end(func, kind, None);
-            }
-            return Err(EjbError::ContainerUnreachable(target.container.to_string()));
-        };
-
-        // Bounded admission: a full container queue sheds the call with an
-        // explicit overload error instead of queueing without bound. The
-        // proxy-side probe still closes, so the causal chain stays intact.
-        if route.len() >= inner.config.queue_capacity.max(1) {
-            inner.engine_metrics.shed.inc();
-            if instrumented {
-                monitor.stub_end(func, kind, None);
-            }
-            return Err(EjbError::Overloaded(format!(
-                "{} dispatch queue at capacity",
-                target.container
-            )));
-        }
-
+        let unreachable = || EjbError::ContainerUnreachable(target.container.to_string());
         let (reply_tx, reply_rx) = bounded(1);
-        inner.domain.pending.fetch_add(1, Ordering::SeqCst);
-        if route
-            .send(ContainerMsg::Work(WorkItem {
-                bean: target.bean,
-                interface: target.interface,
-                method: midx,
-                payload,
-                work_area,
-                reply: reply_tx,
-                enqueued: Instant::now(),
-            }))
-            .is_err()
-        {
-            inner.domain.pending.fetch_sub(1, Ordering::SeqCst);
-            if instrumented {
-                monitor.stub_end(func, kind, None);
-            }
-            return Err(EjbError::ContainerUnreachable(target.container.to_string()));
-        }
-
-        let reply = match reply_rx.recv_timeout(inner.config.reply_timeout) {
+        let route = inner.domain.routes.read().get(&target.container).cloned();
+        let sent = match route {
+            None => Err(unreachable()),
+            // Bounded admission: a full container queue sheds the call with
+            // an explicit overload error instead of queueing without bound.
+            Some(route) if !inner.domain.gate.admits(route.len()) => Err(EjbError::Overloaded(
+                format!("{} dispatch queue at capacity", target.container),
+            )),
+            Some(route) => route
+                .send(ContainerMsg::Work(WorkItem {
+                    bean: target.bean,
+                    interface: target.interface,
+                    method: midx,
+                    payload,
+                    work_area,
+                    reply: reply_tx,
+                    ticket: inner.domain.gate.enter(),
+                }))
+                .map_err(|_| unreachable()),
+        };
+        let reply = sent.and_then(|()| {
+            reply_rx.recv_timeout(inner.config.reply_timeout).map_err(|e| match e {
+                RecvTimeoutError::Timeout => EjbError::Timeout(format!("{func}")),
+                RecvTimeoutError::Disconnected => EjbError::ContainerUnreachable(format!(
+                    "{} dropped the reply to {func}",
+                    target.container
+                )),
+            })
+        });
+        let reply = match reply {
             Ok(reply) => reply,
-            Err(_) => {
+            Err(e) => {
+                // The proxy-side probe still closes on every failure, so the
+                // causal chain stays intact.
                 if instrumented {
                     monitor.stub_end(func, kind, None);
                 }
-                return Err(EjbError::Timeout(format!("{func}")));
+                return Err(e);
             }
         };
 

@@ -17,8 +17,7 @@ use causeway_core::ids::{InterfaceId, MethodIndex, ObjectId, ProcessId};
 use causeway_core::record::FunctionKey;
 use causeway_core::value::Value;
 use causeway_core::wire;
-use crossbeam::channel::bounded;
-use std::sync::atomic::Ordering;
+use crossbeam::channel::{bounded, RecvTimeoutError};
 
 /// A location-transparent reference to a component object.
 ///
@@ -235,32 +234,41 @@ impl Client {
         }
 
         let (tx, rx) = bounded(1);
-        self.orb.inner.pending.fetch_add(1, Ordering::SeqCst);
         let sent = self.orb.inner.fabric.send(
             target.owner,
-            Incoming::Request(RequestMsg {
-                conn: ConnKey(self.orb.process()),
-                target: target.object,
-                interface: target.interface,
-                method: midx,
-                oneway: false,
-                payload,
-                contexts,
-                reply: Some(tx),
-                net_delay: std::time::Duration::ZERO,
-            }),
+            Incoming::Request(
+                RequestMsg {
+                    conn: ConnKey(self.orb.process()),
+                    target: target.object,
+                    interface: target.interface,
+                    method: midx,
+                    oneway: false,
+                    payload,
+                    contexts,
+                    reply: Some(tx),
+                    net_delay: std::time::Duration::ZERO,
+                },
+                self.orb.gate().enter(),
+            ),
         );
         if let Err(e) = sent {
-            self.orb.inner.pending.fetch_sub(1, Ordering::SeqCst);
             self.abandon_stub(func, kind, instrumented);
             return Err(OrbError::ProcessUnreachable(e));
         }
 
         let reply = rx
             .recv_timeout(self.orb.config().reply_timeout)
-            .map_err(|_| {
+            .map_err(|e| {
                 self.abandon_stub(func, kind, instrumented);
-                OrbError::Timeout(format!("{func} on {}", target.owner))
+                match e {
+                    RecvTimeoutError::Timeout => {
+                        OrbError::Timeout(format!("{func} on {}", target.owner))
+                    }
+                    RecvTimeoutError::Disconnected => OrbError::ProcessUnreachable(format!(
+                        "{} dropped the reply to {func}",
+                        target.owner
+                    )),
+                }
             })?;
 
         if !delay.is_zero() {
@@ -345,23 +353,24 @@ impl Client {
         }
 
         let delay = self.orb.inner.fabric.delay(self.orb.process(), target.owner);
-        self.orb.inner.pending.fetch_add(1, Ordering::SeqCst);
         let sent = self.orb.inner.fabric.send(
             target.owner,
-            Incoming::Request(RequestMsg {
-                conn: ConnKey(self.orb.process()),
-                target: target.object,
-                interface: target.interface,
-                method: midx,
-                oneway: true,
-                payload,
-                contexts,
-                reply: None,
-                net_delay: delay,
-            }),
+            Incoming::Request(
+                RequestMsg {
+                    conn: ConnKey(self.orb.process()),
+                    target: target.object,
+                    interface: target.interface,
+                    method: midx,
+                    oneway: true,
+                    payload,
+                    contexts,
+                    reply: None,
+                    net_delay: delay,
+                },
+                self.orb.gate().enter(),
+            ),
         );
         if let Err(e) = sent {
-            self.orb.inner.pending.fetch_sub(1, Ordering::SeqCst);
             self.abandon_stub(func, kind, instrumented);
             return Err(OrbError::ProcessUnreachable(e));
         }

@@ -6,10 +6,15 @@
 //! with O2 (the skeleton-start probe refreshes the thread's FTL on every
 //! dispatch), is why the tunnel survives thread reuse.
 //!
-//! Worker threads also honor the chunked log sink's sealing discipline:
-//! each dispatch seals the worker's open chunk before the request stops
-//! counting as in-flight (see [`crate::orb::Orb`]), and pooled workers
-//! additionally flush before blocking on an empty inbox, so a quiescent
+//! Admission, in-flight accounting and the dispatch bracket belong to the
+//! system's [`causeway_core::engine::Gate`]: every policy asks the gate
+//! whether its queue (for thread-per-request, its live request threads)
+//! admits one more request, and re-stamps the request's ticket when it
+//! hands the request to a worker, so `causeway_engine_queue_wait_ns`
+//! measures the wait for a worker. Each dispatch seals the worker's open
+//! chunk before its request stops counting as in flight (the gate's
+//! dispatch guard, see [`crate::orb::Orb`]), and pooled and per-connection
+//! workers also seal before blocking on an empty queue, so a quiescent
 //! engine strands no records in open chunks.
 
 use crate::orb::Orb;
@@ -19,32 +24,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
-
-/// A message on an engine-internal queue, stamped at enqueue so the worker
-/// that picks it up can report how long it waited
-/// (`causeway_engine_queue_wait_ns{engine="orb"}`).
-struct Queued {
-    enqueued: Instant,
-    incoming: Incoming,
-}
-
-impl Queued {
-    fn now(incoming: Incoming) -> Queued {
-        Queued { enqueued: Instant::now(), incoming }
-    }
-
-    /// Records the queue wait (for requests; control messages are not a
-    /// workload) and unwraps. Call exactly once, at pickup.
-    fn claim(self, orb: &Orb) -> Incoming {
-        if matches!(self.incoming, Incoming::Request(_)) {
-            orb.engine_metrics()
-                .queue_wait_ns
-                .observe(self.enqueued.elapsed().as_nanos() as u64);
-        }
-        self.incoming
-    }
-}
 
 
 /// The server threading policy.
@@ -152,41 +131,47 @@ fn recv_flushing<T>(rx: &Receiver<T>, orb: &Orb) -> Option<T> {
     }
 }
 
+/// A pooled or per-connection worker: dispatches requests until it receives
+/// [`Incoming::Stop`] or its queue closes.
+fn serve(orb: Orb, rx: Receiver<Incoming>) {
+    let _worker = orb.gate().worker();
+    while let Some(Incoming::Request(msg, ticket)) = recv_flushing(&rx, &orb) {
+        orb.dispatch(msg, ticket);
+    }
+}
+
 fn spawn_per_request(
     orb: Orb,
     rx: Receiver<Incoming>,
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) -> JoinHandle<()> {
-    let capacity = orb.config().engine_queue_capacity.max(1);
     std::thread::Builder::new()
         .name(format!("{}-acceptor", orb.process()))
         .spawn(move || {
             while let Ok(incoming) = rx.recv() {
                 match incoming {
-                    Incoming::Request(msg) => {
+                    Incoming::Request(msg, mut ticket) => {
                         // Completed requests leave finished handles behind;
                         // reap them here so a long-lived engine does not
                         // accumulate one dead handle per request ever
-                        // served — and so the capacity check below counts
+                        // served — and so the admission check below counts
                         // only live request threads.
                         reap_finished(&workers);
                         // The queue under thread-per-request IS the thread
                         // set: shed rather than spawn without bound.
-                        if workers.lock().len() >= capacity {
-                            orb.shed(msg);
+                        if !orb.gate().admits(workers.lock().len()) {
+                            orb.shed(msg, ticket);
                             continue;
                         }
                         let orb = orb.clone();
                         // Queue wait under thread-per-request is the spawn
-                        // cost: stamp here, claim when the thread runs.
-                        let queued = Queued::now(Incoming::Request(msg));
+                        // cost: stamp here, observe when the thread runs.
+                        ticket.restamp();
                         let handle = std::thread::Builder::new()
                             .name(format!("{}-req", orb.process()))
                             .spawn(move || {
-                                let _worker = orb.engine_metrics().worker();
-                                if let Incoming::Request(msg) = queued.claim(&orb) {
-                                    orb.dispatch(msg);
-                                }
+                                let _worker = orb.gate().worker();
+                                orb.dispatch(msg, ticket);
                             })
                             .expect("spawn request thread");
                         workers.lock().push(handle);
@@ -205,7 +190,7 @@ fn spawn_pool(
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) -> JoinHandle<()> {
     let size = size.max(1);
-    let (work_tx, work_rx) = unbounded::<Queued>();
+    let (work_tx, work_rx) = unbounded::<Incoming>();
     {
         let mut guard = workers.lock();
         for i in 0..size {
@@ -213,40 +198,32 @@ fn spawn_pool(
             let work_rx = work_rx.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("{}-pool{}", orb.process(), i))
-                .spawn(move || {
-                    let _worker = orb.engine_metrics().worker();
-                    while let Some(queued) = recv_flushing(&work_rx, &orb) {
-                        match queued.claim(&orb) {
-                            Incoming::Request(msg) => orb.dispatch(msg),
-                            Incoming::Stop => break,
-                        }
-                    }
-                })
+                .spawn(move || serve(orb, work_rx))
                 .expect("spawn pool worker");
             guard.push(handle);
         }
     }
-    let capacity = orb.config().engine_queue_capacity.max(1);
     std::thread::Builder::new()
         .name(format!("{}-acceptor", orb.process()))
         .spawn(move || {
             while let Ok(incoming) = rx.recv() {
                 match incoming {
-                    Incoming::Request(msg) => {
+                    Incoming::Request(msg, mut ticket) => {
                         // Bounded admission: a full worker queue sheds the
                         // request with an overload reply instead of letting
                         // an arrival burst grow the queue without bound.
-                        if work_tx.len() >= capacity {
-                            orb.shed(msg);
+                        if !orb.gate().admits(work_tx.len()) {
+                            orb.shed(msg, ticket);
                             continue;
                         }
-                        if work_tx.send(Queued::now(Incoming::Request(msg))).is_err() {
+                        ticket.restamp();
+                        if work_tx.send(Incoming::Request(msg, ticket)).is_err() {
                             break;
                         }
                     }
                     Incoming::Stop => {
                         for _ in 0..size {
-                            let _ = work_tx.send(Queued::now(Incoming::Stop));
+                            let _ = work_tx.send(Incoming::Stop);
                         }
                         break;
                     }
@@ -261,44 +238,36 @@ fn spawn_per_connection(
     rx: Receiver<Incoming>,
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) -> JoinHandle<()> {
-    let capacity = orb.config().engine_queue_capacity.max(1);
     std::thread::Builder::new()
         .name(format!("{}-acceptor", orb.process()))
         .spawn(move || {
-            let mut conns: HashMap<ConnKey, Sender<Queued>> = HashMap::new();
+            let mut conns: HashMap<ConnKey, Sender<Incoming>> = HashMap::new();
             while let Ok(incoming) = rx.recv() {
                 match incoming {
-                    Incoming::Request(msg) => {
+                    Incoming::Request(msg, mut ticket) => {
                         let conn = msg.conn;
                         // Bounded admission per connection queue (the
                         // worker is per connection, so the bound is too).
-                        if conns.get(&conn).is_some_and(|tx| tx.len() >= capacity) {
-                            orb.shed(msg);
+                        if !orb.gate().admits(conns.get(&conn).map_or(0, Sender::len)) {
+                            orb.shed(msg, ticket);
                             continue;
                         }
                         let tx = conns.entry(conn).or_insert_with(|| {
-                            let (tx, conn_rx) = unbounded::<Queued>();
+                            let (tx, conn_rx) = unbounded::<Incoming>();
                             let orb = orb.clone();
                             let handle = std::thread::Builder::new()
                                 .name(format!("{}-conn{}", orb.process(), conn.0))
-                                .spawn(move || {
-                                    let _worker = orb.engine_metrics().worker();
-                                    while let Some(queued) = recv_flushing(&conn_rx, &orb) {
-                                        match queued.claim(&orb) {
-                                            Incoming::Request(msg) => orb.dispatch(msg),
-                                            Incoming::Stop => break,
-                                        }
-                                    }
-                                })
+                                .spawn(move || serve(orb, conn_rx))
                                 .expect("spawn connection worker");
                             workers.lock().push(handle);
                             tx
                         });
-                        let _ = tx.send(Queued::now(Incoming::Request(msg)));
+                        ticket.restamp();
+                        let _ = tx.send(Incoming::Request(msg, ticket));
                     }
                     Incoming::Stop => {
                         for tx in conns.values() {
-                            let _ = tx.send(Queued::now(Incoming::Stop));
+                            let _ = tx.send(Incoming::Stop);
                         }
                         break;
                     }

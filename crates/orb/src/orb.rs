@@ -9,25 +9,17 @@ use crate::reply::encode_reply;
 use crate::servant::ServerCtx;
 use crate::transport::{Fabric, ReplyMsg, RequestMsg};
 use bytes::Bytes;
+use causeway_core::engine::{Dispatch, Gate, Ticket};
 use causeway_core::event::CallKind;
 use causeway_core::ftl::FunctionTxLog;
 use causeway_core::ids::{NodeId, ProcessId};
-use causeway_core::metrics::{EngineMetrics, OpMetrics};
 use causeway_core::monitor::Monitor;
 use causeway_core::names::SystemVocab;
 use causeway_core::record::FunctionKey;
 use causeway_core::uuid::Uuid;
 use causeway_core::wire;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Default bound on each server engine's internal dispatch queue (and, for
-/// thread-per-request, on live request threads). Requests beyond it are
-/// shed with an overload reply instead of queueing without bound — an
-/// open-loop arrival burst must surface as explicit shed load
-/// (`causeway_engine_shed_total`), not as a silently growing queue.
-pub const DEFAULT_ENGINE_QUEUE_CAPACITY: usize = 65_536;
 
 /// Static ORB configuration, fixed at system build time.
 #[derive(Debug, Clone)]
@@ -41,10 +33,6 @@ pub struct OrbConfig {
     pub collocation_optimization: bool,
     /// How long a synchronous caller waits for a reply before giving up.
     pub reply_timeout: Duration,
-    /// Bound on the server engine's dispatch queue; requests over it are
-    /// shed with an overload reply (see
-    /// [`DEFAULT_ENGINE_QUEUE_CAPACITY`]). A value of 0 is treated as 1.
-    pub engine_queue_capacity: usize,
 }
 
 impl Default for OrbConfig {
@@ -53,7 +41,6 @@ impl Default for OrbConfig {
             instrumented: true,
             collocation_optimization: true,
             reply_timeout: Duration::from_secs(30),
-            engine_queue_capacity: DEFAULT_ENGINE_QUEUE_CAPACITY,
         }
     }
 }
@@ -69,14 +56,9 @@ pub(crate) struct OrbInner {
     pub(crate) vocab: SystemVocab,
     pub(crate) fabric: Fabric,
     pub(crate) config: OrbConfig,
-    pub(crate) pending: Arc<AtomicI64>,
     pub(crate) interceptors: parking_lot::RwLock<InterceptorSet>,
-    /// The system's `engine="orb"` dispatch series.
-    pub(crate) engine_metrics: EngineMetrics,
-    /// Per-operation dispatch series (`iface=`/`method=` labels on top of
-    /// `engine="orb"`) — the keys the paper's Table 2 characterizes by;
-    /// one cache shared by the system's ORBs.
-    pub(crate) op_metrics: Arc<OpMetrics>,
+    /// The system's `engine="orb"` gate, shared by its ORBs.
+    pub(crate) gate: Gate,
 }
 
 /// A per-process ORB handle. Cloning shares state.
@@ -97,9 +79,7 @@ impl Orb {
         vocab: SystemVocab,
         fabric: Fabric,
         config: OrbConfig,
-        pending: Arc<AtomicI64>,
-        engine_metrics: EngineMetrics,
-        op_metrics: Arc<OpMetrics>,
+        gate: Gate,
     ) -> Orb {
         Orb {
             inner: Arc::new(OrbInner {
@@ -112,10 +92,8 @@ impl Orb {
                 vocab,
                 fabric,
                 config,
-                pending,
                 interceptors: parking_lot::RwLock::new(InterceptorSet::new()),
-                engine_metrics,
-                op_metrics,
+                gate,
             }),
         }
     }
@@ -145,10 +123,9 @@ impl Orb {
         &self.inner.config
     }
 
-    /// The `engine="orb"` dispatch series of the system this ORB belongs
-    /// to.
-    pub(crate) fn engine_metrics(&self) -> &EngineMetrics {
-        &self.inner.engine_metrics
+    /// The `engine="orb"` gate of the system this ORB belongs to.
+    pub(crate) fn gate(&self) -> &Gate {
+        &self.inner.gate
     }
 
     /// A client bound to this process, for issuing invocations.
@@ -167,36 +144,31 @@ impl Orb {
     /// skeleton of Figure 1 (probes 2 and 3 around the up-call), plus reply
     /// transmission. Called by the server engine on whatever thread the
     /// threading policy selected.
-    pub(crate) fn dispatch(&self, msg: RequestMsg) {
+    pub(crate) fn dispatch(&self, msg: RequestMsg, ticket: Ticket) {
         // Busy time covers the whole dispatch — including the modelled
         // one-way transit sleep, which really does occupy the worker.
-        let _timer = self.inner.engine_metrics.begin_dispatch();
+        let mut dispatch = ticket.dispatch(self.inner.monitor.store());
         if !msg.net_delay.is_zero() {
             // One-way transit modelled on the server side because the
             // caller did not wait.
             std::thread::sleep(msg.net_delay);
         }
-        let (body, contexts) = self.dispatch_inner(&msg);
+        let (body, contexts) = self.dispatch_inner(&msg, &mut dispatch);
         if let Some(reply) = &msg.reply {
             // The caller may have timed out and dropped the receiver; that
             // is its problem, not ours.
             let _ = reply.send(ReplyMsg { body, contexts });
         }
-        // Seal this worker's open chunk before the request stops counting
-        // as in-flight: quiescence (`pending == 0`) then implies every
-        // server-side record is visible to the collector. Runs after the
-        // reply send, so it never sits on the caller's latency path.
-        self.inner.monitor.store().flush_current_thread();
-        self.inner.pending.fetch_sub(1, Ordering::SeqCst);
+        // `dispatch` drops here, after the reply send so that the seal
+        // never sits on the caller's latency path: it seals this worker's
+        // chunk, then releases the ticket.
     }
 
-    /// Refuses one request at admission because the engine's dispatch
-    /// queue is full: counts the shed, answers the caller with an overload
-    /// failure (synchronous callers see it as an immediate error instead
-    /// of a timeout), and releases the request's in-flight count — a shed
-    /// request must not wedge quiescence.
-    pub(crate) fn shed(&self, msg: RequestMsg) {
-        self.inner.engine_metrics.shed.inc();
+    /// Answers a request the gate refused with an overload failure
+    /// (synchronous callers see it as an immediate error instead of a
+    /// timeout), releasing its ticket first.
+    pub(crate) fn shed(&self, msg: RequestMsg, ticket: Ticket) {
+        drop(ticket);
         if let Some(reply) = &msg.reply {
             let _ = reply.send(ReplyMsg {
                 body: Err(format!(
@@ -206,10 +178,13 @@ impl Orb {
                 contexts: ServiceContexts::new(),
             });
         }
-        self.inner.pending.fetch_sub(1, Ordering::SeqCst);
     }
 
-    fn dispatch_inner(&self, msg: &RequestMsg) -> (Result<Bytes, String>, ServiceContexts) {
+    fn dispatch_inner(
+        &self,
+        msg: &RequestMsg,
+        dispatch: &mut Dispatch<'_>,
+    ) -> (Result<Bytes, String>, ServiceContexts) {
         let instrumented = self.inner.config.instrumented;
         let kind = if msg.oneway { CallKind::Oneway } else { CallKind::Sync };
         let monitor = &self.inner.monitor;
@@ -254,20 +229,7 @@ impl Orb {
         };
 
         let func = FunctionKey::new(msg.interface, msg.method, msg.target);
-        let op = self.inner.op_metrics.series(func.interface, func.method, || {
-            (
-                self.inner
-                    .vocab
-                    .interface_name(func.interface)
-                    .unwrap_or_else(|| func.interface.to_string()),
-                self.inner
-                    .vocab
-                    .method_name(func.interface, func.method)
-                    .unwrap_or_else(|| func.method.to_string()),
-            )
-        });
-        op.dispatch.inc();
-        let op_started = std::time::Instant::now();
+        dispatch.op(func, &self.inner.vocab);
         let info = RequestInfo { func, kind };
         {
             let interceptors = self.inner.interceptors.read();
@@ -293,7 +255,6 @@ impl Orb {
             Err(e) => Err(crate::error::AppError::new("MarshalError", e.to_string())),
         };
 
-        op.busy_ns.observe(op_started.elapsed().as_nanos() as u64);
         let reply_ftl = instrumented.then(|| monitor.skel_end(func, kind));
         {
             let interceptors = self.inner.interceptors.read();

@@ -14,8 +14,9 @@ use crate::servant::Servant;
 use crate::transport::{Fabric, Incoming};
 use causeway_core::clock::{CpuClock, SystemClock, VirtualCpuClock, WallClock};
 use causeway_core::deploy::Deployment;
+use causeway_core::engine::{Gate, DEFAULT_QUEUE_CAPACITY};
 use causeway_core::ids::{InterfaceId, NodeId, ProcessId};
-use causeway_core::metrics::{EngineMetrics, MetricsRegistry, OpMetrics};
+use causeway_core::metrics::MetricsRegistry;
 use causeway_core::monitor::{Monitor, ProbeMode, ProbePolicy};
 use causeway_core::names::SystemVocab;
 use causeway_core::runlog::RunLog;
@@ -25,8 +26,7 @@ use causeway_idl::{ParseError, parse};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Errors raised while assembling or operating a system.
 #[derive(Debug)]
@@ -146,8 +146,8 @@ impl SystemBuilder {
     }
 
     /// Bounds each server engine's dispatch queue (default
-    /// [`crate::orb::DEFAULT_ENGINE_QUEUE_CAPACITY`]); requests over the
-    /// bound are shed with an overload reply and counted in
+    /// [`DEFAULT_QUEUE_CAPACITY`]); requests over the bound are shed with
+    /// an overload reply and counted in
     /// `causeway_engine_shed_total{engine="orb"}`.
     pub fn engine_queue_capacity(&mut self, capacity: usize) -> &mut Self {
         self.engine_queue_capacity = capacity.max(1);
@@ -181,14 +181,12 @@ impl SystemBuilder {
         let fabric = Fabric::new();
         let catalog = InterfaceCatalog::new();
         let registries = SharedRegistries::new();
-        let pending = Arc::new(AtomicI64::new(0));
         let wall = self.wall.unwrap_or_else(|| Arc::new(SystemClock::new()));
         let cpu = self.cpu.unwrap_or_else(|| Arc::new(VirtualCpuClock::new()));
         let probe_policy =
             self.probe_policy.unwrap_or_else(|| ProbePolicy::new(self.probe_mode));
         let metrics = MetricsRegistry::new();
-        let engine_metrics = EngineMetrics::register(&metrics, "orb");
-        let op_metrics = Arc::new(OpMetrics::new(&metrics, "orb"));
+        let gate = Gate::new(&metrics, "orb", self.engine_queue_capacity);
 
         let mut orbs = Vec::new();
         for (idx, proc_info) in self.deployment.processes.iter().enumerate() {
@@ -214,11 +212,8 @@ impl SystemBuilder {
                     instrumented: self.instrumented,
                     collocation_optimization: self.collocation_optimization,
                     reply_timeout: self.reply_timeout,
-                    engine_queue_capacity: self.engine_queue_capacity,
                 },
-                Arc::clone(&pending),
-                engine_metrics.clone(),
-                Arc::clone(&op_metrics),
+                gate.clone(),
             );
             orbs.push(orb);
         }
@@ -232,7 +227,7 @@ impl SystemBuilder {
             fabric,
             catalog,
             orbs,
-            pending,
+            gate,
             engines: Mutex::new(Vec::new()),
             started: Mutex::new(false),
         }
@@ -249,7 +244,7 @@ pub struct System {
     fabric: Fabric,
     catalog: InterfaceCatalog,
     orbs: Vec<Orb>,
-    pending: Arc<AtomicI64>,
+    gate: Gate,
     engines: Mutex<Vec<(ProcessId, ServerEngine)>>,
     started: Mutex<bool>,
 }
@@ -259,7 +254,7 @@ impl std::fmt::Debug for System {
         f.debug_struct("System")
             .field("processes", &self.orbs.len())
             .field("started", &*self.started.lock())
-            .field("in_flight", &self.pending.load(Ordering::SeqCst))
+            .field("in_flight", &self.in_flight())
             .finish()
     }
 }
@@ -276,7 +271,7 @@ impl System {
             instrumented: true,
             collocation_optimization: true,
             reply_timeout: Duration::from_secs(30),
-            engine_queue_capacity: crate::orb::DEFAULT_ENGINE_QUEUE_CAPACITY,
+            engine_queue_capacity: DEFAULT_QUEUE_CAPACITY,
             wall: None,
             cpu: None,
         }
@@ -417,7 +412,7 @@ impl System {
 
     /// Requests currently in flight (sent but not fully dispatched).
     pub fn in_flight(&self) -> i64 {
-        self.pending.load(Ordering::SeqCst)
+        self.gate.in_flight()
     }
 
     /// Seals the calling thread's open log chunks for every process's
@@ -453,18 +448,7 @@ impl System {
     /// Returns [`SystemError::QuiesceTimeout`] when in-flight work remains
     /// after `timeout`.
     pub fn quiesce(&self, timeout: Duration) -> Result<(), SystemError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.pending.load(Ordering::SeqCst) <= 0 {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(SystemError::QuiesceTimeout {
-                    in_flight: self.pending.load(Ordering::SeqCst),
-                });
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
+        self.gate.quiesce(timeout).map_err(|in_flight| SystemError::QuiesceTimeout { in_flight })
     }
 
     /// Stops all engines and joins their threads. Idempotent.

@@ -9,6 +9,7 @@
 
 use crate::interceptor::ServiceContexts;
 use bytes::Bytes;
+use causeway_core::engine::Ticket;
 use causeway_core::ids::{InterfaceId, MethodIndex, ObjectId, ProcessId};
 use crossbeam::channel::{Receiver, Sender, unbounded};
 use parking_lot::RwLock;
@@ -59,8 +60,9 @@ pub struct ReplyMsg {
 /// What a server engine receives.
 #[derive(Debug)]
 pub enum Incoming {
-    /// A request to dispatch.
-    Request(RequestMsg),
+    /// A request to dispatch, with the ticket that counts it in flight in
+    /// the system's gate until it is dispatched or dropped.
+    Request(RequestMsg, Ticket),
     /// Orderly shutdown.
     Stop,
 }
