@@ -183,12 +183,12 @@ fn main() -> ExitCode {
 
     // Harvest-completeness diagnostic: the header says how many records the
     // stores held when harvested; fewer in the log means the rest were
-    // stranded in unsealed per-thread chunks or lost in transit.
+    // lost in transit (a torn or truncated file, another consumer).
     let expected_records = run.expected_records;
     if let Some(missing) = run.missing_records() {
         eprintln!(
             "warning: {missing} record(s) missing — the log holds {} of {} buffered at \
-             harvest; quiesce before harvesting so every thread seals its open chunk",
+             harvest",
             run.len(),
             expected_records.unwrap_or(0),
         );

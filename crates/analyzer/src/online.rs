@@ -34,7 +34,7 @@ use causeway_core::record::{FunctionKey, ProbeRecord};
 use causeway_core::sink::{Chunk, LogStore};
 use causeway_core::uuid::Uuid;
 use std::collections::{BTreeMap, HashMap};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Self-observability handles for on-line analysis. Analyzers given one
 /// registry aggregate into one set of series (an analyzer instance is not
@@ -423,7 +423,7 @@ impl OnlineAnalyzer {
         self.ingest_chain(record.uuid, [record], sink);
     }
 
-    /// Feeds every record of a sealed chunk, in the producing thread's
+    /// Feeds every record of a drained chunk, in the producing thread's
     /// push order.
     pub fn ingest_chunk(&mut self, chunk: Chunk, sink: &mut impl FnMut(OnlineEvent)) {
         for record in chunk.records {
@@ -472,13 +472,13 @@ impl OnlineAnalyzer {
         }
     }
 
-    /// Consumes every chunk a live store has sealed so far, without
-    /// blocking. Returns the number of records ingested. Safe while
-    /// producer threads keep pushing — this is the on-line consumption
-    /// path: no quiescence, no post-hoc [`causeway_core::runlog::RunLog`].
+    /// Consumes every record a live store holds, without blocking, in one
+    /// drain. Returns the number of records ingested. Safe while producer
+    /// threads keep pushing — this is the on-line consumption path: no
+    /// quiescence, no post-hoc [`causeway_core::runlog::RunLog`].
     pub fn poll_store(&mut self, store: &LogStore, sink: &mut impl FnMut(OnlineEvent)) -> usize {
         let mut ingested = 0;
-        while let Some(chunk) = store.try_recv_chunk() {
+        for chunk in store.drain_chunks() {
             ingested += chunk.len();
             self.ingest_chunk(chunk, sink);
         }
@@ -487,33 +487,31 @@ impl OnlineAnalyzer {
         ingested
     }
 
-    /// Waits up to `timeout` for a producer to seal a chunk, then consumes
-    /// it and everything else already available. Returns the number of
+    /// Waits up to `timeout` for a producer to push, then consumes
+    /// everything available. Returns the number of
     /// records ingested (0 on timeout) — the pump loop primitive for a
-    /// dedicated analysis thread.
+    /// dedicated analysis thread. Polls the store every millisecond.
     pub fn follow_store(
         &mut self,
         store: &LogStore,
         timeout: Duration,
         sink: &mut impl FnMut(OnlineEvent),
     ) -> usize {
-        match store.recv_chunk_timeout(timeout) {
-            Some(chunk) => {
-                let mut ingested = chunk.len();
-                self.ingest_chunk(chunk, sink);
-                ingested += self.poll_store(store, sink);
-                ingested
+        let deadline = Instant::now() + timeout;
+        loop {
+            let ingested = self.poll_store(store, sink);
+            let now = Instant::now();
+            if ingested > 0 || now >= deadline {
+                return ingested;
             }
-            None => 0,
+            std::thread::sleep((deadline - now).min(Duration::from_millis(1)));
         }
     }
 
-    /// End-of-stream sweep: asks producers to flush their open chunks and
-    /// consumes what is already sealed. Call once producers are quiescent
-    /// (then the store is left empty), and follow with [`Self::finish`].
+    /// End-of-stream sweep: [`Self::poll_store`] once producers are
+    /// quiescent (then the store is left empty). Follow with
+    /// [`Self::finish`].
     pub fn drain_store(&mut self, store: &LogStore, sink: &mut impl FnMut(OnlineEvent)) -> usize {
-        store.request_flush();
-        store.flush_current_thread();
         self.poll_store(store, sink)
     }
 
@@ -791,6 +789,49 @@ mod tests {
             !events.iter().any(|e| matches!(e, OnlineEvent::Abnormality { .. })),
             "clean run has no abnormalities"
         );
+    }
+
+    /// Contract: `follow_store` sees records a producer pushed and then
+    /// parked on, with no flush and no thread exit, within its timeout.
+    #[test]
+    fn follow_store_sees_a_parked_producers_records() {
+        use causeway_core::monitor::{Monitor, ProbeMode};
+        use std::sync::{Arc, Barrier};
+
+        const CALLS: usize = 5;
+        let monitor = Monitor::builder(ProcessId(0), NodeId(0))
+            .mode(ProbeMode::CausalityOnly)
+            .build();
+        let store = monitor.store().clone();
+        let func = FunctionKey::new(InterfaceId(0), MethodIndex(0), ObjectId(1));
+        let parked = Arc::new(Barrier::new(2));
+        let producer = {
+            let parked = Arc::clone(&parked);
+            std::thread::spawn(move || {
+                for _ in 0..CALLS {
+                    monitor.begin_root();
+                    let out = monitor.stub_start(func, CallKind::Sync);
+                    monitor.skel_start(func, CallKind::Sync, out.wire_ftl, None);
+                    let reply = monitor.skel_end(func, CallKind::Sync);
+                    monitor.stub_end(func, CallKind::Sync, Some(reply));
+                }
+                parked.wait(); // pushed
+                parked.wait(); // followed
+            })
+        };
+        parked.wait();
+        let mut analyzer = OnlineAnalyzer::new();
+        let mut events = Vec::new();
+        let timeout = Duration::from_secs(5);
+        let started = std::time::Instant::now();
+        let ingested = analyzer.follow_store(&store, timeout, &mut |e| events.push(e));
+        assert!(started.elapsed() < timeout, "returned before its timeout");
+        assert_eq!(ingested, CALLS * 4, "every record the parked producer pushed");
+        let completed =
+            events.iter().filter(|e| matches!(e, OnlineEvent::CallCompleted { .. })).count();
+        assert_eq!(completed, CALLS);
+        parked.wait();
+        producer.join().unwrap();
     }
 
     #[test]

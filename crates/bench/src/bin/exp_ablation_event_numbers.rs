@@ -31,7 +31,6 @@ fn run(concurrency: usize) -> RunLog {
         for lane in 0..concurrency {
             let client = pps.system.client(pps.driver);
             let source = pps.stage(StageName::JobSource);
-            let system = &pps.system;
             scope.spawn(move || {
                 for job in 0..8 {
                     client.begin_root();
@@ -39,9 +38,6 @@ fn run(concurrency: usize) -> RunLog {
                         .invoke(&source, "submit", vec![Value::I64((lane * 100 + job) as i64)])
                         .expect("job");
                 }
-                // `scope` may return before this thread's exit-time
-                // flush has run: seal its records while it is live.
-                system.flush_local_logs();
             });
         }
     });

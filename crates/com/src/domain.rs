@@ -438,7 +438,7 @@ impl ComDomain {
 
     /// Server-side dispatch on an apartment thread.
     fn dispatch(&self, msg: OrpcMsg) {
-        let mut dispatch = msg.ticket.dispatch(self.inner.monitor.store());
+        let mut dispatch = msg.ticket.dispatch();
         let monitor = &self.inner.monitor;
         let instrumented = self.inner.config.instrumented;
         let func = FunctionKey::new(msg.interface, msg.method, msg.target);

@@ -12,10 +12,12 @@
 //!   timed out releases the count exactly once, with no hand-written
 //!   decrement.
 //! * [`Ticket::dispatch`] turns the ticket into the server-side bracket.
-//!   The [`Dispatch`] guard owns the ticket; its `Drop` seals the worker's
-//!   open log chunk and only then releases the ticket. On a return, an
-//!   early error and a panicking servant alike, the records are sealed
-//!   before the request stops counting as in flight.
+//!   The [`Dispatch`] guard owns the ticket; its `Drop` ends the engine's
+//!   busy clock and then releases the ticket, on a return, an early error
+//!   and a panicking servant alike. Nothing has to be sealed first: a
+//!   record is visible to a drain as soon as `LogStore::push` returns, so
+//!   every record the worker pushed precedes the release, and a drain that
+//!   follows an observed zero in-flight count finds them all.
 //! * [`Gate::admits`] is bounded admission: a queue at capacity refuses the
 //!   request and counts it in `causeway_engine_shed_total`.
 //! * [`Gate::quiesce`] waits for the in-flight count to reach zero.
@@ -23,7 +25,6 @@
 use crate::metrics::{EngineMetrics, MetricsRegistry, OpMetrics, OpSeries, WorkerHandle};
 use crate::names::SystemVocab;
 use crate::record::FunctionKey;
-use crate::sink::LogStore;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -129,15 +130,14 @@ impl Ticket {
 
     /// Opens the server-side bracket of this ticket's request on the
     /// calling worker: records the queue wait, counts the dispatch and
-    /// marks it in flight in the engine series. Records the worker pushes
-    /// to `store` before the returned guard drops are sealed when it drops,
-    /// before the ticket is released.
-    pub fn dispatch(self, store: &LogStore) -> Dispatch<'_> {
+    /// marks it in flight in the engine series. The ticket is released when
+    /// the returned guard drops.
+    pub fn dispatch(self) -> Dispatch {
         let metrics = &self.gate.metrics;
         metrics.queue_wait_ns.observe(self.enqueued.elapsed().as_nanos() as u64);
         metrics.dispatch.inc();
         metrics.inflight.inc();
-        Dispatch { store, op: None, started: Instant::now(), ticket: self }
+        Dispatch { op: None, started: Instant::now(), ticket: self }
     }
 }
 
@@ -148,19 +148,17 @@ impl Drop for Ticket {
 }
 
 /// The server-side bracket of one dispatch (see [`Ticket::dispatch`]).
-/// Dropping it closes the operation's busy clock, seals the worker's open
-/// log chunk, charges the dispatch to the engine's busy time and then
-/// releases the ticket.
+/// Dropping it closes the operation's busy clock, charges the dispatch to
+/// the engine's busy time and then releases the ticket.
 #[derive(Debug)]
-pub struct Dispatch<'a> {
-    store: &'a LogStore,
+pub struct Dispatch {
     op: Option<(OpSeries, Instant)>,
     started: Instant,
-    /// Dropped after `Drop::drop` has sealed: the release comes last.
+    /// Dropped after `Drop::drop` has run: the release comes last.
     ticket: Ticket,
 }
 
-impl Dispatch<'_> {
+impl Dispatch {
     /// Counts this dispatch in the per-operation series of `func` (labels
     /// resolved through `vocab` on first sight) and starts its busy clock,
     /// which runs until the guard drops.
@@ -178,12 +176,11 @@ impl Dispatch<'_> {
     }
 }
 
-impl Drop for Dispatch<'_> {
+impl Drop for Dispatch {
     fn drop(&mut self) {
         if let Some((series, started)) = self.op.take() {
             series.busy_ns.observe(started.elapsed().as_nanos() as u64);
         }
-        self.store.flush_current_thread();
         let metrics = &self.ticket.gate.metrics;
         metrics.busy_ns.add(self.started.elapsed().as_nanos() as u64);
         metrics.inflight.dec();
@@ -196,6 +193,7 @@ mod tests {
     use crate::event::CallKind;
     use crate::ids::{InterfaceId, MethodIndex, NodeId, ObjectId, ProcessId};
     use crate::monitor::Monitor;
+    use crate::sink::LogStore;
 
     fn new_gate(capacity: usize) -> (MetricsRegistry, Gate) {
         let registry = MetricsRegistry::new();
@@ -245,22 +243,20 @@ mod tests {
     }
 
     #[test]
-    fn the_dispatch_guard_seals_and_releases_its_ticket() {
+    fn the_dispatch_guard_releases_its_ticket_exactly_once() {
         let (registry, gate) = new_gate(1);
         let store = LogStore::with_metrics(&registry);
         let monitor = Monitor::builder(ProcessId(0), NodeId(0)).store(store.clone()).build();
         let vocab = SystemVocab::new();
         let func = FunctionKey::new(InterfaceId(0), MethodIndex(0), ObjectId(0));
-        let mut dispatch = gate.enter().dispatch(&store);
+        let mut dispatch = gate.enter().dispatch();
         dispatch.op(func, &vocab);
         let out = monitor.stub_start(func, CallKind::Sync);
         monitor.skel_start(func, CallKind::Sync, out.wire_ftl, None);
-        assert!(store.try_recv_chunk().is_none(), "the open chunk is not yet visible");
+        assert_eq!(store.drain().len(), 2, "visible while the dispatch runs");
         assert_eq!(gate.in_flight(), 1);
         drop(dispatch);
-        assert_eq!(gate.in_flight(), 0, "dropping the guard released the ticket");
-        let sealed = store.try_recv_chunk().expect("dropping the guard sealed the chunk");
-        assert_eq!(sealed.records.len(), 2);
+        assert_eq!(gate.in_flight(), 0, "dropping the guard released the ticket once");
 
         let labels = [("engine", "test")];
         assert_eq!(registry.counter_value_with("causeway_engine_dispatch_total", &labels), Some(1));

@@ -23,8 +23,9 @@
 //! * [`monitor::Monitor`] — the four probes of Figure 1, which record
 //!   [`record::ProbeRecord`]s into per-thread [`sink::LogStore`] buffers.
 //! * [`engine::Gate`] — the runtimes' one admission gate: in-flight
-//!   tickets, bounded admission, the dispatch bracket that seals a worker's
-//!   records before its request stops counting, and quiescence.
+//!   tickets, bounded admission, the dispatch bracket that releases a
+//!   request only after its worker's last record is pushed, and
+//!   quiescence.
 //! * [`clock`] — pluggable wall and per-thread CPU clocks, including a
 //!   deterministic [`clock::ManualClock`] for tests and a
 //!   [`clock::VirtualCpuClock`] that substitutes for the HP-UX 11 per-thread

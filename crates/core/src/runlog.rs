@@ -20,11 +20,10 @@ pub struct RunLog {
     pub deployment: Deployment,
     /// How many records the harvesting side *expected* to drain — the sum
     /// of each store's buffered count captured immediately before its
-    /// drain. When this exceeds [`RunLog::len`], the difference was
-    /// stranded in unsealed per-thread chunks (a thread never reached an
-    /// idle point, or the system was harvested before quiescence); the
-    /// analyzer warns about it. `None` for logs assembled by hand or
-    /// written by older tools.
+    /// drain. When this exceeds [`RunLog::len`], the difference was lost
+    /// between harvest and analysis (a torn file, or another consumer
+    /// drained the store first); the analyzer warns about it. `None` for
+    /// logs assembled by hand or written by older tools.
     pub expected_records: Option<u64>,
 }
 

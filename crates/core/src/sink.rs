@@ -1,41 +1,32 @@
-//! Per-thread chunked log buffers with a streaming drain.
+//! Per-thread logs that a drain reads in place.
 //!
 //! "All runtime behavior information is recorded individually by probes
-//! without coordination" — each thread appends to a chunk it exclusively
-//! owns, cached in thread-local storage, so the probe hot path takes **no
-//! lock and performs no hash lookup**: it is an atomic counter bump plus an
-//! unsynchronized `Vec::push`. When a chunk fills (or the owning thread
-//! reaches an idle point, or exits), it is *sealed* — handed to the
-//! collector side over a multi-producer channel. Draining is therefore an
-//! incremental, concurrency-safe *stream* of sealed chunks: a collector may
-//! pull chunks while producer threads keep pushing, which is what the
-//! on-line analyzer builds on. Full collection still happens at the
+//! without coordination" — each thread appends to a log of its own, so
+//! probe threads never wait on each other. A log is a list of full blocks
+//! of [`CHUNK_CAPACITY`] records plus one open block that grows on demand,
+//! behind a mutex that only the owning thread and a drain ever take: the
+//! probe hot path is an uncontended lock, a `Vec::push` and an unlock.
+//! A block that fills is moved onto the list, not copied.
+//!
+//! A record is visible to the next drain as soon as [`LogStore::push`]
+//! returns. A drain ([`LogStore::drain_chunks`], [`LogStore::try_recv_chunk`])
+//! visits every registered log, takes its blocks with an O(1) swap under the
+//! log's lock and hands each block out as a [`Chunk`]. Nothing seals or
+//! flushes: no idle point, dispatch end or thread exit has to hand records
+//! over, so none can strand them. Full collection still happens at the
 //! quiescent state, as in the paper — but quiescence is needed only for
-//! *completeness*, never for safety.
+//! *completeness*, never for safety: a drain may run while producers push.
 //!
-//! Sealing discipline (who closes an open chunk):
+//! A thread's log is registered with the store on the thread's first probe.
+//! When the thread exits, its log stays registered until a drain has taken
+//! its last records, and the drain then prunes it, so a thread-per-request
+//! server registers no more logs than it has live threads plus exited ones
+//! not yet drained.
 //!
-//! * the **owning thread**, when the chunk reaches [`CHUNK_CAPACITY`];
-//! * the **owning thread**, at an idle point — runtimes call
-//!   [`LogStore::flush_current_thread`] before blocking on an empty inbox,
-//!   so a quiescent system has no open chunks;
-//! * the **owning thread**, on its next push after a collector called
-//!   [`LogStore::request_flush`] (each drain bumps a flush epoch that every
-//!   producer checks for free on its own schedule);
-//! * the **thread-local destructor**, when the thread exits.
-//!
-//! No other thread ever touches an open chunk, which is exactly why no
-//! synchronization is needed on the record path.
-//!
-//! Sealing hands over **what was recorded, not the buffer**. Most seals are
-//! part-full — a server worker seals after every dispatch, with the two to
-//! a handful of records that dispatch pushed — so a part-full seal moves
-//! its records into an exact-size vector and the thread keeps its buffer;
-//! only a buffer that reached [`CHUNK_CAPACITY`] is itself handed over (and
-//! replaced). A thread's buffer starts empty and grows on demand, so a
-//! thread-per-request thread that pushes two records never allocates a
-//! full chunk's worth. Sealed-but-undrained memory is therefore
-//! proportional to the records buffered, not to the number of seals.
+//! A drain hands over **what was recorded, not the buffer**: a part-full
+//! block whose capacity exceeds twice its records is shrunk on its way out
+//! (off the producer's lock), so undrained memory is proportional to the
+//! records buffered, not to the number of drains or threads.
 //!
 //! The store also assigns dense process-local [`LogicalThreadId`]s, which is
 //! how scattered records are attributed to "the 32 threads" of a run without
@@ -44,14 +35,20 @@
 use crate::ids::LogicalThreadId;
 use crate::metrics::{self, Counter, Gauge, Histogram, MetricsRegistry};
 use crate::record::ProbeRecord;
-use crossbeam::channel::{Receiver, Sender, unbounded};
+use parking_lot::Mutex;
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
+
+/// How often [`LogStore::recv_chunk_timeout`] looks for a full block. A
+/// poll, not a wake-up: waking a consumer from `push` would put a syscall
+/// on the probe path.
+const RECV_POLL: Duration = Duration::from_millis(1);
 
 /// Sink self-observability handles, resolved once per store against the
 /// registry it was given. Stores sharing a registry aggregate into one set
@@ -63,9 +60,8 @@ struct SinkMetrics {
     chunks_sealed: Counter,
     chunks_open: Gauge,
     chunks_in_flight: Gauge,
+    buffered_records: Gauge,
     push_ns: Histogram,
-    flush_requests: Counter,
-    epoch_seals: Counter,
 }
 
 impl SinkMetrics {
@@ -81,44 +77,36 @@ impl SinkMetrics {
             ),
             chunks_sealed: r.counter(
                 "causeway_sink_chunks_sealed_total",
-                "chunks sealed onto the collector channel",
+                "blocks closed, by filling up or by a drain taking them part-full",
             ),
             chunks_open: r.gauge(
                 "causeway_sink_chunks_open",
-                "per-thread chunks currently accumulating records",
+                "per-thread open blocks holding records",
             ),
             chunks_in_flight: r.gauge(
                 "causeway_sink_chunks_in_flight",
-                "sealed chunks not yet received by a consumer (channel depth)",
+                "closed blocks not yet handed to a consumer",
+            ),
+            buffered_records: r.gauge(
+                "causeway_sink_buffered_records",
+                "records pushed but not yet drained, as of the last drain",
             ),
             push_ns: r.histogram(
                 "causeway_sink_push_ns",
                 "probe push latency in nanoseconds, sampled 1 in 64",
             ),
-            flush_requests: r.counter(
-                "causeway_sink_flush_requests_total",
-                "collector-initiated flush epochs (request_flush calls)",
-            ),
-            epoch_seals: r.counter(
-                "causeway_sink_epoch_seals_total",
-                "chunks sealed because a producer noticed a flush epoch lap",
-            ),
         }
     }
 }
 
-/// Records per chunk before the owning thread seals it on its own.
-///
-/// Small enough that a live consumer sees records promptly even under
-/// steady load; large enough that the channel send amortizes to well under
-/// a nanosecond per record. This is a seal *threshold*, not an allocation
-/// size: a chunk sealed earlier carries exactly the records pushed so far.
+/// Records per block: a thread's open block is closed when it holds this
+/// many. A drain also closes a part-full block, so a [`Chunk`] carries at
+/// most this many records.
 pub const CHUNK_CAPACITY: usize = 256;
 
-/// A sealed batch of records from one thread, in push (chronological)
-/// order.
+/// A block of records from one thread, in push (chronological) order.
 ///
-/// Chunks from one thread arrive in the order they were sealed, so a
+/// A thread's chunks are handed out in the order they were recorded, so a
 /// single thread's records never reorder across chunks. Chunks from
 /// different threads interleave arbitrarily, as scattered logs always
 /// have.
@@ -143,6 +131,29 @@ impl Chunk {
     }
 }
 
+/// One thread's log for one store.
+struct ThreadLog {
+    thread: LogicalThreadId,
+    blocks: Mutex<Blocks>,
+}
+
+#[derive(Default)]
+struct Blocks {
+    /// Blocks that reached [`CHUNK_CAPACITY`], oldest first.
+    full: Vec<Vec<ProbeRecord>>,
+    /// The block being appended to.
+    open: Vec<ProbeRecord>,
+}
+
+/// The collector side of a store, under one lock.
+#[derive(Default)]
+struct Collector {
+    /// Every log a drain may still find records in, in registration order.
+    logs: Vec<Arc<ThreadLog>>,
+    /// Blocks taken from the logs but not yet handed out, oldest first.
+    ready: VecDeque<Chunk>,
+}
+
 struct StoreInner {
     id: u64,
     next_thread: AtomicU32,
@@ -153,12 +164,8 @@ struct StoreInner {
     /// over-count in-flight pushes but never under-counts or wraps — the
     /// count is exact whenever producers are between pushes.
     buffered: AtomicU64,
-    /// Bumped by [`LogStore::request_flush`]; producers seal their open
-    /// chunk when they notice the epoch moved.
-    flush_epoch: AtomicU64,
-    chunk_tx: Sender<Chunk>,
-    chunk_rx: Receiver<Chunk>,
-    metrics: Arc<SinkMetrics>,
+    collector: Mutex<Collector>,
+    metrics: SinkMetrics,
 }
 
 impl fmt::Debug for StoreInner {
@@ -167,67 +174,73 @@ impl fmt::Debug for StoreInner {
             .field("id", &self.id)
             .field("threads", &self.next_thread.load(Ordering::Relaxed))
             .field("buffered", &self.buffered.load(Ordering::Relaxed))
-            .field("sealed_chunks", &self.chunk_rx.len())
             .finish()
     }
 }
 
-/// One thread's open chunk for one store.
+impl StoreInner {
+    /// Moves every registered log's full blocks onto `ready`, and with
+    /// `open_too` its open block as well, pruning the logs whose threads
+    /// have exited.
+    fn sweep(&self, collector: &mut Collector, open_too: bool) {
+        let m = &self.metrics;
+        let Collector { logs, ready } = collector;
+        logs.retain(|log| {
+            let (full, open, exited) = {
+                let mut blocks = log.blocks.lock();
+                // The owning thread pushes through its own reference and
+                // drops it only after its last push. Seen under the lock,
+                // a log with no other reference has had its last push.
+                let exited = Arc::strong_count(log) == 1;
+                let open = if open_too { std::mem::take(&mut blocks.open) } else { Vec::new() };
+                (std::mem::take(&mut blocks.full), open, exited)
+            };
+            ready.extend(full.into_iter().map(|records| Chunk { thread: log.thread, records }));
+            if !open.is_empty() {
+                m.chunks_open.dec();
+                m.chunks_in_flight.inc();
+                m.chunks_sealed.inc();
+                let mut records = open;
+                if records.capacity() > 2 * records.len() {
+                    records.shrink_to_fit();
+                }
+                ready.push_back(Chunk { thread: log.thread, records });
+            }
+            !(exited && open_too)
+        });
+    }
+
+    /// Bookkeeping for chunks leaving the store: the exact buffered count
+    /// and the drain metrics.
+    fn hand_out(&self, chunks: &[Chunk]) {
+        let records: usize = chunks.iter().map(Chunk::len).sum();
+        let left = self.buffered.fetch_sub(records as u64, Ordering::Relaxed) - records as u64;
+        let m = &self.metrics;
+        m.records_drained.add(records as u64);
+        m.chunks_in_flight.add(-(chunks.len() as i64));
+        m.buffered_records.set(left as i64);
+    }
+}
+
+/// One thread's handle on its log in one store.
 struct LocalSlot {
     store_id: u64,
     /// For pruning slots whose store is gone.
     store: Weak<StoreInner>,
-    thread: LogicalThreadId,
-    /// The flush epoch observed when the open chunk started.
-    epoch: u64,
-    buf: Vec<ProbeRecord>,
-    tx: Sender<Chunk>,
-    /// The store's handles: a slot may seal after its store is gone.
-    metrics: Arc<SinkMetrics>,
-}
-
-impl LocalSlot {
-    fn seal(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        // Hand over what was recorded, not the buffer (module docs): only
-        // a full buffer is itself the chunk.
-        let records = if self.buf.len() >= CHUNK_CAPACITY {
-            std::mem::replace(&mut self.buf, Vec::with_capacity(CHUNK_CAPACITY))
-        } else {
-            let mut exact = Vec::with_capacity(self.buf.len());
-            exact.append(&mut self.buf);
-            exact
-        };
-        let m = &self.metrics;
-        m.chunks_sealed.add(1);
-        m.chunks_open.dec();
-        m.chunks_in_flight.inc();
-        // Send fails only when the store (every receiver) is gone; then
-        // there is nobody left to read the records.
-        let _ = self.tx.send(Chunk { thread: self.thread, records });
-    }
-}
-
-impl Drop for LocalSlot {
-    fn drop(&mut self) {
-        // Thread exit: hand over whatever the thread still buffered.
-        self.seal();
-    }
+    log: Arc<ThreadLog>,
 }
 
 #[derive(Default)]
 struct LocalRegistry {
-    /// Open chunks of this thread, one per store it probed into. Most
-    /// threads probe into exactly one store, so lookup is a linear scan
-    /// with the last-used slot kept at the front.
+    /// This thread's logs, one per store it probed into. Most threads
+    /// probe into exactly one store, so lookup is a linear scan with the
+    /// last-used slot kept at the front.
     slots: Vec<LocalSlot>,
 }
 
 impl LocalRegistry {
-    /// The slot for `store`, created (registering the thread) on first
-    /// use, and moved to the front so repeat lookups hit immediately.
+    /// The slot for `store`, created (registering the thread's log) on
+    /// first use, and moved to the front so repeat lookups hit immediately.
     fn slot_for(&mut self, store: &Arc<StoreInner>) -> &mut LocalSlot {
         if let Some(i) = self.slots.iter().position(|s| s.store_id == store.id) {
             self.slots.swap(0, i);
@@ -235,19 +248,13 @@ impl LocalRegistry {
         }
         // Miss: prune slots whose store died (keeps the scan short in
         // long-lived threads that touch many short-lived stores).
-        self.slots.retain(|s| s.store.upgrade().is_some());
-        let thread =
-            LogicalThreadId(store.next_thread.fetch_add(1, Ordering::Relaxed));
-        self.slots.push(LocalSlot {
-            store_id: store.id,
-            store: Arc::downgrade(store),
-            thread,
-            epoch: store.flush_epoch.load(Ordering::Relaxed),
-            // Grows on demand: most threads seal long before a chunk fills.
-            buf: Vec::new(),
-            tx: store.chunk_tx.clone(),
-            metrics: Arc::clone(&store.metrics),
+        self.slots.retain(|s| s.store.strong_count() > 0);
+        let log = Arc::new(ThreadLog {
+            thread: LogicalThreadId(store.next_thread.fetch_add(1, Ordering::Relaxed)),
+            blocks: Mutex::default(),
         });
+        store.collector.lock().logs.push(Arc::clone(&log));
+        self.slots.push(LocalSlot { store_id: store.id, store: Arc::downgrade(store), log });
         let last = self.slots.len() - 1;
         self.slots.swap(0, last);
         &mut self.slots[0]
@@ -258,8 +265,8 @@ thread_local! {
     static LOCAL: RefCell<LocalRegistry> = RefCell::new(LocalRegistry::default());
 }
 
-/// A process's log store: per-thread chunked buffers feeding a sealed-chunk
-/// stream.
+/// A process's log store: per-thread logs that any number of consumers
+/// drain while producers keep pushing.
 ///
 /// Cloning is cheap and clones share state.
 ///
@@ -294,16 +301,13 @@ impl LogStore {
     /// Creates an empty store publishing its `causeway_sink_*` series to
     /// `registry`.
     pub fn with_metrics(registry: &MetricsRegistry) -> LogStore {
-        let (chunk_tx, chunk_rx) = unbounded();
         LogStore {
             inner: Arc::new(StoreInner {
                 id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
                 next_thread: AtomicU32::new(0),
                 buffered: AtomicU64::new(0),
-                flush_epoch: AtomicU64::new(0),
-                chunk_tx,
-                chunk_rx,
-                metrics: Arc::new(SinkMetrics::register(registry)),
+                collector: Mutex::default(),
+                metrics: SinkMetrics::register(registry),
             }),
         }
     }
@@ -311,13 +315,13 @@ impl LogStore {
     /// The calling thread's logical id within this store, assigning one on
     /// first use.
     pub fn current_thread(&self) -> LogicalThreadId {
-        LOCAL.with(|l| l.borrow_mut().slot_for(&self.inner).thread)
+        LOCAL.with(|l| l.borrow_mut().slot_for(&self.inner).log.thread)
     }
 
-    /// Appends a record to the calling thread's open chunk — no lock, no
-    /// hash lookup; the chunk is owned exclusively by this thread.
+    /// Appends a record to the calling thread's log, where the next drain
+    /// finds it. The log's lock is shared only with drains.
     pub fn push(&self, record: ProbeRecord) {
-        let m = &*self.inner.metrics;
+        let m = &self.inner.metrics;
         // `inc` returns the previous count, so one push in SAMPLE_STRIDE
         // pays for two clock reads and the rest stay a pure counter bump.
         let sampled = m.records_pushed.inc().is_multiple_of(metrics::SAMPLE_STRIDE);
@@ -327,23 +331,19 @@ impl LogStore {
         self.inner.buffered.fetch_add(1, Ordering::Relaxed);
         LOCAL.with(|l| {
             let mut reg = l.borrow_mut();
-            let slot = reg.slot_for(&self.inner);
-            let epoch = self.inner.flush_epoch.load(Ordering::Relaxed);
-            if slot.epoch != epoch {
-                // A collector asked for a flush since this chunk started:
-                // seal what precedes the request, then start fresh.
-                if !slot.buf.is_empty() {
-                    m.epoch_seals.add(1);
+            let mut blocks = reg.slot_for(&self.inner).log.blocks.lock();
+            blocks.open.push(record);
+            match blocks.open.len() {
+                1 => m.chunks_open.inc(),
+                CHUNK_CAPACITY => {
+                    let full =
+                        std::mem::replace(&mut blocks.open, Vec::with_capacity(CHUNK_CAPACITY));
+                    blocks.full.push(full);
+                    m.chunks_sealed.inc();
+                    m.chunks_open.dec();
+                    m.chunks_in_flight.inc();
                 }
-                slot.seal();
-                slot.epoch = epoch;
-            }
-            slot.buf.push(record);
-            if slot.buf.len() == 1 {
-                m.chunks_open.inc();
-            }
-            if slot.buf.len() >= CHUNK_CAPACITY {
-                slot.seal();
+                _ => {}
             }
         });
         if let Some(started) = push_started {
@@ -351,8 +351,8 @@ impl LogStore {
         }
     }
 
-    /// Total records currently buffered (open chunks + sealed, undrained
-    /// chunks). Exact whenever no push is mid-flight.
+    /// Total records currently buffered (in logs, or taken by a drain and
+    /// not yet handed out). Exact whenever no push is mid-flight.
     pub fn len(&self) -> usize {
         self.inner.buffered.load(Ordering::Relaxed) as usize
     }
@@ -367,72 +367,59 @@ impl LogStore {
         self.inner.next_thread.load(Ordering::Relaxed) as usize
     }
 
-    /// Seals the *calling thread's* open chunk, making its records
-    /// available to chunk consumers. Runtimes call this at idle points —
-    /// e.g. a pool worker about to block on an empty inbox — so that a
-    /// quiescent system has no records stranded in open chunks.
-    pub fn flush_current_thread(&self) {
-        LOCAL.with(|l| {
-            let mut reg = l.borrow_mut();
-            if let Some(slot) =
-                reg.slots.iter_mut().find(|s| s.store_id == self.inner.id)
-            {
-                slot.seal();
-            }
-        });
-    }
+    /// Does nothing: a record is visible to the next drain as soon as
+    /// [`Self::push`] returns, so there is nothing to hand over. Kept for
+    /// callers written against a sink that sealed at idle points.
+    pub fn flush_current_thread(&self) {}
 
-    /// Asks every producer thread to seal its open chunk at its next push.
-    ///
-    /// This is asynchronous by design — the paper's probes never
-    /// coordinate, so a collector cannot *force* another thread's hand; it
-    /// can only leave a note the producer honors on its own schedule.
-    pub fn request_flush(&self) {
-        self.inner.metrics.flush_requests.add(1);
-        self.inner.flush_epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Receives one sealed chunk if any is ready, without blocking.
+    /// Takes one chunk if any record is buffered, without blocking.
     ///
     /// This is the streaming consumption path: safe to call concurrently
     /// with pushes (and with other consumers — each chunk is delivered
     /// exactly once).
     pub fn try_recv_chunk(&self) -> Option<Chunk> {
-        let chunk = self.inner.chunk_rx.try_recv().ok()?;
-        self.note_received(&chunk);
-        Some(chunk)
+        self.take_one(true)
     }
 
-    /// Receives one sealed chunk, waiting up to `timeout` for a producer
-    /// to seal one.
+    /// Takes one full block, waiting up to `timeout` for a producer to
+    /// fill one, then takes a part-full block if there is one. Waits by
+    /// polling every millisecond.
     pub fn recv_chunk_timeout(&self, timeout: Duration) -> Option<Chunk> {
-        let chunk = self.inner.chunk_rx.recv_timeout(timeout).ok()?;
-        self.note_received(&chunk);
+        let deadline = Instant::now() + timeout;
+        loop {
+            let now = Instant::now();
+            if let Some(chunk) = self.take_one(now >= deadline) {
+                return Some(chunk);
+            }
+            if now >= deadline {
+                return None;
+            }
+            std::thread::sleep((deadline - now).min(RECV_POLL));
+        }
+    }
+
+    /// One chunk from the last sweep, sweeping again (open blocks only
+    /// with `open_too`) when none is left.
+    fn take_one(&self, open_too: bool) -> Option<Chunk> {
+        let chunk = {
+            let mut collector = self.inner.collector.lock();
+            if collector.ready.is_empty() {
+                self.inner.sweep(&mut collector, open_too);
+            }
+            collector.ready.pop_front()?
+        };
+        self.inner.hand_out(std::slice::from_ref(&chunk));
         Some(chunk)
     }
 
-    /// Bookkeeping for a chunk leaving the store: the exact buffered count
-    /// and the drain metrics.
-    fn note_received(&self, chunk: &Chunk) {
-        self.inner
-            .buffered
-            .fetch_sub(chunk.records.len() as u64, Ordering::Relaxed);
-        let m = &self.inner.metrics;
-        m.records_drained.add(chunk.records.len() as u64);
-        m.chunks_in_flight.dec();
-    }
-
-    /// Drains every currently sealed chunk, returning the records in chunk
-    /// arrival order (within one thread, chronological push order — which
-    /// the analyzer may use as a secondary ordering hint but never
-    /// requires).
+    /// Drains every buffered record, in chunk order (within one thread,
+    /// chronological push order — which the analyzer may use as a
+    /// secondary ordering hint but never requires).
     ///
     /// Safe to call while other threads are pushing: concurrent pushers
-    /// lose nothing and the count removed is exact — records an active
-    /// thread still holds in an open chunk simply arrive at a later drain
-    /// (their threads were asked to flush via [`Self::request_flush`]).
-    /// For a *complete* drain, reach quiescence first: idle runtimes flush
-    /// at their blocking points and exited threads flush on termination.
+    /// lose nothing, and a record pushed after the drain passed its
+    /// thread's log arrives at the next one. For a *complete* drain, reach
+    /// quiescence first.
     pub fn drain(&self) -> Vec<ProbeRecord> {
         let chunks = self.drain_chunks();
         let mut out = Vec::with_capacity(chunks.iter().map(Chunk::len).sum());
@@ -444,18 +431,16 @@ impl LogStore {
 
     /// Like [`Self::drain`], but preserves chunk boundaries — the unit a
     /// durable segment writer appends and checksums, so a crash loses at
-    /// most the chunks not yet sealed (see `causeway-collector`'s
+    /// most the chunks not yet appended (see `causeway-collector`'s
     /// `segment` module).
     pub fn drain_chunks(&self) -> Vec<Chunk> {
-        self.request_flush();
-        // The drain itself runs on some thread that may have pushed
-        // (clients, tests): hand over our own open chunk immediately.
-        self.flush_current_thread();
-        let mut out = Vec::new();
-        while let Some(chunk) = self.try_recv_chunk() {
-            out.push(chunk);
-        }
-        out
+        let chunks: Vec<Chunk> = {
+            let mut collector = self.inner.collector.lock();
+            self.inner.sweep(&mut collector, true);
+            std::mem::take(&mut collector.ready).into()
+        };
+        self.inner.hand_out(&chunks);
+        chunks
     }
 }
 
@@ -554,10 +539,9 @@ mod tests {
         assert_eq!(chunk.thread, store.current_thread());
         let seqs: Vec<u64> = chunk.records.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, (0..CHUNK_CAPACITY as u64).collect::<Vec<_>>());
-        // The remainder is still open; a flush hands it over.
+        // The remainder is visible too, with no flush: the open block.
+        assert_eq!(store.try_recv_chunk().expect("the open block").len(), 10);
         assert!(store.try_recv_chunk().is_none());
-        store.flush_current_thread();
-        assert_eq!(store.try_recv_chunk().expect("flushed").len(), 10);
         assert!(store.is_empty());
     }
 
@@ -610,16 +594,77 @@ mod tests {
         assert!(capacity <= 2 * len, "{capacity} record slots allocated for {len} records");
     }
 
+    /// Contract: a record is visible to the next drain as soon as `push`
+    /// returns — no flush, no thread exit, no full block needed.
     #[test]
-    fn request_flush_seals_producer_chunks_at_their_next_push() {
+    fn a_parked_producers_records_drain_without_a_flush() {
+        const N: u64 = CHUNK_CAPACITY as u64 + 7;
         let store = LogStore::new();
-        store.push(rec(&store, 1));
-        store.request_flush();
-        assert!(store.try_recv_chunk().is_none(), "flush is asynchronous");
-        store.push(rec(&store, 2));
-        let chunk = store.try_recv_chunk().expect("sealed at next push");
-        assert_eq!(chunk.len(), 1, "only the pre-flush record");
-        assert_eq!(chunk.records[0].seq, 1);
+        let parked = Arc::new(std::sync::Barrier::new(2));
+        let producer = {
+            let (s, parked) = (store.clone(), Arc::clone(&parked));
+            std::thread::spawn(move || {
+                for i in 0..N {
+                    s.push(rec(&s, i));
+                }
+                parked.wait(); // pushed
+                parked.wait(); // drained
+            })
+        };
+        parked.wait();
+        let seqs: Vec<u64> = store.drain().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (0..N).collect::<Vec<_>>(), "every record, in push order");
+        assert!(store.is_empty());
+        parked.wait();
+        producer.join().unwrap();
+        assert!(store.drain().is_empty());
+    }
+
+    /// Logs registered with `store` (live threads plus exited ones not yet
+    /// drained).
+    fn registered(store: &LogStore) -> usize {
+        store.inner.collector.lock().logs.len()
+    }
+
+    #[test]
+    fn exited_threads_stay_registered_until_drained_then_are_pruned() {
+        const THREADS: u64 = 10_000;
+        let store = LogStore::new();
+        store.push(rec(&store, u64::MAX)); // this thread stays live
+        for t in 0..THREADS {
+            let s = store.clone();
+            std::thread::spawn(move || {
+                s.push(rec(&s, 2 * t));
+                s.push(rec(&s, 2 * t + 1));
+            })
+            .join()
+            .unwrap();
+        }
+        assert_eq!(registered(&store), THREADS as usize + 1, "reachable until drained");
+        let mut seqs: Vec<u64> = store.drain().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs.remove(0), u64::MAX, "logs drain in registration order");
+        seqs.sort_unstable();
+        assert_eq!(seqs, (0..2 * THREADS).collect::<Vec<_>>());
+        assert_eq!(registered(&store), 1, "only the live thread stays registered");
+        assert!(store.is_empty());
+    }
+
+    #[test]
+    fn buffered_records_gauge_is_len_as_of_the_last_drain() {
+        let registry = MetricsRegistry::new();
+        let store = LogStore::with_metrics(&registry);
+        let gauge = || registry.gauge_value("causeway_sink_buffered_records");
+        for i in 0..(CHUNK_CAPACITY as u64 + 5) {
+            store.push(rec(&store, i));
+        }
+        assert_eq!(store.try_recv_chunk().map(|c| c.len()), Some(CHUNK_CAPACITY));
+        assert_eq!(gauge(), Some(5), "the open block is taken but not yet handed out");
+        assert_eq!(registry.gauge_value("causeway_sink_chunks_in_flight"), Some(1));
+        assert_eq!(registry.gauge_value("causeway_sink_chunks_open"), Some(0));
+        store.push(rec(&store, 0));
+        assert_eq!(registry.gauge_value("causeway_sink_chunks_open"), Some(1));
+        assert_eq!(store.drain().len(), 6);
+        assert_eq!(gauge(), Some(0));
     }
 
     #[test]
@@ -633,7 +678,7 @@ mod tests {
         })
         .join()
         .unwrap();
-        let chunk = store.try_recv_chunk().expect("sealed by TLS destructor");
+        let chunk = store.try_recv_chunk().expect("an exited thread's log is drained");
         assert_eq!(chunk.len(), 5);
         assert!(store.is_empty());
     }

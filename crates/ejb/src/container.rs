@@ -474,7 +474,7 @@ impl Container {
     /// Server-side dispatch: skeleton probe, pool checkout, interceptor
     /// chain, business method, checkin, reply.
     fn dispatch(&self, item: WorkItem) {
-        let mut dispatch = item.ticket.dispatch(self.inner.monitor.store());
+        let mut dispatch = item.ticket.dispatch();
         let monitor = &self.inner.monitor;
         let instrumented = self.inner.config.instrumented;
         let func = causeway_core::record::FunctionKey::new(item.interface, item.method, item.bean);

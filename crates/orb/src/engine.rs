@@ -11,15 +11,15 @@
 //! whether its queue (for thread-per-request, its live request threads)
 //! admits one more request, and re-stamps the request's ticket when it
 //! hands the request to a worker, so `causeway_engine_queue_wait_ns`
-//! measures the wait for a worker. Each dispatch seals the worker's open
-//! chunk before its request stops counting as in flight (the gate's
-//! dispatch guard, see [`crate::orb::Orb`]), and pooled and per-connection
-//! workers also seal before blocking on an empty queue, so a quiescent
-//! engine strands no records in open chunks.
+//! measures the wait for a worker. A worker's records are visible to a
+//! drain as soon as it pushes them, so no policy seals or flushes anything:
+//! a request stops counting as in flight after its last record is pushed
+//! (the gate's dispatch guard, see [`crate::orb::Orb`]), and a parked
+//! worker holds no records back.
 
 use crate::orb::Orb;
 use crate::transport::{ConnKey, Incoming};
-use crossbeam::channel::{Receiver, Sender, TryRecvError, unbounded};
+use crossbeam::channel::{Receiver, Sender, unbounded};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -118,24 +118,11 @@ fn reap_finished(workers: &Mutex<Vec<JoinHandle<()>>>) {
     }
 }
 
-/// Receives the next message, sealing the worker's open log chunk before
-/// blocking on an empty inbox — a parked worker must not sit on records.
-fn recv_flushing<T>(rx: &Receiver<T>, orb: &Orb) -> Option<T> {
-    match rx.try_recv() {
-        Ok(incoming) => Some(incoming),
-        Err(TryRecvError::Disconnected) => None,
-        Err(TryRecvError::Empty) => {
-            orb.monitor().store().flush_current_thread();
-            rx.recv().ok()
-        }
-    }
-}
-
 /// A pooled or per-connection worker: dispatches requests until it receives
 /// [`Incoming::Stop`] or its queue closes.
 fn serve(orb: Orb, rx: Receiver<Incoming>) {
     let _worker = orb.gate().worker();
-    while let Some(Incoming::Request(msg, ticket)) = recv_flushing(&rx, &orb) {
+    while let Ok(Incoming::Request(msg, ticket)) = rx.recv() {
         orb.dispatch(msg, ticket);
     }
 }

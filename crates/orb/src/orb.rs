@@ -147,7 +147,7 @@ impl Orb {
     pub(crate) fn dispatch(&self, msg: RequestMsg, ticket: Ticket) {
         // Busy time covers the whole dispatch — including the modelled
         // one-way transit sleep, which really does occupy the worker.
-        let mut dispatch = ticket.dispatch(self.inner.monitor.store());
+        let mut dispatch = ticket.dispatch();
         if !msg.net_delay.is_zero() {
             // One-way transit modelled on the server side because the
             // caller did not wait.
@@ -159,9 +159,9 @@ impl Orb {
             // is its problem, not ours.
             let _ = reply.send(ReplyMsg { body, contexts });
         }
-        // `dispatch` drops here, after the reply send so that the seal
-        // never sits on the caller's latency path: it seals this worker's
-        // chunk, then releases the ticket.
+        // `dispatch` drops here, after the reply send: it ends the busy
+        // clock, then releases the ticket. Every record this worker pushed
+        // is already visible to a drain.
     }
 
     /// Answers a request the gate refused with an overload failure
@@ -183,7 +183,7 @@ impl Orb {
     fn dispatch_inner(
         &self,
         msg: &RequestMsg,
-        dispatch: &mut Dispatch<'_>,
+        dispatch: &mut Dispatch,
     ) -> (Result<Bytes, String>, ServiceContexts) {
         let instrumented = self.inner.config.instrumented;
         let kind = if msg.oneway { CallKind::Oneway } else { CallKind::Sync };

