@@ -14,10 +14,9 @@ use causeway_core::clock::{CpuClock, SystemClock, VirtualCpuClock, WallClock};
 use causeway_core::deploy::Deployment;
 use causeway_core::engine::{Gate, DEFAULT_QUEUE_CAPACITY};
 use causeway_core::event::CallKind;
-use causeway_core::ftl::FunctionTxLog;
 use causeway_core::ids::{InterfaceId, MethodIndex, NodeId, ObjectId, ProcessId};
 use causeway_core::metrics::MetricsRegistry;
-use causeway_core::monitor::{Monitor, ProbeMode, ProbePolicy};
+use causeway_core::monitor::{Call, Monitor, ProbeMode, ProbePolicy};
 use causeway_core::sink::LogStore;
 use causeway_core::names::SystemVocab;
 use causeway_core::record::FunctionKey;
@@ -440,7 +439,6 @@ impl ComDomain {
     fn dispatch(&self, msg: OrpcMsg) {
         let mut dispatch = msg.ticket.dispatch();
         let monitor = &self.inner.monitor;
-        let instrumented = self.inner.config.instrumented;
         let func = FunctionKey::new(msg.interface, msg.method, msg.target);
         dispatch.op(func, &self.inner.vocab);
         // Posted (fire-and-forget) calls are the COM analog of one-way
@@ -458,12 +456,11 @@ impl ComDomain {
             return;
         };
 
-        let ftl = extract_ftl(&msg.extensions);
-        if instrumented {
-            if let Some(ftl) = ftl {
-                monitor.skel_start(func, kind, ftl, crate::hook::extract_parent(&msg.extensions));
-            }
-        }
+        let skeleton = extract_ftl(&msg.extensions)
+            .filter(|_| self.inner.config.instrumented)
+            .map(|ftl| {
+                monitor.skeleton(func, kind, ftl, crate::hook::extract_parent(&msg.extensions))
+            });
 
         let cpu = monitor.cpu_clock();
         let token = cpu.region_begin();
@@ -479,9 +476,8 @@ impl ComDomain {
         };
 
         let mut extensions = Extensions::new();
-        if instrumented && ftl.is_some() {
-            let reply_ftl = monitor.skel_end(func, kind);
-            attach_ftl(&mut extensions, reply_ftl);
+        if let Some(skeleton) = skeleton {
+            attach_ftl(&mut extensions, skeleton.finish());
         }
 
         if let Some(reply) = &msg.reply {
@@ -526,7 +522,7 @@ impl ComClient {
         args: Vec<Value>,
     ) -> Result<Value, ComError> {
         let (reply_tx, reply_rx) = bounded::<OrpcReply>(1);
-        let func = self.send(target, method, args, Some(reply_tx))?;
+        let (func, call) = self.send(target, method, args, Some(reply_tx))?;
         let reply_timeout = self.domain.inner.config.reply_timeout;
         let closed = || ComError::ApartmentUnreachable("reply channel closed".into());
         let deadline = Instant::now() + reply_timeout;
@@ -560,14 +556,10 @@ impl ComClient {
                 });
             }
         };
-        let reply = match reply {
-            Ok(reply) => reply,
-            Err(e) => {
-                self.close_stub(func, CallKind::Sync, None);
-                return Err(e);
-            }
-        };
-        self.close_stub(func, CallKind::Sync, extract_ftl(&reply.extensions));
+        let reply = reply?;
+        if let Some(call) = call {
+            call.finish(extract_ftl(&reply.extensions));
+        }
 
         match reply.body {
             Err(runtime) => Err(ComError::UnknownObject(runtime)),
@@ -590,23 +582,23 @@ impl ComClient {
         method: &str,
         args: Vec<Value>,
     ) -> Result<(), ComError> {
-        let func = self.send(target, method, args, None)?;
-        self.close_stub(func, CallKind::Oneway, None);
-        Ok(())
+        // The proxy probe closes as soon as the call is enqueued.
+        self.send(target, method, args, None).map(drop)
     }
 
     /// The proxy half of [`ComClient::invoke`] (with a `reply` sender) and
     /// [`ComClient::post`] (without): resolves the method, opens the proxy
     /// probe, marshals the arguments with the FTL — and, for a posted call,
     /// the parent marker — in the extension headers, and enqueues the call
-    /// on its apartment. On failure the proxy probe is already closed.
+    /// on its apartment. Returns the open proxy bracket of an instrumented
+    /// call; on failure it is already closed.
     fn send(
         &self,
         target: &ComObjRef,
         method: &str,
         args: Vec<Value>,
         reply: Option<Sender<OrpcReply>>,
-    ) -> Result<FunctionKey, ComError> {
+    ) -> Result<(FunctionKey, Option<Call<'_>>), ComError> {
         let inner = &self.domain.inner;
         let midx = inner
             .vocab
@@ -617,15 +609,15 @@ impl ComClient {
         let func = FunctionKey::new(target.interface, midx, target.object);
         let kind = if reply.is_some() { CallKind::Sync } else { CallKind::Oneway };
 
-        let out = inner.config.instrumented.then(|| monitor.stub_start(func, kind));
+        let call = inner.config.instrumented.then(|| monitor.call(func, kind));
 
         let cpu = monitor.cpu_clock();
         let token = cpu.region_begin();
         let payload = wire::encode_args(&args);
         let mut extensions = Extensions::new();
-        if let Some(out) = &out {
-            attach_ftl(&mut extensions, out.wire_ftl);
-            if let Some(parent) = out.oneway_parent {
+        if let Some(call) = &call {
+            attach_ftl(&mut extensions, call.wire_ftl());
+            if let Some(parent) = call.oneway_parent() {
                 crate::hook::attach_parent(&mut extensions, parent);
             }
         }
@@ -644,7 +636,7 @@ impl ComClient {
                 target.apartment
             )),
             Some(apt_tx) => {
-                let call = OrpcMsg {
+                let msg = OrpcMsg {
                     target: target.object,
                     interface: target.interface,
                     method: midx,
@@ -653,22 +645,13 @@ impl ComClient {
                     reply,
                     ticket: inner.gate.enter(),
                 };
-                match apt_tx.send(AptIncoming::Call(call)) {
-                    Ok(()) => return Ok(func),
+                match apt_tx.send(AptIncoming::Call(msg)) {
+                    Ok(()) => return Ok((func, call)),
                     Err(_) => unreachable(),
                 }
             }
         };
-        self.close_stub(func, kind, None);
         Err(refused)
-    }
-
-    /// Closes the proxy probe (probe 4) of an instrumented call.
-    fn close_stub(&self, func: FunctionKey, kind: CallKind, reply_ftl: Option<FunctionTxLog>) {
-        let inner = &self.domain.inner;
-        if inner.config.instrumented {
-            inner.monitor.stub_end(func, kind, reply_ftl);
-        }
     }
 
     /// Pumps the calling STA thread's message queue, dispatching every call

@@ -32,7 +32,8 @@ use crate::uuid::Uuid;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::mem::ManuallyDrop;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// Which behavior aspects the probes record.
 ///
@@ -246,7 +247,6 @@ struct MonitorInner {
     process: ProcessId,
     node: NodeId,
     policy: ProbePolicy,
-    enabled: AtomicBool,
     wall: Arc<dyn WallClock>,
     cpu: Arc<dyn CpuClock>,
     store: LogStore,
@@ -259,7 +259,6 @@ impl fmt::Debug for MonitorInner {
             .field("process", &self.process)
             .field("node", &self.node)
             .field("policy", &self.policy)
-            .field("enabled", &self.enabled.load(Ordering::Relaxed))
             .field("buffered", &self.store.len())
             .finish()
     }
@@ -295,7 +294,6 @@ impl Monitor {
             node,
             mode: ProbeMode::default(),
             policy: None,
-            enabled: true,
             wall: None,
             cpu: None,
             store: None,
@@ -322,18 +320,6 @@ impl Monitor {
     /// directive through any clone is visible to the probes immediately.
     pub fn policy(&self) -> &ProbePolicy {
         &self.inner.policy
-    }
-
-    /// Whether the probes are active. When disabled, probe calls are no-ops
-    /// and the wire carries no FTL — the "non-instrumented stub/skeleton"
-    /// configuration used to measure probe overhead.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the probes at runtime.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.inner.enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// The log store probes record into.
@@ -384,54 +370,18 @@ impl Monitor {
     /// issues the next event number, and returns what must ride the wire.
     /// For one-way calls a fresh child chain is created and its identity is
     /// recorded in this probe's record, as §2.2 of the paper specifies.
+    /// Runtimes open the bracket with [`Monitor::call`] instead, which
+    /// closes it on every path.
     pub fn stub_start(&self, func: FunctionKey, kind: CallKind) -> StubStartOutcome {
-        if !self.is_enabled() {
-            return StubStartOutcome {
-                wire_ftl: FunctionTxLog::new(Uuid::NIL, 0),
-                oneway_parent: None,
-            };
+        let chain = || tss::peek().unwrap_or_else(FunctionTxLog::fresh);
+        let (ftl, child) = self.probe(TraceEvent::StubStart, func, kind, chain, None);
+        match child {
+            Some(child) => StubStartOutcome {
+                wire_ftl: child,
+                oneway_parent: Some((ftl.global_function_id, ftl.event_seq_no)),
+            },
+            None => StubStartOutcome { wire_ftl: ftl, oneway_parent: None },
         }
-        let mode = self.inner.policy.effective(func.interface);
-        let wall_start = mode.wall().then(|| self.inner.wall.now());
-        let cpu_start = mode.cpu().then(|| self.inner.cpu.thread_cpu_now());
-        let region = self.inner.cpu.region_begin();
-
-        let mut ftl = tss::peek().unwrap_or_else(FunctionTxLog::fresh);
-        let seq = ftl.next_seq();
-        tss::store(ftl);
-
-        let (wire_ftl, oneway_child, oneway_parent) = if kind == CallKind::Oneway {
-            let child = FunctionTxLog::fresh();
-            (
-                child,
-                Some(child.global_function_id),
-                Some((ftl.global_function_id, seq)),
-            )
-        } else {
-            (ftl, None, None)
-        };
-
-        let mut record = ProbeRecord {
-            uuid: ftl.global_function_id,
-            seq,
-            event: TraceEvent::StubStart,
-            kind,
-            site: self.site(),
-            func,
-            wall_start,
-            wall_end: None,
-            cpu_start,
-            cpu_end: None,
-            oneway_child,
-            oneway_parent: None,
-        };
-
-        self.inner.cpu.region_end(region);
-        record.cpu_end = mode.cpu().then(|| self.inner.cpu.thread_cpu_now());
-        record.wall_end = mode.wall().then(|| self.inner.wall.now());
-        self.inner.store.push(record);
-
-        StubStartOutcome { wire_ftl, oneway_parent }
     }
 
     /// Probe 2 — beginning of the skeleton, when the request reaches the
@@ -445,81 +395,18 @@ impl Monitor {
         wire_ftl: FunctionTxLog,
         oneway_parent: Option<(Uuid, u64)>,
     ) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mode = self.inner.policy.effective(func.interface);
-        let wall_start = mode.wall().then(|| self.inner.wall.now());
-        let cpu_start = mode.cpu().then(|| self.inner.cpu.thread_cpu_now());
-        let region = self.inner.cpu.region_begin();
-
-        let mut ftl = wire_ftl;
-        let seq = ftl.next_seq();
-        tss::store(ftl);
-
-        let mut record = ProbeRecord {
-            uuid: ftl.global_function_id,
-            seq,
-            event: TraceEvent::SkelStart,
-            kind,
-            site: self.site(),
-            func,
-            wall_start,
-            wall_end: None,
-            cpu_start,
-            cpu_end: None,
-            oneway_child: None,
-            oneway_parent: if kind == CallKind::Oneway { oneway_parent } else { None },
-        };
-
-        self.inner.cpu.region_end(region);
-        record.cpu_end = mode.cpu().then(|| self.inner.cpu.thread_cpu_now());
-        record.wall_end = mode.wall().then(|| self.inner.wall.now());
-        self.inner.store.push(record);
+        let parent = oneway_parent.filter(|_| kind == CallKind::Oneway);
+        self.probe(TraceEvent::SkelStart, func, kind, || wire_ftl, parent);
     }
 
     /// Probe 3 — end of the skeleton, when the function implementation
     /// concludes. Returns the updated FTL to marshal with the reply.
     pub fn skel_end(&self, func: FunctionKey, kind: CallKind) -> FunctionTxLog {
-        if !self.is_enabled() {
-            return FunctionTxLog::new(Uuid::NIL, 0);
-        }
-        let mode = self.inner.policy.effective(func.interface);
-        let wall_start = mode.wall().then(|| self.inner.wall.now());
-        let cpu_start = mode.cpu().then(|| self.inner.cpu.thread_cpu_now());
-        let region = self.inner.cpu.region_begin();
-
-        let mut ftl = tss::peek().unwrap_or_else(|| {
-            // A skeleton end with no TSS context means the tunnel was broken
-            // (e.g. a runtime dispatched the up-call on a different thread
-            // than the one that ran skel_start — the interceptor hazard the
-            // paper warns about). Recover with a fresh chain and count it.
-            self.inner.anomalies.fetch_add(1, Ordering::Relaxed);
-            FunctionTxLog::fresh()
-        });
-        let seq = ftl.next_seq();
-        tss::store(ftl);
-
-        let mut record = ProbeRecord {
-            uuid: ftl.global_function_id,
-            seq,
-            event: TraceEvent::SkelEnd,
-            kind,
-            site: self.site(),
-            func,
-            wall_start,
-            wall_end: None,
-            cpu_start,
-            cpu_end: None,
-            oneway_child: None,
-            oneway_parent: None,
-        };
-
-        self.inner.cpu.region_end(region);
-        record.cpu_end = mode.cpu().then(|| self.inner.cpu.thread_cpu_now());
-        record.wall_end = mode.wall().then(|| self.inner.wall.now());
-        self.inner.store.push(record);
-        ftl
+        // No TSS context here means the tunnel was broken (e.g. a runtime
+        // dispatched the up-call on a different thread than the one that
+        // ran skel_start — the interceptor hazard the paper warns about).
+        let chain = || tss::peek().unwrap_or_else(|| self.recover());
+        self.probe(TraceEvent::SkelEnd, func, kind, chain, None).0
     }
 
     /// Probe 4 — end of the stub, when the response is ready to return to
@@ -527,27 +414,68 @@ impl Monitor {
     /// synchronous calls, or `None` for one-way calls (whose parent chain
     /// continues from thread-specific storage).
     pub fn stub_end(&self, func: FunctionKey, kind: CallKind, reply_ftl: Option<FunctionTxLog>) {
-        if !self.is_enabled() {
-            return;
-        }
+        let chain = || reply_ftl.or_else(tss::peek).unwrap_or_else(|| self.recover());
+        self.probe(TraceEvent::StubEnd, func, kind, chain, None);
+    }
+
+    /// Opens the client half of a probe bracket: probe 1 now, probe 4
+    /// exactly once when the returned [`Call`] is finished or dropped.
+    #[inline]
+    pub fn call(&self, func: FunctionKey, kind: CallKind) -> Call<'_> {
+        let out = self.stub_start(func, kind);
+        Call { monitor: self, func, kind, out, reply_ftl: None }
+    }
+
+    /// Opens the server half of a probe bracket: probe 2 now, probe 3
+    /// exactly once when the returned [`Skeleton`] is finished or dropped.
+    #[inline]
+    pub fn skeleton(
+        &self,
+        func: FunctionKey,
+        kind: CallKind,
+        wire_ftl: FunctionTxLog,
+        oneway_parent: Option<(Uuid, u64)>,
+    ) -> Skeleton<'_> {
+        self.skel_start(func, kind, wire_ftl, oneway_parent);
+        Skeleton { monitor: self, func, kind }
+    }
+
+    /// Recovers from a probe that found no chain to continue: counts the
+    /// anomaly and mints a fresh chain.
+    fn recover(&self) -> FunctionTxLog {
+        self.inner.anomalies.fetch_add(1, Ordering::Relaxed);
+        FunctionTxLog::fresh()
+    }
+
+    /// The one probe body. Between its start and end stamps, charged to the
+    /// thread's CPU: the FTL step (`chain` gives the event's chain; the body
+    /// issues the next event number, stores the FTL in TSS and, for a
+    /// one-way stub start, mints the child chain) and the record. Then the
+    /// push. Returns the updated FTL and the child.
+    #[inline]
+    fn probe(
+        &self,
+        event: TraceEvent,
+        func: FunctionKey,
+        kind: CallKind,
+        chain: impl FnOnce() -> FunctionTxLog,
+        oneway_parent: Option<(Uuid, u64)>,
+    ) -> (FunctionTxLog, Option<FunctionTxLog>) {
         let mode = self.inner.policy.effective(func.interface);
         let wall_start = mode.wall().then(|| self.inner.wall.now());
         let cpu_start = mode.cpu().then(|| self.inner.cpu.thread_cpu_now());
         let region = self.inner.cpu.region_begin();
 
-        let mut ftl = reply_ftl
-            .or_else(tss::peek)
-            .unwrap_or_else(|| {
-                self.inner.anomalies.fetch_add(1, Ordering::Relaxed);
-                FunctionTxLog::fresh()
-            });
+        let mut ftl = chain();
         let seq = ftl.next_seq();
         tss::store(ftl);
+        let fork = event == TraceEvent::StubStart && kind == CallKind::Oneway;
+        let child = fork.then(FunctionTxLog::fresh);
 
         let mut record = ProbeRecord {
             uuid: ftl.global_function_id,
             seq,
-            event: TraceEvent::StubEnd,
+            event,
             kind,
             site: self.site(),
             func,
@@ -555,14 +483,92 @@ impl Monitor {
             wall_end: None,
             cpu_start,
             cpu_end: None,
-            oneway_child: None,
-            oneway_parent: None,
+            oneway_child: child.map(|c| c.global_function_id),
+            oneway_parent,
         };
 
         self.inner.cpu.region_end(region);
         record.cpu_end = mode.cpu().then(|| self.inner.cpu.thread_cpu_now());
         record.wall_end = mode.wall().then(|| self.inner.wall.now());
         self.inner.store.push(record);
+        (ftl, child)
+    }
+}
+
+/// The client half of one probe bracket, from [`Monitor::call`].
+///
+/// Probe 1 fired when it was made. Probe 4 fires exactly once: with the
+/// reply's FTL from [`Call::finish`], or with none when the guard drops
+/// unfinished (a return, an early `?`, an error or a panic), continuing
+/// the chain from thread-specific storage. If the server stamped the chain
+/// first, that close can repeat an event number (DESIGN.md §4 "Bracket").
+#[must_use = "dropping a Call closes its bracket at once"]
+#[derive(Debug)]
+pub struct Call<'a> {
+    monitor: &'a Monitor,
+    func: FunctionKey,
+    kind: CallKind,
+    out: StubStartOutcome,
+    reply_ftl: Option<FunctionTxLog>,
+}
+
+impl Call<'_> {
+    /// The FTL to marshal with the request (for one-way calls, the fresh
+    /// child chain).
+    #[inline]
+    pub fn wire_ftl(&self) -> FunctionTxLog {
+        self.out.wire_ftl
+    }
+
+    /// For one-way calls, the parent chain position at the fork.
+    #[inline]
+    pub fn oneway_parent(&self) -> Option<(Uuid, u64)> {
+        self.out.oneway_parent
+    }
+
+    /// Closes the bracket with the FTL that came back with the reply
+    /// (`None` for one-way calls).
+    #[inline]
+    pub fn finish(mut self, reply_ftl: Option<FunctionTxLog>) {
+        self.reply_ftl = reply_ftl;
+    }
+}
+
+impl Drop for Call<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        self.monitor.stub_end(self.func, self.kind, self.reply_ftl);
+    }
+}
+
+/// The server half of one probe bracket, from [`Monitor::skeleton`].
+///
+/// Probe 2 fired when it was made; probe 3 fires exactly once, from
+/// [`Skeleton::finish`] or when the guard drops (an early return or a
+/// panicking up-call). So a skeleton ends if and only if it started. On
+/// the collocated path the caller holds a [`Call`] and then a `Skeleton`,
+/// so unwinding ends the skeleton before the stub.
+#[must_use = "dropping a Skeleton closes its bracket at once"]
+#[derive(Debug)]
+pub struct Skeleton<'a> {
+    monitor: &'a Monitor,
+    func: FunctionKey,
+    kind: CallKind,
+}
+
+impl Skeleton<'_> {
+    /// Closes the bracket and returns the FTL to marshal with the reply.
+    #[inline]
+    pub fn finish(self) -> FunctionTxLog {
+        let this = ManuallyDrop::new(self);
+        this.monitor.skel_end(this.func, this.kind)
+    }
+}
+
+impl Drop for Skeleton<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        self.monitor.skel_end(self.func, self.kind);
     }
 }
 
@@ -573,7 +579,6 @@ pub struct MonitorBuilder {
     node: NodeId,
     mode: ProbeMode,
     policy: Option<ProbePolicy>,
-    enabled: bool,
     wall: Option<Arc<dyn WallClock>>,
     cpu: Option<Arc<dyn CpuClock>>,
     store: Option<LogStore>,
@@ -593,12 +598,6 @@ impl MonitorBuilder {
     /// process at once.
     pub fn policy(mut self, policy: ProbePolicy) -> MonitorBuilder {
         self.policy = Some(policy);
-        self
-    }
-
-    /// Starts the monitor enabled or disabled (default: enabled).
-    pub fn enabled(mut self, enabled: bool) -> MonitorBuilder {
-        self.enabled = enabled;
         self
     }
 
@@ -628,7 +627,6 @@ impl MonitorBuilder {
                 process: self.process,
                 node: self.node,
                 policy: self.policy.unwrap_or_else(|| ProbePolicy::new(self.mode)),
-                enabled: AtomicBool::new(self.enabled),
                 wall: self.wall.unwrap_or_else(|| Arc::new(SystemClock::new())),
                 cpu: self.cpu.unwrap_or_else(|| Arc::new(VirtualCpuClock::new())),
                 store: self.store.unwrap_or_default(),
@@ -810,23 +808,6 @@ mod tests {
             assert_eq!(r.wall_start, None);
             assert_eq!(r.cpu_start, None);
         }
-        m.begin_root();
-    }
-
-    #[test]
-    fn disabled_monitor_records_nothing() {
-        let m = fresh_monitor(ProbeMode::Latency);
-        m.set_enabled(false);
-        m.begin_root();
-        let out = m.stub_start(func(1), CallKind::Sync);
-        assert!(out.wire_ftl.global_function_id.is_nil());
-        m.skel_start(func(1), CallKind::Sync, out.wire_ftl, None);
-        let r = m.skel_end(func(1), CallKind::Sync);
-        m.stub_end(func(1), CallKind::Sync, Some(r));
-        assert!(m.store().is_empty());
-        assert!(!m.is_enabled());
-        m.set_enabled(true);
-        assert!(m.is_enabled());
         m.begin_root();
     }
 

@@ -476,10 +476,8 @@ impl Container {
     fn dispatch(&self, item: WorkItem) {
         let mut dispatch = item.ticket.dispatch();
         let monitor = &self.inner.monitor;
-        let instrumented = self.inner.config.instrumented;
         let func = causeway_core::record::FunctionKey::new(item.interface, item.method, item.bean);
         dispatch.op(func, &self.inner.vocab);
-        let kind = CallKind::Sync;
 
         let deployment = self.inner.beans.read().get(&item.bean).cloned();
         let Some(deployment) = deployment else {
@@ -491,15 +489,12 @@ impl Container {
         };
 
         // Skeleton probe: install the FTL from the work area.
-        if instrumented {
-            if let Some(ftl) = item
-                .work_area
-                .get(FTL_WORK_AREA_KEY)
-                .and_then(|bytes| FunctionTxLog::from_wire(bytes))
-            {
-                monitor.skel_start(func, kind, ftl, None);
-            }
-        }
+        let skeleton = item
+            .work_area
+            .get(FTL_WORK_AREA_KEY)
+            .filter(|_| self.inner.config.instrumented)
+            .and_then(|bytes| FunctionTxLog::from_wire(bytes))
+            .map(|ftl| monitor.skeleton(func, CallKind::Sync, ftl, None));
 
         let cpu = monitor.cpu_clock();
         let token = cpu.region_begin();
@@ -526,12 +521,9 @@ impl Container {
         };
 
         let mut work_area = WorkArea::new();
-        if instrumented {
-            let reply_ftl = monitor.skel_end(func, kind);
-            work_area.insert(
-                FTL_WORK_AREA_KEY.to_owned(),
-                Bytes::copy_from_slice(&reply_ftl.to_wire()),
-            );
+        if let Some(skeleton) = skeleton {
+            let reply_ftl = skeleton.finish().to_wire();
+            work_area.insert(FTL_WORK_AREA_KEY.to_owned(), Bytes::copy_from_slice(&reply_ftl));
         }
 
         let body = match result {
@@ -604,29 +596,25 @@ impl EjbClient {
             .ok_or_else(|| EjbError::UnknownMethod(format!("{method} on {}", target.interface)))?;
 
         let monitor = &inner.monitor;
-        let instrumented = inner.config.instrumented;
         let func = causeway_core::record::FunctionKey::new(target.interface, midx, target.bean);
-        let kind = CallKind::Sync;
 
-        // Proxy-side probe 1.
-        let out = instrumented.then(|| monitor.stub_start(func, kind));
+        // Proxy-side probes 1 and, when the guard finishes or drops, 4.
+        let call = inner.config.instrumented.then(|| monitor.call(func, CallKind::Sync));
 
         let cpu = monitor.cpu_clock();
         let token = cpu.region_begin();
         let payload = wire::encode_args(&args);
         let mut work_area = WorkArea::new();
-        if let Some(out) = &out {
-            work_area.insert(
-                FTL_WORK_AREA_KEY.to_owned(),
-                Bytes::copy_from_slice(&out.wire_ftl.to_wire()),
-            );
+        if let Some(call) = &call {
+            let ftl = call.wire_ftl().to_wire();
+            work_area.insert(FTL_WORK_AREA_KEY.to_owned(), Bytes::copy_from_slice(&ftl));
         }
         cpu.region_end(token);
 
         let unreachable = || EjbError::ContainerUnreachable(target.container.to_string());
         let (reply_tx, reply_rx) = bounded(1);
         let route = inner.domain.routes.read().get(&target.container).cloned();
-        let sent = match route {
+        match route {
             None => Err(unreachable()),
             // Bounded admission: a full container queue sheds the call with
             // an explicit overload error instead of queueing without bound.
@@ -644,35 +632,17 @@ impl EjbClient {
                     ticket: inner.domain.gate.enter(),
                 }))
                 .map_err(|_| unreachable()),
-        };
-        let reply = sent.and_then(|()| {
-            reply_rx.recv_timeout(inner.config.reply_timeout).map_err(|e| match e {
-                RecvTimeoutError::Timeout => EjbError::Timeout(format!("{func}")),
-                RecvTimeoutError::Disconnected => EjbError::ContainerUnreachable(format!(
-                    "{} dropped the reply to {func}",
-                    target.container
-                )),
-            })
-        });
-        let reply = match reply {
-            Ok(reply) => reply,
-            Err(e) => {
-                // The proxy-side probe still closes on every failure, so the
-                // causal chain stays intact.
-                if instrumented {
-                    monitor.stub_end(func, kind, None);
-                }
-                return Err(e);
-            }
-        };
-
-        // Proxy-side probe 4.
-        if instrumented {
-            let reply_ftl = reply
-                .work_area
-                .get(FTL_WORK_AREA_KEY)
-                .and_then(|bytes| FunctionTxLog::from_wire(bytes));
-            monitor.stub_end(func, kind, reply_ftl);
+        }?;
+        let reply = reply_rx.recv_timeout(inner.config.reply_timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => EjbError::Timeout(format!("{func}")),
+            RecvTimeoutError::Disconnected => EjbError::ContainerUnreachable(format!(
+                "{} dropped the reply to {func}",
+                target.container
+            )),
+        })?;
+        if let Some(call) = call {
+            let ftl = reply.work_area.get(FTL_WORK_AREA_KEY);
+            call.finish(ftl.and_then(|bytes| FunctionTxLog::from_wire(bytes)));
         }
 
         match reply.body {

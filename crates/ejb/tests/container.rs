@@ -289,3 +289,32 @@ fn containers_publish_to_their_own_registry_and_joiners_share_the_peer_s() {
         container.shutdown();
     }
 }
+
+/// An uninstrumented front sends no FTL, so the instrumented back's
+/// skeleton never starts and must not end either: no `SkelEnd` on the
+/// pooled worker's stale chain, no anomaly, no FTL in the reply.
+#[test]
+fn uninstrumented_caller_leaves_no_skeleton_record_at_an_instrumented_callee() {
+    let plain = ContainerConfig { instrumented: false, ..ContainerConfig::default() };
+    let front = Container::builder(ProcessId(0), NodeId(0)).config(plain).build();
+    front.load_idl(IDL).unwrap();
+    let one_worker = ContainerConfig { dispatch_threads: 1, ..ContainerConfig::default() };
+    let back = Container::builder(ProcessId(1), NodeId(0)).config(one_worker).join(&front).build();
+    back.deploy("java:global/Inventory", "Shop::Cart", None, simple_bean()).unwrap();
+
+    // A traced call leaves its chain in the back worker's TSS.
+    let traced = back.client();
+    traced.begin_root();
+    traced.call("java:global/Inventory", "add", vec![Value::I64(1)]).unwrap();
+    back.quiesce(Duration::from_secs(5)).unwrap();
+    assert_eq!(back.drain_records().len(), 4);
+
+    let out = front.client().call("java:global/Inventory", "checkout", vec![Value::I64(2)]);
+    assert_eq!(out.unwrap().as_i64(), Some(200));
+    back.quiesce(Duration::from_secs(5)).unwrap();
+    front.shutdown();
+    back.shutdown();
+    assert_eq!(back.drain_records(), Vec::new(), "no skeleton started, so none ends");
+    assert_eq!(back.monitor().anomaly_count(), 0);
+    assert!(front.drain_records().is_empty());
+}

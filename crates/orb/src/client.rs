@@ -7,7 +7,7 @@
 //! thread), and one-way dispatch (fire a fresh child chain and return).
 
 use crate::error::OrbError;
-use crate::interceptor::{RequestInfo, ServiceContexts};
+use crate::interceptor::{PendingReply, RequestInfo, ServiceContexts};
 use crate::orb::Orb;
 use crate::registry::ObjectRecord;
 use crate::servant::ServerCtx;
@@ -165,7 +165,7 @@ impl Client {
 
     /// The collocated fast path: no marshalling, no engine; the stub/skeleton
     /// start (end) probes degenerate into back-to-back probes on the caller
-    /// thread.
+    /// thread. A panicking servant unwinds the skeleton, then the stub.
     fn invoke_collocated(
         &self,
         target: &ObjRef,
@@ -175,18 +175,14 @@ impl Client {
         record: ObjectRecord,
     ) -> Result<Value, OrbError> {
         let monitor = self.orb.monitor();
-        let instrumented = self.orb.config().instrumented;
         let func = FunctionKey::new(target.interface, midx, target.object);
 
-        if instrumented {
-            let out = monitor.stub_start(func, kind);
-            monitor.skel_start(func, kind, out.wire_ftl, None);
-        }
+        let call = self.orb.config().instrumented.then(|| monitor.call(func, kind));
+        let skeleton = call.as_ref().map(|c| monitor.skeleton(func, kind, c.wire_ftl(), None));
         let ctx = ServerCtx::new(self.clone(), target.object);
         let result = record.servant.dispatch(&ctx, midx, args);
-        if instrumented {
-            let reply_ftl = monitor.skel_end(func, kind);
-            monitor.stub_end(func, kind, Some(reply_ftl));
+        if let (Some(call), Some(skeleton)) = (call, skeleton) {
+            call.finish(Some(skeleton.finish()));
         }
         result.map_err(OrbError::Application)
     }
@@ -195,7 +191,10 @@ impl Client {
     /// target's server engine. Also taken by in-process calls when
     /// collocation optimization is disabled (they are then traced as
     /// ordinary synchronous calls, exactly like the paper's "collocated
-    /// calls with optimization turned off").
+    /// calls with optimization turned off"). A failed call closes its stub
+    /// without a reply FTL — the missing skeleton events surface in the
+    /// analyzer's abnormal-transition report, which is exactly how a lost
+    /// request should look.
     fn invoke_remote(
         &self,
         target: &ObjRef,
@@ -203,30 +202,23 @@ impl Client {
         args: Vec<Value>,
     ) -> Result<Value, OrbError> {
         let monitor = self.orb.monitor();
-        let instrumented = self.orb.config().instrumented;
         let func = FunctionKey::new(target.interface, midx, target.object);
         let kind = CallKind::Sync;
 
-        let out = instrumented.then(|| monitor.stub_start(func, kind));
+        let call = self.orb.config().instrumented.then(|| monitor.call(func, kind));
 
         // Marshal, charged to this thread's CPU.
         let cpu = monitor.cpu_clock();
         let token = cpu.region_begin();
         let mut payload = wire::encode_args(&args);
-        if let Some(out) = &out {
-            payload = wire::append_ftl(payload, out.wire_ftl);
+        if let Some(call) = &call {
+            payload = wire::append_ftl(payload, call.wire_ftl());
         }
         cpu.region_end(token);
 
         // Client-side interception points (pre-invoke).
-        let info = RequestInfo { func, kind };
         let mut contexts = ServiceContexts::new();
-        {
-            let interceptors = self.orb.inner.interceptors.read();
-            if !interceptors.is_empty() {
-                interceptors.run_send_request(&info, &mut contexts);
-            }
-        }
+        let pending = self.send_request(RequestInfo { func, kind }, &mut contexts);
 
         let delay = self.orb.inner.fabric.delay(self.orb.process(), target.owner);
         if !delay.is_zero() {
@@ -251,70 +243,44 @@ impl Client {
                 self.orb.gate().enter(),
             ),
         );
-        if let Err(e) = sent {
-            self.abandon_stub(func, kind, instrumented);
-            return Err(OrbError::ProcessUnreachable(e));
-        }
+        sent.map_err(OrbError::ProcessUnreachable)?;
 
-        let reply = rx
-            .recv_timeout(self.orb.config().reply_timeout)
-            .map_err(|e| {
-                self.abandon_stub(func, kind, instrumented);
-                match e {
-                    RecvTimeoutError::Timeout => {
-                        OrbError::Timeout(format!("{func} on {}", target.owner))
-                    }
-                    RecvTimeoutError::Disconnected => OrbError::ProcessUnreachable(format!(
-                        "{} dropped the reply to {func}",
-                        target.owner
-                    )),
-                }
-            })?;
+        let reply = rx.recv_timeout(self.orb.config().reply_timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => OrbError::Timeout(format!("{func} on {}", target.owner)),
+            RecvTimeoutError::Disconnected => OrbError::ProcessUnreachable(format!(
+                "{} dropped the reply to {func}",
+                target.owner
+            )),
+        })?;
 
         if !delay.is_zero() {
             std::thread::sleep(delay); // reply transit
         }
 
         // Client-side interception points (post-invoke).
-        {
-            let interceptors = self.orb.inner.interceptors.read();
-            if !interceptors.is_empty() {
-                interceptors.run_receive_reply(&info, &reply.contexts);
-            }
-        }
-
-        let body = match reply.body {
-            Ok(body) => body,
-            Err(msg) => {
-                self.abandon_stub(func, kind, instrumented);
-                return Err(OrbError::UnknownObject(msg));
-            }
-        };
+        pending.receive_reply(&reply.contexts);
+        let body = reply.body.map_err(OrbError::UnknownObject)?;
 
         let token = cpu.region_begin();
-        let (body, reply_ftl) = if instrumented {
-            let (body, ftl) = wire::split_ftl(body)?;
-            (body, Some(ftl))
+        let split = if call.is_some() {
+            wire::split_ftl(body).map(|(body, ftl)| (body, Some(ftl)))
         } else {
-            (body, None)
+            Ok((body, None))
         };
-        let result = crate::reply::decode_reply(body);
+        let decoded = split.map(|(body, ftl)| (crate::reply::decode_reply(body), ftl));
         cpu.region_end(token);
 
-        if instrumented {
-            monitor.stub_end(func, kind, reply_ftl);
+        let (result, reply_ftl) = decoded?;
+        if let Some(call) = call {
+            call.finish(reply_ftl);
         }
         result?.map_err(OrbError::Application)
     }
 
-    /// Closes the stub bracket after a failed remote invocation so the
-    /// chain's event numbering stays consistent (the missing skeleton events
-    /// will surface in the analyzer's abnormal-transition report, which is
-    /// exactly how a lost request should look).
-    fn abandon_stub(&self, func: FunctionKey, kind: CallKind, instrumented: bool) {
-        if instrumented {
-            self.orb.monitor().stub_end(func, kind, None);
-        }
+    /// Runs the client-side `send_request` points of one request and
+    /// returns its pending `receive_reply` points.
+    fn send_request(&self, info: RequestInfo, contexts: &mut ServiceContexts) -> PendingReply {
+        PendingReply::send(&self.orb.inner.interceptors.read(), info, contexts)
     }
 
     /// One-way invocation by method index.
@@ -325,32 +291,25 @@ impl Client {
         args: Vec<Value>,
     ) -> Result<(), OrbError> {
         let monitor = self.orb.monitor();
-        let instrumented = self.orb.config().instrumented;
         let func = FunctionKey::new(target.interface, midx, target.object);
         let kind = CallKind::Oneway;
 
-        let out = instrumented.then(|| monitor.stub_start(func, kind));
+        let call = self.orb.config().instrumented.then(|| monitor.call(func, kind));
 
         let cpu = monitor.cpu_clock();
         let token = cpu.region_begin();
         let mut payload = wire::encode_args(&args);
-        if let Some(out) = &out {
-            let parent = out
-                .oneway_parent
-                .expect("stub_start always links oneway parents");
-            payload = Orb::append_oneway_meta(payload, out.wire_ftl, parent);
+        if let Some(call) = &call {
+            let parent = call.oneway_parent().expect("stub_start always links oneway parents");
+            payload = Orb::append_oneway_meta(payload, call.wire_ftl(), parent);
         }
         cpu.region_end(token);
 
-        // Client-side interception points for the one-way send.
-        let info = RequestInfo { func, kind };
+        // Client-side interception points for the one-way send; the
+        // post-invoke point (the CORBA `receive_other` point for one-way
+        // requests) runs with empty contexts once the stub has closed.
         let mut contexts = ServiceContexts::new();
-        {
-            let interceptors = self.orb.inner.interceptors.read();
-            if !interceptors.is_empty() {
-                interceptors.run_send_request(&info, &mut contexts);
-            }
-        }
+        let pending = self.send_request(RequestInfo { func, kind }, &mut contexts);
 
         let delay = self.orb.inner.fabric.delay(self.orb.process(), target.owner);
         let sent = self.orb.inner.fabric.send(
@@ -370,22 +329,8 @@ impl Client {
                 self.orb.gate().enter(),
             ),
         );
-        if let Err(e) = sent {
-            self.abandon_stub(func, kind, instrumented);
-            return Err(OrbError::ProcessUnreachable(e));
-        }
-
-        if instrumented {
-            monitor.stub_end(func, kind, None);
-        }
-        // Client-side post-invoke interception for the completed send (the
-        // CORBA `receive_other` point for one-way requests).
-        {
-            let interceptors = self.orb.inner.interceptors.read();
-            if !interceptors.is_empty() {
-                interceptors.run_receive_reply(&info, &ServiceContexts::new());
-            }
-        }
-        Ok(())
+        drop(call);
+        drop(pending);
+        sent.map_err(OrbError::ProcessUnreachable)
     }
 }

@@ -70,11 +70,20 @@ pub struct RequestInfo {
 }
 
 /// Client-side interception points (pre-invoke / post-invoke).
+///
+/// The two points come in pairs: once `send_request` has run for a remote
+/// or one-way request, `receive_reply` runs exactly once for it on the
+/// same thread, whatever the outcome. It gets the reply's contexts when a
+/// reply arrived (including an unknown-object reply and one whose FTL
+/// cannot be read) and empty contexts when none did: a send failure, a
+/// timeout, a dropped reply, or a one-way request. Neither point runs
+/// while the caller thread is unwinding from a panic, because a second
+/// panic would abort the process.
 pub trait ClientInterceptor: Send + Sync {
     /// Runs on the caller thread just before the request is sent; may
     /// attach service contexts.
     fn send_request(&self, info: &RequestInfo, contexts: &mut ServiceContexts);
-    /// Runs on the caller thread when the reply arrives.
+    /// Runs on the caller thread when the request is over (see above).
     fn receive_reply(&self, info: &RequestInfo, contexts: &ServiceContexts);
 }
 
@@ -134,18 +143,6 @@ impl InterceptorSet {
         self.clients.is_empty() && self.servers.is_empty()
     }
 
-    pub(crate) fn run_send_request(&self, info: &RequestInfo, contexts: &mut ServiceContexts) {
-        for interceptor in &self.clients {
-            interceptor.send_request(info, contexts);
-        }
-    }
-
-    pub(crate) fn run_receive_reply(&self, info: &RequestInfo, contexts: &ServiceContexts) {
-        for interceptor in &self.clients {
-            interceptor.receive_reply(info, contexts);
-        }
-    }
-
     /// Runs the server-side pre-dispatch points under the vendor's thread
     /// model.
     pub(crate) fn run_receive_request(&self, info: &RequestInfo, contexts: &ServiceContexts) {
@@ -189,6 +186,50 @@ impl InterceptorSet {
                     });
                 });
             }
+        }
+    }
+}
+
+/// The `receive_reply` points a request owes once its `send_request`
+/// points have run (see [`ClientInterceptor`]). [`PendingReply::receive_reply`]
+/// runs them with the reply's contexts; dropping the guard runs them with
+/// empty contexts, unless the thread is unwinding.
+pub(crate) struct PendingReply {
+    set: Option<Arc<InterceptorSet>>,
+    info: RequestInfo,
+}
+
+impl PendingReply {
+    /// Runs `set`'s `send_request` points for one request.
+    pub(crate) fn send(
+        set: &Arc<InterceptorSet>,
+        info: RequestInfo,
+        contexts: &mut ServiceContexts,
+    ) -> PendingReply {
+        for interceptor in &set.clients {
+            interceptor.send_request(&info, contexts);
+        }
+        PendingReply { set: (!set.clients.is_empty()).then(|| Arc::clone(set)), info }
+    }
+
+    /// Runs the `receive_reply` points with the reply's contexts.
+    pub(crate) fn receive_reply(mut self, contexts: &ServiceContexts) {
+        self.run(contexts);
+    }
+
+    fn run(&mut self, contexts: &ServiceContexts) {
+        if let Some(set) = self.set.take() {
+            for interceptor in &set.clients {
+                interceptor.receive_reply(&self.info, contexts);
+            }
+        }
+    }
+}
+
+impl Drop for PendingReply {
+    fn drop(&mut self) {
+        if self.set.is_some() && !std::thread::panicking() {
+            self.run(&ServiceContexts::new());
         }
     }
 }

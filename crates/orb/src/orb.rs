@@ -13,7 +13,7 @@ use causeway_core::engine::{Dispatch, Gate, Ticket};
 use causeway_core::event::CallKind;
 use causeway_core::ftl::FunctionTxLog;
 use causeway_core::ids::{NodeId, ProcessId};
-use causeway_core::monitor::Monitor;
+use causeway_core::monitor::{Monitor, Skeleton};
 use causeway_core::names::SystemVocab;
 use causeway_core::record::FunctionKey;
 use causeway_core::uuid::Uuid;
@@ -56,7 +56,7 @@ pub(crate) struct OrbInner {
     pub(crate) vocab: SystemVocab,
     pub(crate) fabric: Fabric,
     pub(crate) config: OrbConfig,
-    pub(crate) interceptors: parking_lot::RwLock<InterceptorSet>,
+    pub(crate) interceptors: parking_lot::RwLock<Arc<InterceptorSet>>,
     /// The system's `engine="orb"` gate, shared by its ORBs.
     pub(crate) gate: Gate,
 }
@@ -92,7 +92,7 @@ impl Orb {
                 vocab,
                 fabric,
                 config,
-                interceptors: parking_lot::RwLock::new(InterceptorSet::new()),
+                interceptors: parking_lot::RwLock::default(),
                 gate,
             }),
         }
@@ -137,7 +137,7 @@ impl Orb {
     /// previous set). See [`crate::interceptor`] for the caveats the paper
     /// raises about this instrumentation point.
     pub fn set_interceptors(&self, set: InterceptorSet) {
-        *self.inner.interceptors.write() = set;
+        *self.inner.interceptors.write() = Arc::new(set);
     }
 
     /// Server-side dispatch of one request: the generic instrumented
@@ -185,13 +185,12 @@ impl Orb {
         msg: &RequestMsg,
         dispatch: &mut Dispatch,
     ) -> (Result<Bytes, String>, ServiceContexts) {
-        let instrumented = self.inner.config.instrumented;
         let kind = if msg.oneway { CallKind::Oneway } else { CallKind::Sync };
         let monitor = &self.inner.monitor;
         let mut reply_contexts = ServiceContexts::new();
 
         // Split the hidden FTL parameter(s) back off the payload.
-        let split = if instrumented {
+        let split = if self.inner.config.instrumented {
             if msg.oneway {
                 wire::split_ftl(msg.payload.clone())
                     .map_err(|e| format!("bad oneway parent marker: {e}"))
@@ -237,9 +236,7 @@ impl Orb {
                 interceptors.run_receive_request(&info, &msg.contexts);
             }
         }
-        if let Some(ftl) = ftl {
-            monitor.skel_start(func, kind, ftl, oneway_parent);
-        }
+        let skeleton = ftl.map(|ftl| monitor.skeleton(func, kind, ftl, oneway_parent));
 
         // Unmarshal inside the skeleton window, charged to this thread.
         let cpu = monitor.cpu_clock();
@@ -255,7 +252,7 @@ impl Orb {
             Err(e) => Err(crate::error::AppError::new("MarshalError", e.to_string())),
         };
 
-        let reply_ftl = instrumented.then(|| monitor.skel_end(func, kind));
+        let reply_ftl = skeleton.map(Skeleton::finish);
         {
             let interceptors = self.inner.interceptors.read();
             if !interceptors.is_empty() {
