@@ -32,7 +32,7 @@
 use crate::live::SeriesKey;
 use crate::render::{completion_forest, CompletedCall, CompletionNode};
 use causeway_collector::json::Json;
-use causeway_collector::segment::{open_frame_log, write_frame};
+use causeway_collector::segment::{put_u128, put_u16, put_u32, put_u64, Cursor, FrameLog};
 use causeway_core::event::CallKind;
 use causeway_core::ids::{InterfaceId, MethodIndex, ObjectId};
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
@@ -40,9 +40,7 @@ use causeway_core::names::VocabSnapshot;
 use causeway_core::record::FunctionKey;
 use causeway_core::uuid::Uuid;
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{self, BufWriter, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Static configuration of an [`ExemplarStore`].
 #[derive(Debug, Clone)]
@@ -164,7 +162,7 @@ pub struct ExemplarStore {
     admitted_n: u64,
     evicted_n: u64,
     rejected_n: u64,
-    spill: Option<ExemplarSpill>,
+    spill: Option<FrameLog>,
     spill_error: Option<String>,
     spill_errors: u64,
     /// Alert-referenced chains shielded from eviction, oldest pin first.
@@ -246,9 +244,9 @@ impl ExemplarStore {
             return store;
         }
         if let Some(path) = &cfg.spill {
-            match ExemplarSpill::open(path) {
+            match FrameLog::open(path, SPILL_MAGIC, decode_exemplar) {
                 Ok((spill, replay)) => {
-                    for ex in replay {
+                    for (_, ex) in replay {
                         store.next_id = store.next_id.max(ex.id + 1);
                         store.place(ex);
                     }
@@ -305,7 +303,7 @@ impl ExemplarStore {
             completions: completions.to_vec(),
         };
         if let Some(spill) = &mut self.spill {
-            if let Err(e) = spill.append(&exemplar) {
+            if let Err(e) = spill.append(|buf| encode_exemplar(&exemplar, buf)) {
                 self.spill_errors += 1;
                 self.spill_error = Some(format!("{}: {e}", spill.path().display()));
                 self.spill = None; // degrade to memory-only, keep capturing
@@ -589,7 +587,7 @@ impl ExemplarStore {
 /// are faithful, absolute times are not wall-clock.
 pub fn chrome_slice_json(exemplar: &Exemplar, vocab: &VocabSnapshot) -> Json {
     let forest = completion_forest(&exemplar.completions);
-    let mut slices: Vec<(u64, usize, String, u64, &'static str)> = Vec::new();
+    let mut slices: Vec<(u64, usize, String, u64, String)> = Vec::new();
     let mut work: Vec<(&CompletionNode, u64)> = Vec::new();
     let mut cursor = 0u64;
     for root in &forest {
@@ -602,7 +600,8 @@ pub fn chrome_slice_json(exemplar: &Exemplar, vocab: &VocabSnapshot) -> Json {
             vocab.interface_name(node.call.func.interface),
             vocab.method_name(node.call.func.interface, node.call.func.method)
         );
-        slices.push((start, node.call.depth, name, node.call.latency_ns, kind_name(node.call.kind)));
+        let kind = node.call.kind.to_string();
+        slices.push((start, node.call.depth, name, node.call.latency_ns, kind));
         let mut at = start;
         for child in &node.children {
             work.push((child, at));
@@ -626,7 +625,7 @@ pub fn chrome_slice_json(exemplar: &Exemplar, vocab: &VocabSnapshot) -> Json {
                     Json::obj([
                         ("chain", Json::Str(exemplar.chain.to_string())),
                         ("depth", Json::Num(depth as f64)),
-                        ("kind", Json::Str(kind.to_owned())),
+                        ("kind", Json::Str(kind)),
                     ]),
                 ),
             ])
@@ -638,101 +637,38 @@ pub fn chrome_slice_json(exemplar: &Exemplar, vocab: &VocabSnapshot) -> Json {
     ])
 }
 
-fn kind_name(kind: CallKind) -> &'static str {
-    match kind {
-        CallKind::Sync => "sync",
-        CallKind::Oneway => "oneway",
-        CallKind::Collocated => "collocated",
-        CallKind::CustomMarshal => "custom_marshal",
-    }
-}
-
 // --- spill segment ------------------------------------------------------
 
-/// Magic prefix of an exemplar spill segment file.
+/// Magic prefix of an exemplar spill segment file: a [`FrameLog`] holding
+/// one checksummed frame per admission (the collector's segment framing,
+/// like the history spill), replayed on restart.
 pub const SPILL_MAGIC: &[u8; 8] = b"CWEXMP1\n";
 
-/// Append-only disk segment of admitted exemplars, one checksummed frame
-/// per admission (the collector's segment framing, like the history
-/// spill). Reopen replays complete frames and truncates a torn tail.
-#[derive(Debug)]
-struct ExemplarSpill {
-    path: PathBuf,
-    out: BufWriter<File>,
-    end: u64,
-}
-
-impl ExemplarSpill {
-    /// Opens or creates the segment; returns the writer plus every intact
-    /// admission for replay. Refuses (`InvalidData`) a non-empty file that
-    /// is not an exemplar spill — a mistyped path must not destroy an
-    /// unrelated file.
-    fn open(path: impl AsRef<Path>) -> io::Result<(ExemplarSpill, Vec<Exemplar>)> {
-        let path = path.as_ref().to_path_buf();
-        let (out, end, frames) = open_frame_log(&path, SPILL_MAGIC, decode_exemplar)?;
-        let replay = frames.into_iter().map(|(_, _, exemplar)| exemplar).collect();
-        Ok((ExemplarSpill { path, out, end }, replay))
-    }
-
-    /// Appends one admission as a checksummed frame and flushes it.
-    fn append(&mut self, exemplar: &Exemplar) -> io::Result<()> {
-        let payload = encode_exemplar(exemplar);
-        write_frame(&mut self.out, &payload)?;
-        self.out.flush()?;
-        self.end += (payload.len() + 8) as u64;
-        Ok(())
-    }
-
-    fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-// --- exemplar wire codec (spill frame payloads) -------------------------
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u128(buf: &mut Vec<u8>, v: u128) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Encodes one exemplar as a spill frame payload: scalars, then each
-/// completion event in order.
-fn encode_exemplar(e: &Exemplar) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + e.completions.len() * 27);
-    put_u64(&mut buf, e.id);
-    put_u128(&mut buf, e.chain.0);
-    put_u32(&mut buf, e.series.0 .0);
-    put_u16(&mut buf, e.series.1 .0);
-    put_u64(&mut buf, e.latency_ns);
-    put_u64(&mut buf, e.window_index);
+/// Encodes one exemplar as a spill frame payload into `buf`: scalars,
+/// then each completion event in order.
+fn encode_exemplar(e: &Exemplar, buf: &mut Vec<u8>) {
+    put_u64(buf, e.id);
+    put_u128(buf, e.chain.0);
+    put_u32(buf, e.series.0 .0);
+    put_u16(buf, e.series.1 .0);
+    put_u64(buf, e.latency_ns);
+    put_u64(buf, e.window_index);
     buf.push(e.verdict.tag());
-    put_u32(&mut buf, e.completions.len() as u32);
+    put_u32(buf, e.completions.len() as u32);
     for call in &e.completions {
-        put_u32(&mut buf, call.func.interface.0);
-        put_u16(&mut buf, call.func.method.0);
-        put_u64(&mut buf, call.func.object.0);
-        buf.push(call_kind_tag(call.kind));
-        put_u32(&mut buf, call.depth.min(u32::MAX as usize) as u32);
-        put_u64(&mut buf, call.latency_ns);
+        put_u32(buf, call.func.interface.0);
+        put_u16(buf, call.func.method.0);
+        put_u64(buf, call.func.object.0);
+        buf.push(call.kind.tag());
+        put_u32(buf, call.depth.min(u32::MAX as usize) as u32);
+        put_u64(buf, call.latency_ns);
     }
-    buf
 }
 
 /// Decodes a spill frame payload; `None` on short, trailing, or
 /// out-of-range data (the reader treats that frame as torn).
 fn decode_exemplar(payload: &[u8]) -> Option<Exemplar> {
-    let mut r = Reader { bytes: payload, at: 0 };
+    let mut r = Cursor::new(payload);
     let id = r.u64()?;
     let chain = Uuid(r.u128()?);
     let series = (InterfaceId(r.u32()?), MethodIndex(r.u16()?));
@@ -747,68 +683,15 @@ fn decode_exemplar(payload: &[u8]) -> Option<Exemplar> {
             method: MethodIndex(r.u16()?),
             object: ObjectId(r.u64()?),
         };
-        let kind = call_kind_from_tag(r.u8()?)?;
+        let kind = CallKind::from_tag(r.u8()?)?;
         let depth = r.u32()? as usize;
         let latency_ns = r.u64()?;
         completions.push(CompletedCall { func, kind, depth, latency_ns });
     }
-    if r.at != payload.len() {
+    if !r.is_done() {
         return None; // trailing bytes: not a frame we wrote
     }
     Some(Exemplar { id, chain, series, latency_ns, window_index, verdict, completions })
-}
-
-fn call_kind_tag(kind: CallKind) -> u8 {
-    match kind {
-        CallKind::Sync => 0,
-        CallKind::Oneway => 1,
-        CallKind::Collocated => 2,
-        CallKind::CustomMarshal => 3,
-    }
-}
-
-fn call_kind_from_tag(tag: u8) -> Option<CallKind> {
-    match tag {
-        0 => Some(CallKind::Sync),
-        1 => Some(CallKind::Oneway),
-        2 => Some(CallKind::Collocated),
-        3 => Some(CallKind::CustomMarshal),
-        _ => None,
-    }
-}
-
-/// Bounds-checked little-endian cursor over a frame payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let out = self.bytes.get(self.at..self.at + n)?;
-        self.at += n;
-        Some(out)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes(b.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn u128(&mut self) -> Option<u128> {
-        self.take(16).map(|b| u128::from_le_bytes(b.try_into().expect("16 bytes")))
-    }
 }
 
 #[cfg(test)]
@@ -999,7 +882,8 @@ mod tests {
             verdict: Verdict::Abnormal,
             completions: vec![call(123_456), call(7)],
         };
-        let payload = encode_exemplar(&e);
+        let mut payload = Vec::new();
+        encode_exemplar(&e, &mut payload);
         assert_eq!(decode_exemplar(&payload), Some(e));
         for cut in 0..payload.len() {
             assert_eq!(decode_exemplar(&payload[..cut]), None, "prefix of {cut} bytes decoded");
@@ -1058,6 +942,59 @@ mod tests {
         assert!(store.offer(series(), Uuid(1), 10, 0, false, &[call(10)]).is_some());
         // And the foreign file was left untouched.
         assert_eq!(std::fs::read(&tmp.0).unwrap(), b"definitely not a spill segment");
+    }
+
+    /// The parent-written exemplar spill fixture: six admissions covering
+    /// all three verdicts and all four call kinds.
+    fn fixture_exemplars() -> Vec<Exemplar> {
+        let kinds = [CallKind::Sync, CallKind::Oneway, CallKind::Collocated, CallKind::CustomMarshal];
+        let verdicts = [Verdict::Slow, Verdict::Abnormal, Verdict::Sampled];
+        (0..6u64)
+            .map(|i| Exemplar {
+                id: i,
+                chain: Uuid(0xfeed_0000_0000_0000_0000_0000_0000_0000 | (u128::from(i) * 0x1_0001)),
+                series: (InterfaceId(i as u32 % 3), MethodIndex((i % 2) as u16)),
+                latency_ns: 10_000 * (i + 1),
+                window_index: 40 + i / 2,
+                verdict: verdicts[i as usize % 3],
+                completions: (0..=i % 4)
+                    .map(|c| CompletedCall {
+                        func: FunctionKey {
+                            interface: InterfaceId(i as u32 % 3),
+                            method: MethodIndex(c as u16),
+                            object: ObjectId(100 + i * 10 + c),
+                        },
+                        kind: kinds[((i + c) % 4) as usize],
+                        depth: c as usize,
+                        latency_ns: 10_000 * (i + 1) / (c + 1),
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// A spill file written by an earlier commit reopens to the
+    /// admissions that went in, and the same admissions spill to the same
+    /// bytes.
+    #[test]
+    fn parent_written_spill_reopens_and_rewrites_byte_identically() {
+        let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures/parent_03ef50a_exemplars.cwexmp");
+        let want = std::fs::read(fixture).unwrap();
+        // Open a copy: open repairs what it finds, and the fixture stays
+        // as it was written.
+        let copy = TempSpill::new("parent_fixture");
+        std::fs::write(&copy.0, &want).unwrap();
+        let (log, frames) = FrameLog::open(&copy.0, SPILL_MAGIC, decode_exemplar).unwrap();
+        assert_eq!(log.end(), want.len() as u64, "nothing truncated");
+        let reopened: Vec<Exemplar> = frames.into_iter().map(|(_, e)| e).collect();
+        assert_eq!(reopened, fixture_exemplars());
+        let rewrite = TempSpill::new("parent_rewrite");
+        let mut log = FrameLog::create(&rewrite.0, SPILL_MAGIC).unwrap();
+        for e in fixture_exemplars() {
+            log.append(|buf| encode_exemplar(&e, buf)).unwrap();
+        }
+        assert!(std::fs::read(&rewrite.0).unwrap() == want, "spill bytes differ from the fixture");
     }
 
     #[test]

@@ -24,15 +24,13 @@
 use crate::incident::wall_clock_ms;
 use crate::latency::LatencyHistogram;
 use crate::live::{AlertEvent, AlertRule, SeriesAgg, WindowSnapshot};
-use causeway_collector::segment::{next_frame, open_frame_log, write_frame};
+use causeway_collector::segment::{put_str, put_u16, put_u32, put_u64, Cursor, FrameLog, FrameRef};
 use causeway_core::ids::{InterfaceId, MethodIndex};
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
-use causeway_core::wire;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
-use std::fs::File;
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 /// One finalized tumbling window as retained by the history store.
 #[derive(Debug, Clone, PartialEq)]
@@ -299,25 +297,19 @@ pub const SPILL_MAGIC: &[u8; 8] = b"CWHIST1\n";
 /// An append-only disk segment of evicted [`HistoryEntry`] values — the
 /// overflow tier under [`WindowHistory`]'s in-memory ring.
 ///
-/// The file layout reuses the collector's segment framing
-/// ([`causeway_collector::segment`]): an 8-byte magic, then one
-/// length-prefixed CRC-checksummed frame per evicted window, each payload a
-/// self-contained encoding of the entry (aggregates with sparse histogram
-/// buckets, plus the folded-stack map). Appends flush eagerly so every
-/// *completed* frame is readable; a torn tail from a crashed writer is
-/// detected and truncated on reopen, exactly like run-log recovery.
-///
-/// Reads open the file afresh per lookup (an in-memory `ordinal →
-/// (offset, len)` index makes each a single seek + bounded read), so
-/// lookups work through `&self` while the writer stays open for appends.
+/// The file is a [`FrameLog`] (the collector's segment framing): an 8-byte
+/// magic, then one length-prefixed CRC-checksummed frame per evicted
+/// window, each payload a self-contained encoding of the entry (aggregates
+/// with sparse histogram buckets, plus the folded-stack map). Every
+/// append is on disk before it returns, a failed one leaves no trace, and
+/// a torn tail from a crashed writer is truncated on reopen, exactly like
+/// run-log recovery. An in-memory `ordinal → frame` index makes each
+/// lookup one checksum-verified read through the log's open handle.
 #[derive(Debug)]
 pub struct HistorySpill {
-    path: PathBuf,
-    out: BufWriter<File>,
-    /// Window ordinal → (frame offset, full frame length incl. framing).
-    index: BTreeMap<u64, (u64, u32)>,
-    /// Offset one past the last complete frame (the append position).
-    end: u64,
+    log: FrameLog,
+    /// Window ordinal → where its frame sits in the log.
+    index: BTreeMap<u64, FrameRef>,
 }
 
 impl HistorySpill {
@@ -330,46 +322,31 @@ impl HistorySpill {
     /// Refuses (`InvalidData`) a path holding non-empty data that is not a
     /// spill segment — a mistyped path must not destroy an unrelated file.
     /// Only missing, empty, or magic-prefixed files are (re)created.
-    /// Otherwise propagates file create/read/seek/truncate failures.
+    /// Otherwise propagates file create/read/truncate failures.
     pub fn open(path: impl AsRef<Path>) -> io::Result<HistorySpill> {
-        let path = path.as_ref().to_path_buf();
-        let (out, end, frames) = open_frame_log(&path, SPILL_MAGIC, decode_entry)?;
-        let index =
-            frames.into_iter().map(|(at, len, entry)| (entry.window.index, (at, len))).collect();
-        Ok(HistorySpill { path, out, index, end })
+        let (log, frames) = FrameLog::open(path, SPILL_MAGIC, decode_entry)?;
+        let index = frames.into_iter().map(|(at, entry)| (entry.window.index, at)).collect();
+        Ok(HistorySpill { log, index })
     }
 
-    /// Appends one evicted entry as a checksummed frame and flushes, so the
-    /// frame is complete on disk before the in-memory copy is dropped.
+    /// Appends one evicted entry as a checksummed frame, on disk before
+    /// the in-memory copy is dropped.
     ///
     /// # Errors
     ///
-    /// Propagates the write/flush failure; the index is only updated after
-    /// a successful flush.
+    /// Propagates the write failure; the file, its end and the index are
+    /// then as they were before the call.
     pub fn append(&mut self, entry: &HistoryEntry) -> io::Result<()> {
-        let payload = encode_entry(entry);
-        write_frame(&mut self.out, &payload)?;
-        self.out.flush()?;
-        let frame_len = (payload.len() + 8) as u32;
-        self.index.insert(entry.window.index, (self.end, frame_len));
-        self.end += u64::from(frame_len);
+        let at = self.log.append(|buf| encode_entry(entry, buf))?;
+        self.index.insert(entry.window.index, at);
         Ok(())
     }
 
     /// Reads one spilled window back, verifying its frame checksum. `None`
     /// when the ordinal was never spilled or the frame no longer reads back
-    /// intact (file removed, truncated, or damaged since).
+    /// intact (truncated or damaged since).
     pub fn get(&self, window: u64) -> Option<HistoryEntry> {
-        let (offset, len) = *self.index.get(&window)?;
-        let mut file = File::open(&self.path).ok()?;
-        file.seek(SeekFrom::Start(offset)).ok()?;
-        let mut buf = vec![0u8; len as usize];
-        file.read_exact(&mut buf).ok()?;
-        let frame = next_frame(&buf, 0)?;
-        if wire::crc32(frame.payload) != frame.crc {
-            return None;
-        }
-        decode_entry(frame.payload)
+        decode_entry(&self.log.read(*self.index.get(&window)?)?)
     }
 
     /// `true` when ordinal `window` has a spilled frame.
@@ -399,102 +376,51 @@ impl HistorySpill {
 
     /// Bytes in the spill file (magic + complete frames).
     pub fn bytes(&self) -> u64 {
-        self.end
+        self.log.end()
     }
 
     /// The spill file's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
 // --- HistoryEntry wire codec (spill frame payloads) ---------------------
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Encodes one entry as a spill frame payload: window scalars, then each
-/// series (key, calls, latency sum, sparse histogram buckets), then the
-/// folded-stack map. All integers little-endian, strings UTF-8
+/// Encodes one entry as a spill frame payload into `buf`: window scalars,
+/// then each series (key, calls, latency sum, sparse histogram buckets),
+/// then the folded-stack map. All integers little-endian, strings UTF-8
 /// length-prefixed — self-contained and byte-stable for a given entry.
-fn encode_entry(entry: &HistoryEntry) -> Vec<u8> {
+fn encode_entry(entry: &HistoryEntry, buf: &mut Vec<u8>) {
     let w = &entry.window;
-    let mut buf = Vec::with_capacity(64 + w.series.len() * 64 + entry.folded.len() * 40);
-    put_u64(&mut buf, w.index);
-    put_u64(&mut buf, w.span_ns);
-    put_u64(&mut buf, w.completed_calls);
-    put_u64(&mut buf, w.abnormalities);
-    put_u32(&mut buf, w.series.len() as u32);
+    put_u64(buf, w.index);
+    put_u64(buf, w.span_ns);
+    put_u64(buf, w.completed_calls);
+    put_u64(buf, w.abnormalities);
+    put_u32(buf, w.series.len() as u32);
     for ((iface, method), agg) in &w.series {
-        put_u32(&mut buf, iface.0);
-        put_u16(&mut buf, method.0);
-        put_u64(&mut buf, agg.calls);
-        put_u64(&mut buf, agg.latency_sum_ns);
+        put_u32(buf, iface.0);
+        put_u16(buf, method.0);
+        put_u64(buf, agg.calls);
+        put_u64(buf, agg.latency_sum_ns);
         let occupied: Vec<(usize, u64)> = agg.hist.occupied_buckets().collect();
         buf.push(occupied.len() as u8); // at most 64 buckets
         for (i, n) in occupied {
             buf.push(i as u8);
-            put_u64(&mut buf, n);
+            put_u64(buf, n);
         }
     }
-    put_u32(&mut buf, entry.folded.len() as u32);
+    put_u32(buf, entry.folded.len() as u32);
     for (stack, self_ns) in &entry.folded {
-        put_u32(&mut buf, stack.len() as u32);
-        buf.extend_from_slice(stack.as_bytes());
-        put_u64(&mut buf, *self_ns);
-    }
-    buf
-}
-
-/// Cursor over a spill frame payload; every accessor returns `None` past
-/// the end, so a short or malformed payload decodes to `None`, never a
-/// panic.
-struct SpillReader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> SpillReader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.bytes.get(self.at..self.at + n)?;
-        self.at += n;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes(b.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.bytes.len()
+        put_str(buf, stack);
+        put_u64(buf, *self_ns);
     }
 }
 
 /// Decodes a spill frame payload written by [`encode_entry`]. `None` on
 /// any structural mismatch (short payload, bad UTF-8, trailing bytes).
 fn decode_entry(payload: &[u8]) -> Option<HistoryEntry> {
-    let mut r = SpillReader { bytes: payload, at: 0 };
+    let mut r = Cursor::new(payload);
     let index = r.u64()?;
     let span_ns = r.u64()?;
     let completed_calls = r.u64()?;
@@ -521,12 +447,11 @@ fn decode_entry(payload: &[u8]) -> Option<HistoryEntry> {
     let folded_len = r.u32()? as usize;
     let mut folded = BTreeMap::new();
     for _ in 0..folded_len {
-        let len = r.u32()? as usize;
-        let stack = std::str::from_utf8(r.take(len)?).ok()?.to_owned();
+        let stack = r.str()?.to_owned();
         let self_ns = r.u64()?;
         folded.insert(stack, self_ns);
     }
-    if !r.done() {
+    if !r.is_done() {
         return None;
     }
     Some(HistoryEntry {
@@ -806,7 +731,8 @@ mod tests {
         let mut e = entry(42, 123_456);
         e.window.series.entry((causeway_core::ids::InterfaceId(3), causeway_core::ids::MethodIndex(1))).or_default().record(77);
         e.folded.insert("root;deep;frame".to_owned(), u64::MAX);
-        let payload = encode_entry(&e);
+        let mut payload = Vec::new();
+        encode_entry(&e, &mut payload);
         assert_eq!(decode_entry(&payload), Some(e));
         // Every strict prefix is structurally short — never a panic, never
         // a partially-decoded entry.
@@ -936,6 +862,59 @@ mod tests {
         let mut reopened = reopened;
         reopened.append(&entry(5, 2005)).unwrap();
         assert_eq!(reopened.get(5), Some(entry(5, 2005)));
+    }
+
+    /// Windows 3–8 of the parent-written spill fixture: one to three
+    /// series each with a sparse latency histogram, and a folded map of
+    /// one to four stacks.
+    fn fixture_entry(index: u64) -> HistoryEntry {
+        let mut series = BTreeMap::new();
+        for s in 0..index % 3 + 1 {
+            let mut agg = SeriesAgg::default();
+            for k in 0..index + s {
+                agg.record(1_000 * (k + 1) * (s + 1) * index + k * 37);
+            }
+            series.insert((InterfaceId(s as u32), MethodIndex((index % 2) as u16)), agg);
+        }
+        let mut folded = BTreeMap::new();
+        for d in 0..index % 4 + 1 {
+            folded.insert(format!("root;stage{d};w{index}"), index * 1_000 + d);
+        }
+        HistoryEntry {
+            window: WindowSnapshot {
+                index,
+                span_ns: 1_000_000_000,
+                series,
+                completed_calls: index * 10,
+                abnormalities: index % 2,
+            },
+            folded,
+        }
+    }
+
+    /// A spill file written by an earlier commit reopens to the entries
+    /// that went in, and the same entries spill to the same bytes.
+    #[test]
+    fn parent_written_spill_reopens_and_rewrites_byte_identically() {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures/parent_03ef50a_history.cwhist");
+        let want = std::fs::read(fixture).unwrap();
+        // Open a copy: open repairs what it finds, and the fixture stays
+        // as it was written.
+        let copy = TempSpill::new("parent_fixture");
+        std::fs::write(&copy.0, &want).unwrap();
+        let reopened = HistorySpill::open(&copy.0).unwrap();
+        assert_eq!(reopened.len(), 6);
+        assert_eq!(reopened.bytes(), want.len() as u64, "nothing truncated");
+        for i in 3..=8u64 {
+            assert_eq!(reopened.get(i), Some(fixture_entry(i)), "window {i}");
+        }
+        let rewrite = TempSpill::new("parent_rewrite");
+        let mut spill = HistorySpill::open(&rewrite.0).unwrap();
+        for i in 3..=8u64 {
+            spill.append(&fixture_entry(i)).unwrap();
+        }
+        assert!(std::fs::read(&rewrite.0).unwrap() == want, "spill bytes differ from the fixture");
     }
 
     #[test]

@@ -43,17 +43,23 @@
 //! sized once from the frames' record counts, so each record is written
 //! exactly once.
 //!
-//! ## Write path
+//! ## Frame primitives
 //!
-//! A chunk frame is built in place: the 8 header bytes are reserved, the
-//! records are encoded straight into the output buffer, and length and
-//! checksum are back-patched — [`write_run_log`] does so on its output
-//! buffer, [`SegmentWriter`] on a frame buffer it reuses, followed by one
-//! unbuffered write per frame. [`put_frame`] and [`write_frame`] frame an
-//! already-built payload and serve everything that is not a chunk frame:
-//! header, seal, and the analyzer's history and exemplar spills.
+//! Every file built from frames — this segment and the analyzer's history
+//! and exemplar spills — is a [`FrameLog`]: `magic`, then frames, on one
+//! handle opened once. An append builds its frame in place in a buffer the
+//! log reuses (the 8 header bytes reserved, the payload written after
+//! them, length and checksum back-patched) and hands it to the OS in one
+//! `write_all`; a failed append truncates the file back to the last intact
+//! frame and keeps no bytes, so the file never holds a frame its owner
+//! does not know about. Reads go through the same handle and verify the
+//! checksum. [`FrameLog::open`] and [`recover_run_log`] share one scan:
+//! hop over frame boundaries with [`next_frame`], check checksums and
+//! decode payloads on [`pool`] workers, cut at the first failure.
+//! Payloads are read with one bounds-checked [`Cursor`] and written with
+//! the `put_*` helpers. [`write_run_log`] frames a whole run the same way
+//! into one output buffer.
 
-use bytes::BufMut;
 use causeway_core::deploy::{Deployment, NodeInfo, ProcessInfo};
 use causeway_core::ids::{CpuTypeId, InterfaceId, LogicalThreadId, NodeId, ObjectId, ProcessId};
 use causeway_core::names::{ComponentId, InterfaceEntry, ObjectEntry, VocabSnapshot};
@@ -63,8 +69,8 @@ use causeway_core::runlog::RunLog;
 use causeway_core::sink::Chunk;
 use causeway_core::wire::{self, RECORD_WIRE_LEN};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 /// The 8-byte file magic opening every segment.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"CWSEG01\n";
@@ -89,6 +95,9 @@ const _: () = assert!(9 + MAX_CHUNK_RECORDS * RECORD_WIRE_LEN <= MAX_FRAME_BYTES
 /// Records per chunk frame when serializing a flat [`RunLog`] (the live
 /// writer instead frames whatever the sink sealed).
 pub const DEFAULT_FRAME_RECORDS: usize = 4096;
+
+/// Panic message of a frame whose payload size its caller bounds.
+const UNREADABLE: &str = "frame payload exceeds MAX_FRAME_BYTES and would be unreadable";
 
 /// Errors produced by the segment reader and writer.
 #[derive(Debug)]
@@ -126,44 +135,33 @@ fn corrupt(message: impl Into<String>) -> SegmentError {
 // Frame primitives (shared with the analyzer's history and exemplar spills).
 // ---------------------------------------------------------------------------
 
-/// Appends one `[len][crc][payload]` frame to `buf`.
-///
-/// # Panics
-///
-/// Panics when `payload` exceeds [`MAX_FRAME_BYTES`] — such a frame could
-/// never be read back (use [`write_frame`] for a fallible check).
-pub fn put_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    assert!(
-        payload.len() <= MAX_FRAME_BYTES,
-        "frame payload of {} bytes exceeds MAX_FRAME_BYTES and would be unreadable",
-        payload.len()
-    );
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_u32_le(wire::crc32(payload));
-    buf.put_slice(payload);
-}
-
-/// Writes one frame to an output stream.
+/// Appends one `[len][crc][payload]` frame to `buf`, its payload written in
+/// place by `build`: the 8 header bytes are reserved first and back-patched
+/// once the payload they describe is written, so the payload is never
+/// copied. Returns the payload length.
 ///
 /// # Errors
 ///
-/// Returns [`io::ErrorKind::InvalidInput`] when `payload` exceeds
-/// [`MAX_FRAME_BYTES`] — the reader treats oversized frames as torn, so
-/// writing one would silently discard it (and everything after it) on
-/// recovery. Otherwise propagates the underlying I/O error.
-pub fn write_frame(out: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_BYTES {
+/// Returns [`io::ErrorKind::InvalidInput`], and leaves `buf` as it was,
+/// when the payload exceeds [`MAX_FRAME_BYTES`] — the reader treats such a
+/// frame as torn, so writing it would silently discard it (and everything
+/// after it) on recovery.
+fn put_frame_with(buf: &mut Vec<u8>, build: impl FnOnce(&mut Vec<u8>)) -> io::Result<u32> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    build(buf);
+    let len = buf.len() - start - 8;
+    if len > MAX_FRAME_BYTES {
+        buf.truncate(start);
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!(
-                "frame payload of {} bytes exceeds the {MAX_FRAME_BYTES}-byte frame bound",
-                payload.len()
-            ),
+            format!("frame payload of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame bound"),
         ));
     }
-    out.write_all(&(payload.len() as u32).to_le_bytes())?;
-    out.write_all(&wire::crc32(payload).to_le_bytes())?;
-    out.write_all(payload)
+    let crc = wire::crc32(&buf[start + 8..]);
+    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    Ok(len as u32)
 }
 
 /// One frame lifted out of a byte stream by [`next_frame`].
@@ -195,192 +193,350 @@ pub fn next_frame(bytes: &[u8], offset: usize) -> Option<RawFrame<'_>> {
     Some(RawFrame { payload: &rest[8..8 + len], end: offset + 8 + len, crc })
 }
 
-/// What [`open_frame_log`] returns: the append handle, the offset one past
-/// the last intact frame, and each intact frame's `(offset, frame length,
-/// decoded payload)`.
-pub type OpenedFrameLog<T> = (BufWriter<File>, u64, Vec<(u64, u32, T)>);
+/// Where one intact frame sits in its file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameRef {
+    /// Offset of the frame's length word.
+    pub offset: u64,
+    /// Payload length (the frame is 8 bytes longer).
+    pub len: u32,
+}
 
-/// Opens or creates a frame-log file — `magic`, then [`write_frame`] frames
-/// — the open path shared by the analyzer's history and exemplar spills.
-///
-/// An existing file is read frame by frame with [`next_frame`]. The scan
-/// stops at the first frame that is torn, fails its checksum or is rejected
-/// by `decode`; the file is truncated there and appends continue after the
-/// last intact frame. A missing or empty file, or one holding only part of
-/// `magic` (an interrupted create), is created afresh.
-///
-/// # Errors
-///
-/// Refuses (`InvalidData`) a file holding any other data — a mistyped path
-/// must not destroy an unrelated file. Otherwise propagates file
-/// read/create/truncate failures.
-pub fn open_frame_log<T>(
-    path: &Path,
-    magic: &[u8],
-    mut decode: impl FnMut(&[u8]) -> Option<T>,
-) -> io::Result<OpenedFrameLog<T>> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    if !bytes.starts_with(magic) {
-        if !magic.starts_with(&bytes) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{} exists but is not a {} segment; refusing to overwrite it",
-                    path.display(),
-                    String::from_utf8_lossy(magic).trim_end()
-                ),
-            ));
-        }
-        let mut file = File::create(path)?;
-        file.write_all(magic)?;
-        return Ok((BufWriter::new(file), magic.len() as u64, Vec::new()));
+impl FrameRef {
+    /// Offset of the first byte past this frame.
+    pub fn end(self) -> u64 {
+        self.offset + 8 + u64::from(self.len)
     }
+}
+
+/// The clean frame prefix of `bytes` from offset `start`, each frame with
+/// its decoded payload. Frame boundaries are hopped serially with
+/// [`next_frame`]; every frame's checksum and `decode` then run on
+/// `threads` [`pool`] workers, and the prefix ends at the first frame that
+/// is torn, fails its checksum or is rejected by `decode` — the same cut
+/// at any thread count.
+fn scan_frames<'a, T: Send>(
+    bytes: &'a [u8],
+    start: usize,
+    threads: usize,
+    decode: impl Fn(&'a [u8]) -> Option<T> + Sync,
+) -> Vec<(FrameRef, T)> {
     let mut frames = Vec::new();
-    let mut at = magic.len();
-    while let Some(frame) = next_frame(&bytes, at) {
-        if wire::crc32(frame.payload) != frame.crc {
-            break;
-        }
-        let Some(value) = decode(frame.payload) else {
-            break;
-        };
-        frames.push((at as u64, (frame.end - at) as u32, value));
+    let mut at = start;
+    while let Some(frame) = next_frame(bytes, at) {
         at = frame.end;
+        frames.push(frame);
     }
-    let mut file = OpenOptions::new().write(true).open(path)?;
-    file.set_len(at as u64)?; // drop the torn tail, if any
-    file.seek(SeekFrom::End(0))?;
-    Ok((BufWriter::new(file), at as u64, frames))
+    let decoded = pool::par_map(&frames, threads, |frame| {
+        (wire::crc32(frame.payload) == frame.crc).then(|| decode(frame.payload)).flatten()
+    });
+    frames
+        .iter()
+        .zip(decoded)
+        .map_while(|(frame, value)| {
+            let len = frame.payload.len();
+            Some((FrameRef { offset: (frame.end - 8 - len) as u64, len: len as u32 }, value?))
+        })
+        .collect()
+}
+
+/// An append-only file of frames behind a magic: the segment a
+/// [`SegmentWriter`] writes, and the analyzer's history and exemplar
+/// spills. See the module doc's "Frame primitives".
+#[derive(Debug)]
+pub struct FrameLog {
+    path: PathBuf,
+    /// Opened once, readable and in append mode, so every write lands at
+    /// the end whatever position the last read left.
+    file: File,
+    /// The frame being built; kept between appends so a steady stream of
+    /// frames encodes into the same allocation. Cleared before each use.
+    frame: Vec<u8>,
+    /// Offset one past the last intact frame.
+    end: u64,
+}
+
+impl FrameLog {
+    fn handle(path: &Path) -> io::Result<File> {
+        OpenOptions::new().read(true).append(true).create(true).open(path)
+    }
+
+    /// Empties `file` and writes `magic` as its only content.
+    fn start(path: &Path, file: File, magic: &[u8]) -> io::Result<FrameLog> {
+        file.set_len(0)?;
+        (&file).write_all(magic)?;
+        Ok(FrameLog { path: path.to_path_buf(), file, frame: Vec::new(), end: magic.len() as u64 })
+    }
+
+    /// Creates (truncating) a frame log holding only `magic`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates file create/truncate/write failures.
+    pub fn create(path: impl AsRef<Path>, magic: &[u8]) -> io::Result<FrameLog> {
+        let path = path.as_ref();
+        FrameLog::start(path, FrameLog::handle(path)?, magic)
+    }
+
+    /// Opens a frame log, or creates one, returning it with each intact
+    /// frame's place and decoded payload, in file order.
+    ///
+    /// An existing file is scanned as [`recover_run_log`] scans a segment
+    /// (on [`pool::configured_threads`] workers): the scan stops at the
+    /// first frame that is torn, fails its checksum or is rejected by
+    /// `decode`, the file is truncated there, and appends continue after
+    /// the last intact frame. A missing or empty file, or one holding only
+    /// part of `magic` (an interrupted create), is created afresh.
+    ///
+    /// # Errors
+    ///
+    /// Refuses (`InvalidData`) a file holding any other data — a mistyped
+    /// path must not destroy an unrelated file. Otherwise propagates file
+    /// open/read/truncate failures.
+    pub fn open<T: Send>(
+        path: impl AsRef<Path>,
+        magic: &[u8],
+        decode: impl Fn(&[u8]) -> Option<T> + Sync,
+    ) -> io::Result<(FrameLog, Vec<(FrameRef, T)>)> {
+        let path = path.as_ref();
+        let mut file = FrameLog::handle(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        if !bytes.starts_with(magic) {
+            if !magic.starts_with(&bytes) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{} exists but is not a {} segment; refusing to overwrite it",
+                        path.display(),
+                        String::from_utf8_lossy(magic).trim_end()
+                    ),
+                ));
+            }
+            return Ok((FrameLog::start(path, file, magic)?, Vec::new()));
+        }
+        let frames = scan_frames(&bytes, magic.len(), pool::configured_threads(), decode);
+        let end = frames.last().map_or(magic.len() as u64, |(at, _)| at.end());
+        file.set_len(end)?; // drop the torn tail, if any
+        Ok((FrameLog { path: path.to_path_buf(), file, frame: Vec::new(), end }, frames))
+    }
+
+    /// Appends one frame whose payload `build` writes in place, handed to
+    /// the OS in a single `write_all` before returning; returns where the
+    /// frame sits.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidInput`, writing nothing, when the payload exceeds
+    /// [`MAX_FRAME_BYTES`]. A failed write truncates the file back to the
+    /// last intact frame: the log's end does not move and no byte of the
+    /// frame is kept for a later append.
+    pub fn append(&mut self, build: impl FnOnce(&mut Vec<u8>)) -> io::Result<FrameRef> {
+        self.frame.clear();
+        let len = put_frame_with(&mut self.frame, build)?;
+        if let Err(e) = (&self.file).write_all(&self.frame) {
+            // A partial write must not stay behind as a torn frame that
+            // later appends would bury mid-file.
+            self.file.set_len(self.end).ok();
+            return Err(e);
+        }
+        let at = FrameRef { offset: self.end, len };
+        self.end = at.end();
+        Ok(at)
+    }
+
+    /// The checksum-verified payload of the frame at `at`, read through
+    /// the log's own handle; `None` when it no longer reads back intact.
+    /// Reads move the handle's shared cursor, so concurrent readers must be
+    /// serialized by the log's owner (appends are unaffected: they always
+    /// land at the end).
+    pub fn read(&self, at: FrameRef) -> Option<Vec<u8>> {
+        let mut file = &self.file;
+        file.seek(SeekFrom::Start(at.offset)).ok()?;
+        let mut buf = vec![0; 8 + at.len as usize];
+        file.read_exact(&mut buf).ok()?;
+        let frame = next_frame(&buf, 0)?;
+        if frame.end != buf.len() || wire::crc32(frame.payload) != frame.crc {
+            return None;
+        }
+        buf.drain(..8);
+        Some(buf)
+    }
+
+    /// Offset one past the last intact frame: the file's length, magic
+    /// included.
+    pub fn end(&self) -> u64 {
+        self.end
+    }
+
+    /// The file's path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Syncs the file to stable storage.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sync failure.
+    pub fn sync(&self) -> io::Result<()> {
+        self.file.sync_all()
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Payload codecs.
 // ---------------------------------------------------------------------------
 
-/// Bounded little-endian reader over a frame payload.
-struct Reader<'a> {
+/// Bounds-checked little-endian reader over a frame payload: every
+/// accessor returns `None` past the end, so a short or malformed payload
+/// decodes to `None`, never a panic.
+#[derive(Debug, Clone)]
+pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Cursor<'a> {
+        Cursor { bytes, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SegmentError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| corrupt("frame payload truncated"))?;
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.pos.checked_add(n).filter(|&end| end <= self.bytes.len())?;
         let out = &self.bytes[self.pos..end];
         self.pos = end;
-        Ok(out)
+        Some(out)
     }
 
-    fn u8(&mut self) -> Result<u8, SegmentError> {
-        Ok(self.take(1)?[0])
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
     }
 
-    fn u16(&mut self) -> Result<u16, SegmentError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+    /// One byte.
+    pub fn u8(&mut self) -> Option<u8> {
+        self.take(1).map(|b| b[0])
     }
 
-    fn u32(&mut self) -> Result<u32, SegmentError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
     }
 
-    fn u64(&mut self) -> Result<u64, SegmentError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
     }
 
-    fn str(&mut self) -> Result<String, SegmentError> {
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A little-endian `u128`.
+    pub fn u128(&mut self) -> Option<u128> {
+        self.array().map(u128::from_le_bytes)
+    }
+
+    /// A `u32`-length-prefixed UTF-8 string, as [`put_str`] writes it.
+    pub fn str(&mut self) -> Option<&'a str> {
         let len = self.u32()? as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(corrupt("string length exceeds sanity bound"));
-        }
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| corrupt("invalid utf-8 in header string"))
+        std::str::from_utf8(self.take(len)?).ok()
     }
 
-    fn opt_u64(&mut self) -> Result<Option<u64>, SegmentError> {
+    /// A presence byte (0 or 1) and a `u64` slot, as `put_opt_u64` writes.
+    fn opt_u64(&mut self) -> Option<Option<u64>> {
         let present = self.u8()?;
         let value = self.u64()?;
         match present {
-            0 => Ok(None),
-            1 => Ok(Some(value)),
-            other => Err(corrupt(format!("bad option flag {other}"))),
+            0 => Some(None),
+            1 => Some(Some(value)),
+            _ => None,
         }
     }
 
-    fn done(&self) -> Result<(), SegmentError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(corrupt(format!("{} trailing payload bytes", self.bytes.len() - self.pos)))
-        }
+    /// `true` once every byte has been read.
+    pub fn is_done(&self) -> bool {
+        self.pos == self.bytes.len()
     }
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// Appends a little-endian `u16`.
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u32`.
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u64`.
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u128`.
+pub fn put_u128(buf: &mut Vec<u8>, v: u128) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u32` length and the string's UTF-8 bytes.
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    buf.put_u8(v.is_some() as u8);
-    buf.put_u64_le(v.unwrap_or(0));
+    buf.push(v.is_some() as u8);
+    put_u64(buf, v.unwrap_or(0));
 }
 
-fn encode_header(
+fn put_header(
+    buf: &mut Vec<u8>,
     vocab: &VocabSnapshot,
     deployment: &Deployment,
     expected_records: Option<u64>,
-) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(1024);
-    buf.put_u8(KIND_HEADER);
-    buf.put_u16_le(HEADER_VERSION);
-    put_opt_u64(&mut buf, expected_records);
-    buf.put_u32_le(vocab.interfaces.len() as u32);
+) {
+    buf.push(KIND_HEADER);
+    put_u16(buf, HEADER_VERSION);
+    put_opt_u64(buf, expected_records);
+    put_u32(buf, vocab.interfaces.len() as u32);
     for iface in &vocab.interfaces {
-        put_str(&mut buf, &iface.name);
-        buf.put_u32_le(iface.methods.len() as u32);
+        put_str(buf, &iface.name);
+        put_u32(buf, iface.methods.len() as u32);
         for method in &iface.methods {
-            put_str(&mut buf, method);
+            put_str(buf, method);
         }
     }
-    buf.put_u32_le(vocab.components.len() as u32);
+    put_u32(buf, vocab.components.len() as u32);
     for c in &vocab.components {
-        put_str(&mut buf, c);
+        put_str(buf, c);
     }
-    buf.put_u32_le(vocab.cpu_types.len() as u32);
+    put_u32(buf, vocab.cpu_types.len() as u32);
     for c in &vocab.cpu_types {
-        put_str(&mut buf, c);
+        put_str(buf, c);
     }
-    buf.put_u32_le(vocab.objects.len() as u32);
+    put_u32(buf, vocab.objects.len() as u32);
     for (id, entry) in &vocab.objects {
-        buf.put_u64_le(id.0);
-        put_str(&mut buf, &entry.label);
-        buf.put_u32_le(entry.interface.0);
-        buf.put_u32_le(entry.component.0);
-        buf.put_u16_le(entry.process.0);
+        put_u64(buf, id.0);
+        put_str(buf, &entry.label);
+        put_u32(buf, entry.interface.0);
+        put_u32(buf, entry.component.0);
+        put_u16(buf, entry.process.0);
     }
-    buf.put_u32_le(deployment.nodes.len() as u32);
+    put_u32(buf, deployment.nodes.len() as u32);
     for node in &deployment.nodes {
-        put_str(&mut buf, &node.name);
-        buf.put_u16_le(node.cpu_type.0);
+        put_str(buf, &node.name);
+        put_u16(buf, node.cpu_type.0);
     }
-    buf.put_u32_le(deployment.processes.len() as u32);
+    put_u32(buf, deployment.processes.len() as u32);
     for process in &deployment.processes {
-        put_str(&mut buf, &process.name);
-        buf.put_u16_le(process.node.0);
+        put_str(buf, &process.name);
+        put_u16(buf, process.node.0);
     }
-    buf
 }
 
 struct Header {
@@ -390,135 +546,110 @@ struct Header {
 }
 
 fn decode_header(payload: &[u8]) -> Result<Header, SegmentError> {
-    let mut r = Reader::new(payload);
-    if r.u8()? != KIND_HEADER {
+    let mut r = Cursor::new(payload);
+    if r.u8() != Some(KIND_HEADER) {
         return Err(corrupt("first frame is not a header"));
     }
-    let version = r.u16()?;
-    if version != HEADER_VERSION {
-        return Err(corrupt(format!("unsupported segment version {version}")));
+    match r.u16() {
+        Some(HEADER_VERSION) => {}
+        Some(version) => return Err(corrupt(format!("unsupported segment version {version}"))),
+        None => return Err(corrupt("malformed header frame")),
     }
+    header_tables(&mut r)
+        .filter(|_| r.is_done())
+        .ok_or_else(|| corrupt("malformed header frame"))
+}
+
+/// The header's expectation and dimension tables, after kind and version.
+fn header_tables(r: &mut Cursor<'_>) -> Option<Header> {
     let expected_records = r.opt_u64()?;
     let mut vocab = VocabSnapshot::default();
-    let bounded = |n: u32| -> Result<usize, SegmentError> {
-        let n = n as usize;
-        if n > MAX_FRAME_BYTES { Err(corrupt("count exceeds sanity bound")) } else { Ok(n) }
-    };
-    for _ in 0..bounded(r.u32()?)? {
-        let name = r.str()?;
+    for _ in 0..r.u32()? {
+        let name = r.str()?.to_owned();
         let mut methods = Vec::new();
-        for _ in 0..bounded(r.u32()?)? {
-            methods.push(r.str()?);
+        for _ in 0..r.u32()? {
+            methods.push(r.str()?.to_owned());
         }
         vocab.interfaces.push(InterfaceEntry { name, methods });
     }
-    for _ in 0..bounded(r.u32()?)? {
-        vocab.components.push(r.str()?);
+    for _ in 0..r.u32()? {
+        vocab.components.push(r.str()?.to_owned());
     }
-    for _ in 0..bounded(r.u32()?)? {
-        vocab.cpu_types.push(r.str()?);
+    for _ in 0..r.u32()? {
+        vocab.cpu_types.push(r.str()?.to_owned());
     }
-    for _ in 0..bounded(r.u32()?)? {
+    for _ in 0..r.u32()? {
         let id = ObjectId(r.u64()?);
-        let label = r.str()?;
+        let label = r.str()?.to_owned();
         let interface = InterfaceId(r.u32()?);
         let component = ComponentId(r.u32()?);
         let process = ProcessId(r.u16()?);
         vocab.objects.push((id, ObjectEntry { label, interface, component, process }));
     }
     let mut deployment = Deployment::new();
-    for _ in 0..bounded(r.u32()?)? {
-        let name = r.str()?;
+    for _ in 0..r.u32()? {
+        let name = r.str()?.to_owned();
         let cpu_type = CpuTypeId(r.u16()?);
         deployment.nodes.push(NodeInfo { name, cpu_type });
     }
-    for _ in 0..bounded(r.u32()?)? {
-        let name = r.str()?;
+    for _ in 0..r.u32()? {
+        let name = r.str()?.to_owned();
         let node = NodeId(r.u16()?);
         deployment.processes.push(ProcessInfo { name, node });
     }
-    r.done()?;
-    Ok(Header { vocab, deployment, expected_records })
+    Some(Header { vocab, deployment, expected_records })
 }
 
-/// Appends one whole chunk frame — `[len][crc]` and the chunk payload —
-/// to `buf`, encoding the records straight into place: the 8 header bytes
-/// are reserved first and back-patched once the payload they describe has
-/// been written, so no record is copied after it is encoded.
-///
-/// # Panics
-///
-/// Panics when the payload would exceed [`MAX_FRAME_BYTES`], as
-/// [`put_frame`] does; callers split batches at [`MAX_CHUNK_RECORDS`].
-fn put_chunk_frame(buf: &mut Vec<u8>, thread: LogicalThreadId, records: &[ProbeRecord]) {
-    let payload_len = 9 + records.len() * RECORD_WIRE_LEN;
-    assert!(
-        payload_len <= MAX_FRAME_BYTES,
-        "chunk frame of {} records exceeds MAX_FRAME_BYTES and would be unreadable",
-        records.len()
-    );
-    let frame = buf.len();
-    buf.reserve(8 + payload_len);
-    buf.put_slice(&[0u8; 8]);
-    buf.put_u8(KIND_CHUNK);
-    buf.put_u32_le(thread.0);
-    buf.put_u32_le(records.len() as u32);
+/// Writes one chunk payload, encoding the records straight into `buf`.
+fn put_chunk(buf: &mut Vec<u8>, thread: LogicalThreadId, records: &[ProbeRecord]) {
+    buf.reserve(9 + records.len() * RECORD_WIRE_LEN);
+    buf.push(KIND_CHUNK);
+    put_u32(buf, thread.0);
+    put_u32(buf, records.len() as u32);
     for record in records {
         wire::encode_record(record, buf);
     }
-    let crc = wire::crc32(&buf[frame + 8..]);
-    buf[frame..frame + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    buf[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// The chunk payload built on its own — the reference the tests frame
-/// with [`put_frame`]/[`write_frame`] and compare [`put_chunk_frame`] to.
-#[cfg(test)]
-fn encode_chunk(thread: LogicalThreadId, records: &[ProbeRecord]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(9 + records.len() * RECORD_WIRE_LEN);
-    buf.put_u8(KIND_CHUNK);
-    buf.put_u32_le(thread.0);
-    buf.put_u32_le(records.len() as u32);
-    for record in records {
-        wire::encode_record(record, &mut buf);
-    }
-    buf
+/// Appends one whole chunk frame — `[len][crc]` and the chunk payload —
+/// to `buf`, encoding the records straight into place, so no record is
+/// copied after it is encoded.
+///
+/// # Panics
+///
+/// Panics when the payload would exceed [`MAX_FRAME_BYTES`]; callers
+/// split batches at [`MAX_CHUNK_RECORDS`].
+fn put_chunk_frame(buf: &mut Vec<u8>, thread: LogicalThreadId, records: &[ProbeRecord]) {
+    put_frame_with(buf, |b| put_chunk(b, thread, records)).expect(UNREADABLE);
 }
 
-/// A chunk payload's encoded records, once its framing checks out.
-fn chunk_records(payload: &[u8]) -> Result<&[u8], SegmentError> {
-    let mut r = Reader::new(payload);
-    if r.u8()? != KIND_CHUNK {
-        return Err(corrupt("not a chunk frame"));
-    }
-    let _thread = r.u32()?;
-    let count = r.u32()? as usize;
-    let body = r.take(
-        count
-            .checked_mul(RECORD_WIRE_LEN)
-            .ok_or_else(|| corrupt("chunk record count overflows"))?,
-    )?;
-    r.done()?;
-    Ok(body)
+fn put_seal(buf: &mut Vec<u8>, records: u64, expected_records: Option<u64>) {
+    buf.push(KIND_SEAL);
+    put_u64(buf, records);
+    put_opt_u64(buf, expected_records);
 }
 
-fn encode_seal(records: u64, expected_records: Option<u64>) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(18);
-    buf.put_u8(KIND_SEAL);
-    buf.put_u64_le(records);
-    put_opt_u64(&mut buf, expected_records);
-    buf
+/// Body of one verified non-header frame.
+enum FrameBody<'a> {
+    /// A chunk frame's records, still encoded.
+    Chunk(&'a [u8]),
+    Seal { records: u64, expected: Option<u64> },
 }
 
-fn decode_seal(payload: &[u8]) -> Result<(u64, Option<u64>), SegmentError> {
-    let mut r = Reader::new(payload);
-    if r.u8()? != KIND_SEAL {
-        return Err(corrupt("not a seal frame"));
-    }
-    let records = r.u64()?;
-    let expected = r.opt_u64()?;
-    r.done()?;
-    Ok((records, expected))
+/// Parses a non-header frame's payload; `None` for a malformed chunk or
+/// seal, a repeated header, or an unknown kind.
+fn frame_body(payload: &[u8]) -> Option<FrameBody<'_>> {
+    let mut r = Cursor::new(payload);
+    let body = match r.u8()? {
+        KIND_CHUNK => {
+            let _thread = r.u32()?;
+            let count = r.u32()? as usize;
+            FrameBody::Chunk(r.take(count.checked_mul(RECORD_WIRE_LEN)?)?)
+        }
+        KIND_SEAL => FrameBody::Seal { records: r.u64()?, expected: r.opt_u64()? },
+        _ => return None,
+    };
+    r.is_done().then_some(body)
 }
 
 // ---------------------------------------------------------------------------
@@ -529,12 +660,12 @@ fn decode_seal(payload: &[u8]) -> Result<(u64, Option<u64>), SegmentError> {
 ///
 /// The header frame is written on creation, so even a process killed
 /// immediately afterwards leaves a recoverable — if empty — segment
-/// behind. Every appended chunk is encoded in place into one frame buffer
-/// the writer reuses — length and checksum back-patched in front of the
-/// records — and handed to the OS with a single unbuffered `write_all`
-/// before `append_chunk` returns: a crash loses only chunks the sink had
-/// not yet sealed, never bytes buffered inside this writer, and a frame
-/// is never split across writes.
+/// behind. Every appended chunk is encoded in place into the frame buffer
+/// of the writer's [`FrameLog`] — length and checksum back-patched in
+/// front of the records — and handed to the OS with a single unbuffered
+/// `write_all` before `append_chunk` returns: a crash loses only chunks
+/// the sink had not yet sealed, never bytes buffered inside this writer,
+/// and a frame is never split across writes.
 ///
 /// # Example
 ///
@@ -555,12 +686,8 @@ fn decode_seal(payload: &[u8]) -> Result<(u64, Option<u64>), SegmentError> {
 /// ```
 #[derive(Debug)]
 pub struct SegmentWriter {
-    out: File,
-    /// The frame being built; kept between appends so a steady stream of
-    /// chunks encodes into the same allocation.
-    frame: Vec<u8>,
+    log: FrameLog,
     records_written: u64,
-    sealed: bool,
 }
 
 impl SegmentWriter {
@@ -580,11 +707,9 @@ impl SegmentWriter {
         deployment: &Deployment,
         expected_records: Option<u64>,
     ) -> io::Result<SegmentWriter> {
-        let mut out = File::create(path)?;
-        let mut frame = SEGMENT_MAGIC.to_vec();
-        write_frame(&mut frame, &encode_header(vocab, deployment, expected_records))?;
-        out.write_all(&frame)?;
-        Ok(SegmentWriter { out, frame, records_written: 0, sealed: false })
+        let mut log = FrameLog::create(path, SEGMENT_MAGIC)?;
+        log.append(|buf| put_header(buf, vocab, deployment, expected_records))?;
+        Ok(SegmentWriter { log, records_written: 0 })
     }
 
     /// Appends one sealed sink chunk as a checksummed frame, written
@@ -625,9 +750,7 @@ impl SegmentWriter {
         // At least one frame, so an empty chunk is still on record.
         loop {
             let (batch, tail) = rest.split_at(rest.len().min(records_per_frame));
-            self.frame.clear();
-            put_chunk_frame(&mut self.frame, thread, batch);
-            self.out.write_all(&self.frame)?;
+            self.log.append(|buf| put_chunk(buf, thread, batch))?;
             rest = tail;
             if rest.is_empty() {
                 break;
@@ -651,11 +774,8 @@ impl SegmentWriter {
     ///
     /// Propagates write and sync errors.
     pub fn finish(mut self, expected_records: Option<u64>) -> io::Result<()> {
-        self.frame.clear();
-        put_frame(&mut self.frame, &encode_seal(self.records_written, expected_records));
-        self.out.write_all(&self.frame)?;
-        self.sealed = true;
-        self.out.sync_all()
+        self.log.append(|buf| put_seal(buf, self.records_written, expected_records))?;
+        self.log.sync()
     }
 }
 
@@ -669,18 +789,24 @@ pub fn write_run_log(run: &RunLog) -> Vec<u8> {
 /// wider; the tests use tiny frames to exercise many boundaries). The
 /// count is clamped to `1..=`[`MAX_CHUNK_RECORDS`] so every frame stays
 /// within the reader's [`MAX_FRAME_BYTES`] bound.
+///
+/// # Panics
+///
+/// Panics when the header's tables alone exceed [`MAX_FRAME_BYTES`].
 pub fn write_run_log_with_frame(run: &RunLog, records_per_frame: usize) -> Vec<u8> {
     let records_per_frame = records_per_frame.clamp(1, MAX_CHUNK_RECORDS);
     let mut buf = Vec::with_capacity(
         16 + run.records.len() * (RECORD_WIRE_LEN + 2) + 1024,
     );
-    buf.put_slice(SEGMENT_MAGIC);
-    put_frame(&mut buf, &encode_header(&run.vocab, &run.deployment, run.expected_records));
+    buf.extend_from_slice(SEGMENT_MAGIC);
+    put_frame_with(&mut buf, |b| put_header(b, &run.vocab, &run.deployment, run.expected_records))
+        .expect(UNREADABLE);
     for batch in run.records.chunks(records_per_frame) {
         let thread = batch.first().map(|r| r.site.thread).unwrap_or(LogicalThreadId(0));
         put_chunk_frame(&mut buf, thread, batch);
     }
-    put_frame(&mut buf, &encode_seal(run.records.len() as u64, run.expected_records));
+    put_frame_with(&mut buf, |b| put_seal(b, run.records.len() as u64, run.expected_records))
+        .expect(UNREADABLE);
     buf
 }
 
@@ -712,28 +838,6 @@ impl Recovery {
     }
 }
 
-/// Body of one verified non-header frame.
-enum FrameBody<'a> {
-    /// A chunk frame's records, still encoded.
-    Chunk(&'a [u8]),
-    Seal { records: u64, expected: Option<u64> },
-}
-
-fn verify_frame<'a>(frame: &RawFrame<'a>) -> Result<FrameBody<'a>, SegmentError> {
-    if wire::crc32(frame.payload) != frame.crc {
-        return Err(corrupt("frame checksum mismatch"));
-    }
-    match frame.payload.first() {
-        Some(&KIND_CHUNK) => chunk_records(frame.payload).map(FrameBody::Chunk),
-        Some(&KIND_SEAL) => {
-            decode_seal(frame.payload).map(|(records, expected)| FrameBody::Seal { records, expected })
-        }
-        Some(&KIND_HEADER) => Err(corrupt("header frame repeated mid-segment")),
-        Some(&kind) => Err(corrupt(format!("unknown frame kind {kind}"))),
-        None => Err(corrupt("empty frame")),
-    }
-}
-
 /// Recovers a run log from segment bytes, truncating at the first torn
 /// or bad-checksum frame, on [`pool::configured_threads`] workers.
 ///
@@ -757,7 +861,7 @@ pub fn recover_run_log_with_threads(
     bytes: &[u8],
     threads: usize,
 ) -> Result<Recovery, SegmentError> {
-    if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+    if !bytes.starts_with(SEGMENT_MAGIC) {
         return Err(corrupt("missing segment magic"));
     }
     let header_frame = next_frame(bytes, SEGMENT_MAGIC.len())
@@ -767,38 +871,27 @@ pub fn recover_run_log_with_threads(
     }
     let header = decode_header(header_frame.payload)?;
 
-    // Serial scan: frame boundaries only (length hops — no checksums yet).
-    let mut frames: Vec<RawFrame<'_>> = Vec::new();
-    let mut cursor = header_frame.end;
-    while let Some(frame) = next_frame(bytes, cursor) {
-        cursor = frame.end;
-        frames.push(frame);
-    }
-
-    // Parallel checksum verification; the fold below truncates at the
-    // first frame that fails, exactly as a serial scan would.
-    let verified = pool::par_map(&frames, threads, verify_frame);
-
     // The chunk frames of the clean prefix, each with the end offset of
-    // its frame.
-    let mut chunks: Vec<(&[u8], usize)> = Vec::new();
+    // its frame. The scan has cut at the first torn, bad-checksum or
+    // malformed frame; the seal rules cut here.
+    let mut chunks: Vec<(&[u8], u64)> = Vec::new();
     let mut rows = 0usize;
     let mut seal = None;
-    for (frame, body) in frames.iter().zip(verified) {
+    for (at, body) in scan_frames(bytes, header_frame.end, threads, frame_body) {
         match body {
             // A chunk after the seal means the writer was violated; the
             // seal stays authoritative and the rest is discarded.
-            Ok(FrameBody::Chunk(records)) if seal.is_none() => {
-                chunks.push((records, frame.end));
+            FrameBody::Chunk(records) if seal.is_none() => {
+                chunks.push((records, at.end()));
                 rows += records.len() / RECORD_WIRE_LEN;
             }
-            Ok(FrameBody::Seal { records, expected }) if seal.is_none() => {
+            FrameBody::Seal { records, expected } if seal.is_none() => {
                 if records != rows as u64 {
                     // The seal disagrees with what precedes it: trust the
                     // verified chunks, drop the seal.
                     break;
                 }
-                seal = Some((expected, frame.end));
+                seal = Some((expected, at.end()));
             }
             _ => break,
         }
@@ -823,7 +916,7 @@ pub fn recover_run_log_with_threads(
     }
     let good_end = match (seal, chunks.last()) {
         (Some((_, end)), _) | (None, Some(&(_, end))) => end,
-        (None, None) => header_frame.end,
+        (None, None) => header_frame.end as u64,
     };
     let mut run = RunLog::new(table, header.vocab, header.deployment);
     run.expected_records = match seal {
@@ -834,7 +927,7 @@ pub fn recover_run_log_with_threads(
         run,
         sealed: seal.is_some(),
         chunk_frames: chunks.len(),
-        truncated_bytes: (bytes.len() - good_end) as u64,
+        truncated_bytes: bytes.len() as u64 - good_end,
     })
 }
 
@@ -876,6 +969,35 @@ mod tests {
     use causeway_core::record::{CallSite, FunctionKey};
     use causeway_core::uuid::Uuid;
     use proptest::prelude::*;
+
+    /// Appends one frame around an already-built payload: the reference
+    /// framing the in-place writers are compared to.
+    fn put_frame(buf: &mut Vec<u8>, payload: &[u8]) {
+        put_frame_with(buf, |b| b.extend_from_slice(payload)).expect(UNREADABLE);
+    }
+
+    fn encode_header(
+        vocab: &VocabSnapshot,
+        deployment: &Deployment,
+        expected_records: Option<u64>,
+    ) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_header(&mut buf, vocab, deployment, expected_records);
+        buf
+    }
+
+    /// The chunk payload built on its own.
+    fn encode_chunk(thread: LogicalThreadId, records: &[ProbeRecord]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_chunk(&mut buf, thread, records);
+        buf
+    }
+
+    fn encode_seal(records: u64, expected_records: Option<u64>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_seal(&mut buf, records, expected_records);
+        buf
+    }
 
     fn rec(seq: u64) -> ProbeRecord {
         ProbeRecord {
@@ -1064,15 +1186,102 @@ mod tests {
         }
     }
 
+    /// A unique temp path that cleans itself up when the test ends.
+    struct TempLog(std::path::PathBuf);
+
+    impl TempLog {
+        fn new(tag: &str) -> TempLog {
+            TempLog(std::env::temp_dir().join(format!(
+                "causeway_frame_log_{tag}_{}.cwlog",
+                std::process::id()
+            )))
+        }
+    }
+
+    impl Drop for TempLog {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+        }
+    }
+
+    const LOG_MAGIC: &[u8; 8] = b"CWTEST1\n";
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
     #[test]
-    fn write_frame_refuses_payloads_the_reader_would_drop() {
-        let payload = vec![0u8; MAX_FRAME_BYTES + 1];
-        let err = write_frame(&mut Vec::new(), &payload).unwrap_err();
+    fn frame_log_append_refuses_payloads_the_reader_would_drop() {
+        let tmp = TempLog::new("oversize");
+        let mut log = FrameLog::create(&tmp.0, LOG_MAGIC).unwrap();
+        let payload = vec![7u8; MAX_FRAME_BYTES + 1];
+        let err = log.append(|buf| buf.extend_from_slice(&payload)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(log.end(), LOG_MAGIC.len() as u64, "nothing appended");
+        assert_eq!(file_len(&tmp.0), log.end(), "nothing written");
         // At the bound itself the frame is still writable and readable.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &payload[..MAX_FRAME_BYTES]).unwrap();
-        assert!(next_frame(&buf, 0).is_some());
+        let at = log.append(|buf| buf.extend_from_slice(&payload[..MAX_FRAME_BYTES])).unwrap();
+        assert_eq!(at, FrameRef { offset: LOG_MAGIC.len() as u64, len: MAX_FRAME_BYTES as u32 });
+        assert!(log.read(at).unwrap() == payload[..MAX_FRAME_BYTES]);
+    }
+
+    /// A failed append leaves no trace: the file keeps its length, the
+    /// log its end, and the appends after it land where a reader and a
+    /// reopen expect them.
+    #[test]
+    fn failed_frame_log_append_leaves_no_trace() {
+        let tmp = TempLog::new("failed_append");
+        let mut log = FrameLog::create(&tmp.0, LOG_MAGIC).unwrap();
+        let first = log.append(|buf| buf.extend_from_slice(b"first")).unwrap();
+        let end = log.end();
+        // A handle that cannot write stands in for a full or failing disk.
+        log.file = File::open(&tmp.0).unwrap();
+        assert!(log.append(|buf| buf.extend_from_slice(b"lost window")).is_err());
+        assert_eq!(log.end(), end);
+        assert_eq!(file_len(&tmp.0), end);
+        log.file = OpenOptions::new().read(true).append(true).open(&tmp.0).unwrap();
+        let second = log.append(|buf| buf.extend_from_slice(b"second")).unwrap();
+        let third = log.append(|buf| buf.extend_from_slice(b"the third")).unwrap();
+        assert_eq!(second.offset, end, "no stale bytes ahead of the next frame");
+        for (at, want) in [(first, &b"first"[..]), (second, b"second"), (third, b"the third")] {
+            assert_eq!(log.read(at).as_deref(), Some(want));
+        }
+        drop(log);
+        let (log, frames) = FrameLog::open(&tmp.0, LOG_MAGIC, |p| Some(p.to_vec())).unwrap();
+        assert_eq!(
+            frames,
+            vec![
+                (first, b"first".to_vec()),
+                (second, b"second".to_vec()),
+                (third, b"the third".to_vec())
+            ]
+        );
+        assert_eq!(log.end(), third.end());
+    }
+
+    /// Reopen keeps the frames before the first one `decode` rejects, cuts
+    /// the file there, and appends after them; a file holding part of the
+    /// magic is created afresh.
+    #[test]
+    fn frame_log_open_cuts_at_the_first_rejected_frame() {
+        let tmp = TempLog::new("reject");
+        let mut log = FrameLog::create(&tmp.0, LOG_MAGIC).unwrap();
+        for payload in [&b"keep 1"[..], b"keep 2", b"drop 3", b"keep 4"] {
+            log.append(|buf| buf.extend_from_slice(payload)).unwrap();
+        }
+        drop(log);
+        let keep = |p: &[u8]| p.starts_with(b"keep").then(|| p.to_vec());
+        let (mut log, frames) = FrameLog::open(&tmp.0, LOG_MAGIC, keep).unwrap();
+        assert_eq!(frames.len(), 2);
+        assert_eq!(file_len(&tmp.0), frames[1].0.end(), "cut after the second frame");
+        let at = log.append(|buf| buf.extend_from_slice(b"keep 5")).unwrap();
+        assert_eq!(log.read(at).as_deref(), Some(&b"keep 5"[..]));
+        drop(log);
+        std::fs::write(&tmp.0, &LOG_MAGIC[..3]).unwrap();
+        let (log, frames) = FrameLog::open(&tmp.0, LOG_MAGIC, keep).unwrap();
+        assert!(frames.is_empty());
+        assert_eq!(std::fs::read(&tmp.0).unwrap(), LOG_MAGIC);
+        assert_eq!(log.end(), LOG_MAGIC.len() as u64);
     }
 
     #[test]
@@ -1194,22 +1403,22 @@ mod tests {
         let (full, rest) = rest.split_at(256);
         let (split, tail) = rest.split_at(10);
         let mut want = SEGMENT_MAGIC.to_vec();
-        write_frame(&mut want, &encode_header(&run.vocab, &run.deployment, None)).unwrap();
+        put_frame(&mut want, &encode_header(&run.vocab, &run.deployment, None));
         {
             let mut writer =
                 SegmentWriter::create(&path, &run.vocab, &run.deployment, None).unwrap();
             for (thread, batch) in [(0, few), (1, &[][..]), (2, full), (4, tail)] {
                 let thread = LogicalThreadId(thread);
                 writer.append_chunk(&Chunk { thread, records: batch.to_vec() }).unwrap();
-                write_frame(&mut want, &encode_chunk(thread, batch)).unwrap();
+                put_frame(&mut want, &encode_chunk(thread, batch));
             }
             writer.append_records_capped(LogicalThreadId(3), split, 3).unwrap();
             for batch in split.chunks(3) {
-                write_frame(&mut want, &encode_chunk(LogicalThreadId(3), batch)).unwrap();
+                put_frame(&mut want, &encode_chunk(LogicalThreadId(3), batch));
             }
             assert_eq!(writer.records_written(), 700);
             writer.finish(Some(700)).unwrap();
-            write_frame(&mut want, &encode_seal(700, Some(700))).unwrap();
+            put_frame(&mut want, &encode_seal(700, Some(700)));
         }
         let got = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();

@@ -66,27 +66,44 @@ impl fmt::Display for TraceEvent {
 }
 
 /// The flavor of a component-object invocation (Section 2.2 of the paper).
+///
+/// The discriminants are the kind's one-byte tag in the binary record
+/// format and the exemplar spill ([`CallKind::tag`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CallKind {
     /// Ordinary synchronous remote invocation: the caller blocks until the
     /// reply arrives. All four probes fire, 1 and 4 on the caller thread,
     /// 2 and 3 on a server thread.
-    Sync,
+    Sync = 0,
     /// One-way (asynchronous) invocation: the caller does not wait.
     /// Dispatching *spurs a fresh causality chain* in the callee; the stub
     /// start probe records the parent/child chain link.
-    Oneway,
+    Oneway = 1,
     /// In-process invocation with collocation optimization: the stub locates
     /// the servant directly and the stub/skeleton start (end) probes
     /// degenerate into a single start (end) probe on the caller thread.
-    Collocated,
+    Collocated = 2,
     /// Custom-marshalled (marshal-by-value) invocation: the object state is
     /// transferred and the call executes in the *client's* thread context,
     /// turning a remote call into a collocated one.
-    CustomMarshal,
+    CustomMarshal = 3,
 }
 
 impl CallKind {
+    /// All four kinds, in tag order.
+    pub const ALL: [CallKind; 4] =
+        [CallKind::Sync, CallKind::Oneway, CallKind::Collocated, CallKind::CustomMarshal];
+
+    /// The kind's one-byte tag in the binary encodings (0–3).
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The kind a [`CallKind::tag`] byte names; `None` for any other byte.
+    pub fn from_tag(tag: u8) -> Option<CallKind> {
+        CallKind::ALL.get(usize::from(tag)).copied()
+    }
+
     /// `true` when the invocation executes entirely in the caller's thread.
     pub fn runs_in_caller_thread(self) -> bool {
         matches!(self, CallKind::Collocated | CallKind::CustomMarshal)
@@ -148,6 +165,15 @@ mod tests {
         assert!(CallKind::CustomMarshal.runs_in_caller_thread());
         assert!(!CallKind::Sync.runs_in_caller_thread());
         assert!(!CallKind::Oneway.runs_in_caller_thread());
+    }
+
+    #[test]
+    fn kind_tags_round_trip_in_declaration_order() {
+        for (tag, kind) in CallKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.tag(), tag as u8);
+            assert_eq!(CallKind::from_tag(tag as u8), Some(kind));
+        }
+        assert_eq!(CallKind::from_tag(4), None);
     }
 
     #[test]

@@ -329,15 +329,6 @@ fn event_tag(event: TraceEvent) -> u8 {
     }
 }
 
-fn kind_tag(kind: CallKind) -> u8 {
-    match kind {
-        CallKind::Sync => 0,
-        CallKind::Oneway => 1,
-        CallKind::Collocated => 2,
-        CallKind::CustomMarshal => 3,
-    }
-}
-
 /// Appends one record's fixed-width encoding to `buf`.
 ///
 /// The record is laid out in a stack array at constant offsets (the same
@@ -368,7 +359,7 @@ pub fn encode_record(r: &ProbeRecord, buf: &mut Vec<u8>) {
     out[0..16].copy_from_slice(&r.uuid.0.to_le_bytes());
     out[16..24].copy_from_slice(&r.seq.to_le_bytes());
     out[24] = event_tag(r.event);
-    out[25] = kind_tag(r.kind);
+    out[25] = r.kind.tag();
     out[26] = flags;
     out[27..29].copy_from_slice(&r.site.node.0.to_le_bytes());
     out[29..31].copy_from_slice(&r.site.process.0.to_le_bytes());
@@ -414,13 +405,9 @@ pub fn decode_record(bytes: &[u8]) -> Result<ProbeRecord, CoreError> {
         3 => TraceEvent::StubEnd,
         other => return Err(CoreError::WireDecode(format!("unknown event tag {other}"))),
     };
-    let kind = match bytes[25] {
-        0 => CallKind::Sync,
-        1 => CallKind::Oneway,
-        2 => CallKind::Collocated,
-        3 => CallKind::CustomMarshal,
-        other => return Err(CoreError::WireDecode(format!("unknown kind tag {other}"))),
-    };
+    let kind = CallKind::from_tag(bytes[25]).ok_or_else(|| {
+        CoreError::WireDecode(format!("unknown kind tag {}", bytes[25]))
+    })?;
     let flags = bytes[26];
     if flags & !FLAG_KNOWN != 0 {
         return Err(CoreError::WireDecode(format!("unknown record flags {flags:#04x}")));
