@@ -31,10 +31,8 @@ use causeway_core::event::CallKind;
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
 use causeway_core::pool;
 use causeway_core::record::{FunctionKey, ProbeRecord};
-use causeway_core::sink::{Chunk, LogStore};
 use causeway_core::uuid::Uuid;
 use std::collections::{BTreeMap, HashMap};
-use std::time::{Duration, Instant};
 
 /// Self-observability handles for on-line analysis. Analyzers given one
 /// registry aggregate into one set of series (an analyzer instance is not
@@ -48,7 +46,6 @@ struct OnlineMetrics {
     abnormalities: Counter,
     open_chains: Gauge,
     buffered: Gauge,
-    lag: Gauge,
 }
 
 impl OnlineMetrics {
@@ -77,10 +74,6 @@ impl OnlineMetrics {
             buffered: r.gauge(
                 "causeway_online_resequence_buffered",
                 "records buffered waiting for out-of-order predecessors",
-            ),
-            lag: r.gauge(
-                "causeway_online_consumption_lag_records",
-                "records still in the polled store after the last poll",
             ),
         }
     }
@@ -409,9 +402,7 @@ impl OnlineAnalyzer {
     /// Publishes this analyzer's instantaneous state (open chains,
     /// re-sequencing buffer depth) to its metrics registry.
     ///
-    /// Called automatically by the batch consumption paths
-    /// ([`Self::poll_store`], [`Self::follow_store`], [`Self::drain_store`],
-    /// [`Self::finish`]).
+    /// Called automatically by [`Self::finish`].
     pub fn publish_metrics(&self) {
         let m = &self.metrics;
         m.open_chains.set(self.open_chains() as i64);
@@ -421,14 +412,6 @@ impl OnlineAnalyzer {
     /// Feeds one record; `sink` receives any events it triggers.
     pub fn ingest(&mut self, record: ProbeRecord, sink: &mut impl FnMut(OnlineEvent)) {
         self.ingest_chain(record.uuid, [record], sink);
-    }
-
-    /// Feeds every record of a drained chunk, in the producing thread's
-    /// push order.
-    pub fn ingest_chunk(&mut self, chunk: Chunk, sink: &mut impl FnMut(OnlineEvent)) {
-        for record in chunk.records {
-            self.ingest(record, sink);
-        }
     }
 
     /// Feeds a batch of records, processing distinct chains in parallel on
@@ -470,49 +453,6 @@ impl OnlineAnalyzer {
             self.chains.insert(chain, state);
             events.into_iter().for_each(&mut *sink);
         }
-    }
-
-    /// Consumes every record a live store holds, without blocking, in one
-    /// drain. Returns the number of records ingested. Safe while producer
-    /// threads keep pushing — this is the on-line consumption path: no
-    /// quiescence, no post-hoc [`causeway_core::runlog::RunLog`].
-    pub fn poll_store(&mut self, store: &LogStore, sink: &mut impl FnMut(OnlineEvent)) -> usize {
-        let mut ingested = 0;
-        for chunk in store.drain_chunks() {
-            ingested += chunk.len();
-            self.ingest_chunk(chunk, sink);
-        }
-        self.metrics.lag.set(store.len() as i64);
-        self.publish_metrics();
-        ingested
-    }
-
-    /// Waits up to `timeout` for a producer to push, then consumes
-    /// everything available. Returns the number of
-    /// records ingested (0 on timeout) — the pump loop primitive for a
-    /// dedicated analysis thread. Polls the store every millisecond.
-    pub fn follow_store(
-        &mut self,
-        store: &LogStore,
-        timeout: Duration,
-        sink: &mut impl FnMut(OnlineEvent),
-    ) -> usize {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let ingested = self.poll_store(store, sink);
-            let now = Instant::now();
-            if ingested > 0 || now >= deadline {
-                return ingested;
-            }
-            std::thread::sleep((deadline - now).min(Duration::from_millis(1)));
-        }
-    }
-
-    /// End-of-stream sweep: [`Self::poll_store`] once producers are
-    /// quiescent (then the store is left empty). Follow with
-    /// [`Self::finish`].
-    pub fn drain_store(&mut self, store: &LogStore, sink: &mut impl FnMut(OnlineEvent)) -> usize {
-        self.poll_store(store, sink)
     }
 
     /// Forces out everything still buffered (end of run): gaps are reported
@@ -558,6 +498,7 @@ mod tests {
     use causeway_core::event::TraceEvent;
     use causeway_core::ids::*;
     use causeway_core::record::CallSite;
+    use std::time::Duration;
 
     fn rec(
         uuid: u128,
@@ -741,6 +682,23 @@ mod tests {
         assert!(matches!(events[1], OnlineEvent::ChainIdle { .. }));
     }
 
+    /// Feeds every record `store` holds to `analyzer`, chunk by chunk in
+    /// each producer's push order; returns how many.
+    fn poll(
+        analyzer: &mut OnlineAnalyzer,
+        store: &causeway_core::sink::LogStore,
+        events: &mut Vec<OnlineEvent>,
+    ) -> usize {
+        let mut ingested = 0;
+        for chunk in store.drain_chunks() {
+            ingested += chunk.len();
+            for record in chunk.records {
+                analyzer.ingest(record, &mut |e| events.push(e));
+            }
+        }
+        ingested
+    }
+
     #[test]
     fn live_chunk_stream_from_a_monitor_is_complete() {
         use causeway_core::monitor::{Monitor, ProbeMode};
@@ -770,11 +728,11 @@ mod tests {
         let mut ingested = 0;
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         while ingested < CALLS * 4 && std::time::Instant::now() < deadline {
-            ingested +=
-                analyzer.follow_store(&store, Duration::from_millis(50), &mut |e| events.push(e));
+            ingested += poll(&mut analyzer, &store, &mut events);
+            std::thread::sleep(Duration::from_millis(1));
         }
         producer.join().unwrap();
-        ingested += analyzer.drain_store(&store, &mut |e| events.push(e));
+        ingested += poll(&mut analyzer, &store, &mut events);
         analyzer.finish(&mut |e| events.push(e));
 
         // Compile-time sanity: the workload spans several chunks.
@@ -789,49 +747,6 @@ mod tests {
             !events.iter().any(|e| matches!(e, OnlineEvent::Abnormality { .. })),
             "clean run has no abnormalities"
         );
-    }
-
-    /// Contract: `follow_store` sees records a producer pushed and then
-    /// parked on, with no flush and no thread exit, within its timeout.
-    #[test]
-    fn follow_store_sees_a_parked_producers_records() {
-        use causeway_core::monitor::{Monitor, ProbeMode};
-        use std::sync::{Arc, Barrier};
-
-        const CALLS: usize = 5;
-        let monitor = Monitor::builder(ProcessId(0), NodeId(0))
-            .mode(ProbeMode::CausalityOnly)
-            .build();
-        let store = monitor.store().clone();
-        let func = FunctionKey::new(InterfaceId(0), MethodIndex(0), ObjectId(1));
-        let parked = Arc::new(Barrier::new(2));
-        let producer = {
-            let parked = Arc::clone(&parked);
-            std::thread::spawn(move || {
-                for _ in 0..CALLS {
-                    monitor.begin_root();
-                    let out = monitor.stub_start(func, CallKind::Sync);
-                    monitor.skel_start(func, CallKind::Sync, out.wire_ftl, None);
-                    let reply = monitor.skel_end(func, CallKind::Sync);
-                    monitor.stub_end(func, CallKind::Sync, Some(reply));
-                }
-                parked.wait(); // pushed
-                parked.wait(); // followed
-            })
-        };
-        parked.wait();
-        let mut analyzer = OnlineAnalyzer::new();
-        let mut events = Vec::new();
-        let timeout = Duration::from_secs(5);
-        let started = std::time::Instant::now();
-        let ingested = analyzer.follow_store(&store, timeout, &mut |e| events.push(e));
-        assert!(started.elapsed() < timeout, "returned before its timeout");
-        assert_eq!(ingested, CALLS * 4, "every record the parked producer pushed");
-        let completed =
-            events.iter().filter(|e| matches!(e, OnlineEvent::CallCompleted { .. })).count();
-        assert_eq!(completed, CALLS);
-        parked.wait();
-        producer.join().unwrap();
     }
 
     #[test]

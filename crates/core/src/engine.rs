@@ -30,10 +30,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default bound on an engine's dispatch queue (for the ORB's
-/// thread-per-request policy, on its live request threads). Requests over
-/// it are shed instead of queueing without bound: an open-loop arrival
-/// burst must surface as explicit shed load, not as a silently growing
-/// queue.
+/// thread-per-request policy, on its request threads serving a request).
+/// Requests over it are shed instead of queueing without bound: an
+/// open-loop arrival burst must surface as explicit shed load, not as a
+/// silently growing queue.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 65_536;
 
 #[derive(Debug)]

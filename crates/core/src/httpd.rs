@@ -15,12 +15,14 @@
 //! correct and the per-request overhead measurable (the perf ledger's
 //! `httpd.roundtrip_us.*` rows).
 //!
-//! Connection threads are reused. The accept thread hands each accepted
-//! stream to a parked connection thread when one is waiting and spawns a
-//! thread only when none is. A thread that has answered parks for the next
-//! stream; at most [`MAX_PARKED`] park at once and the rest exit, so a
-//! burst leaves no pool behind. Shutdown drops the parked threads'
-//! hand-off senders, which ends them.
+//! Connection threads are reused through a [`ParkLot`], the type the ORB's
+//! thread-per-request engine parks its request threads in. The accept
+//! thread hands each accepted stream to a parked connection thread when
+//! one is waiting and spawns a thread only when none is. A thread that has
+//! answered parks for the next stream; at most
+//! [`MAX_PARKED`](crate::park::MAX_PARKED) park at once and the rest exit,
+//! so a burst leaves no pool behind. Shutdown stops the lot, which ends the
+//! parked threads.
 //!
 //! The `causeway_httpd_*` series go to the registry the server was given
 //! ([`HttpServer::bind_with_limits`]); the other constructors use
@@ -41,8 +43,7 @@
 //! ```
 
 use crate::metrics::{Counter, MetricsRegistry};
-use crossbeam::channel::{Sender, bounded};
-use parking_lot::Mutex;
+use crate::park::ParkLot;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -74,10 +75,6 @@ pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
 
 /// Default per-read socket timeout of [`HttpServer::bind`].
 pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Most connection threads parked for reuse at once; a thread that finds
-/// this many already parked exits after its response.
-pub const MAX_PARKED: usize = 4;
 
 /// One parsed request: method, decoded path, query parameters, and body.
 #[derive(Debug, Clone)]
@@ -162,9 +159,9 @@ struct ServerShared {
     /// Concurrently served connections; bounded by `max_connections`.
     active: AtomicUsize,
     max_connections: usize,
-    /// Hand-off senders of the parked connection threads, last parked on
-    /// top. Cleared at shutdown, which ends those threads.
-    parked: Mutex<Vec<Sender<Conn>>>,
+    /// The connection threads parked for reuse; stopped at shutdown,
+    /// which ends them.
+    lot: ParkLot<Conn>,
     /// Requests this server answered, for [`HttpServer::requests_served`].
     served: AtomicU64,
     requests: Counter,
@@ -256,7 +253,7 @@ impl HttpServer {
             read_timeout,
             active: AtomicUsize::new(0),
             max_connections: max_connections.max(1),
-            parked: Mutex::new(Vec::new()),
+            lot: ParkLot::new(),
             served: AtomicU64::new(0),
             requests: registry.counter(
                 "causeway_httpd_requests_total",
@@ -297,26 +294,17 @@ impl HttpServer {
                         continue;
                     }
                     accept_shared.active.fetch_add(1, Ordering::AcqRel);
-                    let mut conn = Conn {
+                    let conn = Conn {
                         permit: ConnPermit { shared: Arc::clone(&accept_shared) },
                         stream,
                     };
-                    // A parked thread takes it if one is waiting; a thread
-                    // that died since it parked hands the stream back.
-                    loop {
-                        let Some(parked) = accept_shared.parked.lock().pop() else {
-                            // If the spawn fails the closure (and the
-                            // permit) is dropped right here, releasing the
-                            // slot.
-                            let _ = std::thread::Builder::new()
-                                .name("causeway-httpd-conn".to_owned())
-                                .spawn(move || connection_thread(conn));
-                            break;
-                        };
-                        match parked.send(conn) {
-                            Ok(()) => break,
-                            Err(returned) => conn = returned.0,
-                        }
+                    // A parked thread takes it if one is waiting.
+                    if let Err(conn) = accept_shared.lot.hand_off(conn) {
+                        // If the spawn fails the closure (and the permit)
+                        // is dropped right here, releasing the slot.
+                        let _ = std::thread::Builder::new()
+                            .name("causeway-httpd-conn".to_owned())
+                            .spawn(move || connection_thread(conn));
                     }
                 }
             })?;
@@ -349,9 +337,9 @@ impl HttpServer {
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
-        // Dropping the hand-off senders ends every parked thread; `stop`
-        // keeps a thread still serving from parking after this.
-        self.shared.parked.lock().clear();
+        // Ends every parked thread, and keeps a thread still serving from
+        // parking after this.
+        self.shared.lot.stop();
     }
 }
 
@@ -362,23 +350,16 @@ impl Drop for HttpServer {
 }
 
 /// One connection thread: serves `conn`, then parks for the next stream
-/// until shutdown, or exits when [`MAX_PARKED`] threads already wait.
+/// until shutdown, or exits when the lot is full.
 fn connection_thread(mut conn: Conn) {
     loop {
         let shared = &conn.permit.shared;
         serve_connection(&conn.stream, shared);
         // Park before the stream closes: a client that has seen the end
         // of its response and connects again finds this thread waiting.
-        // The sender lives only in `parked`, so clearing that (or dropping
-        // the server) disconnects `next`.
-        let next = {
-            let mut parked = shared.parked.lock();
-            if shared.stop.load(Ordering::Acquire) || parked.len() >= MAX_PARKED {
-                return;
-            }
-            let (handoff, next) = bounded::<Conn>(1);
-            parked.push(handoff);
-            next
+        // Stopping the lot (or dropping the server) disconnects `next`.
+        let Some(next) = shared.lot.park() else {
+            return;
         };
         drop(conn);
         match next.recv() {
@@ -605,6 +586,7 @@ fn percent_decode(input: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::io::Read;
 
     /// One blocking GET against a local server, returning (status, body).

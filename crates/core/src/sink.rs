@@ -9,13 +9,14 @@
 //! A block that fills is moved onto the list, not copied.
 //!
 //! A record is visible to the next drain as soon as [`LogStore::push`]
-//! returns. A drain ([`LogStore::drain_chunks`], [`LogStore::try_recv_chunk`])
-//! visits every registered log, takes its blocks with an O(1) swap under the
-//! log's lock and hands each block out as a [`Chunk`]. Nothing seals or
-//! flushes: no idle point, dispatch end or thread exit has to hand records
-//! over, so none can strand them. Full collection still happens at the
-//! quiescent state, as in the paper — but quiescence is needed only for
-//! *completeness*, never for safety: a drain may run while producers push.
+//! returns. A drain ([`LogStore::drain_chunks`],
+//! [`LogStore::recv_chunk_timeout`]) visits every registered log, takes its
+//! blocks with an O(1) swap under the log's lock and hands each block out
+//! as a [`Chunk`]. Nothing seals or flushes: no idle point, dispatch end or
+//! thread exit has to hand records over, so none can strand them. Full
+//! collection still happens at the quiescent state, as in the paper — but
+//! quiescence is needed only for *completeness*, never for safety: a drain
+//! may run while producers push.
 //!
 //! A thread's log is registered with the store on the thread's first probe.
 //! When the thread exits, its log stays registered until a drain has taken
@@ -372,18 +373,11 @@ impl LogStore {
     /// callers written against a sink that sealed at idle points.
     pub fn flush_current_thread(&self) {}
 
-    /// Takes one chunk if any record is buffered, without blocking.
-    ///
-    /// This is the streaming consumption path: safe to call concurrently
-    /// with pushes (and with other consumers — each chunk is delivered
-    /// exactly once).
-    pub fn try_recv_chunk(&self) -> Option<Chunk> {
-        self.take_one(true)
-    }
-
     /// Takes one full block, waiting up to `timeout` for a producer to
     /// fill one, then takes a part-full block if there is one. Waits by
-    /// polling every millisecond.
+    /// polling every millisecond; a zero `timeout` takes any buffered
+    /// block without waiting. Safe to call concurrently with pushes and
+    /// with other consumers: each chunk is delivered exactly once.
     pub fn recv_chunk_timeout(&self, timeout: Duration) -> Option<Chunk> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -534,14 +528,14 @@ mod tests {
             store.push(rec(&store, i));
         }
         // The first CHUNK_CAPACITY records sealed on their own.
-        let chunk = store.try_recv_chunk().expect("a sealed chunk is ready");
+        let chunk = store.recv_chunk_timeout(Duration::ZERO).expect("a sealed chunk is ready");
         assert_eq!(chunk.len(), CHUNK_CAPACITY);
         assert_eq!(chunk.thread, store.current_thread());
         let seqs: Vec<u64> = chunk.records.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, (0..CHUNK_CAPACITY as u64).collect::<Vec<_>>());
         // The remainder is visible too, with no flush: the open block.
-        assert_eq!(store.try_recv_chunk().expect("the open block").len(), 10);
-        assert!(store.try_recv_chunk().is_none());
+        assert_eq!(store.recv_chunk_timeout(Duration::ZERO).expect("the open block").len(), 10);
+        assert!(store.recv_chunk_timeout(Duration::ZERO).is_none());
         assert!(store.is_empty());
     }
 
@@ -566,7 +560,7 @@ mod tests {
             assert_eq!(store.len(), 2, "exact before the seal");
             store.flush_current_thread();
             assert_eq!(store.len(), 2, "sealing hands nothing out");
-            chunks.push(store.try_recv_chunk().expect("one chunk per flush"));
+            chunks.push(store.recv_chunk_timeout(Duration::ZERO).expect("one chunk per flush"));
             assert_eq!(store.len(), 0, "exact after the receive");
         }
         let (capacity, len) = capacity_and_len(&chunks);
@@ -657,7 +651,7 @@ mod tests {
         for i in 0..(CHUNK_CAPACITY as u64 + 5) {
             store.push(rec(&store, i));
         }
-        assert_eq!(store.try_recv_chunk().map(|c| c.len()), Some(CHUNK_CAPACITY));
+        assert_eq!(store.recv_chunk_timeout(Duration::ZERO).map(|c| c.len()), Some(CHUNK_CAPACITY));
         assert_eq!(gauge(), Some(5), "the open block is taken but not yet handed out");
         assert_eq!(registry.gauge_value("causeway_sink_chunks_in_flight"), Some(1));
         assert_eq!(registry.gauge_value("causeway_sink_chunks_open"), Some(0));
@@ -678,7 +672,7 @@ mod tests {
         })
         .join()
         .unwrap();
-        let chunk = store.try_recv_chunk().expect("an exited thread's log is drained");
+        let chunk = store.recv_chunk_timeout(Duration::ZERO).expect("an exited thread's log is drained");
         assert_eq!(chunk.len(), 5);
         assert!(store.is_empty());
     }

@@ -175,10 +175,23 @@ fn get_bytes(buf: &mut Bytes) -> Result<Vec<u8>, CoreError> {
 
 /// Marshals an argument list (in declaration order).
 pub fn encode_args(args: &[Value]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(args.iter().map(Value::wire_size_hint).sum::<usize>() + 8);
+    encode_args_with_ftls(args, &[])
+}
+
+/// Marshals an argument list followed by hidden FTL parameters, in order —
+/// what an instrumented stub sends (a one-way request carries the child
+/// FTL, then the parent marker) and an instrumented skeleton replies. The
+/// bytes equal [`encode_args`] with each FTL [`append_ftl`]ed, but are
+/// written into one buffer instead of copied once per FTL.
+pub fn encode_args_with_ftls(args: &[Value], ftls: &[FunctionTxLog]) -> Bytes {
+    let size = args.iter().map(Value::wire_size_hint).sum::<usize>() + 8;
+    let mut buf = BytesMut::with_capacity(size + ftls.len() * FTL_WIRE_LEN);
     buf.put_u32_le(args.len() as u32);
     for arg in args {
         encode_value(arg, &mut buf);
+    }
+    for ftl in ftls {
+        buf.put_slice(&ftl.to_wire());
     }
     buf.freeze()
 }
@@ -566,6 +579,21 @@ mod tests {
         let (bare, got) = split_ftl(on_wire).unwrap();
         assert_eq!(bare, payload);
         assert_eq!(got, ftl);
+    }
+
+    #[test]
+    fn ftls_marshalled_in_place_match_appended_ones() {
+        let args = [Value::from("body"), Value::I64(-3)];
+        let child = FunctionTxLog::new(Uuid::new(), 17);
+        let parent = FunctionTxLog::new(Uuid::new(), 4);
+        // A synchronous request: one FTL.
+        assert_eq!(encode_args_with_ftls(&args, &[child]), append_ftl(encode_args(&args), child));
+        // A one-way request: the child FTL, then the parent marker.
+        assert_eq!(
+            encode_args_with_ftls(&args, &[child, parent]),
+            append_ftl(append_ftl(encode_args(&args), child), parent)
+        );
+        assert_eq!(encode_args_with_ftls(&args, &[]), encode_args(&args));
     }
 
     #[test]

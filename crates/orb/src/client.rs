@@ -13,6 +13,7 @@ use crate::registry::ObjectRecord;
 use crate::servant::ServerCtx;
 use crate::transport::{ConnKey, Incoming, RequestMsg};
 use causeway_core::event::CallKind;
+use causeway_core::ftl::FunctionTxLog;
 use causeway_core::ids::{InterfaceId, MethodIndex, ObjectId, ProcessId};
 use causeway_core::record::FunctionKey;
 use causeway_core::value::Value;
@@ -210,10 +211,10 @@ impl Client {
         // Marshal, charged to this thread's CPU.
         let cpu = monitor.cpu_clock();
         let token = cpu.region_begin();
-        let mut payload = wire::encode_args(&args);
-        if let Some(call) = &call {
-            payload = wire::append_ftl(payload, call.wire_ftl());
-        }
+        let payload = match &call {
+            Some(call) => wire::encode_args_with_ftls(&args, &[call.wire_ftl()]),
+            None => wire::encode_args(&args),
+        };
         cpu.region_end(token);
 
         // Client-side interception points (pre-invoke).
@@ -298,11 +299,20 @@ impl Client {
 
         let cpu = monitor.cpu_clock();
         let token = cpu.region_begin();
-        let mut payload = wire::encode_args(&args);
-        if let Some(call) = &call {
-            let parent = call.oneway_parent().expect("stub_start always links oneway parents");
-            payload = Orb::append_oneway_meta(payload, call.wire_ftl(), parent);
-        }
+        // The one-way hidden parameters: the child FTL, then the parent
+        // marker, which reuses the FTL wire form (UUID + the parent's event
+        // number at the fork).
+        let payload = match &call {
+            Some(call) => {
+                let (uuid, seq) =
+                    call.oneway_parent().expect("stub_start always links oneway parents");
+                wire::encode_args_with_ftls(
+                    &args,
+                    &[call.wire_ftl(), FunctionTxLog::new(uuid, seq)],
+                )
+            }
+            None => wire::encode_args(&args),
+        };
         cpu.region_end(token);
 
         // Client-side interception points for the one-way send; the

@@ -6,11 +6,23 @@
 //! with O2 (the skeleton-start probe refreshes the thread's FTL on every
 //! dispatch), is why the tunnel survives thread reuse.
 //!
+//! Thread-per-request dedicates a thread to each request but does not spawn
+//! one per request: a request thread whose dispatch has returned clears its
+//! thread-specific storage and parks in a [`ParkLot`] (at most
+//! [`MAX_PARKED`](causeway_core::park::MAX_PARKED) per engine; the rest
+//! exit), and the acceptor hands the next request to a parked thread,
+//! spawning only when none waits. Reuse is safe for the same reasons it is
+//! under a pool — O1 and O2 — plus the cleared storage, which starts every
+//! request in a fresh thread's state: a skeleton that installs no FTL (an
+//! interceptor-traced request that carried none) finds no stale chain to
+//! extend. Concurrency stays bounded only by the gate, which counts the
+//! threads serving a request, not the parked ones.
+//!
 //! Admission, in-flight accounting and the dispatch bracket belong to the
 //! system's [`causeway_core::engine::Gate`]: every policy asks the gate
-//! whether its queue (for thread-per-request, its live request threads)
-//! admits one more request, and re-stamps the request's ticket when it
-//! hands the request to a worker, so `causeway_engine_queue_wait_ns`
+//! whether its queue (for thread-per-request, its request threads serving
+//! a request) admits one more request, and re-stamps the request's ticket
+//! when it hands the request to a worker, so `causeway_engine_queue_wait_ns`
 //! measures the wait for a worker. A worker's records are visible to a
 //! drain as soon as it pushes them, so no policy seals or flushes anything:
 //! a request stops counting as in flight after its last record is pushed
@@ -18,18 +30,22 @@
 //! worker holds no records back.
 
 use crate::orb::Orb;
-use crate::transport::{ConnKey, Incoming};
+use crate::transport::{ConnKey, Incoming, RequestMsg};
+use causeway_core::engine::Ticket;
+use causeway_core::park::ParkLot;
+use causeway_core::tss;
 use crossbeam::channel::{Receiver, Sender, unbounded};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::JoinHandle;
-
 
 /// The server threading policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ThreadingPolicy {
-    /// A fresh thread per incoming request (reclaimed by the OS afterwards).
+    /// A thread dedicated to each incoming request until its dispatch
+    /// ends; finished request threads park for reuse (module docs).
     #[default]
     ThreadPerRequest,
     /// A fixed pool of worker threads sharing the request queue.
@@ -42,9 +58,9 @@ pub enum ThreadingPolicy {
 #[derive(Debug)]
 pub struct ServerEngine {
     acceptor: Option<JoinHandle<()>>,
-    /// Joined at stop; per-request and per-connection threads park their
-    /// handles here (finished per-request handles are reaped as new
-    /// requests arrive, so the list stays bounded by live threads).
+    /// Joined at stop; per-request and per-connection threads keep their
+    /// handles here (handles of request threads that exited are reaped as
+    /// new requests arrive, so the list stays bounded by live threads).
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     /// Lets `Drop` signal the inbox so the acceptor and its workers exit
     /// even when nobody sent [`Incoming::Stop`] explicitly.
@@ -127,6 +143,49 @@ fn serve(orb: Orb, rx: Receiver<Incoming>) {
     }
 }
 
+/// A request on its way to a request thread, holding its place in the
+/// engine's busy count.
+type Job = (RequestMsg, Ticket, Busy);
+
+/// One request thread counted busy; released on drop, so a thread whose
+/// servant panics still frees its place.
+struct Busy(Arc<AtomicUsize>);
+
+impl Busy {
+    fn new(count: &Arc<AtomicUsize>) -> Busy {
+        count.fetch_add(1, Ordering::AcqRel);
+        Busy(Arc::clone(count))
+    }
+}
+
+impl Drop for Busy {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// One request thread: dispatches `job`, then parks for the next request
+/// until the lot stops or is full.
+fn request_thread(orb: Orb, lot: &ParkLot<Job>, mut job: Job) {
+    let _worker = orb.gate().worker();
+    loop {
+        let (msg, ticket, busy) = job;
+        // O1: the thread is the request's until dispatch returns — the
+        // reply is sent and the ticket released by then.
+        orb.dispatch(msg, ticket);
+        // The next request starts in a fresh thread's state.
+        tss::clear();
+        drop(busy);
+        let Some(next) = lot.park() else {
+            return;
+        };
+        match next.recv() {
+            Ok(handed) => job = handed,
+            Err(_) => return,
+        }
+    }
+}
+
 fn spawn_per_request(
     orb: Orb,
     rx: Receiver<Incoming>,
@@ -135,37 +194,36 @@ fn spawn_per_request(
     std::thread::Builder::new()
         .name(format!("{}-acceptor", orb.process()))
         .spawn(move || {
-            while let Ok(incoming) = rx.recv() {
-                match incoming {
-                    Incoming::Request(msg, mut ticket) => {
-                        // Completed requests leave finished handles behind;
-                        // reap them here so a long-lived engine does not
-                        // accumulate one dead handle per request ever
-                        // served — and so the admission check below counts
-                        // only live request threads.
-                        reap_finished(&workers);
-                        // The queue under thread-per-request IS the thread
-                        // set: shed rather than spawn without bound.
-                        if !orb.gate().admits(workers.lock().len()) {
-                            orb.shed(msg, ticket);
-                            continue;
-                        }
-                        let orb = orb.clone();
-                        // Queue wait under thread-per-request is the spawn
-                        // cost: stamp here, observe when the thread runs.
-                        ticket.restamp();
-                        let handle = std::thread::Builder::new()
-                            .name(format!("{}-req", orb.process()))
-                            .spawn(move || {
-                                let _worker = orb.gate().worker();
-                                orb.dispatch(msg, ticket);
-                            })
-                            .expect("spawn request thread");
-                        workers.lock().push(handle);
-                    }
-                    Incoming::Stop => break,
+            let lot = Arc::new(ParkLot::<Job>::new());
+            let busy = Arc::new(AtomicUsize::new(0));
+            while let Ok(Incoming::Request(msg, mut ticket)) = rx.recv() {
+                // Request threads that found the lot full have exited;
+                // reap them so a long-lived engine does not accumulate one
+                // dead handle per such thread.
+                reap_finished(&workers);
+                // The queue under thread-per-request IS the set of threads
+                // serving a request: shed rather than spawn without bound.
+                if !orb.gate().admits(busy.load(Ordering::Acquire)) {
+                    orb.shed(msg, ticket);
+                    continue;
                 }
+                // Queue wait under thread-per-request is the hand-off (or
+                // spawn) cost: stamp here, observe when the thread runs.
+                ticket.restamp();
+                let Err(job) = lot.hand_off((msg, ticket, Busy::new(&busy))) else {
+                    continue;
+                };
+                let orb = orb.clone();
+                let lot = Arc::clone(&lot);
+                let handle = std::thread::Builder::new()
+                    .name(format!("{}-req", orb.process()))
+                    .spawn(move || request_thread(orb, &lot, job))
+                    .expect("spawn request thread");
+                workers.lock().push(handle);
             }
+            // Stop wins over park: a thread still serving exits when it
+            // finishes, and the parked ones are released now.
+            lot.stop();
         })
         .expect("spawn acceptor")
 }

@@ -5,18 +5,16 @@ use crate::catalog::InterfaceCatalog;
 use crate::client::Client;
 use crate::interceptor::{InterceptorSet, RequestInfo, ServiceContexts};
 use crate::registry::{ObjectRegistry, SharedRegistries};
-use crate::reply::encode_reply;
+use crate::reply::encode_reply_with_ftl;
 use crate::servant::ServerCtx;
 use crate::transport::{Fabric, ReplyMsg, RequestMsg};
 use bytes::Bytes;
 use causeway_core::engine::{Dispatch, Gate, Ticket};
 use causeway_core::event::CallKind;
-use causeway_core::ftl::FunctionTxLog;
 use causeway_core::ids::{NodeId, ProcessId};
 use causeway_core::monitor::{Monitor, Skeleton};
 use causeway_core::names::SystemVocab;
 use causeway_core::record::FunctionKey;
-use causeway_core::uuid::Uuid;
 use causeway_core::wire;
 use std::sync::Arc;
 use std::time::Duration;
@@ -265,24 +263,8 @@ impl Orb {
         }
 
         let token = cpu.region_begin();
-        let body = encode_reply(&result);
+        let body = encode_reply_with_ftl(&result, reply_ftl);
         cpu.region_end(token);
-        let body = match reply_ftl {
-            Some(ftl) => wire::append_ftl(body, ftl),
-            None => body,
-        };
         (Ok(body), reply_contexts)
-    }
-
-    /// Appends the one-way hidden parameters (child FTL + parent marker) to
-    /// a payload. The parent marker reuses the FTL wire form: UUID + the
-    /// parent's event number at the fork.
-    pub(crate) fn append_oneway_meta(
-        payload: Bytes,
-        child: FunctionTxLog,
-        parent: (Uuid, u64),
-    ) -> Bytes {
-        let with_child = wire::append_ftl(payload, child);
-        wire::append_ftl(with_child, FunctionTxLog::new(parent.0, parent.1))
     }
 }

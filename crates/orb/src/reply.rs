@@ -8,11 +8,18 @@ use crate::error::AppError;
 use crate::servant::MethodResult;
 use bytes::Bytes;
 use causeway_core::error::CoreError;
+use causeway_core::ftl::FunctionTxLog;
 use causeway_core::value::Value;
 use causeway_core::wire;
 
 /// Marshals a method result (or application exception) for the reply.
 pub fn encode_reply(result: &MethodResult) -> Bytes {
+    encode_reply_with_ftl(result, None)
+}
+
+/// [`encode_reply`] followed by the instrumented skeleton's reply FTL,
+/// when there is one, written into the same buffer.
+pub(crate) fn encode_reply_with_ftl(result: &MethodResult, ftl: Option<FunctionTxLog>) -> Bytes {
     let value = match result {
         Ok(v) => Value::Struct(vec![("ok".into(), v.clone())]),
         Err(e) => Value::Struct(vec![
@@ -20,7 +27,7 @@ pub fn encode_reply(result: &MethodResult) -> Bytes {
             ("message".into(), Value::Str(e.message.clone())),
         ]),
     };
-    wire::encode_args(std::slice::from_ref(&value))
+    wire::encode_args_with_ftls(std::slice::from_ref(&value), ftl.as_slice())
 }
 
 /// Unmarshals a reply body back into a method result.
@@ -64,6 +71,17 @@ mod tests {
         let result: MethodResult = Err(AppError::new("Offline", "device off"));
         let decoded = decode_reply(encode_reply(&result)).unwrap();
         assert_eq!(decoded, result);
+    }
+
+    #[test]
+    fn a_reply_ftl_marshalled_in_place_matches_an_appended_one() {
+        let ftl = FunctionTxLog::new(causeway_core::uuid::Uuid(9), 3);
+        for result in [Ok(Value::I64(7)), Err(AppError::new("Offline", "device off"))] {
+            assert_eq!(
+                encode_reply_with_ftl(&result, Some(ftl)),
+                wire::append_ftl(encode_reply(&result), ftl)
+            );
+        }
     }
 
     #[test]
