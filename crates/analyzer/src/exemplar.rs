@@ -29,7 +29,7 @@
 //! restart the file replays through the same admission logic, so the
 //! store — ids included — survives the process.
 
-use crate::live::SeriesKey;
+use crate::window::SeriesKey;
 use crate::render::{completion_forest, CompletedCall, CompletionNode};
 use causeway_collector::json::Json;
 use causeway_collector::segment::{put_u128, put_u16, put_u32, put_u64, Cursor, FrameLog};

@@ -1,5 +1,5 @@
-//! Retained window history and multi-window SLO burn-rate alerting — the
-//! "time-travel" layer of the live monitoring service.
+//! Retained window history — the "time-travel" layer of the live
+//! monitoring service.
 //!
 //! [`crate::live::LiveMonitor`] keeps exactly one window of state, which
 //! answers *is the system slow now* but not *when did it start drifting* or
@@ -10,20 +10,12 @@
 //!   aggregates plus its folded-stack snapshot, capped both by window count
 //!   and by an approximate byte budget, with evictions counted in the
 //!   `causeway_live_history_evictions` metric.
-//! * [`BurnRule`] / [`BurnState`] — multi-window SLO burn-rate alerts in
-//!   the fast/slow-pair style: a window *breaches* when its metric crosses
-//!   the threshold, and the alert fires only when the breach fraction over
-//!   both the fast span (the problem is happening *now*) and the slow span
-//!   (it has *persisted*) burns the SLO error budget faster than the rule's
-//!   factor. A one-window spike that a single-threshold rule would catch
-//!   never fires a burn rule; a sustained regression fires it exactly once.
 //! * [`diff_folded`] — the folded-stack delta between two retained windows,
 //!   which renders as a differential flamegraph: the causal path that
 //!   regressed between window `a` and window `b` is the top positive line.
 
-use crate::incident::wall_clock_ms;
 use crate::latency::LatencyHistogram;
-use crate::live::{AlertEvent, AlertRule, SeriesAgg, WindowSnapshot};
+use crate::window::{SeriesAgg, WindowSnapshot};
 use causeway_collector::segment::{put_str, put_u16, put_u32, put_u64, Cursor, FrameLog, FrameRef};
 use causeway_core::ids::{InterfaceId, MethodIndex};
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
@@ -492,165 +484,9 @@ pub fn diff_folded(
         .collect()
 }
 
-/// A multi-window SLO burn-rate alert rule.
-///
-/// Grammar (parsed by [`crate::live::parse_burn_rule`]):
-/// `burn=METRIC[:IFACE.METHOD]CMP VALUE;slo=PCT;fast=N;slow=M[;factor=F]`.
-///
-/// Semantics: the SLO error budget is `1 − slo/100` (as a fraction of
-/// windows allowed to breach). The *burn rate* over a span of K windows is
-/// `(breaching windows / K) / budget`. The alert fires when the burn rate
-/// over **both** the fast and the slow span reaches `factor`, and resolves
-/// when the fast span's burn rate drops back below it. The default factor,
-/// `fast / (slow × budget)`, makes the conditions concrete: fire once the
-/// slow span has accumulated at least a fast-span's worth of breaching
-/// windows *and* at least one of them is recent; resolve once the fast
-/// span is clean.
-#[derive(Debug, Clone)]
-pub struct BurnRule {
-    /// The window-badness condition: metric, optional series scope,
-    /// comparator and threshold (duration/hysteresis fields are unused).
-    pub condition: AlertRule,
-    /// The SLO objective in percent (e.g. `99.9`), strictly within (0, 100).
-    pub slo_percent: f64,
-    /// Fast span, in tumbling windows.
-    pub fast: usize,
-    /// Slow span, in tumbling windows (must be > `fast`).
-    pub slow: usize,
-    /// Burn-rate factor both spans must reach to fire.
-    pub factor: f64,
-}
-
-impl BurnRule {
-    /// The SLO error budget as a fraction of breaching windows.
-    pub fn budget(&self) -> f64 {
-        1.0 - self.slo_percent / 100.0
-    }
-
-    /// The default firing factor: a fast-span's worth of breaching windows
-    /// within the slow span.
-    pub fn default_factor(fast: usize, slow: usize, budget: f64) -> f64 {
-        fast as f64 / (slow as f64 * budget)
-    }
-
-    /// Burn rate over the newest `span` retained windows. Windows not yet
-    /// retained count as calm — the denominator is always the configured
-    /// span, so a cold store under-alarms rather than over-alarms.
-    pub fn burn_rate(&self, history: &WindowHistory, span: usize) -> f64 {
-        let breaching = history
-            .iter()
-            .rev()
-            .take(span)
-            .filter(|e| self.condition.breaches(self.condition.evaluate(&e.window)))
-            .count();
-        let budget = self.budget();
-        if budget <= 0.0 {
-            return f64::INFINITY;
-        }
-        breaching as f64 / span as f64 / budget
-    }
-}
-
-/// One burn rule plus its firing state and exported series.
-#[derive(Debug)]
-pub struct BurnState {
-    rule: BurnRule,
-    active: bool,
-    active_gauge: Gauge,
-    fast_gauge: Gauge,
-    slow_gauge: Gauge,
-    transitions: Counter,
-}
-
-impl BurnState {
-    /// Registers the rule's exported series in `registry` and starts
-    /// calm.
-    pub fn new(rule: BurnRule, registry: &MetricsRegistry) -> BurnState {
-        let labels = [("alert", rule.condition.name.as_str())];
-        let active_gauge = registry.gauge_with(
-            "causeway_live_burn_active",
-            "1 while the named burn-rate alert is firing.",
-            &labels,
-        );
-        active_gauge.set(0);
-        BurnState {
-            active: false,
-            active_gauge,
-            fast_gauge: registry.gauge_with(
-                "causeway_live_burn_fast_milli",
-                "Fast-span SLO burn rate, in thousandths.",
-                &labels,
-            ),
-            slow_gauge: registry.gauge_with(
-                "causeway_live_burn_slow_milli",
-                "Slow-span SLO burn rate, in thousandths.",
-                &labels,
-            ),
-            transitions: registry.counter_with(
-                "causeway_live_burn_transitions_total",
-                "Burn-rate alert firing/resolving transitions.",
-                &labels,
-            ),
-            rule,
-        }
-    }
-
-    /// The rule being evaluated.
-    pub fn rule(&self) -> &BurnRule {
-        &self.rule
-    }
-
-    /// `true` while the excursion is unresolved.
-    pub fn active(&self) -> bool {
-        self.active
-    }
-
-    /// Re-evaluates against the history store after a window closed (the
-    /// just-closed window must already be pushed); returns the transition
-    /// completed by this window, if any.
-    pub fn step(&mut self, history: &WindowHistory) -> Option<AlertEvent> {
-        let burn_fast = self.rule.burn_rate(history, self.rule.fast);
-        let burn_slow = self.rule.burn_rate(history, self.rule.slow);
-        let milli = |burn: f64| (burn * 1000.0).min(i64::MAX as f64) as i64;
-        self.fast_gauge.set(milli(burn_fast));
-        self.slow_gauge.set(milli(burn_slow));
-        let window_index = history.latest().map(|e| e.window.index).unwrap_or(0);
-        if !self.active && burn_fast >= self.rule.factor && burn_slow >= self.rule.factor {
-            self.active = true;
-            self.active_gauge.set(1);
-            self.transitions.inc();
-            return Some(AlertEvent {
-                alert: self.rule.condition.name.clone(),
-                fired: true,
-                window_index,
-                at_ms: wall_clock_ms(),
-                value: burn_slow,
-                threshold: self.rule.factor,
-                exemplars: Vec::new(),
-            });
-        }
-        if self.active && burn_fast < self.rule.factor {
-            self.active = false;
-            self.active_gauge.set(0);
-            self.transitions.inc();
-            return Some(AlertEvent {
-                alert: self.rule.condition.name.clone(),
-                fired: false,
-                window_index,
-                at_ms: wall_clock_ms(),
-                value: burn_fast,
-                threshold: self.rule.factor,
-                exemplars: Vec::new(),
-            });
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::{AlertCmp, AlertMetric};
     use std::collections::BTreeMap;
     use std::fs::OpenOptions;
 
@@ -947,58 +783,5 @@ mod tests {
         assert_eq!(diff[2], ("root;drop".to_owned(), i64::MIN));
         // Equal huge values cancel exactly — no residue from clamping.
         assert!(diff_folded(&b, &b).is_empty());
-    }
-
-    fn burn_rule(fast: usize, slow: usize) -> BurnRule {
-        let budget = 1.0 - 99.9 / 100.0;
-        BurnRule {
-            condition: AlertRule {
-                name: "burn-test".to_owned(),
-                metric: AlertMetric::P95,
-                series: None,
-                cmp: AlertCmp::Above,
-                fire_threshold: 1_000_000.0,
-                resolve_threshold: 1_000_000.0,
-                for_windows: 1,
-                escalate: None,
-                deescalate: None,
-            },
-            slo_percent: 99.9,
-            fast,
-            slow,
-            factor: BurnRule::default_factor(fast, slow, budget),
-        }
-    }
-
-    #[test]
-    fn one_window_spike_never_fires_but_sustained_regression_does() {
-        let mut history = WindowHistory::new(32, usize::MAX, &MetricsRegistry::new());
-        let mut state = BurnState::new(burn_rule(3, 24), &MetricsRegistry::new());
-        let mut transitions = Vec::new();
-        // Calm, one-window spike, calm, sustained regression, recovery.
-        let profile: Vec<u64> = [10_000; 4]
-            .into_iter()
-            .chain([5_000_000]) // spike: a single breaching window
-            .chain([10_000; 5])
-            .chain([5_000_000; 6]) // regression: six breaching windows
-            .chain([10_000; 6])
-            .collect();
-        for (i, latency) in profile.iter().enumerate() {
-            history.push(entry(i as u64, *latency));
-            if let Some(event) = state.step(&history) {
-                transitions.push(event);
-            }
-        }
-        assert_eq!(transitions.len(), 2, "one fire + one resolve: {transitions:?}");
-        assert!(transitions[0].fired);
-        // Fires on the regression (ordinal 11), not on the spike (ordinal
-        // 4): the spike alone never accumulates a fast-span's worth of bad
-        // windows in the slow span, but its budget consumption still counts,
-        // so the regression's second window completes the slow condition.
-        assert_eq!(transitions[0].window_index, 11);
-        assert!(!transitions[1].fired);
-        // Resolves once the fast span (3 windows) is clean again.
-        assert_eq!(transitions[1].window_index, 18);
-        assert!(!state.active());
     }
 }

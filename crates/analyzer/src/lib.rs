@@ -48,12 +48,16 @@ pub mod latency;
 pub mod live;
 pub mod online;
 pub mod render;
+pub mod rules;
+pub mod window;
 
 pub use ccsg::{Ccsg, CcsgNode};
 pub use cpu::{CpuAnalysis, CpuVector};
 pub use dscg::{Abnormality, CallNode, CallTree, Dscg};
 pub use exemplar::{Exemplar, ExemplarConfig, ExemplarStore};
-pub use history::{BurnRule, BurnState, WindowHistory};
+pub use history::WindowHistory;
 pub use incident::{Hypothesis, Incident, IncidentStore, Tombstone};
 pub use latency::{LatencyAnalysis, LatencyStats};
-pub use live::{AlertEvent, AlertRule, LiveConfig, LiveMonitor, WindowSnapshot};
+pub use live::{LiveConfig, LiveMonitor};
+pub use rules::{AlertEvent, AlertRule, Trigger};
+pub use window::WindowSnapshot;

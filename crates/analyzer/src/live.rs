@@ -18,17 +18,14 @@
 //!   shard count, because the cross-chain, order-sensitive effects are
 //!   replayed under one small control lock in the batch's chain
 //!   first-appearance order (the exact order a serial analyzer emits).
-//! * [`AlertRule`] / [`AlertEvent`] — declarative threshold alerts with
-//!   duration (`for=N` windows) and hysteresis (separate fire/resolve
-//!   thresholds); firing and resolving transitions are recorded as
-//!   structured events and exposed as gauges.
+//! * [`crate::rules`] — every closed window steps the registered rules
+//!   (threshold rules with duration and hysteresis, multi-window SLO
+//!   burn-rate rules); their transitions are logged as structured
+//!   [`AlertEvent`]s and drive incidents and the probe control plane.
 //! * [`crate::history::WindowHistory`] — every finalized tumbling window's
 //!   aggregates and folded-stack snapshot are retained in a bounded ring,
-//!   so an operator can ask *when* a regression started (`/history`), diff
-//!   two windows' flamegraphs (`/flamegraph/diff?a=..&b=..`), and evaluate
-//!   multi-window SLO **burn-rate** rules (`burn=p95>400us;slo=99.9;fast=3;
-//!   slow=24`) that fire on sustained budget burn but ignore one-window
-//!   spikes.
+//!   so an operator can ask *when* a regression started (`/history`) and
+//!   diff two windows' flamegraphs (`/flamegraph/diff?a=..&b=..`).
 //! * [`crate::incident`] — when an alert transitions to firing the monitor
 //!   registers an **incident** and auto-populates its add-only causal
 //!   hypothesis graph from retained evidence (flamegraph-diff regressions
@@ -63,18 +60,19 @@
 
 use crate::chrome_trace;
 use crate::exemplar::{self, ExemplarConfig, ExemplarStore};
-use crate::history::{diff_folded, BurnRule, BurnState, HistoryEntry, WindowHistory};
+use crate::history::{diff_folded, HistoryEntry, WindowHistory};
 use crate::incident::{self, HypothesisKind, Incident, IncidentStore};
-use crate::latency::LatencyHistogram;
 use crate::online::{group_by_chain, OnlineAnalyzer, OnlineEvent, OpenChainSummary};
 use crate::render::{self, CompletedCall};
+use crate::rules::{parse_rule, resolve_series, AlertEvent, AlertRule, RuleState, Trigger};
+use crate::window::{SeriesAgg, SeriesKey, WindowSnapshot};
 use causeway_collector::db::MonitoringDb;
 use causeway_collector::json::{self, Json};
 use causeway_core::deploy::Deployment;
 use causeway_core::httpd::{
     DEFAULT_MAX_CONNECTIONS, DEFAULT_READ_TIMEOUT, Handler, HttpServer, Request, Response,
 };
-use causeway_core::ids::{InterfaceId, MethodIndex};
+use causeway_core::ids::InterfaceId;
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
 use causeway_core::monitor::{ProbeDirective, ProbeMode, ProbePolicy};
 use causeway_core::names::VocabSnapshot;
@@ -86,10 +84,6 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// A per-operation series key: the characterization unit of the paper's
-/// Table 2.
-pub type SeriesKey = (InterfaceId, MethodIndex);
 
 /// Static configuration of a [`LiveMonitor`].
 #[derive(Debug, Clone)]
@@ -106,7 +100,7 @@ pub struct LiveConfig {
     /// Maximum retained alert transition events.
     pub alert_log_capacity: usize,
     /// Finalized tumbling windows retained by the history store (ring size
-    /// for `/history`, `/flamegraph?window=`, burn-rate rules).
+    /// for `/history` and `/flamegraph?window=`).
     pub history_windows: usize,
     /// Approximate byte cap on the history store; whichever of the two
     /// caps bites first evicts the oldest window.
@@ -227,32 +221,6 @@ impl Default for LiveConfig {
     }
 }
 
-/// Streaming aggregates for one (interface, method) within one window or
-/// slice.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SeriesAgg {
-    /// Completed invocations.
-    pub calls: u64,
-    /// Sum of compensated latencies, ns.
-    pub latency_sum_ns: u64,
-    /// Log2 latency histogram (bucket upper bounds answer quantiles).
-    pub hist: LatencyHistogram,
-}
-
-impl SeriesAgg {
-    pub(crate) fn record(&mut self, latency_ns: u64) {
-        self.calls += 1;
-        self.latency_sum_ns += latency_ns;
-        self.hist.record(latency_ns);
-    }
-
-    fn merge(&mut self, other: &SeriesAgg) {
-        self.calls += other.calls;
-        self.latency_sum_ns += other.latency_sum_ns;
-        self.hist.merge(&other.hist);
-    }
-}
-
 /// One time slice's aggregates (a window is `slices` consecutive slices).
 #[derive(Debug, Clone, Default)]
 struct Slice {
@@ -261,493 +229,6 @@ struct Slice {
     abnormalities: u64,
 }
 
-/// A finalized (or synthesized sliding) window of characterization data.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowSnapshot {
-    /// Tumbling window ordinal (slice index of its first slice divided by
-    /// the slice count); `u64::MAX` marks a synthesized sliding view.
-    pub index: u64,
-    /// Window span covered, ns.
-    pub span_ns: u64,
-    /// Per-operation aggregates.
-    pub series: BTreeMap<SeriesKey, SeriesAgg>,
-    /// Invocations completed across all series.
-    pub completed_calls: u64,
-    /// Figure-4 reconstruction failures observed.
-    pub abnormalities: u64,
-}
-
-impl WindowSnapshot {
-    /// The q-quantile (`q` in `[0,1]`) for one series, as the containing
-    /// log2 bucket's upper bound; `None` when the series has no samples.
-    pub fn quantile_ns(&self, key: SeriesKey, q: f64) -> Option<u64> {
-        let agg = self.series.get(&key)?;
-        (agg.calls > 0).then(|| agg.hist.quantile_ns(q))
-    }
-
-    /// Completed calls per second for one series (or all, with `None`).
-    pub fn call_rate_hz(&self, key: Option<SeriesKey>) -> f64 {
-        if self.span_ns == 0 {
-            return 0.0;
-        }
-        let calls = match key {
-            Some(key) => self.series.get(&key).map_or(0, |a| a.calls),
-            None => self.completed_calls,
-        };
-        calls as f64 * 1e9 / self.span_ns as f64
-    }
-
-    /// Abnormalities per second over the window.
-    pub fn abnormality_rate_hz(&self) -> f64 {
-        if self.span_ns == 0 {
-            return 0.0;
-        }
-        self.abnormalities as f64 * 1e9 / self.span_ns as f64
-    }
-
-    /// Fraction of the window one series spent inside invocations (its
-    /// latency sum over the window span) — the live proxy for the paper's
-    /// per-function CPU share.
-    pub fn busy_share(&self, key: SeriesKey) -> f64 {
-        if self.span_ns == 0 {
-            return 0.0;
-        }
-        self.series.get(&key).map_or(0.0, |a| a.latency_sum_ns as f64 / self.span_ns as f64)
-    }
-}
-
-/// Which windowed series an [`AlertRule`] watches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlertMetric {
-    /// Median latency, ns.
-    P50,
-    /// 95th-percentile latency, ns.
-    P95,
-    /// 99th-percentile latency, ns.
-    P99,
-    /// Completed calls per second.
-    CallRate,
-    /// Abnormalities per second (always system-wide).
-    AbnormalityRate,
-}
-
-/// Alert comparison direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlertCmp {
-    /// Fire when the value exceeds the threshold.
-    Above,
-    /// Fire when the value drops below the threshold.
-    Below,
-}
-
-/// A declarative alert: threshold + duration + hysteresis over one windowed
-/// series.
-#[derive(Debug, Clone)]
-pub struct AlertRule {
-    /// Display name, e.g. `p95:Pps::Stage.rasterize>800us`.
-    pub name: String,
-    /// The windowed value watched.
-    pub metric: AlertMetric,
-    /// Restrict to one operation; `None` watches the system-wide aggregate.
-    pub series: Option<SeriesKey>,
-    /// Fire direction.
-    pub cmp: AlertCmp,
-    /// Breaching this value (in `cmp`'s direction) starts/extends firing.
-    pub fire_threshold: f64,
-    /// Only values back past this (hysteresis band) count toward resolving.
-    pub resolve_threshold: f64,
-    /// Consecutive breaching windows required to fire, and consecutive calm
-    /// windows required to resolve.
-    pub for_windows: u32,
-    /// Probe mode the watched interface is escalated to while this rule
-    /// fires, overriding the control plane's default escalate mode. Only
-    /// meaningful on series-targeting rules with an adaptive policy.
-    pub escalate: Option<ProbeMode>,
-    /// Standing probe mode the watched interface is left at after this rule
-    /// resolves (instead of returning to the policy's base mode).
-    pub deescalate: Option<ProbeMode>,
-}
-
-impl AlertRule {
-    pub(crate) fn breaches(&self, value: f64) -> bool {
-        match self.cmp {
-            AlertCmp::Above => value > self.fire_threshold,
-            AlertCmp::Below => value < self.fire_threshold,
-        }
-    }
-
-    fn calms(&self, value: f64) -> bool {
-        match self.cmp {
-            AlertCmp::Above => value <= self.resolve_threshold,
-            AlertCmp::Below => value >= self.resolve_threshold,
-        }
-    }
-
-    pub(crate) fn evaluate(&self, window: &WindowSnapshot) -> f64 {
-        match self.metric {
-            AlertMetric::P50 | AlertMetric::P95 | AlertMetric::P99 => {
-                let q = match self.metric {
-                    AlertMetric::P50 => 0.50,
-                    AlertMetric::P95 => 0.95,
-                    _ => 0.99,
-                };
-                match self.series {
-                    Some(key) => window.quantile_ns(key, q).unwrap_or(0) as f64,
-                    None => {
-                        // System-wide: merge every series' histogram.
-                        let mut all = SeriesAgg::default();
-                        for agg in window.series.values() {
-                            all.merge(agg);
-                        }
-                        if all.calls == 0 { 0.0 } else { all.hist.quantile_ns(q) as f64 }
-                    }
-                }
-            }
-            AlertMetric::CallRate => window.call_rate_hz(self.series),
-            AlertMetric::AbnormalityRate => window.abnormality_rate_hz(),
-        }
-    }
-}
-
-/// A structured record of one alert transition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlertEvent {
-    /// The rule's name.
-    pub alert: String,
-    /// `true` on firing, `false` on resolving.
-    pub fired: bool,
-    /// Tumbling window ordinal at which the transition happened.
-    pub window_index: u64,
-    /// Wall-clock stamp (epoch milliseconds) of the transition — incident
-    /// timelines correlate with external logs through this.
-    pub at_ms: u64,
-    /// The windowed value that completed the transition.
-    pub value: f64,
-    /// The threshold it was compared against.
-    pub threshold: f64,
-    /// Chain uuids of retained exemplars that explain the breach (the
-    /// breach window's slowest chains of the rule's series), resolvable at
-    /// `/exemplars?id=`. Empty on resolves and when nothing was retained.
-    pub exemplars: Vec<Uuid>,
-}
-
-/// One rule plus its hysteresis state machine and exported series.
-#[derive(Debug)]
-struct AlertState {
-    rule: AlertRule,
-    active: bool,
-    pending_fire: u32,
-    pending_resolve: u32,
-    gauge: Gauge,
-    transitions: Counter,
-}
-
-impl AlertState {
-    fn new(rule: AlertRule, registry: &MetricsRegistry) -> AlertState {
-        let gauge = registry.gauge_with(
-            "causeway_live_alert_active",
-            "1 while the named alert is firing.",
-            &[("alert", &rule.name)],
-        );
-        gauge.set(0);
-        let transitions = registry.counter_with(
-            "causeway_live_alert_transitions_total",
-            "Alert firing/resolving transitions.",
-            &[("alert", &rule.name)],
-        );
-        AlertState { rule, active: false, pending_fire: 0, pending_resolve: 0, gauge, transitions }
-    }
-
-    /// Advances the state machine by one finalized window; returns the
-    /// transition completed by this window, if any.
-    fn step(&mut self, window: &WindowSnapshot) -> Option<AlertEvent> {
-        let value = self.rule.evaluate(window);
-        if !self.active {
-            if self.rule.breaches(value) {
-                self.pending_fire += 1;
-                if self.pending_fire >= self.rule.for_windows {
-                    self.active = true;
-                    self.pending_fire = 0;
-                    self.gauge.set(1);
-                    self.transitions.inc();
-                    return Some(AlertEvent {
-                        alert: self.rule.name.clone(),
-                        fired: true,
-                        window_index: window.index,
-                        at_ms: incident::wall_clock_ms(),
-                        value,
-                        threshold: self.rule.fire_threshold,
-                        exemplars: Vec::new(),
-                    });
-                }
-            } else {
-                self.pending_fire = 0;
-            }
-        } else if self.rule.calms(value) {
-            self.pending_resolve += 1;
-            if self.pending_resolve >= self.rule.for_windows {
-                self.active = false;
-                self.pending_resolve = 0;
-                self.gauge.set(0);
-                self.transitions.inc();
-                return Some(AlertEvent {
-                    alert: self.rule.name.clone(),
-                    fired: false,
-                    window_index: window.index,
-                    at_ms: incident::wall_clock_ms(),
-                    value,
-                    threshold: self.rule.resolve_threshold,
-                    exemplars: Vec::new(),
-                });
-            }
-        } else {
-            // Inside the hysteresis band (or re-breaching): hold.
-            self.pending_resolve = 0;
-        }
-        None
-    }
-}
-
-/// Parses an alert rule spec.
-///
-/// Grammar: `METRIC[:IFACE.METHOD]CMP VALUE[;for=N][;resolve=VALUE]`
-/// `[;escalate=MODE][;deescalate=MODE]` with `METRIC` ∈
-/// `p50|p95|p99|rate|abnormal`, `CMP` ∈ `>` `<`, latency values suffixed
-/// `ns|us|ms|s` (rates are plain numbers per second), and `MODE` a
-/// [`ProbeMode`] name. `escalate=`/`deescalate=` require a series target
-/// (the escalated unit is the series' interface).
-/// Example: `p95:Pps::Stage.rasterize>800us;for=2;resolve=400us`.
-pub fn parse_rule(spec: &str, vocab: &VocabSnapshot) -> Result<AlertRule, String> {
-    let mut parts = spec.split(';');
-    let head = parts.next().ok_or("empty rule")?.trim();
-    let mut for_windows = 1u32;
-    let mut resolve_spec: Option<&str> = None;
-    let mut escalate = None;
-    let mut deescalate = None;
-    for opt in parts {
-        let opt = opt.trim();
-        if let Some(n) = opt.strip_prefix("for=") {
-            for_windows =
-                n.parse().map_err(|_| format!("bad for= count {n:?} in rule {spec:?}"))?;
-            if for_windows == 0 {
-                return Err(format!("for=0 is meaningless in rule {spec:?}"));
-            }
-        } else if let Some(v) = opt.strip_prefix("resolve=") {
-            resolve_spec = Some(v);
-        } else if let Some(v) = opt.strip_prefix("escalate=") {
-            escalate = Some(parse_probe_mode(v, spec)?);
-        } else if let Some(v) = opt.strip_prefix("deescalate=") {
-            deescalate = Some(parse_probe_mode(v, spec)?);
-        } else if !opt.is_empty() {
-            return Err(format!("unknown option {opt:?} in rule {spec:?}"));
-        }
-    }
-
-    let condition = parse_condition(head, spec, vocab)?;
-    let resolve_threshold = match resolve_spec {
-        Some(v) => parse_value(v, condition.latency)
-            .ok_or_else(|| format!("bad resolve threshold {v:?} in rule {spec:?}"))?,
-        None => condition.threshold,
-    };
-    let band_ok = match condition.cmp {
-        AlertCmp::Above => resolve_threshold <= condition.threshold,
-        AlertCmp::Below => resolve_threshold >= condition.threshold,
-    };
-    if !band_ok {
-        return Err(format!("resolve threshold must be on the calm side in rule {spec:?}"));
-    }
-    if (escalate.is_some() || deescalate.is_some()) && condition.series.is_none() {
-        return Err(format!(
-            "escalate=/deescalate= need a series target (METRIC:IFACE.METHOD) in rule {spec:?}"
-        ));
-    }
-
-    Ok(AlertRule {
-        name: spec.trim().to_owned(),
-        metric: condition.metric,
-        series: condition.series,
-        cmp: condition.cmp,
-        fire_threshold: condition.threshold,
-        resolve_threshold,
-        for_windows,
-        escalate,
-        deescalate,
-    })
-}
-
-fn parse_probe_mode(v: &str, spec: &str) -> Result<ProbeMode, String> {
-    v.parse::<ProbeMode>().map_err(|e| format!("{e} in rule {spec:?}"))
-}
-
-/// A parsed `METRIC[:IFACE.METHOD]CMP VALUE` head, shared by threshold and
-/// burn-rate rules.
-struct Condition {
-    metric: AlertMetric,
-    series: Option<SeriesKey>,
-    cmp: AlertCmp,
-    threshold: f64,
-    latency: bool,
-}
-
-fn parse_condition(head: &str, spec: &str, vocab: &VocabSnapshot) -> Result<Condition, String> {
-    let cmp_at = head
-        .find(['>', '<'])
-        .ok_or_else(|| format!("rule {spec:?} has no > or < comparison"))?;
-    let cmp = if head.as_bytes()[cmp_at] == b'>' { AlertCmp::Above } else { AlertCmp::Below };
-    let (target, value_spec) = (head[..cmp_at].trim(), head[cmp_at + 1..].trim());
-
-    let (metric_name, series_name) = match target.split_once(':') {
-        Some((m, s)) => (m.trim(), Some(s.trim())),
-        None => (target, None),
-    };
-    let metric = match metric_name {
-        "p50" => AlertMetric::P50,
-        "p95" => AlertMetric::P95,
-        "p99" => AlertMetric::P99,
-        "rate" => AlertMetric::CallRate,
-        "abnormal" => AlertMetric::AbnormalityRate,
-        other => return Err(format!("unknown metric {other:?} in rule {spec:?}")),
-    };
-    let series = match series_name {
-        None | Some("") => None,
-        Some(name) => Some(
-            resolve_series(vocab, name)
-                .ok_or_else(|| format!("unknown operation {name:?} in rule {spec:?}"))?,
-        ),
-    };
-    if series.is_some() && metric == AlertMetric::AbnormalityRate {
-        return Err(format!("abnormal is system-wide; drop the series in rule {spec:?}"));
-    }
-
-    let latency = matches!(metric, AlertMetric::P50 | AlertMetric::P95 | AlertMetric::P99);
-    let threshold = parse_value(value_spec, latency)
-        .ok_or_else(|| format!("bad threshold {value_spec:?} in rule {spec:?}"))?;
-    Ok(Condition { metric, series, cmp, threshold, latency })
-}
-
-/// Parses a multi-window SLO burn-rate rule spec.
-///
-/// Grammar: `burn=METRIC[:IFACE.METHOD]CMP VALUE;slo=PCT;fast=N;slow=M`
-/// `[;factor=F][;escalate=MODE][;deescalate=MODE]` — the head condition
-/// decides whether one window breaches
-/// (same syntax as [`parse_rule`]), `slo=` is the objective in percent
-/// (error budget `1 − slo/100`, `0 < slo < 100`), and `fast=`/`slow=` are
-/// the window spans of the burn-rate pair (`fast < slow`). The alert fires
-/// when the burn rate over *both* spans reaches `factor` (default
-/// `fast/(slow×budget)`: a fast-span's worth of breaching windows within
-/// the slow span) and resolves when the fast span's burn rate drops below
-/// it. Example: `burn=p95>400us;slo=99.9;fast=3;slow=24`.
-pub fn parse_burn_rule(spec: &str, vocab: &VocabSnapshot) -> Result<BurnRule, String> {
-    let body = spec
-        .trim()
-        .strip_prefix("burn=")
-        .ok_or_else(|| format!("burn rule {spec:?} must start with burn="))?;
-    let mut parts = body.split(';');
-    let head = parts.next().ok_or("empty burn rule")?.trim();
-    let (mut slo, mut fast, mut slow, mut factor) = (None, None, None, None);
-    let mut escalate = None;
-    let mut deescalate = None;
-    for opt in parts {
-        let opt = opt.trim();
-        let parse_num = |v: &str, what: &str| -> Result<f64, String> {
-            v.parse::<f64>().map_err(|_| format!("bad {what} {v:?} in rule {spec:?}"))
-        };
-        if let Some(v) = opt.strip_prefix("slo=") {
-            slo = Some(parse_num(v, "slo=")?);
-        } else if let Some(v) = opt.strip_prefix("fast=") {
-            fast = Some(parse_num(v, "fast=")? as usize);
-        } else if let Some(v) = opt.strip_prefix("slow=") {
-            slow = Some(parse_num(v, "slow=")? as usize);
-        } else if let Some(v) = opt.strip_prefix("factor=") {
-            factor = Some(parse_num(v, "factor=")?);
-        } else if let Some(v) = opt.strip_prefix("escalate=") {
-            escalate = Some(parse_probe_mode(v, spec)?);
-        } else if let Some(v) = opt.strip_prefix("deescalate=") {
-            deescalate = Some(parse_probe_mode(v, spec)?);
-        } else if !opt.is_empty() {
-            return Err(format!("unknown option {opt:?} in burn rule {spec:?}"));
-        }
-    }
-    let slo_percent = slo.ok_or_else(|| format!("burn rule {spec:?} needs slo="))?;
-    if !(0.0 < slo_percent && slo_percent < 100.0) {
-        return Err(format!("slo= must be in (0, 100) in rule {spec:?}"));
-    }
-    let fast = fast.ok_or_else(|| format!("burn rule {spec:?} needs fast="))?;
-    let slow = slow.ok_or_else(|| format!("burn rule {spec:?} needs slow="))?;
-    if fast == 0 || slow <= fast {
-        return Err(format!("need 0 < fast < slow in burn rule {spec:?}"));
-    }
-    let condition = parse_condition(head, spec, vocab)?;
-    let budget = 1.0 - slo_percent / 100.0;
-    let factor = factor.unwrap_or_else(|| BurnRule::default_factor(fast, slow, budget));
-    if factor <= 0.0 {
-        return Err(format!("factor= must be positive in burn rule {spec:?}"));
-    }
-    if (escalate.is_some() || deescalate.is_some()) && condition.series.is_none() {
-        return Err(format!(
-            "escalate=/deescalate= need a series target (METRIC:IFACE.METHOD) in rule {spec:?}"
-        ));
-    }
-    Ok(BurnRule {
-        condition: AlertRule {
-            name: spec.trim().to_owned(),
-            metric: condition.metric,
-            series: condition.series,
-            cmp: condition.cmp,
-            fire_threshold: condition.threshold,
-            resolve_threshold: condition.threshold,
-            for_windows: 1,
-            escalate,
-            deescalate,
-        },
-        slo_percent,
-        fast,
-        slow,
-        factor,
-    })
-}
-
-/// Resolves `Iface::Name.method` against a vocabulary snapshot.
-///
-/// Positions are range-checked into their id types rather than truncated:
-/// a vocabulary larger than the id space must fail resolution, not silently
-/// alias an unrelated series.
-pub fn resolve_series(vocab: &VocabSnapshot, name: &str) -> Option<SeriesKey> {
-    let (iface_name, method_name) = name.rsplit_once('.')?;
-    let iface = vocab
-        .interfaces
-        .iter()
-        .position(|e| e.name == iface_name)
-        .and_then(|i| u32::try_from(i).ok())
-        .map(InterfaceId)?;
-    let method = vocab.interfaces[iface.0 as usize]
-        .methods
-        .iter()
-        .position(|m| m == method_name)
-        .and_then(|i| u16::try_from(i).ok())
-        .map(MethodIndex)?;
-    Some((iface, method))
-}
-
-fn parse_value(spec: &str, latency: bool) -> Option<f64> {
-    let spec = spec.trim();
-    if latency {
-        let (num, scale) = if let Some(n) = spec.strip_suffix("ns") {
-            (n, 1.0)
-        } else if let Some(n) = spec.strip_suffix("us") {
-            (n, 1e3)
-        } else if let Some(n) = spec.strip_suffix("ms") {
-            (n, 1e6)
-        } else if let Some(n) = spec.strip_suffix('s') {
-            (n, 1e9)
-        } else {
-            (spec, 1.0)
-        };
-        num.trim().parse::<f64>().ok().map(|v| v * scale)
-    } else {
-        spec.parse::<f64>().ok()
-    }
-}
 /// Per-chain buffered completions for flamegraph folding and streaming
 /// DSCG renders, in the analyzer's post-order emission order.
 type ChainCompletions = Vec<CompletedCall>;
@@ -858,21 +339,6 @@ struct ProbeCtl {
     mode_gauges: HashMap<InterfaceId, [Gauge; 4]>,
 }
 
-/// What a rule's transition means for the probe control plane, captured
-/// before stepping the rule (stepping borrows the rule state mutably).
-#[derive(Debug, Clone, Copy)]
-struct ProbeIntent {
-    series: Option<SeriesKey>,
-    escalate: Option<ProbeMode>,
-    deescalate: Option<ProbeMode>,
-}
-
-impl ProbeIntent {
-    fn of(rule: &AlertRule) -> ProbeIntent {
-        ProbeIntent { series: rule.series, escalate: rule.escalate, deescalate: rule.deescalate }
-    }
-}
-
 /// The order-sensitive, cross-chain state: window machinery, alerting,
 /// history, incidents and the exporters' retained evidence. One small lock
 /// guards it; the expensive per-record work happens under shard locks.
@@ -889,14 +355,15 @@ struct Control {
     window_records_dropped: u64,
     last_window_records: Vec<ProbeRecord>,
     last_window: Option<WindowSnapshot>,
-    alerts: Vec<AlertState>,
+    /// The registered rules: threshold rules, then burn-rate rules, each
+    /// in registration order — the order a window logs their events in.
+    rules: Vec<RuleState>,
     alert_log: VecDeque<AlertEvent>,
     history: WindowHistory,
     /// Why the configured history spill could not be attached, if it
     /// couldn't — surfaced in `/history` so a durable-mode operator sees
     /// the monitor silently fell back to ring-only retention.
     spill_error: Option<String>,
-    burns: Vec<BurnState>,
     /// Recently completed chains' completion events, oldest first; total
     /// buffered completions bounded by `cfg.trace_capacity`.
     recent_chains: VecDeque<(Uuid, ChainCompletions)>,
@@ -1079,11 +546,10 @@ impl LiveMonitor {
                 window_records_dropped: 0,
                 last_window_records: Vec::new(),
                 last_window: None,
-                alerts: Vec::new(),
+                rules: Vec::new(),
                 alert_log: VecDeque::new(),
                 history,
                 spill_error,
-                burns: Vec::new(),
                 recent_chains: VecDeque::new(),
                 recent_chain_calls: 0,
                 known_series: BTreeMap::new(),
@@ -1134,31 +600,22 @@ impl LiveMonitor {
         self.shards.len()
     }
 
-    /// Registers an alert rule.
+    /// Registers a rule. A window logs its threshold rules' events before
+    /// its burn-rate rules', each kind in registration order.
     pub fn add_rule(&self, rule: AlertRule) {
-        self.control_lock().alerts.push(AlertState::new(rule, &self.metrics));
+        let mut c = self.control_lock();
+        let at = if rule.is_burn() {
+            c.rules.len()
+        } else {
+            c.rules.partition_point(|r| !r.rule.is_burn())
+        };
+        c.rules.insert(at, RuleState::new(rule, &self.metrics));
     }
 
-    /// Parses and registers an alert rule spec (see [`parse_rule`]). A spec
-    /// starting `burn=` registers a burn-rate rule instead.
+    /// Parses and registers a rule spec, threshold or burn-rate (see
+    /// [`parse_rule`]).
     pub fn add_rule_spec(&self, spec: &str) -> Result<(), String> {
-        if spec.trim_start().starts_with("burn=") {
-            return self.add_burn_rule_spec(spec);
-        }
-        let rule = parse_rule(spec, &self.vocab)?;
-        self.add_rule(rule);
-        Ok(())
-    }
-
-    /// Registers a multi-window SLO burn-rate rule.
-    pub fn add_burn_rule(&self, rule: BurnRule) {
-        self.control_lock().burns.push(BurnState::new(rule, &self.metrics));
-    }
-
-    /// Parses and registers a burn-rate rule spec (see [`parse_burn_rule`]).
-    pub fn add_burn_rule_spec(&self, spec: &str) -> Result<(), String> {
-        let rule = parse_burn_rule(spec, &self.vocab)?;
-        self.add_burn_rule(rule);
+        self.add_rule(parse_rule(spec, &self.vocab)?);
         Ok(())
     }
 
@@ -1490,7 +947,7 @@ impl LiveMonitor {
             return; // time within the current slice (or stale stamp)
         }
         // After a very long idle gap, every skipped window is empty and the
-        // alert machinery converges within `for_windows` of them — evaluate
+        // rule machinery converges within a rule's span of them — evaluate
         // a bounded number and jump.
         let max_catchup = spw * 64;
         if target - index > max_catchup {
@@ -1569,38 +1026,26 @@ impl LiveMonitor {
         }
 
         self.export_window_gauges(c, &snap);
-        // Each event carries the rule's natural baseline lookback (in
-        // windows): `for=N` for threshold rules, the fast span for burns —
-        // the incident layer resolves its pre-breach comparison window from
-        // it.
-        let mut events: Vec<(AlertEvent, u64, ProbeIntent)> = Vec::new();
-        for alert in &mut c.alerts {
-            let lookback = u64::from(alert.rule.for_windows);
-            let intent = ProbeIntent::of(&alert.rule);
-            if let Some(event) = alert.step(&snap) {
-                events.push((event, lookback, intent));
-            }
+        // Step every rule on the closed window. `Control.rules` keeps
+        // threshold rules ahead of burn rules, which fixes the order events
+        // are logged, open incidents and actuate probes in.
+        let mut events: Vec<(AlertEvent, usize)> = Vec::new();
+        for (i, rule) in c.rules.iter_mut().enumerate() {
+            events.extend(rule.step(&snap).map(|event| (event, i)));
         }
-
-        // Retain the closed window (aggregates + this window's folded-stack
-        // delta), then evaluate burn-rate rules against the updated history.
+        // Retain the closed window: aggregates + this window's folded-stack
+        // delta.
         c.history.push(HistoryEntry { window: snap.clone(), folded });
-        for burn in &mut c.burns {
-            let lookback = burn.rule().fast as u64;
-            let intent = ProbeIntent::of(&burn.rule().condition);
-            if let Some(event) = burn.step(&c.history) {
-                events.push((event, lookback, intent));
-            }
-        }
 
         // Pin breach exemplars on every firing: the breach window's
         // slowest retained chains of the rule's series (store-wide when
         // the rule has no series target). `/alerts` surfaces the uuids and
         // `/exemplars?id=` resolves each to the concrete chain.
-        for (event, _, intent) in events.iter_mut() {
+        for (event, i) in events.iter_mut() {
             if event.fired {
+                let series = c.rules[*i].rule.series;
                 event.exemplars =
-                    c.exemplars.breaching(intent.series, event.window_index, EXEMPLAR_REFS_MAX);
+                    c.exemplars.breaching(series, event.window_index, EXEMPLAR_REFS_MAX);
                 // The published uuids must outlive later, faster traffic:
                 // an operator following the alert hours in may still ask.
                 for chain in &event.exemplars {
@@ -1615,9 +1060,10 @@ impl LiveMonitor {
         let window_abnormal = std::mem::take(&mut c.window_abnormal);
         let mut incident_of: Vec<Vec<u64>> = vec![Vec::new(); events.len()];
         if self.cfg.incidents.enabled {
-            for (i, (event, lookback, _)) in events.iter().enumerate() {
+            for (i, (event, rule)) in events.iter().enumerate() {
                 if event.fired {
-                    incident_of[i].extend(self.open_incident(c, event, *lookback));
+                    let lookback = c.rules[*rule].rule.lookback();
+                    incident_of[i].extend(self.open_incident(c, event, lookback));
                 } else {
                     // Remember which incidents this resolve closes, so a
                     // de-escalation actuated by it lands on their timelines.
@@ -1641,10 +1087,11 @@ impl LiveMonitor {
         // interface while firing and release the hold on resolve; `ttl`
         // sweeps expired operator overrides every window close.
         if self.cfg.adaptive.policy.is_some() {
-            for (i, (event, _, intent)) in events.iter().enumerate() {
-                let Some((iface, _)) = intent.series else { continue };
+            for (i, (event, rule)) in events.iter().enumerate() {
+                let AlertRule { series, escalate, deescalate, .. } = c.rules[*rule].rule;
+                let Some((iface, _)) = series else { continue };
                 let transition = if event.fired {
-                    let mode = intent.escalate.unwrap_or(self.cfg.adaptive.escalate_mode);
+                    let mode = escalate.unwrap_or(self.cfg.adaptive.escalate_mode);
                     c.probe_ctl.holds.insert(event.alert.clone(), (iface, mode));
                     self.actuate_probe(
                         c,
@@ -1656,7 +1103,7 @@ impl LiveMonitor {
                     )
                 } else {
                     c.probe_ctl.holds.remove(&event.alert);
-                    if let Some(floor) = intent.deescalate {
+                    if let Some(floor) = deescalate {
                         c.probe_ctl.floors.insert(iface, floor);
                     }
                     self.actuate_probe(
@@ -1676,7 +1123,7 @@ impl LiveMonitor {
             self.expire_operators_locked(c, window_index, incident::wall_clock_ms());
         }
 
-        for (event, _, _) in events {
+        for (event, _) in events {
             c.alert_log.push_back(event);
             while c.alert_log.len() > self.cfg.alert_log_capacity {
                 c.alert_log.pop_front();
@@ -2012,17 +1459,7 @@ impl LiveMonitor {
     }
 
     fn active_alerts_locked(c: &Control) -> Vec<String> {
-        c.alerts
-            .iter()
-            .filter(|a| a.active)
-            .map(|a| a.rule.name.clone())
-            .chain(
-                c.burns
-                    .iter()
-                    .filter(|b| b.active())
-                    .map(|b| b.rule().condition.name.clone()),
-            )
-            .collect()
+        c.rules.iter().filter(|r| r.active()).map(|r| r.rule.name.clone()).collect()
     }
 
     /// All retained alert transitions, oldest first.
@@ -2152,17 +1589,20 @@ impl LiveMonitor {
             c.history.iter().map(window_summary_json).collect()
         };
         let burns = c
-            .burns
+            .rules
             .iter()
-            .map(|b| {
-                Json::obj([
-                    ("rule", Json::Str(b.rule().condition.name.clone())),
-                    ("active", Json::Bool(b.active())),
-                    ("slo_percent", Json::Num(b.rule().slo_percent)),
-                    ("fast_windows", Json::Num(b.rule().fast as f64)),
-                    ("slow_windows", Json::Num(b.rule().slow as f64)),
-                    ("factor", Json::Num(b.rule().factor)),
-                ])
+            .filter_map(|r| {
+                let Trigger::Burn { slo_percent, fast, slow, factor } = r.rule.trigger else {
+                    return None;
+                };
+                Some(Json::obj([
+                    ("rule", Json::Str(r.rule.name.clone())),
+                    ("active", Json::Bool(r.active())),
+                    ("slo_percent", Json::Num(slo_percent)),
+                    ("fast_windows", Json::Num(fast as f64)),
+                    ("slow_windows", Json::Num(slow as f64)),
+                    ("factor", Json::Num(factor)),
+                ]))
             })
             .collect();
         let mut fields = vec![
@@ -2812,18 +2252,13 @@ pub const HISTORY_RANGE_MAX: usize = 4096;
 /// One window's `/history` summary line.
 fn window_summary_json(entry: &HistoryEntry) -> Json {
     let w = &entry.window;
-    let mut all = SeriesAgg::default();
-    for agg in w.series.values() {
-        all.merge(agg);
-    }
-    let p95 = if all.calls == 0 { 0.0 } else { all.hist.quantile_ns(0.95) as f64 };
     Json::obj([
         ("index", Json::Num(w.index as f64)),
         ("span_ns", Json::Num(w.span_ns as f64)),
         ("completed_calls", Json::Num(w.completed_calls as f64)),
         ("abnormalities", Json::Num(w.abnormalities as f64)),
         ("call_rate_hz", Json::Num(w.call_rate_hz(None))),
-        ("p95_ns", Json::Num(p95)),
+        ("p95_ns", Json::Num(w.system_quantile_ns(0.95) as f64)),
         ("series", Json::Num(w.series.len() as f64)),
         ("stacks", Json::Num(entry.folded.len() as f64)),
     ])
@@ -3289,8 +2724,9 @@ pub fn serve(monitor: Arc<LiveMonitor>, addr: &str) -> std::io::Result<LiveServi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::{AlertCmp, AlertMetric};
     use causeway_core::event::{CallKind, TraceEvent};
-    use causeway_core::ids::{LogicalThreadId, NodeId, ObjectId, ProcessId};
+    use causeway_core::ids::{LogicalThreadId, MethodIndex, NodeId, ObjectId, ProcessId};
     use causeway_core::names::{ComponentId, InterfaceEntry, ObjectEntry};
     use causeway_core::record::{CallSite, FunctionKey};
 
@@ -3441,7 +2877,7 @@ mod tests {
             cmp: AlertCmp::Above,
             fire_threshold: 1_000_000.0,  // 1ms
             resolve_threshold: 100_000.0, // 0.1ms
-            for_windows: 2,
+            trigger: Trigger::Sustained { for_windows: 2 },
             escalate: None,
             deescalate: None,
         });
@@ -3481,7 +2917,7 @@ mod tests {
             cmp: AlertCmp::Above,
             fire_threshold: 0.5,
             resolve_threshold: 0.5,
-            for_windows: 1,
+            trigger: Trigger::Sustained { for_windows: 1 },
             escalate: None,
             deescalate: None,
         });
@@ -3490,9 +2926,11 @@ mod tests {
         }
         m.tick_at(3 * WINDOW_NS);
         assert_eq!(m.active_alerts(), vec!["gauge-probe".to_owned()]);
+        // The rule's active gauge sits in the monitor's own registry (its
+        // name is pinned in `rules`).
         let exposition = m.metrics().render_prometheus();
         assert!(
-            exposition.contains("causeway_live_alert_active{alert=\"gauge-probe\"} 1"),
+            exposition.lines().any(|l| l.ends_with("_active{alert=\"gauge-probe\"} 1")),
             "gauge missing from exposition"
         );
         let (status, _) = m.health_json();
@@ -3508,7 +2946,7 @@ mod tests {
         assert_eq!(rule.cmp, AlertCmp::Above);
         assert_eq!(rule.fire_threshold, 800_000.0);
         assert_eq!(rule.resolve_threshold, 400_000.0);
-        assert_eq!(rule.for_windows, 2);
+        assert_eq!(rule.trigger, Trigger::Sustained { for_windows: 2 });
 
         let rate = parse_rule("rate<0.5;for=3", &vocab).unwrap();
         assert_eq!(rate.metric, AlertMetric::CallRate);
@@ -3520,32 +2958,53 @@ mod tests {
         assert!(parse_rule("p95>1ms;resolve=2ms", &vocab).is_err(), "inverted band");
         assert!(parse_rule("bogus>1", &vocab).is_err());
         assert!(parse_rule("p95=1ms", &vocab).is_err(), "no comparison");
+        // Non-finite and non-integer numbers are refused, not accepted as
+        // thresholds no window can cross or counts silently truncated.
+        for spec in ["p95>nan", "p95>inf", "rate<-inf", "p95>1e308s", "p95>1ms;resolve=nan"] {
+            assert!(parse_rule(spec, &vocab).is_err(), "{spec}");
+        }
+        assert!(parse_rule("p95>1ms;for=2.5", &vocab).is_err(), "fractional for=");
+        assert!(parse_rule("p95>1ms;slo=99", &vocab).is_err(), "burn option on a threshold rule");
     }
 
     #[test]
     fn burn_rule_parser_round_trips() {
         let vocab = test_vocab();
         let rule =
-            parse_burn_rule("burn=p95:Test::Alpha.run>400us;slo=99.9;fast=3;slow=24", &vocab)
-                .unwrap();
-        assert_eq!(rule.condition.metric, AlertMetric::P95);
-        assert_eq!(rule.condition.series, Some((InterfaceId(0), MethodIndex(0))));
-        assert_eq!(rule.condition.fire_threshold, 400_000.0);
-        assert_eq!(rule.slo_percent, 99.9);
-        assert_eq!((rule.fast, rule.slow), (3, 24));
-        let expected = BurnRule::default_factor(3, 24, 1.0 - 99.9 / 100.0);
-        assert!((rule.factor - expected).abs() < 1e-9, "{} vs {expected}", rule.factor);
+            parse_rule("burn=p95:Test::Alpha.run>400us;slo=99.9;fast=3;slow=24", &vocab).unwrap();
+        assert_eq!(rule.metric, AlertMetric::P95);
+        assert_eq!(rule.series, Some((InterfaceId(0), MethodIndex(0))));
+        assert_eq!(rule.fire_threshold, 400_000.0);
+        let Trigger::Burn { slo_percent, fast, slow, factor } = rule.trigger else {
+            panic!("burn= selects the burn trigger: {:?}", rule.trigger);
+        };
+        assert_eq!(slo_percent, 99.9);
+        assert_eq!((fast, slow), (3, 24));
+        let expected = Trigger::default_factor(3, 24, 1.0 - 99.9 / 100.0);
+        assert!((factor - expected).abs() < 1e-9, "{factor} vs {expected}");
 
-        let explicit =
-            parse_burn_rule("burn=rate<0.5;slo=99;fast=2;slow=10;factor=3", &vocab).unwrap();
-        assert_eq!(explicit.factor, 3.0);
-        assert_eq!(explicit.condition.cmp, AlertCmp::Below);
+        let explicit = parse_rule("burn=rate<0.5;slo=99;fast=2;slow=10;factor=3", &vocab).unwrap();
+        assert!(matches!(explicit.trigger, Trigger::Burn { factor, .. } if factor == 3.0));
+        assert_eq!(explicit.cmp, AlertCmp::Below);
 
-        assert!(parse_burn_rule("p95>1ms;slo=99;fast=1;slow=2", &vocab).is_err(), "no burn=");
-        assert!(parse_burn_rule("burn=p95>1ms;fast=3;slow=24", &vocab).is_err(), "no slo=");
-        assert!(parse_burn_rule("burn=p95>1ms;slo=101;fast=3;slow=24", &vocab).is_err());
-        assert!(parse_burn_rule("burn=p95>1ms;slo=99.9;fast=5;slow=5", &vocab).is_err());
-        assert!(parse_burn_rule("burn=p95>1ms;slo=99.9;fast=3;slow=24;x=1", &vocab).is_err());
+        assert!(parse_rule("p95>1ms;slo=99;fast=1;slow=2", &vocab).is_err(), "no burn=");
+        assert!(parse_rule("burn=p95>1ms;fast=3;slow=24", &vocab).is_err(), "no slo=");
+        assert!(parse_rule("burn=p95>1ms;slo=101;fast=3;slow=24", &vocab).is_err());
+        assert!(parse_rule("burn=p95>1ms;slo=99.9;fast=5;slow=5", &vocab).is_err());
+        assert!(parse_rule("burn=p95>1ms;slo=99.9;fast=3;slow=24;x=1", &vocab).is_err());
+        // Non-finite and non-integer numbers are refused: a `nan`/`inf`
+        // factor or threshold could never fire, and spans are counts.
+        for spec in [
+            "burn=p95>1ms;slo=90;fast=3;slow=6;factor=nan",
+            "burn=p95>1ms;slo=90;fast=3;slow=6;factor=inf",
+            "burn=p95>inf;slo=90;fast=3;slow=6",
+            "burn=p95>1ms;slo=nan;fast=3;slow=6",
+            "burn=p95>1ms;slo=90;fast=2.7;slow=6",
+            "burn=p95>1ms;slo=90;fast=3;slow=inf",
+            "burn=p95>1ms;slo=90;fast=3;slow=6;for=2",
+        ] {
+            assert!(parse_rule(spec, &vocab).is_err(), "{spec}");
+        }
     }
 
     #[test]
@@ -3906,7 +3365,7 @@ mod tests {
             cmp: AlertCmp::Above,
             fire_threshold: 0.5,
             resolve_threshold: 0.5,
-            for_windows: 1,
+            trigger: Trigger::Sustained { for_windows: 1 },
             escalate: None,
             deescalate: None,
         });
@@ -4054,7 +3513,7 @@ mod tests {
             cmp: AlertCmp::Above,
             fire_threshold: 1_000_000.0,
             resolve_threshold: 100_000.0,
-            for_windows: 2,
+            trigger: Trigger::Sustained { for_windows: 2 },
             escalate: None,
             deescalate: None,
         });
@@ -4246,7 +3705,7 @@ mod tests {
             cmp: AlertCmp::Above,
             fire_threshold: 1_000_000.0,
             resolve_threshold: 100_000.0,
-            for_windows: 2,
+            trigger: Trigger::Sustained { for_windows: 2 },
             escalate: None,
             deescalate: None,
         });
@@ -4318,7 +3777,7 @@ mod tests {
             cmp: AlertCmp::Above,
             fire_threshold: 1_000_000.0, // 1ms
             resolve_threshold: 1_000_000.0,
-            for_windows: 2,
+            trigger: Trigger::Sustained { for_windows: 2 },
             escalate: None,
             deescalate: None,
         });
@@ -4552,7 +4011,7 @@ mod tests {
             cmp: AlertCmp::Above,
             fire_threshold: 1.0,
             resolve_threshold: 1.0,
-            for_windows: 1,
+            trigger: Trigger::Sustained { for_windows: 1 },
             escalate: None,
             deescalate: None,
         }
@@ -4634,19 +4093,16 @@ mod tests {
         assert_eq!(rule.escalate, Some(ProbeMode::Both));
         assert_eq!(rule.deescalate, Some(ProbeMode::Latency));
 
-        let burn = parse_burn_rule(
-            "burn=p95:Test::Alpha.run>400us;slo=99;fast=2;slow=12;escalate=cpu",
-            &vocab,
-        )
-        .unwrap();
-        assert_eq!(burn.condition.escalate, Some(ProbeMode::Cpu));
-        assert_eq!(burn.condition.deescalate, None);
+        let burn =
+            parse_rule("burn=p95:Test::Alpha.run>400us;slo=99;fast=2;slow=12;escalate=cpu", &vocab)
+                .unwrap();
+        assert_eq!(burn.escalate, Some(ProbeMode::Cpu));
+        assert_eq!(burn.deescalate, None);
 
         // The interface to actuate comes from the series target, so a
         // series-less rule cannot carry escalation.
         assert!(parse_rule("rate<0.5;escalate=both", &vocab).is_err());
-        assert!(parse_burn_rule("burn=err>0.01;slo=99;fast=2;slow=12;deescalate=cpu", &vocab)
-            .is_err());
+        assert!(parse_rule("burn=err>0.01;slo=99;fast=2;slow=12;deescalate=cpu", &vocab).is_err());
         assert!(parse_rule("p95:Test::Alpha.run>1ms;escalate=warp", &vocab).is_err());
     }
 
@@ -4660,7 +4116,7 @@ mod tests {
             cmp: AlertCmp::Above,
             fire_threshold: 1_000_000.0,  // 1ms
             resolve_threshold: 100_000.0, // 0.1ms
-            for_windows: 1,
+            trigger: Trigger::Sustained { for_windows: 1 },
             escalate: None, // falls back to AdaptiveConfig::escalate_mode (Both)
             deescalate: None,
         });

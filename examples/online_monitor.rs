@@ -6,8 +6,10 @@
 //! A monitor thread drains each process's probe buffers every few
 //! milliseconds into a [`LiveMonitor`], which maintains tumbling/sliding
 //! windows of per-operation latency percentiles, call rate and abnormality
-//! rate, and evaluates declarative alert rules (threshold + duration +
-//! hysteresis) once per window. With `--listen` the monitor also serves:
+//! rate, and steps declarative rules once per window: `--alert` threshold
+//! rules (duration + hysteresis) and `--burn` multi-window SLO burn-rate
+//! rules share one grammar and one state machine
+//! (`causeway_analyzer::rules`). With `--listen` the monitor also serves:
 //!
 //! * `GET /metrics` — Prometheus exposition of the monitor's registry, here
 //!   the PPS system's own, so the scrape carries the application's engine

@@ -5,11 +5,13 @@
 
 use causeway_analyzer::dscg::Dscg;
 use causeway_analyzer::latency::LatencyAnalysis;
-use causeway_analyzer::live::{serve, AlertCmp, AlertMetric, AlertRule, LiveConfig, LiveMonitor};
+use causeway_analyzer::live::{serve, LiveConfig, LiveMonitor};
+use causeway_analyzer::rules::{AlertCmp, AlertMetric, AlertRule, Trigger};
 use causeway_collector::db::MonitoringDb;
 use causeway_collector::json::{self, Json};
 use causeway_core::event::{CallKind, TraceEvent};
 use causeway_core::ids::{InterfaceId, LogicalThreadId, MethodIndex, NodeId, ObjectId, ProcessId};
+use causeway_core::metrics::MetricsRegistry;
 use causeway_core::monitor::ProbeMode;
 use causeway_core::names::{InterfaceEntry, VocabSnapshot};
 use causeway_core::record::{CallSite, FunctionKey, ProbeRecord};
@@ -224,7 +226,7 @@ fn injected_latency_spike_fires_and_resolves_one_alert() {
         cmp: AlertCmp::Above,
         fire_threshold: 1_000_000.0,
         resolve_threshold: 500_000.0,
-        for_windows: 2,
+        trigger: Trigger::Sustained { for_windows: 2 },
         escalate: None,
         deescalate: None,
     });
@@ -305,7 +307,7 @@ fn sustained_regression_fires_burn_alert_once_and_diff_names_culprit() {
     );
     // Error budget 10%; default factor fast/(slow*budget) = 3/(6*0.1) = 5:
     // fire needs >= 2 breaching windows of the last 3 AND >= 3 of the last 6.
-    live.add_burn_rule_spec("burn=p95>1000us;slo=90;fast=3;slow=6").expect("burn spec parses");
+    live.add_rule_spec("burn=p95>1000us;slo=90;fast=3;slow=6").expect("burn spec parses");
     // The naive single-window rule the burn rule is supposed to out-smart.
     live.add_rule(AlertRule {
         name: "single".to_owned(),
@@ -314,7 +316,7 @@ fn sustained_regression_fires_burn_alert_once_and_diff_names_culprit() {
         cmp: AlertCmp::Above,
         fire_threshold: 1_000_000.0,
         resolve_threshold: 500_000.0,
-        for_windows: 1,
+        trigger: Trigger::Sustained { for_windows: 1 },
         escalate: None,
         deescalate: None,
     });
@@ -377,6 +379,81 @@ fn sustained_regression_fires_burn_alert_once_and_diff_names_culprit() {
     server.shutdown();
 }
 
+/// Feeds `windows` one-second windows from `BASE_W` on, one `serve` call
+/// each, 5 ms slow in windows 7..=10 and 10 µs otherwise, then closes the
+/// last window.
+fn drive_regression(live: &LiveMonitor, windows: u64) {
+    const WINDOW_NS: u64 = 1_000_000_000;
+    const BASE_W: u64 = 1 << 30;
+    for w in 0..windows {
+        let latency = if (7..=10).contains(&w) { 5_000_000 } else { 10_000 };
+        let at = (BASE_W + w) * WINDOW_NS + 5;
+        live.ingest_batch_at(synthetic_call(u128::from(w) + 1, MethodIndex(0), latency), at);
+    }
+    live.tick_at((BASE_W + windows + 1) * WINDOW_NS);
+}
+
+/// A burn rule's spans count the rule's own windows, not the history
+/// store's: a ring of 2 windows cannot hold the 3 breaching windows the
+/// slow span needs, and the rule must still fire once and resolve once.
+#[test]
+fn burn_rule_verdict_does_not_depend_on_history_retention() {
+    const BASE_W: u64 = 1 << 30;
+    let live = LiveMonitor::new(
+        LiveConfig {
+            window: Duration::from_secs(1),
+            history_windows: 2,
+            metrics: Some(MetricsRegistry::new()),
+            ..LiveConfig::default()
+        },
+        two_method_vocab(),
+        causeway_core::deploy::Deployment::default(),
+    );
+    live.add_rule_spec("burn=p95>1000us;slo=90;fast=3;slow=6").expect("burn spec parses");
+    drive_regression(&live, 15);
+
+    let events = live.alert_log();
+    assert_eq!(events.len(), 2, "one fire + one resolve: {events:?}");
+    assert!(events[0].fired && !events[1].fired, "fire precedes resolve: {events:?}");
+    // The third breaching window (w9) fills the slow span; the fast span
+    // burns below the factor once it holds one breach (w12).
+    assert_eq!((events[0].window_index, events[1].window_index), (BASE_W + 9, BASE_W + 12));
+    assert_eq!(live.history().len(), 2, "the ring really held 2 windows");
+}
+
+/// Within one window, threshold rules log their events before burn rules,
+/// whatever the registration order, and incidents open in that order.
+#[test]
+fn threshold_events_precede_burn_events_in_one_window() {
+    const BASE_W: u64 = 1 << 30;
+    let live = LiveMonitor::new(
+        LiveConfig {
+            window: Duration::from_secs(1),
+            metrics: Some(MetricsRegistry::new()),
+            ..LiveConfig::default()
+        },
+        two_method_vocab(),
+        causeway_core::deploy::Deployment::default(),
+    );
+    let burn = "burn=p95>1000us;slo=90;fast=3;slow=6";
+    let threshold = "p95>1000us;for=3";
+    live.add_rule_spec(burn).expect("burn spec parses");
+    live.add_rule_spec(threshold).expect("threshold spec parses");
+    drive_regression(&live, 15);
+
+    // Both fire on the third breaching window.
+    let fired: Vec<_> = live.alert_log().into_iter().filter(|e| e.fired).collect();
+    let names: Vec<&str> = fired.iter().map(|e| e.alert.as_str()).collect();
+    assert_eq!(names, [threshold, burn], "{fired:?}");
+    assert!(fired.iter().all(|e| e.window_index == BASE_W + 9), "{fired:?}");
+    let incidents = live.incidents();
+    let opened: Vec<(u64, &str)> =
+        incidents.iter().map(|inc| (inc.id, inc.alert.as_str())).collect();
+    assert_eq!(opened.len(), 2, "{opened:?}");
+    assert!(opened[0].0 < opened[1].0, "{opened:?}");
+    assert_eq!([opened[0].1, opened[1].1], [threshold, burn], "{opened:?}");
+}
+
 /// Incident forensics end to end: a sustained latency regression on the
 /// planted `inject` operation fires the burn rule exactly once, which
 /// auto-opens an incident whose flamegraph-diff hypotheses include the
@@ -396,7 +473,7 @@ fn incident_forensics_names_the_true_regression_over_http() {
         two_method_vocab(),
         causeway_core::deploy::Deployment::default(),
     );
-    live.add_burn_rule_spec("burn=p95>1000us;slo=90;fast=3;slow=6").expect("burn spec parses");
+    live.add_rule_spec("burn=p95>1000us;slo=90;fast=3;slow=6").expect("burn spec parses");
 
     // `serve` runs every window: 10µs calm, 15µs during the breach — a
     // decoy regression (+5µs) that the baseline already mostly contains.

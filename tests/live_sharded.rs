@@ -104,7 +104,7 @@ fn chain_records(chain: u128, method: MethodIndex, latency_ns: u64, shape: u64) 
 /// `ingest_batch_at` call spans every shard), plus a sustained `inject`
 /// regression in windows 5..=8 that fires the burn rule exactly once.
 fn drive(monitor: &LiveMonitor) {
-    monitor.add_burn_rule_spec("burn=p95>1000us;slo=90;fast=3;slow=6").expect("burn spec");
+    monitor.add_rule_spec("burn=p95>1000us;slo=90;fast=3;slow=6").expect("burn spec");
     monitor.add_rule_spec("p95>1000us;for=1").expect("alert spec");
     let mut rng = Lcg(0x5DEECE66D);
     let mut chain = 0u128;
