@@ -32,13 +32,15 @@
 use crate::window::SeriesKey;
 use crate::render::{completion_forest, CompletedCall, CompletionNode};
 use causeway_collector::json::Json;
-use causeway_collector::segment::{put_u128, put_u16, put_u32, put_u64, Cursor, FrameLog};
+use causeway_collector::segment::FrameLog;
 use causeway_core::event::CallKind;
 use causeway_core::ids::{InterfaceId, MethodIndex, ObjectId};
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
 use causeway_core::names::VocabSnapshot;
 use causeway_core::record::FunctionKey;
+use causeway_core::rng;
 use causeway_core::uuid::Uuid;
+use causeway_core::wire::{put_u128, put_u16, put_u32, put_u64, Cursor};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -189,13 +191,8 @@ const SAMPLE_MODULUS: u64 = 16;
 /// function of the uuid (splitmix64 finalizer), so sharded replay and
 /// restarts agree.
 pub fn sampled(chain: Uuid) -> bool {
-    let mut x = (chain.0 as u64) ^ ((chain.0 >> 64) as u64) ^ 0x9e37_79b9_7f4a_7c15;
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x.is_multiple_of(SAMPLE_MODULUS)
+    let folded = (chain.0 as u64) ^ ((chain.0 >> 64) as u64) ^ 0x9e37_79b9_7f4a_7c15;
+    rng::mix64(folded).is_multiple_of(SAMPLE_MODULUS)
 }
 
 impl ExemplarStore {

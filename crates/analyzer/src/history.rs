@@ -16,9 +16,10 @@
 
 use crate::latency::LatencyHistogram;
 use crate::window::{SeriesAgg, WindowSnapshot};
-use causeway_collector::segment::{put_str, put_u16, put_u32, put_u64, Cursor, FrameLog, FrameRef};
+use causeway_collector::segment::{FrameLog, FrameRef};
 use causeway_core::ids::{InterfaceId, MethodIndex};
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
+use causeway_core::wire::{put_str, put_u16, put_u32, put_u64, Cursor};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::io;

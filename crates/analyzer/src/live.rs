@@ -78,11 +78,12 @@ use causeway_core::monitor::{ProbeDirective, ProbeMode, ProbePolicy};
 use causeway_core::names::VocabSnapshot;
 use causeway_core::record::ProbeRecord;
 use causeway_core::runlog::RunLog;
+use causeway_core::sync::{Mutex, MutexGuard};
 use causeway_core::uuid::Uuid;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Static configuration of a [`LiveMonitor`].
@@ -248,25 +249,6 @@ const EXEMPLAR_REFS_MAX: usize = 4;
 /// records are processed by exactly one shard in arrival order.
 fn shard_of(chain: Uuid, shards: usize) -> usize {
     (chain.0 % shards as u128) as usize
-}
-
-/// Locks an internal monitor mutex, recovering from poisoning: a panicking
-/// handler or ingest thread must not take window rotation or the status
-/// endpoints down with it. Logged once per process.
-fn lock_recover<'a, T>(mutex: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            static WARNED: AtomicBool = AtomicBool::new(false);
-            if !WARNED.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "causeway-live: {what} lock poisoned by a panic; \
-                     continuing with inner state"
-                );
-            }
-            poisoned.into_inner()
-        }
-    }
 }
 
 /// One ingestion shard: the chains with `uuid % shards == index`, their
@@ -571,14 +553,6 @@ impl LiveMonitor {
         }
     }
 
-    fn control_lock(&self) -> MutexGuard<'_, Control> {
-        lock_recover(&self.control, "control")
-    }
-
-    fn shard_lock(&self, index: usize) -> MutexGuard<'_, Shard> {
-        lock_recover(&self.shards[index], "shard")
-    }
-
     /// Nanoseconds since this monitor was created (the default time base).
     pub fn now_ns(&self) -> u64 {
         self.started.elapsed().as_nanos() as u64
@@ -603,7 +577,7 @@ impl LiveMonitor {
     /// Registers a rule. A window logs its threshold rules' events before
     /// its burn-rate rules', each kind in registration order.
     pub fn add_rule(&self, rule: AlertRule) {
-        let mut c = self.control_lock();
+        let mut c = self.control.lock();
         let at = if rule.is_burn() {
             c.rules.len()
         } else {
@@ -743,7 +717,7 @@ impl LiveMonitor {
     /// returned guard before calling other monitor methods — holding it
     /// across them deadlocks.
     pub fn history(&self) -> HistoryRef<'_> {
-        HistoryRef { guard: self.control_lock() }
+        HistoryRef { guard: self.control.lock() }
     }
 
     /// Ingests a batch of probe records stamped with the monitor's clock.
@@ -767,7 +741,7 @@ impl LiveMonitor {
     /// to the serial monitor.
     pub fn ingest_batch_at(&self, records: Vec<ProbeRecord>, now_ns: u64) {
         let target = {
-            let mut c = self.control_lock();
+            let mut c = self.control.lock();
             self.roll_locked(&mut c, now_ns);
             let room = self.cfg.trace_capacity.saturating_sub(c.window_records.len());
             let kept = room.min(records.len());
@@ -790,7 +764,7 @@ impl LiveMonitor {
             }
             // Shard guards drop before the control lock below: a thread
             // holding a shard never waits on control (see module docs).
-            let mut shard = self.shard_lock(index);
+            let mut shard = self.shards[index].lock();
             // A completion racing a concurrent window close lands in the
             // first still-open slice rather than mutating a finalized window.
             let apply_at = target.max(shard.floor);
@@ -809,7 +783,7 @@ impl LiveMonitor {
         groups.sort_unstable_by_key(|g| g.rank);
 
         {
-            let mut c = self.control_lock();
+            let mut c = self.control.lock();
             let spw = self.cfg.slices.max(1) as u64;
             let window_index = c.current.map_or(0, |slice| slice / spw);
             for (key, calls) in completed {
@@ -859,7 +833,7 @@ impl LiveMonitor {
 
     /// Advances window time to an explicit instant.
     pub fn tick_at(&self, now_ns: u64) {
-        let mut c = self.control_lock();
+        let mut c = self.control.lock();
         self.roll_locked(&mut c, now_ns);
     }
 
@@ -956,7 +930,7 @@ impl LiveMonitor {
             c.current = Some(resume);
             index = resume;
             for shard in &self.shards {
-                let mut shard = lock_recover(shard, "shard");
+                let mut shard = shard.lock();
                 shard.slices.clear();
                 shard.floor = resume;
             }
@@ -987,7 +961,7 @@ impl LiveMonitor {
         };
         let lo = current.saturating_sub(c.closed_len);
         for shard in &self.shards {
-            let shard = lock_recover(shard, "shard");
+            let shard = shard.lock();
             for slice in shard.slices.range(lo..=current).map(|(_, s)| s) {
                 merge_slice(&mut snap, slice);
             }
@@ -1013,7 +987,7 @@ impl LiveMonitor {
         };
         let mut folded: BTreeMap<String, u64> = BTreeMap::new();
         for shard in &self.shards {
-            let mut shard = lock_recover(shard, "shard");
+            let mut shard = shard.lock();
             for slice in shard.slices.range(start..end).map(|(_, s)| s) {
                 merge_slice(&mut snap, slice);
             }
@@ -1354,7 +1328,7 @@ impl LiveMonitor {
         }
         let mut open: Vec<Uuid> = Vec::new();
         for shard in &self.shards {
-            let shard = lock_recover(shard, "shard");
+            let shard = shard.lock();
             open.extend(shard.analyzer.open_chain_summaries().iter().map(|s| s.chain));
         }
         for (incident_id, hypothesis, chain) in targets {
@@ -1443,18 +1417,18 @@ impl LiveMonitor {
     /// accumulating one, merged across shards. At slice granularity this
     /// trails the tumbling window by at most one slice.
     pub fn sliding(&self) -> WindowSnapshot {
-        let c = self.control_lock();
+        let c = self.control.lock();
         self.sliding_locked(&c)
     }
 
     /// The last finalized tumbling window, if one has completed.
     pub fn last_window(&self) -> Option<WindowSnapshot> {
-        self.control_lock().last_window.clone()
+        self.control.lock().last_window.clone()
     }
 
     /// Names of currently firing alerts (threshold and burn-rate).
     pub fn active_alerts(&self) -> Vec<String> {
-        let c = self.control_lock();
+        let c = self.control.lock();
         Self::active_alerts_locked(&c)
     }
 
@@ -1464,17 +1438,17 @@ impl LiveMonitor {
 
     /// All retained alert transitions, oldest first.
     pub fn alert_log(&self) -> Vec<AlertEvent> {
-        self.control_lock().alert_log.iter().cloned().collect()
+        self.control.lock().alert_log.iter().cloned().collect()
     }
 
     /// Invocations completed since construction.
     pub fn total_completed(&self) -> u64 {
-        self.control_lock().total_completed
+        self.control.lock().total_completed
     }
 
     /// Abnormalities observed since construction.
     pub fn total_abnormalities(&self) -> u64 {
-        self.control_lock().total_abnormalities
+        self.control.lock().total_abnormalities
     }
 
     /// Summed (open chains, buffered records) across every shard's analyzer.
@@ -1482,7 +1456,7 @@ impl LiveMonitor {
         let mut open = 0;
         let mut buffered = 0;
         for shard in &self.shards {
-            let shard = lock_recover(shard, "shard");
+            let shard = shard.lock();
             open += shard.analyzer.open_chains();
             buffered += shard.analyzer.buffered_records();
         }
@@ -1501,7 +1475,7 @@ impl LiveMonitor {
     pub fn open_chain_summaries(&self) -> Vec<OpenChainSummary> {
         let mut all = Vec::new();
         for shard in &self.shards {
-            let shard = lock_recover(shard, "shard");
+            let shard = shard.lock();
             all.extend(shard.analyzer.open_chain_summaries());
         }
         all.sort_by_key(|s| s.chain);
@@ -1512,7 +1486,7 @@ impl LiveMonitor {
     fn merged_folded(&self) -> BTreeMap<String, u64> {
         let mut merged = BTreeMap::new();
         for shard in &self.shards {
-            let shard = lock_recover(shard, "shard");
+            let shard = shard.lock();
             shard.stacks.render_cumulative(&mut merged);
         }
         merged
@@ -1531,7 +1505,7 @@ impl LiveMonitor {
         match window {
             None => Ok(self.folded_stacks()),
             Some(index) => {
-                let c = self.control_lock();
+                let c = self.control.lock();
                 let entry = c
                     .history
                     .lookup(index)
@@ -1545,7 +1519,7 @@ impl LiveMonitor {
     /// `b − a` between two windows (ring or spill), largest regression
     /// first (`stack +delta` / `stack -delta` per line).
     pub fn flamegraph_diff(&self, a: u64, b: u64) -> Result<String, String> {
-        let c = self.control_lock();
+        let c = self.control.lock();
         let wa =
             c.history.lookup(a).ok_or_else(|| format!("window {a} is not retained"))?;
         let wb =
@@ -1563,7 +1537,7 @@ impl LiveMonitor {
     /// requested ordinals, reaching into the spill segment for windows that
     /// already aged out (at most [`HISTORY_RANGE_MAX`] per request).
     pub fn history_json(&self, from: Option<u64>, to: Option<u64>) -> Json {
-        let c = self.control_lock();
+        let c = self.control.lock();
         let windows: Vec<Json> = if from.is_some() || to.is_some() {
             // Both bounds consult the spill as well as the ring: after a
             // restart the ring starts empty while the spill still holds
@@ -1635,7 +1609,7 @@ impl LiveMonitor {
     /// The `/dscg` JSON index: recently completed chains available for
     /// rendering, oldest first.
     pub fn recent_chains_json(&self) -> Json {
-        let c = self.control_lock();
+        let c = self.control.lock();
         let chains = c
             .recent_chains
             .iter()
@@ -1658,7 +1632,7 @@ impl LiveMonitor {
     pub fn dscg_render(&self, chain: &str, format: Option<&str>) -> Result<String, String> {
         let uuid: Uuid =
             chain.parse().map_err(|_| format!("bad chain uuid {chain:?}"))?;
-        let c = self.control_lock();
+        let c = self.control.lock();
         let completions = c
             .recent_chains
             .iter()
@@ -1677,7 +1651,7 @@ impl LiveMonitor {
     /// (falls back to the accumulating window before the first boundary).
     pub fn trace_json(&self) -> String {
         let records = {
-            let c = self.control_lock();
+            let c = self.control.lock();
             if c.last_window_records.is_empty() {
                 c.window_records.clone()
             } else {
@@ -1694,7 +1668,7 @@ impl LiveMonitor {
     /// endpoint tells an operator what to ask for instead of replying with
     /// an empty body on an idle window.
     pub fn latency_json(&self, iface: Option<&str>, method: Option<&str>) -> Json {
-        let c = self.control_lock();
+        let c = self.control.lock();
         let Some(iface) = iface else {
             return self.known_series_json_locked(&c);
         };
@@ -1787,7 +1761,7 @@ impl LiveMonitor {
     /// evictions, and spill error state — so a scraper can tell when the
     /// evidence an incident would need has started to rot.
     pub fn health_json(&self) -> (u16, Json) {
-        let c = self.control_lock();
+        let c = self.control.lock();
         let active = Self::active_alerts_locked(&c);
         let status = if active.is_empty() { 200 } else { 503 };
         let open_incidents = c.incidents.iter().filter(|i| i.is_open()).count();
@@ -1838,7 +1812,7 @@ impl LiveMonitor {
     /// The `GET /alerts` JSON body: the bounded alert-transition log,
     /// oldest first.
     pub fn alerts_json(&self) -> Json {
-        let c = self.control_lock();
+        let c = self.control.lock();
         let alerts = c
             .alert_log
             .iter()
@@ -1891,7 +1865,7 @@ impl LiveMonitor {
             ),
             None => None,
         };
-        let c = self.control_lock();
+        let c = self.control.lock();
         let store = &c.exemplars;
         let series_objs: Vec<Json> = store
             .series_keys()
@@ -1937,7 +1911,7 @@ impl LiveMonitor {
     pub fn exemplar_detail_json(&self, id: &str) -> Result<Json, (u16, String)> {
         let uuid: Uuid =
             id.parse().map_err(|_| (400, format!("bad exemplar uuid {id:?}")))?;
-        let c = self.control_lock();
+        let c = self.control.lock();
         let e = c
             .exemplars
             .get(uuid)
@@ -1966,7 +1940,7 @@ impl LiveMonitor {
     /// bounded transition log, oldest first. Expired operator TTLs are
     /// swept before rendering, so a lapsed override never shows as live.
     pub fn probes_json(&self) -> Json {
-        let mut c = self.control_lock();
+        let mut c = self.control.lock();
         let now_ms = incident::wall_clock_ms();
         let window_index = c.last_window.as_ref().map_or(u64::MAX, |w| w.index);
         self.expire_operators_locked(&mut c, window_index, now_ms);
@@ -2073,7 +2047,7 @@ impl LiveMonitor {
             _ => return Err((400, "\"ttl_ms\" must be a positive integer".to_owned())),
         };
 
-        let mut c = self.control_lock();
+        let mut c = self.control.lock();
         let now_ms = incident::wall_clock_ms();
         let window_index = c.last_window.as_ref().map_or(u64::MAX, |w| w.index);
         let expires = if mode_spec.eq_ignore_ascii_case("base") {
@@ -2116,19 +2090,19 @@ impl LiveMonitor {
     /// guard before calling other monitor methods — holding it across them
     /// deadlocks.
     pub fn incidents(&self) -> IncidentsRef<'_> {
-        IncidentsRef { guard: self.control_lock() }
+        IncidentsRef { guard: self.control.lock() }
     }
 
     /// The `GET /incidents` index body.
     pub fn incidents_json(&self) -> Json {
-        self.control_lock().incidents.index_json()
+        self.control.lock().incidents.index_json()
     }
 
     /// The `GET /incidents?id=N` detail body: full add-only graph
     /// (hypotheses + tombstones + timeline) and the query-time surviving
     /// set. `None` when the incident is unknown or already evicted.
     pub fn incident_json(&self, id: u64) -> Option<Json> {
-        self.control_lock().incidents.get(id).map(Incident::detail_json)
+        self.control.lock().incidents.get(id).map(Incident::detail_json)
     }
 
     /// Applies an operator tombstone from a `POST /incidents/eliminate`
@@ -2172,7 +2146,8 @@ impl LiveMonitor {
             Some(_) => return Err((400, "\"reason\" must be a string".to_owned())),
         };
         let surviving = self
-            .control_lock()
+            .control
+            .lock()
             .incidents
             .eliminate(incident_id, hypothesis, &pass, &reason)
             .map_err(|e| (404, e.to_string()))?;
@@ -3128,7 +3103,7 @@ mod tests {
         m.ingest_batch_at(sync_call(2, 0, 1, 2000), 20);
         m.ingest_batch_at(sync_call(3, 1, 0, 3000), 30);
         for index in 0..m.shards.len() {
-            let shard = m.shard_lock(index);
+            let shard = m.shards[index].lock();
             let stacks = &shard.stacks;
             assert!(stacks.folded.len <= 2, "cumulative map capped: {:?}", stacks.folded);
             assert!(stacks.window.len <= 2, "window map capped");
@@ -3175,7 +3150,7 @@ mod tests {
         let m = monitor();
         m.ingest_batch_at(sync_call(1, 0, 0, 1000), 10);
         assert_eq!(m.open_chain_summaries().len(), 0);
-        let mut shard = m.shard_lock(shard_of(Uuid(1), m.shards.len()));
+        let mut shard = m.shards[shard_of(Uuid(1), m.shards.len())].lock();
         assert_eq!(shard.analyzer.open_chains(), 0);
         // The chain's per-chain analyzer state is gone entirely (not just
         // filtered out of the summaries).
@@ -3189,7 +3164,7 @@ mod tests {
         records.insert(2, records[1].clone());
         m.ingest_batch_at(records, 10);
         assert_eq!(m.open_chain_summaries().len(), 0);
-        let mut shard = m.shard_lock(shard_of(Uuid(1), m.shards.len()));
+        let mut shard = m.shards[shard_of(Uuid(1), m.shards.len())].lock();
         assert_eq!(shard.analyzer.buffered_records(), 0);
         assert!(!shard.analyzer.forget_chain(Uuid(1)), "state already dropped");
     }
@@ -3203,7 +3178,7 @@ mod tests {
             .collect();
         m.ingest_batch_at(open, 10);
         for index in 0..m.shards.len() {
-            m.shard_lock(index).analyzer.walks.set(0);
+            m.shards[index].lock().analyzer.walks.set(0);
         }
         for batch in 0..20u128 {
             let mut records = sync_call(batch, 0, 0, 1000);
@@ -3212,7 +3187,7 @@ mod tests {
         }
         let (_, health) = m.health_json();
         for index in 0..m.shards.len() {
-            let walks = m.shard_lock(index).analyzer.walks.get();
+            let walks = m.shards[index].lock().analyzer.walks.get();
             assert_eq!(walks, 0, "shard {index}: ingest and the gauges walked its chains");
         }
         assert_eq!(health.get("open_chains"), Some(&Json::Num(50_000.0)));

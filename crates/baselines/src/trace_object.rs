@@ -13,9 +13,9 @@
 //!    concatenate the *same* entries — see
 //!    [`TraceObject::from_call_tree`] and the ambiguity tests.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use causeway_analyzer::dscg::CallNode;
 use causeway_core::record::FunctionKey;
+use causeway_core::wire::{put_str, put_u16, put_u32, put_u64};
 
 /// One concatenated entry: the verbose call information the Universal
 /// Delegator logged (function identity plus a free-form detail string).
@@ -66,18 +66,16 @@ impl TraceObject {
 
     /// Marshals the whole object — the payload that would ride with the
     /// *next* call of the chain.
-    pub fn to_wire(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(self.entries.len() as u32);
+    pub fn to_wire(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.wire_size());
+        put_u32(&mut buf, self.entries.len() as u32);
         for entry in &self.entries {
-            buf.put_u32_le(entry.func.interface.0);
-            buf.put_u16_le(entry.func.method.0);
-            buf.put_u64_le(entry.func.object.0);
-            let detail = entry.detail.as_bytes();
-            buf.put_u32_le(detail.len() as u32);
-            buf.put_slice(detail);
+            put_u32(&mut buf, entry.func.interface.0);
+            put_u16(&mut buf, entry.func.method.0);
+            put_u64(&mut buf, entry.func.object.0);
+            put_str(&mut buf, &entry.detail);
         }
-        buf.freeze()
+        buf
     }
 
     /// Current marshalled size in bytes.

@@ -11,13 +11,11 @@ use causeway_bench::{banner, print_table};
 use causeway_analyzer::dscg::Dscg;
 use causeway_collector::db::MonitoringDb;
 use causeway_core::monitor::ProbeMode;
+use causeway_core::rng::Rng;
 use causeway_core::runlog::RunLog;
 use causeway_core::value::Value;
 use causeway_orb::prelude::*;
 use causeway_workloads::{Pps, PpsConfig, PpsDeployment};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 fn healthy_run() -> RunLog {
@@ -33,7 +31,7 @@ fn healthy_run() -> RunLog {
 }
 
 fn corrupt(run: &RunLog, drop_pct: f64, dup_pct: f64, seed: u64) -> RunLog {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut records = Vec::with_capacity(run.records.len());
     for record in &run.records {
         if rng.gen_bool(drop_pct) {
@@ -44,7 +42,7 @@ fn corrupt(run: &RunLog, drop_pct: f64, dup_pct: f64, seed: u64) -> RunLog {
             records.push(record.clone()); // duplicated record
         }
     }
-    records.shuffle(&mut rng); // scattered logs arrive in arbitrary order
+    rng.shuffle(&mut records); // scattered logs arrive in arbitrary order
     RunLog::new(records, run.vocab.clone(), run.deployment.clone())
 }
 

@@ -56,9 +56,10 @@
 //! checksum. [`FrameLog::open`] and [`recover_run_log`] share one scan:
 //! hop over frame boundaries with [`next_frame`], check checksums and
 //! decode payloads on [`pool`] workers, cut at the first failure.
-//! Payloads are read with one bounds-checked [`Cursor`] and written with
-//! the `put_*` helpers. [`write_run_log`] frames a whole run the same way
-//! into one output buffer.
+//! Payloads are read with `core::wire`'s bounds-checked [`Cursor`] and
+//! written with its `put_*` helpers, the codec marshalled values use too.
+//! [`write_run_log`] frames a whole run the same way into one output
+//! buffer.
 
 use causeway_core::deploy::{Deployment, NodeInfo, ProcessInfo};
 use causeway_core::ids::{CpuTypeId, InterfaceId, LogicalThreadId, NodeId, ObjectId, ProcessId};
@@ -67,7 +68,7 @@ use causeway_core::pool;
 use causeway_core::record::ProbeRecord;
 use causeway_core::runlog::RunLog;
 use causeway_core::sink::Chunk;
-use causeway_core::wire::{self, RECORD_WIRE_LEN};
+use causeway_core::wire::{self, put_str, put_u16, put_u32, put_u64, Cursor, RECORD_WIRE_LEN};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -388,105 +389,15 @@ impl FrameLog {
 // Payload codecs.
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked little-endian reader over a frame payload: every
-/// accessor returns `None` past the end, so a short or malformed payload
-/// decodes to `None`, never a panic.
-#[derive(Debug, Clone)]
-pub struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// A cursor at the start of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, pos: 0 }
+/// A presence byte (0 or 1) and a `u64` slot, as `put_opt_u64` writes.
+fn opt_u64(r: &mut Cursor<'_>) -> Option<Option<u64>> {
+    let present = r.u8()?;
+    let value = r.u64()?;
+    match present {
+        0 => Some(None),
+        1 => Some(Some(value)),
+        _ => None,
     }
-
-    /// The next `n` bytes.
-    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&end| end <= self.bytes.len())?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Some(out)
-    }
-
-    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
-        self.take(N)?.try_into().ok()
-    }
-
-    /// One byte.
-    pub fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    /// A little-endian `u16`.
-    pub fn u16(&mut self) -> Option<u16> {
-        self.array().map(u16::from_le_bytes)
-    }
-
-    /// A little-endian `u32`.
-    pub fn u32(&mut self) -> Option<u32> {
-        self.array().map(u32::from_le_bytes)
-    }
-
-    /// A little-endian `u64`.
-    pub fn u64(&mut self) -> Option<u64> {
-        self.array().map(u64::from_le_bytes)
-    }
-
-    /// A little-endian `u128`.
-    pub fn u128(&mut self) -> Option<u128> {
-        self.array().map(u128::from_le_bytes)
-    }
-
-    /// A `u32`-length-prefixed UTF-8 string, as [`put_str`] writes it.
-    pub fn str(&mut self) -> Option<&'a str> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?).ok()
-    }
-
-    /// A presence byte (0 or 1) and a `u64` slot, as `put_opt_u64` writes.
-    fn opt_u64(&mut self) -> Option<Option<u64>> {
-        let present = self.u8()?;
-        let value = self.u64()?;
-        match present {
-            0 => Some(None),
-            1 => Some(Some(value)),
-            _ => None,
-        }
-    }
-
-    /// `true` once every byte has been read.
-    pub fn is_done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
-
-/// Appends a little-endian `u16`.
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a little-endian `u32`.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a little-endian `u64`.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a little-endian `u128`.
-pub fn put_u128(buf: &mut Vec<u8>, v: u128) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `u32` length and the string's UTF-8 bytes.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
 }
 
 fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
@@ -562,7 +473,7 @@ fn decode_header(payload: &[u8]) -> Result<Header, SegmentError> {
 
 /// The header's expectation and dimension tables, after kind and version.
 fn header_tables(r: &mut Cursor<'_>) -> Option<Header> {
-    let expected_records = r.opt_u64()?;
+    let expected_records = opt_u64(r)?;
     let mut vocab = VocabSnapshot::default();
     for _ in 0..r.u32()? {
         let name = r.str()?.to_owned();
@@ -646,7 +557,7 @@ fn frame_body(payload: &[u8]) -> Option<FrameBody<'_>> {
             let count = r.u32()? as usize;
             FrameBody::Chunk(r.take(count.checked_mul(RECORD_WIRE_LEN)?)?)
         }
-        KIND_SEAL => FrameBody::Seal { records: r.u64()?, expected: r.opt_u64()? },
+        KIND_SEAL => FrameBody::Seal { records: r.u64()?, expected: opt_u64(&mut r)? },
         _ => return None,
     };
     r.is_done().then_some(body)

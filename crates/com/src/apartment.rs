@@ -9,7 +9,6 @@
 //!   so O1 holds as in the ORB.
 
 use crate::hook::Extensions;
-use bytes::Bytes;
 use causeway_core::engine::Ticket;
 use causeway_core::ids::{InterfaceId, MethodIndex, ObjectId};
 use crossbeam::channel::{Receiver, Sender};
@@ -47,7 +46,7 @@ pub struct OrpcMsg {
     /// Method declaration index.
     pub method: MethodIndex,
     /// Marshalled arguments.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
     /// Extension headers (the FTL rides here via the channel hook).
     pub extensions: Extensions,
     /// Where the reply goes; `None` for posted (fire-and-forget) calls.
@@ -63,7 +62,7 @@ pub struct OrpcMsg {
 pub struct OrpcReply {
     /// Marshalled result, or (exception, message) for application errors,
     /// or a runtime failure string.
-    pub body: Result<Result<Bytes, (String, String)>, String>,
+    pub body: Result<Result<Vec<u8>, (String, String)>, String>,
     /// Extension headers on the return path.
     pub extensions: Extensions,
 }

@@ -9,7 +9,6 @@ use crate::apartment::{
 };
 use crate::error::ComError;
 use crate::hook::{Extensions, attach_ftl, extract_ftl};
-use bytes::Bytes;
 use causeway_core::clock::{CpuClock, SystemClock, VirtualCpuClock, WallClock};
 use causeway_core::deploy::Deployment;
 use causeway_core::engine::{Gate, DEFAULT_QUEUE_CAPACITY};
@@ -21,12 +20,12 @@ use causeway_core::sink::LogStore;
 use causeway_core::names::SystemVocab;
 use causeway_core::record::FunctionKey;
 use causeway_core::runlog::RunLog;
+use causeway_core::sync::{Mutex, RwLock};
 use causeway_core::value::Value;
 use causeway_core::{tss, wire};
 use causeway_idl::compile::{InstrumentMode, compile};
 use causeway_idl::parse;
 use crossbeam::channel::{RecvTimeoutError, Sender, bounded, unbounded};
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -464,7 +463,7 @@ impl ComDomain {
 
         let cpu = monitor.cpu_clock();
         let token = cpu.region_begin();
-        let args = wire::decode_args(msg.payload.clone());
+        let args = wire::decode_args(&msg.payload);
         cpu.region_end(token);
 
         let result = match args {
@@ -564,7 +563,7 @@ impl ComClient {
         match reply.body {
             Err(runtime) => Err(ComError::UnknownObject(runtime)),
             Ok(Err((exception, message))) => Err(ComError::Application(exception, message)),
-            Ok(Ok(bytes)) => decode_single(bytes),
+            Ok(Ok(bytes)) => decode_single(&bytes),
         }
     }
 
@@ -699,9 +698,8 @@ impl ComClient {
     }
 }
 
-fn decode_single(bytes: Bytes) -> Result<Value, ComError> {
-    let mut values =
-        wire::decode_args(bytes).map_err(|e| ComError::Wire(e.to_string()))?;
+fn decode_single(bytes: &[u8]) -> Result<Value, ComError> {
+    let mut values = wire::decode_args(bytes).map_err(|e| ComError::Wire(e.to_string()))?;
     match values.len() {
         1 => Ok(values.pop().expect("length checked")),
         n => Err(ComError::Wire(format!("reply carried {n} values"))),

@@ -5,14 +5,13 @@
 //! Delegator's tracer and the paper's COM port use them to move tracing
 //! context. [`FtlChannelHook`] is the hook that carries the FTL.
 
-use bytes::{Bytes, BytesMut};
-use causeway_core::ftl::{FTL_WIRE_LEN, FunctionTxLog};
+use causeway_core::ftl::FunctionTxLog;
 use std::collections::BTreeMap;
 
 /// An extension header: a tagged blob attached to an ORPC message.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Extensions {
-    entries: BTreeMap<String, Bytes>,
+    entries: BTreeMap<String, Vec<u8>>,
 }
 
 impl Extensions {
@@ -22,13 +21,13 @@ impl Extensions {
     }
 
     /// Attaches a blob under a hook tag (replacing any previous one).
-    pub fn set(&mut self, tag: &str, payload: Bytes) {
+    pub fn set(&mut self, tag: &str, payload: Vec<u8>) {
         self.entries.insert(tag.to_owned(), payload);
     }
 
     /// Reads a hook's blob.
-    pub fn get(&self, tag: &str) -> Option<&Bytes> {
-        self.entries.get(tag)
+    pub fn get(&self, tag: &str) -> Option<&[u8]> {
+        self.entries.get(tag).map(Vec::as_slice)
     }
 
     /// Number of attached extensions.
@@ -62,31 +61,25 @@ pub const PARENT_EXTENSION_TAG: &str = "causeway.ftl.parent";
 /// Writes a parent-chain marker (UUID + fork event number).
 pub fn attach_parent(extensions: &mut Extensions, parent: (causeway_core::uuid::Uuid, u64)) {
     let marker = FunctionTxLog::new(parent.0, parent.1);
-    let mut buf = BytesMut::with_capacity(FTL_WIRE_LEN);
-    buf.extend_from_slice(&marker.to_wire());
-    extensions.set(PARENT_EXTENSION_TAG, buf.freeze());
+    extensions.set(PARENT_EXTENSION_TAG, marker.to_wire().to_vec());
 }
 
 /// Reads a parent-chain marker.
 pub fn extract_parent(extensions: &Extensions) -> Option<(causeway_core::uuid::Uuid, u64)> {
     extensions
         .get(PARENT_EXTENSION_TAG)
-        .and_then(|bytes| FunctionTxLog::from_wire(bytes))
+        .and_then(FunctionTxLog::from_wire)
         .map(|ftl| (ftl.global_function_id, ftl.event_seq_no))
 }
 
 /// Helper: writes an FTL into an extension set.
 pub fn attach_ftl(extensions: &mut Extensions, ftl: FunctionTxLog) {
-    let mut buf = BytesMut::with_capacity(FTL_WIRE_LEN);
-    buf.extend_from_slice(&ftl.to_wire());
-    extensions.set(FTL_EXTENSION_TAG, buf.freeze());
+    extensions.set(FTL_EXTENSION_TAG, ftl.to_wire().to_vec());
 }
 
 /// Helper: reads an FTL from an extension set.
 pub fn extract_ftl(extensions: &Extensions) -> Option<FunctionTxLog> {
-    extensions
-        .get(FTL_EXTENSION_TAG)
-        .and_then(|bytes| FunctionTxLog::from_wire(bytes))
+    extensions.get(FTL_EXTENSION_TAG).and_then(FunctionTxLog::from_wire)
 }
 
 /// The paper's tracing hook: moves the calling thread's FTL across the
@@ -132,7 +125,7 @@ mod tests {
     fn missing_or_corrupt_extension_reads_none() {
         let mut ext = Extensions::new();
         assert_eq!(extract_ftl(&ext), None);
-        ext.set(FTL_EXTENSION_TAG, Bytes::from_static(&[1, 2, 3]));
+        ext.set(FTL_EXTENSION_TAG, vec![1, 2, 3]);
         assert_eq!(extract_ftl(&ext), None);
     }
 

@@ -17,7 +17,7 @@
 //! For deterministic tests, [`ManualClock`] and [`ManualCpuClock`] advance
 //! only when told to, letting a test script exact timings.
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;

@@ -586,7 +586,7 @@ fn percent_decode(input: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use crate::sync::Mutex;
     use std::io::Read;
 
     /// One blocking GET against a local server, returning (status, body).

@@ -81,8 +81,10 @@ pub mod names;
 pub mod park;
 pub mod pool;
 pub mod record;
+pub mod rng;
 pub mod runlog;
 pub mod sink;
+pub mod sync;
 pub mod tss;
 pub mod uuid;
 pub mod value;

@@ -9,7 +9,7 @@
 //! latency and CPU samples.
 
 use crate::clock::{CpuClock, WallClock};
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::sync::Arc;
 
 /// One sample from a manual bracket.

@@ -49,7 +49,7 @@
 //! assert!(registry.render_prometheus().contains("demo_records_pushed_total 3"));
 //! ```
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

@@ -8,7 +8,7 @@
 //! travels with the collected logs into the monitoring database.
 
 use crate::ids::{CpuTypeId, InterfaceId, MethodIndex, ObjectId, ProcessId};
-use parking_lot::RwLock;
+use crate::sync::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};

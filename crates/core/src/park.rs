@@ -25,8 +25,8 @@
 //! assert!(lot.park().is_none(), "stop wins over park");
 //! ```
 
+use crate::sync::Mutex;
 use crossbeam::channel::{Receiver, Sender, bounded};
-use parking_lot::Mutex;
 
 /// Most threads parked in one lot at once; a thread that finds this many
 /// already parked exits instead.

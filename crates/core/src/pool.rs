@@ -17,8 +17,8 @@
 //! pinned with the `CAUSEWAY_ANALYZER_THREADS` environment variable (the
 //! `causeway_analyze` CLI exposes it as `--threads`).
 
+use crate::sync::Mutex;
 use std::ops::Range;
-use std::sync::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable pinning the analysis worker-pool size.
@@ -104,11 +104,7 @@ where
     }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let taken = par_map(&slots, threads, |slot| {
-        let item = slot
-            .lock()
-            .expect("no worker panics while holding a slot")
-            .take()
-            .expect("each slot is taken exactly once");
+        let item = slot.lock().take().expect("each slot is taken exactly once");
         f(item)
     });
     taken

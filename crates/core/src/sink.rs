@@ -36,7 +36,7 @@
 use crate::ids::LogicalThreadId;
 use crate::metrics::{self, Counter, Gauge, Histogram, MetricsRegistry};
 use crate::record::ProbeRecord;
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;

@@ -6,9 +6,12 @@
 //! produced along that chain carries the same UUID, which is what lets the
 //! analyzer re-assemble scattered per-thread logs into one call tree without
 //! any global clock synchronization.
+//!
+//! Minting draws 128 bits from a per-thread [`crate::rng::Rng`], the
+//! workspace's one generator, seeded once per thread through its
+//! splitmix64 expansion.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::Rng;
 use std::cell::RefCell;
 use std::fmt;
 use std::str::FromStr;
@@ -33,18 +36,8 @@ pub struct Uuid(pub u128);
 /// the same nanosecond still diverge.
 static THREAD_SALT: AtomicU64 = AtomicU64::new(0x9e37_79b9_7f4a_7c15);
 
-/// splitmix64 — mixes the seed ingredients so every seed byte depends on
-/// every input bit.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 thread_local! {
-    static THREAD_RNG: RefCell<SmallRng> = RefCell::new({
+    static THREAD_RNG: RefCell<Rng> = RefCell::new({
         let salt = THREAD_SALT.fetch_add(0x2545_f491_4f6c_dd1d, Ordering::Relaxed);
         let time = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -53,12 +46,8 @@ thread_local! {
         // Low-cost extra entropy: the address of a stack local differs
         // between threads (and, under ASLR, between processes).
         let stack_probe = &salt as *const u64 as u64;
-        let mut state = salt ^ time.rotate_left(17) ^ stack_probe.rotate_left(43);
-        let mut seed = [0u8; 32];
-        for chunk in seed.chunks_exact_mut(8) {
-            chunk.copy_from_slice(&splitmix64(&mut state).to_le_bytes());
-        }
-        SmallRng::from_seed(seed)
+        // splitmix64 expansion makes every seed bit depend on every input bit.
+        Rng::seed_from_u64(salt ^ time.rotate_left(17) ^ stack_probe.rotate_left(43))
     });
 }
 
@@ -74,8 +63,8 @@ impl Uuid {
     pub fn new() -> Uuid {
         THREAD_RNG.with(|rng| {
             let mut rng = rng.borrow_mut();
-            let hi: u64 = rng.gen();
-            let lo: u64 = rng.gen();
+            let hi = rng.next_u64();
+            let lo = rng.next_u64();
             let mut v = ((hi as u128) << 64) | lo as u128;
             if v == 0 {
                 v = 1; // never collide with NIL

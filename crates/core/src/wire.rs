@@ -1,5 +1,12 @@
 //! Marshalling: a compact CDR-like binary encoding for [`Value`]s and the
-//! hidden FTL parameter.
+//! hidden FTL parameter, the fixed-width probe-record codec, and the frame
+//! checksum.
+//!
+//! One little-endian codec serves every byte format in the workspace:
+//! [`Cursor`] reads and the `put_*` helpers write both marshalled values
+//! and the payloads of every frame file (segments, history and exemplar
+//! spills). Payloads are plain `Vec<u8>`s: the FTL is appended and split
+//! off in place.
 //!
 //! The instrumented stub appends the 24-byte FTL to every request buffer and
 //! the instrumented skeleton splits it back off — the byte-level equivalent
@@ -14,7 +21,6 @@ use crate::ids::{InterfaceId, LogicalThreadId, MethodIndex, NodeId, ObjectId, Pr
 use crate::record::{CallSite, FunctionKey, ProbeRecord};
 use crate::uuid::Uuid;
 use crate::value::Value;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const TAG_VOID: u8 = 0;
 const TAG_BOOL: u8 = 1;
@@ -30,108 +36,211 @@ const TAG_STRUCT: u8 = 8;
 /// bound against corrupted buffers.
 const MAX_LEN: usize = 64 * 1024 * 1024;
 
+// ---------------------------------------------------------------------------
+// Little-endian codec: one bounds-checked reader and the `put_*` writers,
+// shared by the value codec below and every frame payload
+// (`collector::segment`, the history and exemplar spills).
+// ---------------------------------------------------------------------------
+
+/// Bounds-checked little-endian reader: every accessor returns `None` past
+/// the end, so a short or malformed buffer decodes to `None`, never a
+/// panic.
+#[derive(Debug, Clone)]
+pub struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Cursor<'a> {
+        Cursor { bytes, pos: 0 }
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.pos.checked_add(n).filter(|&end| end <= self.bytes.len())?;
+        let out = &self.bytes[self.pos..end];
+        self.pos = end;
+        Some(out)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Option<u8> {
+        self.take(1).map(|b| b[0])
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A little-endian `u128`.
+    pub fn u128(&mut self) -> Option<u128> {
+        self.array().map(u128::from_le_bytes)
+    }
+
+    /// A `u32`-length-prefixed UTF-8 string, as [`put_str`] writes it.
+    pub fn str(&mut self) -> Option<&'a str> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?).ok()
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// `true` once every byte has been read.
+    pub fn is_done(&self) -> bool {
+        self.remaining() == 0
+    }
+}
+
+/// Appends a little-endian `u16`.
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u32`.
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u64`.
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u128`.
+pub fn put_u128(buf: &mut Vec<u8>, v: u128) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u32` length and the string's UTF-8 bytes.
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_blob(buf, s.as_bytes());
+}
+
+fn put_blob(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(buf, bytes.len() as u32);
+    buf.extend_from_slice(bytes);
+}
+
+// ---------------------------------------------------------------------------
+// Value and argument codec.
+// ---------------------------------------------------------------------------
+
 /// Encodes one value into `buf`.
-pub fn encode_value(value: &Value, buf: &mut BytesMut) {
+pub fn encode_value(value: &Value, buf: &mut Vec<u8>) {
     match value {
-        Value::Void => buf.put_u8(TAG_VOID),
-        Value::Bool(b) => {
-            buf.put_u8(TAG_BOOL);
-            buf.put_u8(*b as u8);
-        }
+        Value::Void => buf.push(TAG_VOID),
+        Value::Bool(b) => buf.extend_from_slice(&[TAG_BOOL, *b as u8]),
         Value::I32(v) => {
-            buf.put_u8(TAG_I32);
-            buf.put_i32_le(*v);
+            buf.push(TAG_I32);
+            put_u32(buf, *v as u32);
         }
         Value::I64(v) => {
-            buf.put_u8(TAG_I64);
-            buf.put_i64_le(*v);
+            buf.push(TAG_I64);
+            put_u64(buf, *v as u64);
         }
         Value::F64(v) => {
-            buf.put_u8(TAG_F64);
-            buf.put_f64_le(*v);
+            buf.push(TAG_F64);
+            put_u64(buf, v.to_bits());
         }
         Value::Str(s) => {
-            buf.put_u8(TAG_STR);
-            put_bytes(buf, s.as_bytes());
+            buf.push(TAG_STR);
+            put_str(buf, s);
         }
         Value::Blob(b) => {
-            buf.put_u8(TAG_BLOB);
-            put_bytes(buf, b);
+            buf.push(TAG_BLOB);
+            put_blob(buf, b);
         }
         Value::Seq(items) => {
-            buf.put_u8(TAG_SEQ);
-            buf.put_u32_le(items.len() as u32);
+            buf.push(TAG_SEQ);
+            put_u32(buf, items.len() as u32);
             for item in items {
                 encode_value(item, buf);
             }
         }
         Value::Struct(fields) => {
-            buf.put_u8(TAG_STRUCT);
-            buf.put_u32_le(fields.len() as u32);
+            buf.push(TAG_STRUCT);
+            put_u32(buf, fields.len() as u32);
             for (name, v) in fields {
-                put_bytes(buf, name.as_bytes());
+                put_str(buf, name);
                 encode_value(v, buf);
             }
         }
     }
 }
 
-/// Decodes one value from `buf`.
+fn truncated() -> CoreError {
+    CoreError::WireDecode("truncated buffer".into())
+}
+
+/// A `u32` collection length, checked against the sanity bound.
+fn get_len(r: &mut Cursor<'_>) -> Result<usize, CoreError> {
+    let len = r.u32().ok_or_else(truncated)? as usize;
+    if len > MAX_LEN {
+        return Err(CoreError::WireDecode(format!("length {len} exceeds sanity bound")));
+    }
+    Ok(len)
+}
+
+fn get_string(r: &mut Cursor<'_>, what: &str) -> Result<String, CoreError> {
+    let len = get_len(r)?;
+    let bytes = r.take(len).ok_or_else(truncated)?;
+    String::from_utf8(bytes.to_vec())
+        .map_err(|_| CoreError::WireDecode(format!("invalid utf-8 in {what}")))
+}
+
+/// Decodes one value from `r`.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::WireDecode`] when the buffer is truncated, a tag is
 /// unknown, a string is not UTF-8, or a length exceeds the sanity bound.
-pub fn decode_value(buf: &mut Bytes) -> Result<Value, CoreError> {
-    if buf.remaining() < 1 {
-        return Err(CoreError::WireDecode("empty buffer".into()));
-    }
-    let tag = buf.get_u8();
+pub fn decode_value(r: &mut Cursor<'_>) -> Result<Value, CoreError> {
+    let tag = r.u8().ok_or_else(|| CoreError::WireDecode("empty buffer".into()))?;
     match tag {
         TAG_VOID => Ok(Value::Void),
-        TAG_BOOL => {
-            need(buf, 1)?;
-            Ok(Value::Bool(buf.get_u8() != 0))
+        TAG_BOOL => Ok(Value::Bool(r.u8().ok_or_else(truncated)? != 0)),
+        TAG_I32 => Ok(Value::I32(r.u32().ok_or_else(truncated)? as i32)),
+        TAG_I64 => Ok(Value::I64(r.u64().ok_or_else(truncated)? as i64)),
+        TAG_F64 => Ok(Value::F64(f64::from_bits(r.u64().ok_or_else(truncated)?))),
+        TAG_STR => get_string(r, "string").map(Value::Str),
+        TAG_BLOB => {
+            let len = get_len(r)?;
+            Ok(Value::Blob(r.take(len).ok_or_else(truncated)?.to_vec()))
         }
-        TAG_I32 => {
-            need(buf, 4)?;
-            Ok(Value::I32(buf.get_i32_le()))
-        }
-        TAG_I64 => {
-            need(buf, 8)?;
-            Ok(Value::I64(buf.get_i64_le()))
-        }
-        TAG_F64 => {
-            need(buf, 8)?;
-            Ok(Value::F64(buf.get_f64_le()))
-        }
-        TAG_STR => {
-            let bytes = get_bytes(buf)?;
-            String::from_utf8(bytes)
-                .map(Value::Str)
-                .map_err(|_| CoreError::WireDecode("invalid utf-8 in string".into()))
-        }
-        TAG_BLOB => Ok(Value::Blob(get_bytes(buf)?)),
         TAG_SEQ => {
-            need(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            check_len(len)?;
+            let len = get_len(r)?;
             let mut items = Vec::with_capacity(len.min(1024));
             for _ in 0..len {
-                items.push(decode_value(buf)?);
+                items.push(decode_value(r)?);
             }
             Ok(Value::Seq(items))
         }
         TAG_STRUCT => {
-            need(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            check_len(len)?;
+            let len = get_len(r)?;
             let mut fields = Vec::with_capacity(len.min(1024));
             for _ in 0..len {
-                let name_bytes = get_bytes(buf)?;
-                let name = String::from_utf8(name_bytes)
-                    .map_err(|_| CoreError::WireDecode("invalid utf-8 in field name".into()))?;
-                fields.push((name, decode_value(buf)?));
+                let name = get_string(r, "field name")?;
+                fields.push((name, decode_value(r)?));
             }
             Ok(Value::Struct(fields))
         }
@@ -139,42 +248,8 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value, CoreError> {
     }
 }
 
-fn need(buf: &Bytes, n: usize) -> Result<(), CoreError> {
-    if buf.remaining() < n {
-        Err(CoreError::WireDecode(format!(
-            "truncated buffer: need {n} bytes, have {}",
-            buf.remaining()
-        )))
-    } else {
-        Ok(())
-    }
-}
-
-fn check_len(len: usize) -> Result<(), CoreError> {
-    if len > MAX_LEN {
-        Err(CoreError::WireDecode(format!("length {len} exceeds sanity bound")))
-    } else {
-        Ok(())
-    }
-}
-
-fn put_bytes(buf: &mut BytesMut, bytes: &[u8]) {
-    buf.put_u32_le(bytes.len() as u32);
-    buf.put_slice(bytes);
-}
-
-fn get_bytes(buf: &mut Bytes) -> Result<Vec<u8>, CoreError> {
-    need(buf, 4)?;
-    let len = buf.get_u32_le() as usize;
-    check_len(len)?;
-    need(buf, len)?;
-    let mut out = vec![0u8; len];
-    buf.copy_to_slice(&mut out);
-    Ok(out)
-}
-
 /// Marshals an argument list (in declaration order).
-pub fn encode_args(args: &[Value]) -> Bytes {
+pub fn encode_args(args: &[Value]) -> Vec<u8> {
     encode_args_with_ftls(args, &[])
 }
 
@@ -182,18 +257,18 @@ pub fn encode_args(args: &[Value]) -> Bytes {
 /// what an instrumented stub sends (a one-way request carries the child
 /// FTL, then the parent marker) and an instrumented skeleton replies. The
 /// bytes equal [`encode_args`] with each FTL [`append_ftl`]ed, but are
-/// written into one buffer instead of copied once per FTL.
-pub fn encode_args_with_ftls(args: &[Value], ftls: &[FunctionTxLog]) -> Bytes {
+/// written into one buffer instead of grown once per FTL.
+pub fn encode_args_with_ftls(args: &[Value], ftls: &[FunctionTxLog]) -> Vec<u8> {
     let size = args.iter().map(Value::wire_size_hint).sum::<usize>() + 8;
-    let mut buf = BytesMut::with_capacity(size + ftls.len() * FTL_WIRE_LEN);
-    buf.put_u32_le(args.len() as u32);
+    let mut buf = Vec::with_capacity(size + ftls.len() * FTL_WIRE_LEN);
+    put_u32(&mut buf, args.len() as u32);
     for arg in args {
         encode_value(arg, &mut buf);
     }
     for ftl in ftls {
-        buf.put_slice(&ftl.to_wire());
+        buf.extend_from_slice(&ftl.to_wire());
     }
-    buf.freeze()
+    buf
 }
 
 /// Unmarshals an argument list.
@@ -201,46 +276,44 @@ pub fn encode_args_with_ftls(args: &[Value], ftls: &[FunctionTxLog]) -> Bytes {
 /// # Errors
 ///
 /// Returns [`CoreError::WireDecode`] on malformed input.
-pub fn decode_args(mut buf: Bytes) -> Result<Vec<Value>, CoreError> {
-    need(&buf, 4)?;
-    let len = buf.get_u32_le() as usize;
-    check_len(len)?;
+pub fn decode_args(bytes: &[u8]) -> Result<Vec<Value>, CoreError> {
+    let mut r = Cursor::new(bytes);
+    let len = get_len(&mut r)?;
     let mut args = Vec::with_capacity(len.min(1024));
     for _ in 0..len {
-        args.push(decode_value(&mut buf)?);
+        args.push(decode_value(&mut r)?);
     }
-    if buf.has_remaining() {
+    if !r.is_done() {
         return Err(CoreError::WireDecode(format!(
             "{} trailing bytes after argument list",
-            buf.remaining()
+            r.remaining()
         )));
     }
     Ok(args)
 }
 
-/// Appends the hidden FTL parameter to a marshalled payload — what the
-/// instrumented stub does just before sending.
-pub fn append_ftl(payload: Bytes, ftl: FunctionTxLog) -> Bytes {
-    let mut buf = BytesMut::with_capacity(payload.len() + FTL_WIRE_LEN);
-    buf.put_slice(&payload);
-    buf.put_slice(&ftl.to_wire());
-    buf.freeze()
+/// Appends the hidden FTL parameter to a marshalled payload, in place —
+/// what the instrumented stub does just before sending.
+pub fn append_ftl(mut payload: Vec<u8>, ftl: FunctionTxLog) -> Vec<u8> {
+    payload.extend_from_slice(&ftl.to_wire());
+    payload
 }
 
-/// Splits the hidden FTL parameter back off a marshalled payload — what the
-/// instrumented skeleton does on receipt. Returns the bare payload and the
-/// FTL.
+/// Splits the hidden FTL parameter back off a marshalled payload, in
+/// place — what the instrumented skeleton does on receipt. Returns the
+/// bare payload and the FTL.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::WireDecode`] when the buffer is shorter than an FTL.
-pub fn split_ftl(mut payload: Bytes) -> Result<(Bytes, FunctionTxLog), CoreError> {
-    if payload.len() < FTL_WIRE_LEN {
-        return Err(CoreError::WireDecode("payload shorter than FTL".into()));
-    }
-    let ftl_bytes = payload.split_off(payload.len() - FTL_WIRE_LEN);
-    let ftl = FunctionTxLog::from_wire(&ftl_bytes)
+pub fn split_ftl(mut payload: Vec<u8>) -> Result<(Vec<u8>, FunctionTxLog), CoreError> {
+    let at = payload
+        .len()
+        .checked_sub(FTL_WIRE_LEN)
+        .ok_or_else(|| CoreError::WireDecode("payload shorter than FTL".into()))?;
+    let ftl = FunctionTxLog::from_wire(&payload[at..])
         .ok_or_else(|| CoreError::WireDecode("malformed FTL".into()))?;
+    payload.truncate(at);
     Ok((payload, ftl))
 }
 
@@ -487,9 +560,9 @@ mod tests {
     use crate::uuid::Uuid;
 
     fn round_trip(v: Value) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_value(&v, &mut buf);
-        let decoded = decode_value(&mut buf.freeze()).unwrap();
+        let decoded = decode_value(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(decoded, v);
     }
 
@@ -524,8 +597,8 @@ mod tests {
     fn args_round_trip() {
         let args = vec![Value::I32(1), Value::from("x"), Value::F64(0.5)];
         let encoded = encode_args(&args);
-        assert_eq!(decode_args(encoded).unwrap(), args);
-        assert_eq!(decode_args(encode_args(&[])).unwrap(), Vec::<Value>::new());
+        assert_eq!(decode_args(&encoded).unwrap(), args);
+        assert_eq!(decode_args(&encode_args(&[])).unwrap(), Vec::<Value>::new());
     }
 
     #[test]
@@ -533,41 +606,35 @@ mod tests {
         let args = vec![Value::Str("hello".into())];
         let encoded = encode_args(&args);
         for cut in 1..encoded.len() {
-            let truncated = encoded.slice(..cut);
-            assert!(decode_args(truncated).is_err(), "cut at {cut} must fail");
+            assert!(decode_args(&encoded[..cut]).is_err(), "cut at {cut} must fail");
         }
     }
 
     #[test]
     fn decode_rejects_trailing_garbage() {
-        let mut bytes = BytesMut::new();
-        bytes.put_slice(&encode_args(&[Value::I32(1)]));
-        bytes.put_u8(0xFF);
-        assert!(decode_args(bytes.freeze()).is_err());
+        let mut bytes = encode_args(&[Value::I32(1)]);
+        bytes.push(0xFF);
+        assert!(decode_args(&bytes).is_err());
     }
 
     #[test]
     fn decode_rejects_unknown_tag() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(42);
-        assert!(decode_value(&mut buf.freeze()).is_err());
+        assert!(decode_value(&mut Cursor::new(&[42])).is_err());
     }
 
     #[test]
     fn decode_rejects_invalid_utf8() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_STR);
-        buf.put_u32_le(2);
-        buf.put_slice(&[0xFF, 0xFE]);
-        assert!(decode_value(&mut buf.freeze()).is_err());
+        let mut buf = vec![TAG_STR];
+        put_u32(&mut buf, 2);
+        buf.extend_from_slice(&[0xFF, 0xFE]);
+        assert!(decode_value(&mut Cursor::new(&buf)).is_err());
     }
 
     #[test]
     fn decode_rejects_absurd_length() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_SEQ);
-        buf.put_u32_le(u32::MAX);
-        assert!(decode_value(&mut buf.freeze()).is_err());
+        let mut buf = vec![TAG_SEQ];
+        put_u32(&mut buf, u32::MAX);
+        assert!(decode_value(&mut Cursor::new(&buf)).is_err());
     }
 
     #[test]
@@ -598,7 +665,7 @@ mod tests {
 
     #[test]
     fn split_ftl_rejects_short_payloads() {
-        assert!(split_ftl(Bytes::from_static(&[0u8; 10])).is_err());
+        assert!(split_ftl(vec![0u8; 10]).is_err());
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::bean::{BeanCtx, SessionBean};
 use crate::error::EjbError;
 use crate::interceptor::{ContainerInterceptor, InvocationInfo};
 use crate::pool::InstancePool;
-use bytes::Bytes;
 use causeway_core::clock::{CpuClock, SystemClock, VirtualCpuClock, WallClock};
 use causeway_core::deploy::Deployment;
 use causeway_core::engine::{Gate, Ticket, DEFAULT_QUEUE_CAPACITY};
@@ -17,12 +16,12 @@ use causeway_core::monitor::{Monitor, ProbeMode, ProbePolicy};
 use causeway_core::names::SystemVocab;
 use causeway_core::runlog::RunLog;
 use causeway_core::sink::LogStore;
+use causeway_core::sync::{Mutex, RwLock};
 use causeway_core::value::Value;
 use causeway_core::wire;
 use causeway_idl::compile::{InstrumentMode, compile};
 use causeway_idl::parse;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, bounded, unbounded};
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -113,7 +112,7 @@ impl Jndi {
 /// The work-area context attached to every container invocation: a tagged
 /// byte map, as the J2EE activity/work-area services carried. The FTL rides
 /// here under [`FTL_WORK_AREA_KEY`].
-pub type WorkArea = HashMap<String, Bytes>;
+pub type WorkArea = HashMap<String, Vec<u8>>;
 
 /// The work-area key carrying the FTL.
 pub const FTL_WORK_AREA_KEY: &str = "causeway.ftl";
@@ -122,7 +121,7 @@ struct WorkItem {
     bean: ObjectId,
     interface: InterfaceId,
     method: causeway_core::ids::MethodIndex,
-    payload: Bytes,
+    payload: Vec<u8>,
     work_area: WorkArea,
     reply: Sender<WorkReply>,
     /// Counts the call in flight in the domain's gate until the item is
@@ -132,7 +131,7 @@ struct WorkItem {
 }
 
 struct WorkReply {
-    body: Result<Result<Bytes, (String, String)>, String>,
+    body: Result<Result<Vec<u8>, (String, String)>, String>,
     work_area: WorkArea,
 }
 
@@ -498,7 +497,7 @@ impl Container {
 
         let cpu = monitor.cpu_clock();
         let token = cpu.region_begin();
-        let args = wire::decode_args(item.payload.clone());
+        let args = wire::decode_args(&item.payload);
         cpu.region_end(token);
 
         let result = match args {
@@ -522,8 +521,7 @@ impl Container {
 
         let mut work_area = WorkArea::new();
         if let Some(skeleton) = skeleton {
-            let reply_ftl = skeleton.finish().to_wire();
-            work_area.insert(FTL_WORK_AREA_KEY.to_owned(), Bytes::copy_from_slice(&reply_ftl));
+            work_area.insert(FTL_WORK_AREA_KEY.to_owned(), skeleton.finish().to_wire().to_vec());
         }
 
         let body = match result {
@@ -606,8 +604,7 @@ impl EjbClient {
         let payload = wire::encode_args(&args);
         let mut work_area = WorkArea::new();
         if let Some(call) = &call {
-            let ftl = call.wire_ftl().to_wire();
-            work_area.insert(FTL_WORK_AREA_KEY.to_owned(), Bytes::copy_from_slice(&ftl));
+            work_area.insert(FTL_WORK_AREA_KEY.to_owned(), call.wire_ftl().to_wire().to_vec());
         }
         cpu.region_end(token);
 
@@ -650,7 +647,7 @@ impl EjbClient {
             Ok(Err((exception, message))) => Err(EjbError::Application(exception, message)),
             Ok(Ok(bytes)) => {
                 let mut values =
-                    wire::decode_args(bytes).map_err(|e| EjbError::Definition(e.to_string()))?;
+                    wire::decode_args(&bytes).map_err(|e| EjbError::Definition(e.to_string()))?;
                 values
                     .pop()
                     .ok_or_else(|| EjbError::Definition("empty reply".into()))

@@ -29,24 +29,24 @@ pub trait ContainerInterceptor: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use causeway_core::sync::Mutex;
     use std::sync::Arc;
-    use std::sync::Mutex;
 
     #[test]
     fn interceptors_are_plain_hooks() {
         struct Recorder(Mutex<Vec<&'static str>>);
         impl ContainerInterceptor for Recorder {
             fn before(&self, _: &InvocationInfo) {
-                self.0.lock().unwrap().push("before");
+                self.0.lock().push("before");
             }
             fn after(&self, _: &InvocationInfo, _: bool) {
-                self.0.lock().unwrap().push("after");
+                self.0.lock().push("after");
             }
         }
         let recorder = Arc::new(Recorder(Mutex::new(vec![])));
         let info = InvocationInfo { bean: ObjectId(1), method: MethodIndex(0) };
         recorder.before(&info);
         recorder.after(&info, true);
-        assert_eq!(*recorder.0.lock().unwrap(), vec!["before", "after"]);
+        assert_eq!(*recorder.0.lock(), vec!["before", "after"]);
     }
 }

@@ -8,7 +8,7 @@
 //! servants.
 
 use crate::bean::SessionBean;
-use parking_lot::{Condvar, Mutex};
+use causeway_core::sync::{Condvar, Mutex};
 use std::sync::Arc;
 
 type Factory = Arc<dyn Fn() -> Box<dyn SessionBean> + Send + Sync>;
@@ -62,7 +62,7 @@ impl InstancePool {
                 drop(state);
                 return (self.factory)();
             }
-            self.available.wait(&mut state);
+            state = self.available.wait(state);
         }
     }
 

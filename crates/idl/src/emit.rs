@@ -189,21 +189,21 @@ pub fn skeleton_code(iface: &CompiledInterface, method: &CompiledMethod) -> Stri
     let mut out = String::new();
     let qn = &iface.qualified_name;
     out.push_str(&format!("// Generated skeleton for {qn}::{}\n", method.name));
-    out.push_str("fn dispatch(&self, payload: Bytes) -> Bytes {\n");
+    out.push_str("fn dispatch(&self, payload: Vec<u8>) -> Vec<u8> {\n");
     if method.is_instrumented() {
         out.push_str("    let (body, ftl) = wire::split_ftl(payload)?;\n");
         out.push_str("    // Probe 2: skeleton start — install the FTL in this thread's TSS.\n");
         out.push_str("    monitor.skel_start(func, kind, ftl, oneway_parent);\n");
-        out.push_str("    let result = servant.dispatch(ctx, method, wire::decode_args(body)?);\n");
+        out.push_str("    let result = servant.dispatch(ctx, method, wire::decode_args(&body)?);\n");
         out.push_str("    // Probe 3: skeleton end — pick the updated FTL for the reply.\n");
         out.push_str("    let reply_ftl = monitor.skel_end(func, kind);\n");
         if method.oneway {
-            out.push_str("    Bytes::new() // one-way: no reply\n");
+            out.push_str("    Vec::new() // one-way: no reply\n");
         } else {
             out.push_str("    wire::append_ftl(encode_result(result), reply_ftl)\n");
         }
     } else {
-        out.push_str("    let result = servant.dispatch(ctx, method, wire::decode_args(payload)?);\n");
+        out.push_str("    let result = servant.dispatch(ctx, method, wire::decode_args(&payload)?);\n");
         out.push_str("    encode_result(result)\n");
     }
     out.push_str("}\n");

@@ -5,8 +5,8 @@
 
 use causeway_core::ids::{InterfaceId, MethodIndex};
 use causeway_core::names::SystemVocab;
+use causeway_core::sync::RwLock;
 use causeway_idl::CompiledSpec;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -268,7 +268,7 @@ impl Client {
         } else {
             Ok((body, None))
         };
-        let decoded = split.map(|(body, ftl)| (crate::reply::decode_reply(body), ftl));
+        let decoded = split.map(|(body, ftl)| (crate::reply::decode_reply(&body), ftl));
         cpu.region_end(token);
 
         let (result, reply_ftl) = decoded?;

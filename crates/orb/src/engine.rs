@@ -33,9 +33,9 @@ use crate::orb::Orb;
 use crate::transport::{ConnKey, Incoming, RequestMsg};
 use causeway_core::engine::Ticket;
 use causeway_core::park::ParkLot;
+use causeway_core::sync::Mutex;
 use causeway_core::tss;
 use crossbeam::channel::{Receiver, Sender, unbounded};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::atomic::{AtomicUsize, Ordering};

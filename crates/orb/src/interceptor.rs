@@ -20,7 +20,6 @@
 //! `exp_interceptor_tunnel` experiment reproduces the paper's argument with
 //! it.
 
-use bytes::Bytes;
 use causeway_core::event::CallKind;
 use causeway_core::record::FunctionKey;
 use std::collections::BTreeMap;
@@ -30,7 +29,7 @@ use std::sync::Arc;
 /// CORBA `ServiceContextList`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceContexts {
-    entries: BTreeMap<u32, Bytes>,
+    entries: BTreeMap<u32, Vec<u8>>,
 }
 
 impl ServiceContexts {
@@ -40,13 +39,13 @@ impl ServiceContexts {
     }
 
     /// Sets a context by tag (replacing a previous one).
-    pub fn set(&mut self, tag: u32, payload: Bytes) {
+    pub fn set(&mut self, tag: u32, payload: Vec<u8>) {
         self.entries.insert(tag, payload);
     }
 
     /// Reads a context.
-    pub fn get(&self, tag: u32) -> Option<&Bytes> {
-        self.entries.get(&tag)
+    pub fn get(&self, tag: u32) -> Option<&[u8]> {
+        self.entries.get(&tag).map(Vec::as_slice)
     }
 
     /// Number of attached contexts.
@@ -263,22 +262,20 @@ impl FtlInterceptor {
 impl ClientInterceptor for FtlInterceptor {
     fn send_request(&self, info: &RequestInfo, contexts: &mut ServiceContexts) {
         let out = self.monitor.stub_start(info.func, info.kind);
-        contexts.set(FTL_CONTEXT_TAG, Bytes::copy_from_slice(&out.wire_ftl.to_wire()));
+        contexts.set(FTL_CONTEXT_TAG, out.wire_ftl.to_wire().to_vec());
     }
 
     fn receive_reply(&self, info: &RequestInfo, contexts: &ServiceContexts) {
-        let reply_ftl = contexts
-            .get(FTL_CONTEXT_TAG)
-            .and_then(|bytes| causeway_core::ftl::FunctionTxLog::from_wire(bytes));
+        let reply_ftl =
+            contexts.get(FTL_CONTEXT_TAG).and_then(causeway_core::ftl::FunctionTxLog::from_wire);
         self.monitor.stub_end(info.func, info.kind, reply_ftl);
     }
 }
 
 impl ServerInterceptor for FtlInterceptor {
     fn receive_request(&self, info: &RequestInfo, contexts: &ServiceContexts) {
-        if let Some(ftl) = contexts
-            .get(FTL_CONTEXT_TAG)
-            .and_then(|bytes| causeway_core::ftl::FunctionTxLog::from_wire(bytes))
+        if let Some(ftl) =
+            contexts.get(FTL_CONTEXT_TAG).and_then(causeway_core::ftl::FunctionTxLog::from_wire)
         {
             // Installs the FTL into *this* thread's TSS — which is only the
             // dispatch thread under the benign vendor model.
@@ -288,7 +285,7 @@ impl ServerInterceptor for FtlInterceptor {
 
     fn send_reply(&self, info: &RequestInfo, contexts: &mut ServiceContexts) {
         let ftl = self.monitor.skel_end(info.func, info.kind);
-        contexts.set(FTL_CONTEXT_TAG, Bytes::copy_from_slice(&ftl.to_wire()));
+        contexts.set(FTL_CONTEXT_TAG, ftl.to_wire().to_vec());
     }
 }
 
@@ -301,23 +298,23 @@ mod tests {
     fn service_contexts_round_trip() {
         let mut contexts = ServiceContexts::new();
         assert!(contexts.is_empty());
-        contexts.set(7, Bytes::from_static(b"hello"));
-        contexts.set(7, Bytes::from_static(b"world"));
+        contexts.set(7, b"hello".to_vec());
+        contexts.set(7, b"world".to_vec());
         assert_eq!(contexts.len(), 1);
-        assert_eq!(contexts.get(7).map(|b| &b[..]), Some(&b"world"[..]));
+        assert_eq!(contexts.get(7), Some(&b"world"[..]));
         assert_eq!(contexts.get(8), None);
     }
 
     #[test]
     fn io_thread_model_runs_on_another_thread() {
-        struct ThreadProbe(std::sync::Mutex<Option<std::thread::ThreadId>>);
+        struct ThreadProbe(causeway_core::sync::Mutex<Option<std::thread::ThreadId>>);
         impl ServerInterceptor for ThreadProbe {
             fn receive_request(&self, _: &RequestInfo, _: &ServiceContexts) {
-                *self.0.lock().unwrap() = Some(std::thread::current().id());
+                *self.0.lock() = Some(std::thread::current().id());
             }
             fn send_reply(&self, _: &RequestInfo, _: &mut ServiceContexts) {}
         }
-        let probe = Arc::new(ThreadProbe(std::sync::Mutex::new(None)));
+        let probe = Arc::new(ThreadProbe(causeway_core::sync::Mutex::new(None)));
         let info = RequestInfo {
             func: FunctionKey::new(InterfaceId(0), MethodIndex(0), ObjectId(0)),
             kind: CallKind::Sync,
@@ -328,7 +325,7 @@ mod tests {
         set.thread_model = InterceptorThreadModel::DispatchThread;
         set.run_receive_request(&info, &ServiceContexts::new());
         assert_eq!(
-            probe.0.lock().unwrap().take(),
+            probe.0.lock().take(),
             Some(std::thread::current().id()),
             "benign vendor runs on the dispatch thread"
         );
@@ -336,7 +333,7 @@ mod tests {
         set.thread_model = InterceptorThreadModel::IoThread;
         set.run_receive_request(&info, &ServiceContexts::new());
         assert_ne!(
-            probe.0.lock().unwrap().take(),
+            probe.0.lock().take(),
             Some(std::thread::current().id()),
             "io-thread vendor runs elsewhere"
         );

@@ -8,7 +8,6 @@ use crate::registry::{ObjectRegistry, SharedRegistries};
 use crate::reply::encode_reply_with_ftl;
 use crate::servant::ServerCtx;
 use crate::transport::{Fabric, ReplyMsg, RequestMsg};
-use bytes::Bytes;
 use causeway_core::engine::{Dispatch, Gate, Ticket};
 use causeway_core::event::CallKind;
 use causeway_core::ids::{NodeId, ProcessId};
@@ -54,7 +53,7 @@ pub(crate) struct OrbInner {
     pub(crate) vocab: SystemVocab,
     pub(crate) fabric: Fabric,
     pub(crate) config: OrbConfig,
-    pub(crate) interceptors: parking_lot::RwLock<Arc<InterceptorSet>>,
+    pub(crate) interceptors: causeway_core::sync::RwLock<Arc<InterceptorSet>>,
     /// The system's `engine="orb"` gate, shared by its ORBs.
     pub(crate) gate: Gate,
 }
@@ -90,7 +89,7 @@ impl Orb {
                 vocab,
                 fabric,
                 config,
-                interceptors: parking_lot::RwLock::default(),
+                interceptors: causeway_core::sync::RwLock::default(),
                 gate,
             }),
         }
@@ -142,7 +141,7 @@ impl Orb {
     /// skeleton of Figure 1 (probes 2 and 3 around the up-call), plus reply
     /// transmission. Called by the server engine on whatever thread the
     /// threading policy selected.
-    pub(crate) fn dispatch(&self, msg: RequestMsg, ticket: Ticket) {
+    pub(crate) fn dispatch(&self, mut msg: RequestMsg, ticket: Ticket) {
         // Busy time covers the whole dispatch — including the modelled
         // one-way transit sleep, which really does occupy the worker.
         let mut dispatch = ticket.dispatch();
@@ -151,7 +150,7 @@ impl Orb {
             // caller did not wait.
             std::thread::sleep(msg.net_delay);
         }
-        let (body, contexts) = self.dispatch_inner(&msg, &mut dispatch);
+        let (body, contexts) = self.dispatch_inner(&mut msg, &mut dispatch);
         if let Some(reply) = &msg.reply {
             // The caller may have timed out and dropped the receiver; that
             // is its problem, not ours.
@@ -180,17 +179,19 @@ impl Orb {
 
     fn dispatch_inner(
         &self,
-        msg: &RequestMsg,
+        msg: &mut RequestMsg,
         dispatch: &mut Dispatch,
-    ) -> (Result<Bytes, String>, ServiceContexts) {
+    ) -> (Result<Vec<u8>, String>, ServiceContexts) {
         let kind = if msg.oneway { CallKind::Oneway } else { CallKind::Sync };
         let monitor = &self.inner.monitor;
         let mut reply_contexts = ServiceContexts::new();
 
-        // Split the hidden FTL parameter(s) back off the payload.
+        // Split the hidden FTL parameter(s) back off the payload, which the
+        // message hands over rather than copies.
+        let payload = std::mem::take(&mut msg.payload);
         let split = if self.inner.config.instrumented {
             if msg.oneway {
-                wire::split_ftl(msg.payload.clone())
+                wire::split_ftl(payload)
                     .map_err(|e| format!("bad oneway parent marker: {e}"))
                     .and_then(|(rest, parent)| {
                         wire::split_ftl(rest).map_err(|e| format!("bad FTL: {e}")).map(
@@ -204,12 +205,12 @@ impl Orb {
                         )
                     })
             } else {
-                wire::split_ftl(msg.payload.clone())
+                wire::split_ftl(payload)
                     .map_err(|e| format!("bad FTL: {e}"))
                     .map(|(body, ftl)| (body, Some(ftl), None))
             }
         } else {
-            Ok((msg.payload.clone(), None, None))
+            Ok((payload, None, None))
         };
         let (body, ftl, oneway_parent) = match split {
             Ok(parts) => parts,
@@ -239,7 +240,7 @@ impl Orb {
         // Unmarshal inside the skeleton window, charged to this thread.
         let cpu = monitor.cpu_clock();
         let token = cpu.region_begin();
-        let args = wire::decode_args(body);
+        let args = wire::decode_args(&body);
         cpu.region_end(token);
 
         let result = match args {
@@ -259,7 +260,7 @@ impl Orb {
         }
 
         if msg.oneway {
-            return (Ok(Bytes::new()), reply_contexts);
+            return (Ok(Vec::new()), reply_contexts);
         }
 
         let token = cpu.region_begin();

@@ -3,7 +3,7 @@
 use crate::servant::Servant;
 use causeway_core::ids::{InterfaceId, ObjectId, ProcessId};
 use causeway_core::names::ComponentId;
-use parking_lot::RwLock;
+use causeway_core::sync::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -6,20 +6,22 @@
 
 use crate::error::AppError;
 use crate::servant::MethodResult;
-use bytes::Bytes;
 use causeway_core::error::CoreError;
 use causeway_core::ftl::FunctionTxLog;
 use causeway_core::value::Value;
 use causeway_core::wire;
 
 /// Marshals a method result (or application exception) for the reply.
-pub fn encode_reply(result: &MethodResult) -> Bytes {
+pub fn encode_reply(result: &MethodResult) -> Vec<u8> {
     encode_reply_with_ftl(result, None)
 }
 
 /// [`encode_reply`] followed by the instrumented skeleton's reply FTL,
 /// when there is one, written into the same buffer.
-pub(crate) fn encode_reply_with_ftl(result: &MethodResult, ftl: Option<FunctionTxLog>) -> Bytes {
+pub(crate) fn encode_reply_with_ftl(
+    result: &MethodResult,
+    ftl: Option<FunctionTxLog>,
+) -> Vec<u8> {
     let value = match result {
         Ok(v) => Value::Struct(vec![("ok".into(), v.clone())]),
         Err(e) => Value::Struct(vec![
@@ -35,7 +37,7 @@ pub(crate) fn encode_reply_with_ftl(result: &MethodResult, ftl: Option<FunctionT
 /// # Errors
 ///
 /// Returns [`CoreError::WireDecode`] on malformed reply buffers.
-pub fn decode_reply(bytes: Bytes) -> Result<MethodResult, CoreError> {
+pub fn decode_reply(bytes: &[u8]) -> Result<MethodResult, CoreError> {
     let mut args = wire::decode_args(bytes)?;
     if args.len() != 1 {
         return Err(CoreError::WireDecode(format!(
@@ -62,14 +64,14 @@ mod tests {
     #[test]
     fn ok_round_trips() {
         let result: MethodResult = Ok(Value::Str("done".into()));
-        let decoded = decode_reply(encode_reply(&result)).unwrap();
+        let decoded = decode_reply(&encode_reply(&result)).unwrap();
         assert_eq!(decoded, result);
     }
 
     #[test]
     fn exception_round_trips() {
         let result: MethodResult = Err(AppError::new("Offline", "device off"));
-        let decoded = decode_reply(encode_reply(&result)).unwrap();
+        let decoded = decode_reply(&encode_reply(&result)).unwrap();
         assert_eq!(decoded, result);
     }
 
@@ -87,15 +89,15 @@ mod tests {
     #[test]
     fn void_round_trips() {
         let result: MethodResult = Ok(Value::Void);
-        assert_eq!(decode_reply(encode_reply(&result)).unwrap(), result);
+        assert_eq!(decode_reply(&encode_reply(&result)).unwrap(), result);
     }
 
     #[test]
     fn malformed_reply_is_rejected() {
-        assert!(decode_reply(Bytes::from_static(&[1, 2, 3])).is_err());
+        assert!(decode_reply(&[1, 2, 3]).is_err());
         let empty = wire::encode_args(&[]);
-        assert!(decode_reply(empty).is_err());
+        assert!(decode_reply(&empty).is_err());
         let wrong = wire::encode_args(&[Value::I32(5)]);
-        assert!(decode_reply(wrong).is_err());
+        assert!(decode_reply(&wrong).is_err());
     }
 }

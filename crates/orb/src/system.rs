@@ -21,9 +21,9 @@ use causeway_core::monitor::{Monitor, ProbeMode, ProbePolicy};
 use causeway_core::names::SystemVocab;
 use causeway_core::runlog::RunLog;
 use causeway_core::sink::LogStore;
+use causeway_core::sync::Mutex;
 use causeway_idl::compile::{CompileError, InstrumentMode, compile};
 use causeway_idl::{ParseError, parse};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;

@@ -8,11 +8,10 @@
 //! ones, as on the paper's multi-machine testbeds.
 
 use crate::interceptor::ServiceContexts;
-use bytes::Bytes;
 use causeway_core::engine::Ticket;
 use causeway_core::ids::{InterfaceId, MethodIndex, ObjectId, ProcessId};
+use causeway_core::sync::RwLock;
 use crossbeam::channel::{Receiver, Sender, unbounded};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,7 +36,7 @@ pub struct RequestMsg {
     pub oneway: bool,
     /// Marshalled arguments (with the hidden FTL appended when the system is
     /// instrumented).
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
     /// Service contexts attached by client interceptors.
     pub contexts: ServiceContexts,
     /// Where to send the reply (absent for one-way requests).
@@ -52,7 +51,7 @@ pub struct RequestMsg {
 pub struct ReplyMsg {
     /// Marshalled result (with the hidden FTL appended when instrumented),
     /// or a runtime-level failure rendered as a string.
-    pub body: Result<Bytes, String>,
+    pub body: Result<Vec<u8>, String>,
     /// Service contexts attached by server interceptors on the reply path.
     pub contexts: ServiceContexts,
 }

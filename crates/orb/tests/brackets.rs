@@ -5,7 +5,6 @@
 //! log; and the Figure-4 machine reports only the abnormality the failure
 //! itself explains.
 
-use bytes::Bytes;
 use causeway_analyzer::dscg::Dscg;
 use causeway_collector::db::MonitoringDb;
 use causeway_core::event::TraceEvent;
@@ -125,7 +124,7 @@ fn a_reply_without_its_ftl_closes_the_stub() {
     let peer = std::thread::spawn(move || {
         while let Ok(Incoming::Request(msg, _ticket)) = inbox.recv() {
             let reply = ReplyMsg {
-                body: Ok(Bytes::from_static(b"short")),
+                body: Ok(b"short".to_vec()),
                 contexts: ServiceContexts::new(),
             };
             let _ = msg.reply.expect("synchronous").send(reply);

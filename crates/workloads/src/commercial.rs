@@ -20,8 +20,7 @@ use causeway_core::monitor::ProbeMode;
 use causeway_core::runlog::RunLog;
 use causeway_core::value::Value;
 use causeway_orb::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use causeway_core::rng::Rng;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
@@ -114,7 +113,7 @@ fn method_name(i: usize) -> String {
 impl CommercialSystem {
     /// Generates, wires and starts the system.
     pub fn build(config: &CommercialConfig) -> CommercialSystem {
-        let mut rng = SmallRng::seed_from_u64(config.seed);
+        let mut rng = Rng::seed_from_u64(config.seed);
 
         // --- Interfaces: distribute `methods` over `interfaces`, skewed
         // (a few fat interfaces, many small ones). ---
@@ -384,6 +383,27 @@ mod tests {
         a.system.shutdown();
         b.system.shutdown();
         c.system.shutdown();
+    }
+
+    /// The topology the seed produced before the workspace owned its
+    /// generator: every entry point's object, root method and tree size,
+    /// and the planned call count. A changed RNG stream moves these.
+    #[test]
+    fn seeded_topology_matches_the_pinned_digest() {
+        let s = CommercialSystem::build(&CommercialConfig::scaled(500, 7));
+        let digest: Vec<String> = s
+            .entry_points
+            .iter()
+            .map(|(obj, method, size)| format!("{}:{method}:{size}", obj.object.0))
+            .collect();
+        assert_eq!(
+            digest.join(" "),
+            "0:m0:41 4:m13:12 4:m14:18 4:m15:18 4:m16:45 8:m31:10 8:m32:8 8:m33:28 8:m34:6 \
+             12:m46:25 12:m47:23 12:m48:10 12:m49:5 16:m0:39 20:m13:26 20:m14:2 20:m15:34 20:m16:19"
+        );
+        assert_eq!(s.planned_calls, 503);
+        assert_eq!(s.roots_plan.len(), 23);
+        s.system.shutdown();
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! up as explicit shed load (`causeway_engine_shed_total`), never as an
 //! unbounded queue or a deadlock.
 
+use causeway_core::sync::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// An open-loop arrival pattern, rendered to concrete offsets by
@@ -180,7 +180,7 @@ where
                     // this worker is part of the request's latency.
                     latencies.push(scheduled.elapsed().as_nanos() as u64);
                 }
-                let mut merged = results.lock().unwrap_or_else(|e| e.into_inner());
+                let mut merged = results.lock();
                 merged.0 += ok;
                 merged.1 += errors;
                 merged.2.extend(latencies);
@@ -188,7 +188,7 @@ where
         }
     });
     let elapsed = epoch.elapsed();
-    let (ok, errors, mut latencies_ns) = results.into_inner().unwrap_or_else(|e| e.into_inner());
+    let (ok, errors, mut latencies_ns) = results.into_inner();
     latencies_ns.sort_unstable();
     LoadReport { offered: schedule.len(), ok, errors, latencies_ns, elapsed }
 }

@@ -13,8 +13,7 @@ use causeway_core::monitor::ProbeMode;
 use causeway_core::runlog::RunLog;
 use causeway_core::value::Value;
 use causeway_orb::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use causeway_core::rng::Rng;
 use std::time::Duration;
 
 /// Parameters for the random tree generator.
@@ -73,12 +72,12 @@ impl RandomNode {
 
 /// Generates a random tree specification.
 pub fn generate(config: &RandomTreeConfig) -> RandomNode {
-    let mut rng = SmallRng::seed_from_u64(config.seed);
+    let mut rng = Rng::seed_from_u64(config.seed);
     gen_node(&mut rng, config, 1, false)
 }
 
 fn gen_node(
-    rng: &mut SmallRng,
+    rng: &mut Rng,
     config: &RandomTreeConfig,
     depth: usize,
     force_leafward: bool,

@@ -10,10 +10,10 @@
 use causeway_core::clock::VirtualCpuClock;
 use causeway_core::ids::MethodIndex;
 use causeway_core::manual::ManualProbe;
+use causeway_core::sync::RwLock;
 use causeway_core::value::Value;
 use causeway_orb::servant::{MethodResult, Servant, ServerCtx};
 use causeway_orb::{AppError, ObjRef};
-use parking_lot::RwLock;
 use std::sync::Arc;
 use std::time::Duration;
 
