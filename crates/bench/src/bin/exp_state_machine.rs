@@ -16,6 +16,7 @@ use causeway_core::runlog::RunLog;
 use causeway_core::value::Value;
 use causeway_orb::prelude::*;
 use causeway_workloads::{Pps, PpsConfig, PpsDeployment};
+use std::collections::HashMap;
 use std::time::Duration;
 
 fn healthy_run() -> RunLog {
@@ -27,7 +28,37 @@ fn healthy_run() -> RunLog {
     };
     let pps = Pps::build(&config);
     pps.run_jobs(20);
-    pps.finish()
+    let mut run = pps.finish();
+    canonical_order(&mut run.records);
+    run
+}
+
+/// Orders records so that `corrupt` draws the same drops for the same seed
+/// (uuids are time-seeded, push order is the scheduler's): root chains in
+/// job order, each one-way child right after its parent at the fork's
+/// `(parent, seq)`, then `seq` and event within a chain.
+fn canonical_order(records: &mut [causeway_core::record::ProbeRecord]) {
+    let forks: HashMap<_, _> =
+        records.iter().filter_map(|r| Some((r.oneway_child?, (r.uuid, r.seq)))).collect();
+    // A root chain's first record is its driver stub start; one thread
+    // pushed them all, job by job, and harvest keeps a thread's order.
+    let roots: HashMap<_, _> = records
+        .iter()
+        .filter(|r| r.seq == 1 && !forks.contains_key(&r.uuid))
+        .enumerate()
+        .map(|(rank, r)| (r.uuid, rank as u64))
+        .collect();
+    let chain = |mut uuid| {
+        let mut key = Vec::new();
+        while let Some(&(parent, seq)) = forks.get(&uuid) {
+            key.push(seq);
+            uuid = parent;
+        }
+        key.push(roots.get(&uuid).copied().unwrap_or(u64::MAX));
+        key.reverse();
+        key
+    };
+    records.sort_by_cached_key(|r| (chain(r.uuid), r.seq, r.event));
 }
 
 fn corrupt(run: &RunLog, drop_pct: f64, dup_pct: f64, seed: u64) -> RunLog {

@@ -9,7 +9,8 @@
 //! Because the allowed dependency set has no `libc`, per-thread CPU time is
 //! provided by [`VirtualCpuClock`]: every on-CPU region of the runtime
 //! (servant bodies, probe bodies, marshalling) runs inside a *charge scope*
-//! that accumulates measured wall time into a thread-local counter. This is
+//! that accumulates measured wall time into a thread-local counter (a probe
+//! charges the span its two wall stamps bound, [`CpuClock::charge`]). This is
 //! the same additive "time this thread spent executing" quantity the kernel
 //! counter exposes, including the probe contamination the paper's accuracy
 //! experiments quantify. The substitution is documented in `DESIGN.md` §2.
@@ -36,17 +37,24 @@ pub trait WallClock: Send + Sync + fmt::Debug {
 
 /// A source of per-thread CPU counters.
 ///
-/// `thread_cpu_now` reads the counter *of the calling thread*. `region_begin`
-/// / `region_end` bracket an on-CPU region, charging its duration to the
-/// calling thread (a no-op for manual clocks, which are advanced explicitly).
+/// `thread_cpu_now` reads the counter *of the calling thread*. `charge`
+/// adds a span the caller measured to it, as a probe does with its own two
+/// stamps, and `region_begin` / `region_end` measure and charge an on-CPU
+/// region (a no-op for manual clocks, which are advanced explicitly).
 pub trait CpuClock: Send + Sync + fmt::Debug {
     /// The calling thread's accumulated CPU time in nanoseconds.
     fn thread_cpu_now(&self) -> u64;
+    /// Charges `ns` of measured on-CPU time to the calling thread.
+    fn charge(&self, ns: u64);
     /// Opens an on-CPU accounting region; returns an opaque token.
-    fn region_begin(&self) -> u64;
+    fn region_begin(&self) -> u64 {
+        monotonic_ns()
+    }
     /// Closes the region opened with the matching token, charging the
     /// elapsed time to the calling thread.
-    fn region_end(&self, token: u64);
+    fn region_end(&self, token: u64) {
+        self.charge(monotonic_ns().saturating_sub(token));
+    }
 }
 
 fn global_epoch() -> Instant {
@@ -117,13 +125,8 @@ impl CpuClock for VirtualCpuClock {
         THREAD_CPU_NS.with(|c| c.get())
     }
 
-    fn region_begin(&self) -> u64 {
-        monotonic_ns()
-    }
-
-    fn region_end(&self, token: u64) {
-        let elapsed = monotonic_ns().saturating_sub(token);
-        THREAD_CPU_NS.with(|c| c.set(c.get() + elapsed));
+    fn charge(&self, ns: u64) {
+        THREAD_CPU_NS.with(|c| c.set(c.get() + ns));
     }
 }
 
@@ -202,11 +205,7 @@ impl CpuClock for ManualCpuClock {
             .unwrap_or(&0)
     }
 
-    fn region_begin(&self) -> u64 {
-        0
-    }
-
-    fn region_end(&self, _token: u64) {}
+    fn charge(&self, _ns: u64) {}
 }
 
 /// Spins for approximately `dur` of wall time while charging the spin to the

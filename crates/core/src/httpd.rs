@@ -15,8 +15,7 @@
 //! correct and the per-request overhead measurable (the perf ledger's
 //! `httpd.roundtrip_us.*` rows).
 //!
-//! Connection threads are reused through a [`ParkLot`], the type the ORB's
-//! thread-per-request engine parks its request threads in. The accept
+//! Connection threads are reused through a [`ParkLot`]. The accept
 //! thread hands each accepted stream to a parked connection thread when
 //! one is waiting and spawns a thread only when none is. A thread that has
 //! answered parks for the next stream; at most

@@ -26,8 +26,8 @@
 //!   tickets, bounded admission, the dispatch bracket that releases a
 //!   request only after its worker's last record is pushed, and
 //!   quiescence.
-//! * [`park::ParkLot`] — where a server's per-job threads (HTTP
-//!   connections, ORB requests) park for reuse instead of exiting.
+//! * [`park::ParkLot`] — where the HTTP server's connection threads park
+//!   for reuse instead of exiting.
 //! * [`clock`] — pluggable wall and per-thread CPU clocks, including a
 //!   deterministic [`clock::ManualClock`] for tests and a
 //!   [`clock::VirtualCpuClock`] that substitutes for the HP-UX 11 per-thread

@@ -451,7 +451,8 @@ impl Monitor {
     /// thread's CPU: the FTL step (`chain` gives the event's chain; the body
     /// issues the next event number, stores the FTL in TSS and, for a
     /// one-way stub start, mints the child chain) and the record. Then the
-    /// push. Returns the updated FTL and the child.
+    /// push, after charging the span its two stamps (its only clock reads)
+    /// bound. Returns the updated FTL and the child.
     #[inline]
     fn probe(
         &self,
@@ -461,10 +462,9 @@ impl Monitor {
         chain: impl FnOnce() -> FunctionTxLog,
         oneway_parent: Option<(Uuid, u64)>,
     ) -> (FunctionTxLog, Option<FunctionTxLog>) {
+        let start = self.inner.wall.now();
         let mode = self.inner.policy.effective(func.interface);
-        let wall_start = mode.wall().then(|| self.inner.wall.now());
         let cpu_start = mode.cpu().then(|| self.inner.cpu.thread_cpu_now());
-        let region = self.inner.cpu.region_begin();
 
         let mut ftl = chain();
         let seq = ftl.next_seq();
@@ -479,7 +479,7 @@ impl Monitor {
             kind,
             site: self.site(),
             func,
-            wall_start,
+            wall_start: None,
             wall_end: None,
             cpu_start,
             cpu_end: None,
@@ -487,9 +487,11 @@ impl Monitor {
             oneway_parent,
         };
 
-        self.inner.cpu.region_end(region);
+        let end = self.inner.wall.now();
+        self.inner.cpu.charge(end.saturating_sub(start));
         record.cpu_end = mode.cpu().then(|| self.inner.cpu.thread_cpu_now());
-        record.wall_end = mode.wall().then(|| self.inner.wall.now());
+        record.wall_start = mode.wall().then_some(start);
+        record.wall_end = mode.wall().then_some(end);
         self.inner.store.push(record);
         (ftl, child)
     }
@@ -639,6 +641,7 @@ impl MonitorBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::monotonic_ns;
     use crate::ids::{InterfaceId, MethodIndex, ObjectId};
 
     fn func(n: u64) -> FunctionKey {
@@ -780,6 +783,75 @@ mod tests {
             assert!(r.wall_start.is_some() && r.wall_end.is_some());
             assert!(r.cpu_start.is_none() && r.cpu_end.is_none());
             assert!(r.wall_end.unwrap() >= r.wall_start.unwrap());
+        }
+        m.begin_root();
+    }
+
+    /// Counts clock reads: wall stamps and CPU region brackets (each a
+    /// monotonic-clock read under the virtual CPU clock), not reads of the
+    /// thread's CPU counter, which is a thread-local.
+    #[derive(Debug, Default)]
+    struct Counting {
+        reads: AtomicU64,
+        charged: AtomicU64,
+    }
+
+    impl WallClock for Counting {
+        fn now(&self) -> u64 {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            monotonic_ns()
+        }
+    }
+
+    impl CpuClock for Counting {
+        fn thread_cpu_now(&self) -> u64 {
+            VirtualCpuClock.thread_cpu_now()
+        }
+        fn region_begin(&self) -> u64 {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            VirtualCpuClock.region_begin()
+        }
+        fn region_end(&self, token: u64) {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            VirtualCpuClock.region_end(token);
+        }
+        fn charge(&self, ns: u64) {
+            self.charged.fetch_add(1, Ordering::Relaxed);
+            VirtualCpuClock.charge(ns);
+        }
+    }
+
+    #[test]
+    fn a_probe_reads_the_clock_twice_and_charges_once_in_every_mode() {
+        for mode in ProbeMode::ALL {
+            let clock = Arc::new(Counting::default());
+            let m = Monitor::builder(ProcessId(0), NodeId(0))
+                .mode(mode)
+                .wall_clock(clock.clone())
+                .cpu_clock(clock.clone())
+                .build();
+            m.begin_root();
+            let out = m.stub_start(func(1), CallKind::Sync);
+            m.stub_end(func(1), CallKind::Sync, Some(out.wire_ftl));
+            assert_eq!(clock.reads.load(Ordering::Relaxed), 4, "{mode:?}: two reads per probe");
+            assert_eq!(clock.charged.load(Ordering::Relaxed), 2, "{mode:?}: one charge per probe");
+            m.begin_root();
+        }
+    }
+
+    #[test]
+    fn a_probe_charges_the_span_it_stamps() {
+        let m = fresh_monitor(ProbeMode::Both);
+        m.begin_root();
+        let out = m.stub_start(func(1), CallKind::Sync);
+        m.skel_start(func(1), CallKind::Sync, out.wire_ftl, None);
+        let reply = m.skel_end(func(1), CallKind::Sync);
+        m.stub_end(func(1), CallKind::Sync, Some(reply));
+        let recs = m.store().drain();
+        assert_eq!(recs.len(), 4);
+        for r in &recs {
+            let wall = r.wall_end.unwrap() - r.wall_start.unwrap();
+            assert_eq!(r.cpu_end.unwrap() - r.cpu_start.unwrap(), wall, "{r:?}");
         }
         m.begin_root();
     }

@@ -1,8 +1,8 @@
 //! Threads that park for reuse instead of exiting.
 //!
-//! A server that dedicates one thread to each unit of work (an HTTP
-//! connection, an ORB request) pays a thread spawn per unit unless its
-//! threads outlive their work. A [`ParkLot`] is where such threads wait:
+//! An HTTP server that dedicates a thread to each connection pays a spawn
+//! per connection unless its threads outlive their work (ORB request
+//! threads wait on their inbox instead). A [`ParkLot`] is where they wait:
 //! a thread that has finished its work parks, the dispatching thread hands
 //! each new job to the thread parked last and spawns a thread only when
 //! none waits. At most [`MAX_PARKED`] threads park at once and a thread

@@ -6,33 +6,34 @@
 //! with O2 (the skeleton-start probe refreshes the thread's FTL on every
 //! dispatch), is why the tunnel survives thread reuse.
 //!
-//! Thread-per-request dedicates a thread to each request but does not spawn
-//! one per request: a request thread whose dispatch has returned clears its
-//! thread-specific storage and parks in a [`ParkLot`] (at most
-//! [`MAX_PARKED`](causeway_core::park::MAX_PARKED) per engine; the rest
-//! exit), and the acceptor hands the next request to a parked thread,
-//! spawning only when none waits. Reuse is safe for the same reasons it is
-//! under a pool — O1 and O2 — plus the cleared storage, which starts every
-//! request in a fresh thread's state: a skeleton that installs no FTL (an
-//! interceptor-traced request that carried none) finds no stale chain to
-//! extend. Concurrency stays bounded only by the gate, which counts the
-//! threads serving a request, not the parked ones.
+//! Thread-per-request is the survey's Leader/Followers, with no acceptor:
+//! request threads wait on the process inbox themselves, so a request
+//! reaches the thread that serves it with one wake-up. The thread that
+//! takes the last idle place starts a successor before it dispatches, so a
+//! queued request never waits on a crew that is all busy. A thread whose
+//! dispatch has returned clears its thread-specific storage and waits
+//! again, unless [`MAX_PARKED`] already wait; then it exits. Reuse is safe
+//! for the same reasons as under a pool — O1 and O2 — plus the cleared
+//! storage: a skeleton that installs no FTL (an interceptor-traced request
+//! that carried none) finds no stale chain to extend. Admission counts
+//! busy threads only: a thread counts itself busy, asks the gate with the
+//! count it found and undoes it on a shed. A stop wins over a park: the
+//! thread that receives [`Incoming::Stop`] marks the engine stopped under
+//! the lock every successor spawn takes, forwards the stop and exits, and
+//! a thread that finishes after the stop exits too.
 //!
 //! Admission, in-flight accounting and the dispatch bracket belong to the
-//! system's [`causeway_core::engine::Gate`]: every policy asks the gate
-//! whether its queue (for thread-per-request, its request threads serving
-//! a request) admits one more request, and re-stamps the request's ticket
-//! when it hands the request to a worker, so `causeway_engine_queue_wait_ns`
-//! measures the wait for a worker. A worker's records are visible to a
-//! drain as soon as it pushes them, so no policy seals or flushes anything:
-//! a request stops counting as in flight after its last record is pushed
-//! (the gate's dispatch guard, see [`crate::orb::Orb`]), and a parked
-//! worker holds no records back.
+//! system's [`causeway_core::engine::Gate`]. The pool and per-connection
+//! acceptors re-stamp a request's ticket when they hand it to a worker, so
+//! `causeway_engine_queue_wait_ns` measures the wait for a worker (under
+//! thread-per-request, the wait in the inbox). A worker's records are
+//! visible to a drain as soon as it pushes them, so no policy seals or
+//! flushes anything: a request stops counting as in flight after its last
+//! record is pushed (the gate's dispatch guard, see [`crate::orb::Orb`]).
 
 use crate::orb::Orb;
-use crate::transport::{ConnKey, Incoming, RequestMsg};
-use causeway_core::engine::Ticket;
-use causeway_core::park::ParkLot;
+use crate::transport::{ConnKey, Incoming};
+use causeway_core::park::MAX_PARKED;
 use causeway_core::sync::Mutex;
 use causeway_core::tss;
 use crossbeam::channel::{Receiver, Sender, unbounded};
@@ -45,7 +46,8 @@ use std::thread::JoinHandle;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ThreadingPolicy {
     /// A thread dedicated to each incoming request until its dispatch
-    /// ends; finished request threads park for reuse (module docs).
+    /// ends; finished request threads wait on the inbox for the next one
+    /// (module docs).
     #[default]
     ThreadPerRequest,
     /// A fixed pool of worker threads sharing the request queue.
@@ -57,14 +59,20 @@ pub enum ThreadingPolicy {
 /// The running server side of one process.
 #[derive(Debug)]
 pub struct ServerEngine {
+    /// None under thread-per-request.
     acceptor: Option<JoinHandle<()>>,
-    /// Joined at stop; per-request and per-connection threads keep their
-    /// handles here (handles of request threads that exited are reaped as
-    /// new requests arrive, so the list stays bounded by live threads).
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    /// Lets `Drop` signal the inbox so the acceptor and its workers exit
-    /// even when nobody sent [`Incoming::Stop`] explicitly.
+    workers: Arc<Mutex<Workers>>,
+    /// Lets `Drop` stop the engine when nobody sent [`Incoming::Stop`].
     stop_tx: Sender<Incoming>,
+}
+
+/// The engine's threads, joined at stop (handles of request threads that
+/// exited are reaped when a successor is spawned), and whether a request
+/// thread has received the stop: no request thread is spawned after it.
+#[derive(Debug, Default)]
+struct Workers {
+    handles: Vec<JoinHandle<()>>,
+    stopped: bool,
 }
 
 impl ServerEngine {
@@ -77,15 +85,26 @@ impl ServerEngine {
         stop_tx: Sender<Incoming>,
         policy: ThreadingPolicy,
     ) -> ServerEngine {
-        let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let workers = Arc::new(Mutex::new(Workers::default()));
         let acceptor = match policy {
-            ThreadingPolicy::ThreadPerRequest => spawn_per_request(orb, rx, Arc::clone(&workers)),
-            ThreadingPolicy::ThreadPool(size) => spawn_pool(orb, rx, size, Arc::clone(&workers)),
+            ThreadingPolicy::ThreadPerRequest => {
+                let crew = Arc::new(Crew {
+                    orb,
+                    inbox: rx,
+                    stop_tx: stop_tx.clone(),
+                    idle: AtomicUsize::new(0),
+                    busy: AtomicUsize::new(0),
+                    workers: Arc::clone(&workers),
+                });
+                spawn_request_thread(&crew, &mut workers.lock());
+                None
+            }
+            ThreadingPolicy::ThreadPool(size) => Some(spawn_pool(orb, rx, size, &workers)),
             ThreadingPolicy::ThreadPerConnection => {
-                spawn_per_connection(orb, rx, Arc::clone(&workers))
+                Some(spawn_per_connection(orb, rx, Arc::clone(&workers)))
             }
         };
-        ServerEngine { acceptor: Some(acceptor), workers, stop_tx }
+        ServerEngine { acceptor, workers, stop_tx }
     }
 
     /// Joins the acceptor and every worker. Call after sending
@@ -94,43 +113,32 @@ impl ServerEngine {
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock());
-        for handle in handles {
-            let _ = handle.join();
+        // A request thread may spawn a successor until the stop reaches
+        // it, so take handles until none is left.
+        loop {
+            let handles = std::mem::take(&mut self.workers.lock().handles);
+            if handles.is_empty() {
+                break;
+            }
+            for handle in handles {
+                let _ = handle.join();
+            }
         }
     }
 
     /// Worker threads currently tracked (live, or finished but not yet
     /// reaped).
     pub fn tracked_workers(&self) -> usize {
-        self.workers.lock().len()
+        self.workers.lock().handles.len()
     }
 }
 
 impl Drop for ServerEngine {
     fn drop(&mut self) {
-        // If `join` already ran the acceptor is gone and workers were
-        // joined; otherwise signal the inbox so the engine's threads wind
-        // down instead of leaking, then join them.
-        if self.acceptor.is_some() {
-            let _ = self.stop_tx.send(Incoming::Stop);
-        }
+        // Stop the engine's threads instead of leaking them (a no-op after
+        // `join`: nothing receives any more), then join them.
+        let _ = self.stop_tx.send(Incoming::Stop);
         self.join();
-    }
-}
-
-/// Joins and removes finished handles, keeping the tracked set bounded by
-/// the number of *live* threads.
-fn reap_finished(workers: &Mutex<Vec<JoinHandle<()>>>) {
-    let mut guard = workers.lock();
-    let mut i = 0;
-    while i < guard.len() {
-        if guard[i].is_finished() {
-            let handle = guard.swap_remove(i);
-            let _ = handle.join();
-        } else {
-            i += 1;
-        }
     }
 }
 
@@ -143,96 +151,95 @@ fn serve(orb: Orb, rx: Receiver<Incoming>) {
     }
 }
 
-/// A request on its way to a request thread, holding its place in the
-/// engine's busy count.
-type Job = (RequestMsg, Ticket, Busy);
+/// The request threads of one thread-per-request engine and the inbox they
+/// take requests off.
+struct Crew {
+    orb: Orb,
+    inbox: Receiver<Incoming>,
+    /// Forwards a received stop to the next thread waiting on the inbox.
+    stop_tx: Sender<Incoming>,
+    /// Threads waiting on the inbox or on their way to it.
+    idle: AtomicUsize,
+    /// Threads serving a request: the queue the gate admits against.
+    busy: AtomicUsize,
+    workers: Arc<Mutex<Workers>>,
+}
 
 /// One request thread counted busy; released on drop, so a thread whose
 /// servant panics still frees its place.
-struct Busy(Arc<AtomicUsize>);
+struct Busy<'a>(&'a AtomicUsize);
 
-impl Busy {
-    fn new(count: &Arc<AtomicUsize>) -> Busy {
-        count.fetch_add(1, Ordering::AcqRel);
-        Busy(Arc::clone(count))
-    }
-}
-
-impl Drop for Busy {
+impl Drop for Busy<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// One request thread: dispatches `job`, then parks for the next request
-/// until the lot stops or is full.
-fn request_thread(orb: Orb, lot: &ParkLot<Job>, mut job: Job) {
-    let _worker = orb.gate().worker();
-    loop {
-        let (msg, ticket, busy) = job;
-        // O1: the thread is the request's until dispatch returns — the
-        // reply is sent and the ticket released by then.
-        orb.dispatch(msg, ticket);
-        // The next request starts in a fresh thread's state.
-        tss::clear();
-        drop(busy);
-        let Some(next) = lot.park() else {
-            return;
-        };
-        match next.recv() {
-            Ok(handed) => job = handed,
-            Err(_) => return,
-        }
-    }
+/// Spawns a request thread, counted idle. The caller holds the workers
+/// lock and found the engine running.
+fn spawn_request_thread(crew: &Arc<Crew>, workers: &mut Workers) {
+    // Request threads that found the inbox fully staffed have exited; reap
+    // them so a long-lived engine does not accumulate their handles.
+    workers.handles.retain(|handle| !handle.is_finished());
+    crew.idle.fetch_add(1, Ordering::AcqRel);
+    let thread_crew = Arc::clone(crew);
+    let handle = std::thread::Builder::new()
+        .name(format!("{}-req", crew.orb.process()))
+        .spawn(move || request_thread(&thread_crew))
+        .expect("spawn request thread");
+    workers.handles.push(handle);
 }
 
-fn spawn_per_request(
-    orb: Orb,
-    rx: Receiver<Incoming>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("{}-acceptor", orb.process()))
-        .spawn(move || {
-            let lot = Arc::new(ParkLot::<Job>::new());
-            let busy = Arc::new(AtomicUsize::new(0));
-            while let Ok(Incoming::Request(msg, mut ticket)) = rx.recv() {
-                // Request threads that found the lot full have exited;
-                // reap them so a long-lived engine does not accumulate one
-                // dead handle per such thread.
-                reap_finished(&workers);
-                // The queue under thread-per-request IS the set of threads
-                // serving a request: shed rather than spawn without bound.
-                if !orb.gate().admits(busy.load(Ordering::Acquire)) {
-                    orb.shed(msg, ticket);
-                    continue;
-                }
-                // Queue wait under thread-per-request is the hand-off (or
-                // spawn) cost: stamp here, observe when the thread runs.
-                ticket.restamp();
-                let Err(job) = lot.hand_off((msg, ticket, Busy::new(&busy))) else {
-                    continue;
-                };
-                let orb = orb.clone();
-                let lot = Arc::clone(&lot);
-                let handle = std::thread::Builder::new()
-                    .name(format!("{}-req", orb.process()))
-                    .spawn(move || request_thread(orb, &lot, job))
-                    .expect("spawn request thread");
-                workers.lock().push(handle);
+/// One request thread: takes requests off the inbox and dispatches them
+/// until the stop reaches it or enough threads already wait.
+fn request_thread(crew: &Arc<Crew>) {
+    let orb = &crew.orb;
+    let _worker = orb.gate().worker();
+    loop {
+        let Ok(Incoming::Request(msg, ticket)) = crew.inbox.recv() else {
+            // Stop wins over a park: no successor is spawned from now on,
+            // and the next waiting thread gets the stop in turn.
+            crew.workers.lock().stopped = true;
+            let _ = crew.stop_tx.send(Incoming::Stop);
+            return;
+        };
+        // Took the last idle place: a successor waits while this serves.
+        if crew.idle.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let mut workers = crew.workers.lock();
+            if !workers.stopped {
+                spawn_request_thread(crew, &mut workers);
             }
-            // Stop wins over park: a thread still serving exits when it
-            // finishes, and the parked ones are released now.
-            lot.stop();
-        })
-        .expect("spawn acceptor")
+        }
+        // The queue under thread-per-request IS the set of threads serving
+        // a request: shed rather than serve without bound.
+        let previous = crew.busy.fetch_add(1, Ordering::AcqRel);
+        let busy = Busy(&crew.busy);
+        if orb.gate().admits(previous) {
+            // O1: the thread is the request's until dispatch returns — the
+            // reply is sent and the ticket released by then.
+            orb.dispatch(msg, ticket);
+            // The next request starts in a fresh thread's state.
+            tss::clear();
+            drop(busy);
+        } else {
+            drop(busy);
+            orb.shed(msg, ticket);
+        }
+        // Back to the inbox, unless stopped or enough threads wait there.
+        let room = |n| (n < MAX_PARKED).then_some(n + 1);
+        if crew.workers.lock().stopped
+            || crew.idle.fetch_update(Ordering::AcqRel, Ordering::Acquire, room).is_err()
+        {
+            return;
+        }
+    }
 }
 
 fn spawn_pool(
     orb: Orb,
     rx: Receiver<Incoming>,
     size: usize,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    workers: &Mutex<Workers>,
 ) -> JoinHandle<()> {
     let size = size.max(1);
     let (work_tx, work_rx) = unbounded::<Incoming>();
@@ -245,7 +252,7 @@ fn spawn_pool(
                 .name(format!("{}-pool{}", orb.process(), i))
                 .spawn(move || serve(orb, work_rx))
                 .expect("spawn pool worker");
-            guard.push(handle);
+            guard.handles.push(handle);
         }
     }
     std::thread::Builder::new()
@@ -281,7 +288,7 @@ fn spawn_pool(
 fn spawn_per_connection(
     orb: Orb,
     rx: Receiver<Incoming>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    workers: Arc<Mutex<Workers>>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("{}-acceptor", orb.process()))
@@ -304,7 +311,7 @@ fn spawn_per_connection(
                                 .name(format!("{}-conn{}", orb.process(), conn.0))
                                 .spawn(move || serve(orb, conn_rx))
                                 .expect("spawn connection worker");
-                            workers.lock().push(handle);
+                            workers.lock().handles.push(handle);
                             tx
                         });
                         ticket.restamp();

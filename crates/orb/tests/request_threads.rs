@@ -214,3 +214,60 @@ fn sequential_requests_reuse_a_handful_of_threads() {
     );
     assert_eq!(system.anomaly_count(), 0);
 }
+
+/// (e) A stop under load joins every request thread. Four clients send
+/// synchronous and one-way calls while the system shuts down: the shutdown
+/// returns, every call ends in a reply or a transport error, and no
+/// request thread or in-flight request is left behind.
+#[test]
+fn a_stop_under_load_joins_every_request_thread() {
+    const CLIENTS: usize = 4;
+    const CALLS: i64 = 100;
+    for round in 0..50u64 {
+        let mut builder = System::builder();
+        builder.probe_mode(ProbeMode::CausalityOnly).reply_timeout(Duration::from_secs(10));
+        let (system, driver, target) = system(builder, idle_servant());
+        let system = Arc::new(system);
+        let (ended, calls_ended) = bounded(CLIENTS);
+        for c in 0..CLIENTS as i64 {
+            let (system, ended) = (Arc::clone(&system), ended.clone());
+            std::thread::spawn(move || {
+                let client = system.client(driver);
+                for i in 0..CALLS {
+                    client.begin_root();
+                    let call = if (i + c) % 4 == 0 {
+                        client.invoke_oneway(&target, "nap", vec![Value::I64(i)])
+                    } else {
+                        client.invoke(&target, "id", vec![Value::I64(i)]).map(drop)
+                    };
+                    match call {
+                        Ok(()) => {}
+                        Err(OrbError::ProcessUnreachable(_)) => break,
+                        Err(e) => panic!("round {round}: call {i} of client {c}: {e}"),
+                    }
+                }
+                ended.send(()).unwrap();
+            });
+        }
+        // Stop at a different point of the load each round.
+        std::thread::sleep(Duration::from_micros(100 * (round % 10)));
+        let (stopped, shut_down) = bounded(1);
+        let stopper = Arc::clone(&system);
+        std::thread::spawn(move || {
+            stopper.shutdown();
+            stopped.send(()).unwrap();
+        });
+        assert!(
+            shut_down.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "round {round}: shutdown under load did not return"
+        );
+        for _ in 0..CLIENTS {
+            assert!(
+                calls_ended.recv_timeout(Duration::from_secs(10)).is_ok(),
+                "round {round}: a call hung or failed"
+            );
+        }
+        assert_eq!(system.tracked_workers(target.owner), 0, "round {round}");
+        assert_eq!(system.in_flight(), 0, "round {round}: a request is still in flight");
+    }
+}
