@@ -15,7 +15,7 @@
 //! "indicates the failure and restarts from the next log record" — each such
 //! failure is reported as an [`Abnormality`].
 
-use crate::figure4::{Close, Consumer, Frame, Machine, Probe};
+use crate::figure4::{Close, Consumer, Frame, Machine, Probe, Step};
 use crate::latency::Stamps;
 use causeway_collector::db::MonitoringDb;
 use causeway_core::event::{CallKind, TraceEvent};
@@ -351,7 +351,8 @@ impl Dscg {
                 if let Some(child) = record.oneway_child {
                     builder.forks.push(child);
                 }
-                machine.step(record, &mut builder);
+                builder.links = (record.oneway_child, record.oneway_parent.is_some());
+                machine.step(Step::of(record), &mut builder);
             }
             machine.finish(&mut builder);
             builder
@@ -478,6 +479,9 @@ struct TreeBuilder {
     forks: Vec<Uuid>,
     /// Some one-way head of this chain named a parent chain.
     has_parent_marker: bool,
+    /// The one-way links of the record being stepped: the chain it forks,
+    /// and whether it names a parent chain.
+    links: (Option<Uuid>, bool),
 }
 
 impl TreeBuilder {
@@ -489,18 +493,20 @@ impl TreeBuilder {
             open_forks: Vec::new(),
             forks: Vec::new(),
             has_parent_marker: false,
+            links: (None, false),
         }
     }
 }
 
 impl Consumer<NodeProbe, Vec<CallNode>> for TreeBuilder {
-    fn opened(&mut self, record: &ProbeRecord) {
-        let fork = match record.event {
-            TraceEvent::StubStart if record.kind == CallKind::Oneway => record.oneway_child,
+    fn opened(&mut self, step: &Step<NodeProbe>) {
+        let (child, names_parent) = self.links;
+        let fork = match step.event {
+            TraceEvent::StubStart if step.kind == CallKind::Oneway => child,
             TraceEvent::StubStart => None,
             // The head of a one-way child chain.
             _ => {
-                self.has_parent_marker |= record.oneway_parent.is_some();
+                self.has_parent_marker |= names_parent;
                 None
             }
         };

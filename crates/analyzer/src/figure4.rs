@@ -9,11 +9,14 @@
 //! the machine "indicates the failure and restarts from the next log
 //! record": it reports an abnormality and carries on.
 //!
-//! Two consumers drive it. The off-line tree builder in [`crate::dscg`]
-//! keeps each probe's event number, site and stamps in its frames and turns
-//! each closed frame into a `CallNode`. The on-line analyzer in
-//! [`crate::online`] keeps only wall stamps and turns each closed frame into
-//! management events, after re-sequencing the chain's records itself.
+//! The machine steps on a [`Step`]: the four fields a transition reads
+//! (`seq`, `event`, `kind`, `func`) and the consumer's [`Probe`], built once
+//! from a record. Two consumers drive it. The off-line tree builder in
+//! [`crate::dscg`] keeps each probe's event number, site and stamps in its
+//! frames and turns each closed frame into a `CallNode`. The on-line
+//! analyzer in [`crate::online`] keeps only wall stamps and turns each
+//! closed frame into management events, after re-sequencing the chain's
+//! steps itself.
 //!
 //! # Where a record is out of place
 //!
@@ -28,7 +31,7 @@
 //! * At end of stream every frame still open is reported as never
 //!   completed, innermost first, and closes [`Close::Unfinished`].
 //!
-//! The machine sees each record it is given. Off-line input is one chain's
+//! The machine sees each step it is given. Off-line input is one chain's
 //! seq-sorted records, repeats included. The on-line re-sequencer feeds each
 //! event number once: it drops a record whose number was already processed,
 //! and a second arrival for a buffered number replaces the first.
@@ -52,6 +55,30 @@ impl Probe for Stamps {
 
     fn stamps(&self) -> Stamps {
         *self
+    }
+}
+
+/// What the machine reads of one probe record: the transition's inputs and
+/// the consumer's probe, which moves into a frame slot.
+#[derive(Debug)]
+pub(crate) struct Step<P> {
+    pub seq: u64,
+    pub event: TraceEvent,
+    pub kind: CallKind,
+    pub func: FunctionKey,
+    pub probe: P,
+}
+
+impl<P: Probe> Step<P> {
+    /// Reads `record` once.
+    pub fn of(record: &ProbeRecord) -> Step<P> {
+        Step {
+            seq: record.seq,
+            event: record.event,
+            kind: record.kind,
+            func: record.func,
+            probe: P::of(record),
+        }
     }
 }
 
@@ -92,9 +119,9 @@ pub(crate) enum Close {
 
 /// Receives what the machine decides.
 pub(crate) trait Consumer<P, X> {
-    /// `record` opened a frame: a stub start, or the head of a one-way
-    /// child chain.
-    fn opened(&mut self, _record: &ProbeRecord) {}
+    /// `step` opened a frame: a stub start, or the head of a one-way child
+    /// chain.
+    fn opened(&mut self, _step: &Step<P>) {}
     /// `frame` left the stack `how`. `parent` is the frame it was nested in
     /// (`None` at top level) and `depth` its nesting depth (0 = top level).
     fn closed(
@@ -133,26 +160,24 @@ impl<P: Probe, X: Default> Machine<P, X> {
     }
 
     /// One transition.
-    pub fn step(&mut self, record: &ProbeRecord, consumer: &mut impl Consumer<P, X>) {
-        let func = record.func;
-        let seq = Some(record.seq);
+    pub fn step(&mut self, step: Step<P>, consumer: &mut impl Consumer<P, X>) {
+        let func = step.func;
+        let seq = Some(step.seq);
         let idle = self.stack.is_empty();
         let top = self.stack.last_mut().filter(|frame| frame.func == func);
-        match record.event {
-            TraceEvent::StubStart => self.open(record, Some(P::of(record)), None, consumer),
+        match step.event {
+            TraceEvent::StubStart => self.open(step, consumer),
             TraceEvent::SkelStart => match top {
                 Some(frame) if frame.stub_start.is_some() && frame.skel_start.is_none() => {
-                    frame.skel_start = Some(P::of(record));
+                    frame.skel_start = Some(step.probe);
                 }
                 // Head of a one-way child chain.
-                None if idle && record.kind == CallKind::Oneway => {
-                    self.open(record, None, Some(P::of(record)), consumer);
-                }
+                None if idle && step.kind == CallKind::Oneway => self.open(step, consumer),
                 _ => consumer.abnormal(seq, format!("unexpected skel_start for {func}")),
             },
             TraceEvent::SkelEnd => match top {
                 Some(frame) if frame.skel_start.is_some() && frame.skel_end.is_none() => {
-                    frame.skel_end = Some(P::of(record));
+                    frame.skel_end = Some(step.probe);
                     // A one-way chain head completes here: no stub_end
                     // will arrive on this chain.
                     if frame.kind == CallKind::Oneway && frame.stub_start.is_none() {
@@ -177,7 +202,7 @@ impl<P: Probe, X: Default> Machine<P, X> {
                         _ => (frame.skel_end.is_some(), Close::Completed),
                     };
                     if legal {
-                        frame.stub_end = Some(P::of(record));
+                        frame.stub_end = Some(step.probe);
                         self.close(how, consumer);
                     } else {
                         consumer.abnormal(seq, format!("stub_end out of order for {func}"));
@@ -197,17 +222,17 @@ impl<P: Probe, X: Default> Machine<P, X> {
         }
     }
 
-    fn open(
-        &mut self,
-        record: &ProbeRecord,
-        stub_start: Option<P>,
-        skel_start: Option<P>,
-        consumer: &mut impl Consumer<P, X>,
-    ) {
-        consumer.opened(record);
+    /// Pushes the frame `step` opens: at its stub start, or else at its
+    /// skeleton start (a one-way chain head).
+    fn open(&mut self, step: Step<P>, consumer: &mut impl Consumer<P, X>) {
+        consumer.opened(&step);
+        let (stub_start, skel_start) = match step.event {
+            TraceEvent::StubStart => (Some(step.probe), None),
+            _ => (None, Some(step.probe)),
+        };
         self.stack.push(Frame {
-            func: record.func,
-            kind: record.kind,
+            func: step.func,
+            kind: step.kind,
             stub_start,
             skel_start,
             skel_end: None,

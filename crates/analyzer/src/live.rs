@@ -50,9 +50,10 @@
 //! clock started at construction.
 //!
 //! Ingest cost does not grow with the open chains: one grouping pass sorts
-//! a batch chain → shard → first-appearance rank, looking a chain up only
-//! where consecutive records change chain; each shard feeds every chain's
-//! records through the analyzer's one per-chain step loop; the analyzer's
+//! a batch's record indices chain → shard → first-appearance rank, looking
+//! a chain up only where consecutive records change chain; each shard feeds
+//! every chain's records, read in place in the batch, through the
+//! analyzer's one per-chain step loop; the analyzer's
 //! gauges are O(1) counters; and flamegraph paths are interned per shard
 //! (one id per distinct rendered path, keyed by parent id and series), so
 //! folding a completed chain does no string work for stacks already seen —
@@ -62,7 +63,7 @@ use crate::chrome_trace;
 use crate::exemplar::{self, ExemplarConfig, ExemplarStore};
 use crate::history::{diff_folded, HistoryEntry, WindowHistory};
 use crate::incident::{self, HypothesisKind, Incident, IncidentStore};
-use crate::online::{group_by_chain, OnlineAnalyzer, OnlineEvent, OpenChainSummary};
+use crate::online::{ChainGroups, OnlineAnalyzer, OnlineEvent, OpenChainSummary};
 use crate::render::{self, CompletedCall};
 use crate::rules::{parse_rule, resolve_series, AlertEvent, AlertRule, RuleState, Trigger};
 use crate::window::{SeriesAgg, SeriesKey, WindowSnapshot};
@@ -729,9 +730,10 @@ impl LiveMonitor {
     ///
     /// Three phases. A short control-locked phase advances window time and
     /// retains raw records for `/trace`. Then one grouping pass sorts the
-    /// batch chain → shard → first-appearance rank (a chain's records
-    /// always land on one shard, in order; the chain is looked up only
-    /// where the run of records changes chain), and each touched shard runs
+    /// batch's record indices chain → shard → first-appearance rank (a
+    /// chain's records always land on one shard, in order, and stay in the
+    /// batch; the chain is looked up only where the run of records changes
+    /// chain), and each touched shard runs
     /// its chains through the Figure-4 reconstruction and absorbs slice
     /// aggregates under its own lock — concurrent batches only contend when
     /// they share a shard. Finally the cross-chain, order-sensitive effects
@@ -750,10 +752,10 @@ impl LiveMonitor {
             c.current.expect("roll_locked sets current")
         };
 
-        let mut chains = group_by_chain(records);
+        let grouped = ChainGroups::of(&records);
         let n = self.shards.len();
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (rank, (chain, _)) in chains.iter().enumerate() {
+        for (rank, chain) in grouped.chains.iter().enumerate() {
             by_shard[shard_of(*chain, n)].push(rank);
         }
         let mut completed: BTreeMap<SeriesKey, u64> = BTreeMap::new();
@@ -769,13 +771,12 @@ impl LiveMonitor {
             // first still-open slice rather than mutating a finalized window.
             let apply_at = target.max(shard.floor);
             for rank in ranks {
-                let (chain, records) = (chains[rank].0, std::mem::take(&mut chains[rank].1));
                 groups.extend(self.absorb_chain(
                     &mut shard,
                     apply_at,
-                    chain,
+                    grouped.chains[rank],
                     rank,
-                    records,
+                    grouped.records(rank, &records),
                     &mut completed,
                 ));
             }
@@ -844,13 +845,13 @@ impl LiveMonitor {
     /// is chain-local. What must replay in batch order under the control
     /// lock comes back as the chain's group, or `None` when there is
     /// nothing to replay.
-    fn absorb_chain(
+    fn absorb_chain<'a>(
         &self,
         shard: &mut Shard,
         apply_at: u64,
         chain: Uuid,
         rank: usize,
-        records: Vec<ProbeRecord>,
+        records: impl Iterator<Item = &'a ProbeRecord>,
         completed: &mut BTreeMap<SeriesKey, u64>,
     ) -> Option<ChainGroup> {
         let Shard { analyzer, slices, chain_events, stacks, .. } = shard;

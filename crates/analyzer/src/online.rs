@@ -19,20 +19,24 @@
 //!
 //! Per-record cost does not grow with the number of open chains. Every
 //! ingest entry point — [`OnlineAnalyzer::ingest`], the batch paths and the
-//! live monitor's pre-grouped chains — runs one per-chain step loop; a
-//! record that arrives in order while nothing is buffered goes straight to
-//! the Figure-4 machine instead of through the re-sequencing buffer, and
-//! the open-chain and buffered-record counts are kept exact as each
-//! chain's before/after contribution, so reading them is O(1).
+//! live monitor's pre-grouped chains — runs one per-chain step loop over
+//! records it reads in place: a batch is grouped by a permutation of record
+//! indices, never by moving records. A record that arrives in order while
+//! nothing is buffered goes straight to the Figure-4 machine; any other is
+//! kept as the machine's step (event number, event, kind, function and wall
+//! stamps, 64 bytes against the record's 208) in a buffer sorted by event
+//! number, whose contiguous prefix drains from the front. The open-chain
+//! and buffered-record counts are kept exact as each chain's before/after
+//! contribution, so reading them is O(1).
 
-use crate::figure4::{Close, Consumer, Frame, Machine};
+use crate::figure4::{Close, Consumer, Frame, Machine, Step};
 use crate::latency::Stamps;
 use causeway_core::event::CallKind;
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
 use causeway_core::pool;
 use causeway_core::record::{FunctionKey, ProbeRecord};
 use causeway_core::uuid::Uuid;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 
 /// Self-observability handles for on-line analysis. Analyzers given one
 /// registry aggregate into one set of series (an analyzer instance is not
@@ -149,8 +153,12 @@ struct ChainState {
     /// The highest event number processed so far (dense numbering: the next
     /// record to process is `processed + 1`).
     processed: u64,
-    /// Out-of-order arrivals waiting for their predecessors.
-    pending: BTreeMap<u64, ProbeRecord>,
+    /// Out-of-order arrivals waiting for their predecessors, as the steps
+    /// the machine will take: sorted by `seq`, no two alike, every one past
+    /// `processed`. An insert shifts min(i, len − i) entries, so arrivals
+    /// in order or in reverse shift none; a chain delivered middle-out is
+    /// the worst case, about half the buffer per arrival.
+    pending: VecDeque<Step<Stamps>>,
     /// Open calls keep their probes' wall stamps and the summed
     /// caller-side probe spans (`O_F`) of their closed children.
     machine: Machine<Stamps, u64>,
@@ -168,11 +176,11 @@ impl ChainState {
     /// The step loop behind every ingest entry point: re-sequences
     /// `records` (all of `chain`) into the Figure-4 machine, then reports
     /// the chain idle if it has no open work left.
-    fn step(
+    fn step<'a>(
         &mut self,
         m: &OnlineMetrics,
         chain: Uuid,
-        records: impl IntoIterator<Item = ProbeRecord>,
+        records: impl IntoIterator<Item = &'a ProbeRecord>,
         sink: &mut impl FnMut(OnlineEvent),
     ) {
         let mut fed = 0;
@@ -189,14 +197,22 @@ impl ChainState {
                 // In order with nothing buffered: inserting and draining
                 // would hand this record, and only it, to the machine.
                 self.processed = record.seq;
-                self.apply(m, chain, &record, sink);
+                self.apply(m, chain, Step::of(record), sink);
                 continue;
             }
-            duplicates += u64::from(self.pending.insert(record.seq, record).is_some());
+            match self.pending.binary_search_by_key(&record.seq, |step| step.seq) {
+                // A second arrival for a buffered number replaces the first.
+                Ok(at) => {
+                    self.pending[at] = Step::of(record);
+                    duplicates += 1;
+                }
+                Err(at) => self.pending.insert(at, Step::of(record)),
+            }
             // Drain the contiguous prefix.
-            while let Some(record) = self.pending.remove(&(self.processed + 1)) {
-                self.processed = record.seq;
-                self.apply(m, chain, &record, sink);
+            while self.pending.front().is_some_and(|step| step.seq == self.processed + 1) {
+                let step = self.pending.pop_front().expect("the front is next");
+                self.processed = step.seq;
+                self.apply(m, chain, step, sink);
             }
         }
         m.records.add(fed);
@@ -213,12 +229,12 @@ impl ChainState {
         &mut self,
         metrics: &OnlineMetrics,
         chain: Uuid,
-        record: &ProbeRecord,
+        step: Step<Stamps>,
         sink: &mut impl FnMut(OnlineEvent),
     ) {
         let completed_calls = &mut self.completed_calls;
         let mut out = Emitter { chain, processed: self.processed, completed_calls, metrics, sink };
-        self.machine.step(record, &mut out);
+        self.machine.step(step, &mut out);
     }
 }
 
@@ -265,26 +281,69 @@ impl<S: FnMut(OnlineEvent)> Consumer<Stamps, u64> for Emitter<'_, S> {
     }
 }
 
-/// Groups a batch by chain in first-appearance order, keeping each chain's
-/// records in batch order. The chain is looked up only where consecutive
-/// records change chain.
-pub(crate) fn group_by_chain(records: Vec<ProbeRecord>) -> Vec<(Uuid, Vec<ProbeRecord>)> {
-    // Record UUIDs come from outside the process: keep the keyed hasher.
-    let mut rank_of: HashMap<Uuid, usize> = HashMap::new();
-    let mut chains: Vec<(Uuid, Vec<ProbeRecord>)> = Vec::new();
-    let mut run: Option<(Uuid, usize)> = None;
-    for record in records {
-        let rank = match run {
-            Some((chain, rank)) if chain == record.uuid => rank,
-            _ => *rank_of.entry(record.uuid).or_insert_with(|| {
-                chains.push((record.uuid, Vec::new()));
-                chains.len() - 1
-            }),
-        };
-        run = Some((record.uuid, rank));
-        chains[rank].1.push(record);
+/// A batch grouped by chain without moving a record: the chains in
+/// first-appearance order and a counting-sort permutation of record indices
+/// that lists each chain's records together, in batch order.
+#[derive(Debug)]
+pub(crate) struct ChainGroups {
+    /// The batch's chains; a chain's rank is its position here.
+    pub chains: Vec<Uuid>,
+    /// Record indices, chain by chain.
+    order: Vec<u32>,
+    /// Where each chain's run of indices starts in `order`.
+    starts: Vec<u32>,
+}
+
+impl ChainGroups {
+    /// Groups `records`. The chain is looked up only where consecutive
+    /// records change chain.
+    pub fn of(records: &[ProbeRecord]) -> ChainGroups {
+        u32::try_from(records.len()).expect("a batch holds fewer than 2^32 records");
+        // Record UUIDs come from outside the process: keep the keyed hasher.
+        let mut rank_of: HashMap<Uuid, u32> = HashMap::new();
+        let mut chains = Vec::new();
+        let mut ends: Vec<u32> = Vec::new();
+        let mut ranks = Vec::with_capacity(records.len());
+        let mut run: Option<(Uuid, u32)> = None;
+        for record in records {
+            let rank = match run {
+                Some((chain, rank)) if chain == record.uuid => rank,
+                _ => *rank_of.entry(record.uuid).or_insert_with(|| {
+                    chains.push(record.uuid);
+                    ends.push(0);
+                    (chains.len() - 1) as u32
+                }),
+            };
+            run = Some((record.uuid, rank));
+            ends[rank as usize] += 1;
+            ranks.push(rank);
+        }
+        let mut total = 0;
+        for end in &mut ends {
+            total += *end;
+            *end = total;
+        }
+        // Placing indices from the back walks each chain's end down to its
+        // start and keeps batch order within a chain.
+        let mut order = vec![0; records.len()];
+        for (index, &rank) in ranks.iter().enumerate().rev() {
+            let slot = &mut ends[rank as usize];
+            *slot -= 1;
+            order[*slot as usize] = index as u32;
+        }
+        ChainGroups { chains, order, starts: ends }
     }
-    chains
+
+    /// The records of the chain ranked `rank`, in batch order.
+    pub fn records<'a>(
+        &'a self,
+        rank: usize,
+        batch: &'a [ProbeRecord],
+    ) -> impl Iterator<Item = &'a ProbeRecord> + 'a {
+        let end = self.starts.get(rank + 1).map_or(self.order.len(), |&end| end as usize);
+        let indices = &self.order[self.starts[rank] as usize..end];
+        indices.iter().map(move |&index| &batch[index as usize])
+    }
 }
 
 /// Incremental, order-tolerant causality analyzer.
@@ -348,10 +407,10 @@ impl OnlineAnalyzer {
     /// Feeds records that all belong to `chain`, in order; `sink` receives
     /// the chain's events, [`OnlineEvent::ChainIdle`] evaluated once at the
     /// end.
-    pub(crate) fn ingest_chain(
+    pub(crate) fn ingest_chain<'a>(
         &mut self,
         chain: Uuid,
-        records: impl IntoIterator<Item = ProbeRecord>,
+        records: impl IntoIterator<Item = &'a ProbeRecord>,
         sink: &mut impl FnMut(OnlineEvent),
     ) {
         let state = self.chains.entry(chain).or_default();
@@ -411,7 +470,7 @@ impl OnlineAnalyzer {
 
     /// Feeds one record; `sink` receives any events it triggers.
     pub fn ingest(&mut self, record: ProbeRecord, sink: &mut impl FnMut(OnlineEvent)) {
-        self.ingest_chain(record.uuid, [record], sink);
+        self.ingest_chain(record.uuid, [&record], sink);
     }
 
     /// Feeds a batch of records, processing distinct chains in parallel on
@@ -436,16 +495,20 @@ impl OnlineAnalyzer {
         threads: usize,
         sink: &mut impl FnMut(OnlineEvent),
     ) {
+        let groups = ChainGroups::of(&records);
         // Move each touched chain's state out to its worker.
-        let work: Vec<(Uuid, ChainState, Vec<ProbeRecord>)> = group_by_chain(records)
-            .into_iter()
-            .map(|(chain, records)| (chain, self.chains.remove(&chain).unwrap_or_default(), records))
+        let work: Vec<(usize, ChainState)> = groups
+            .chains
+            .iter()
+            .enumerate()
+            .map(|(rank, chain)| (rank, self.chains.remove(chain).unwrap_or_default()))
             .collect();
         let metrics = &self.metrics;
-        let done = pool::par_map_vec(work, threads, |(chain, mut state, records)| {
+        let done = pool::par_map_vec(work, threads, |(rank, mut state)| {
+            let chain = groups.chains[rank];
             let before = state.load();
             let mut events = Vec::new();
-            state.step(metrics, chain, records, &mut |e| events.push(e));
+            state.step(metrics, chain, groups.records(rank, &records), &mut |e| events.push(e));
             (chain, state, before, events)
         });
         for (chain, state, before, events) in done {
@@ -465,7 +528,8 @@ impl OnlineAnalyzer {
         for chain in chains {
             let mut state = self.chains.remove(&chain).expect("key listed");
             self.account(state.load(), (0, 0));
-            while let Some((seq, record)) = state.pending.pop_first() {
+            while let Some(step) = state.pending.pop_front() {
+                let seq = step.seq;
                 if seq != state.processed + 1 {
                     emit(&self.metrics, sink, OnlineEvent::Abnormality {
                         chain,
@@ -477,7 +541,7 @@ impl OnlineAnalyzer {
                     });
                 }
                 state.processed = seq;
-                state.apply(&self.metrics, chain, &record, sink);
+                state.apply(&self.metrics, chain, step, sink);
             }
             let ChainState { processed, machine, completed_calls, .. } = &mut state;
             machine.finish(&mut Emitter {
@@ -498,6 +562,7 @@ mod tests {
     use causeway_core::event::TraceEvent;
     use causeway_core::ids::*;
     use causeway_core::record::CallSite;
+    use std::collections::BTreeMap;
     use std::time::Duration;
 
     fn rec(
@@ -813,28 +878,262 @@ mod tests {
         assert!(completed.contains(&1) && completed.contains(&2));
     }
 
-    /// The step without the in-order fast path: every record not yet
-    /// processed goes through the re-sequencing buffer.
-    fn step_via_buffer(
-        states: &mut HashMap<Uuid, ChainState>,
-        record: ProbeRecord,
-        sink: &mut impl FnMut(OnlineEvent),
+    /// The re-sequencing semantics written the obvious way, without the
+    /// in-order fast path: per chain a `BTreeMap` that every record not yet
+    /// processed is inserted into (a second arrival replacing the first)
+    /// and drained from; a batch's chains in first-appearance order, each
+    /// checked for idleness once at the end of its group.
+    #[derive(Default)]
+    struct Oracle {
+        chains: HashMap<Uuid, (ChainState, BTreeMap<u64, ProbeRecord>)>,
+        /// Drop a chain's state when it goes idle, as the live monitor does.
+        forget_idle: bool,
+        /// Records handed to the machine.
+        applied: u64,
+    }
+
+    impl Oracle {
+        fn batch(&mut self, records: &[ProbeRecord], sink: &mut impl FnMut(OnlineEvent)) {
+            let mut chains: Vec<Uuid> = Vec::new();
+            for record in records {
+                if !chains.contains(&record.uuid) {
+                    chains.push(record.uuid);
+                }
+            }
+            for chain in chains {
+                let (state, pending) = self.chains.entry(chain).or_default();
+                for record in records.iter().filter(|record| record.uuid == chain) {
+                    if record.seq > state.processed {
+                        pending.insert(record.seq, record.clone());
+                    }
+                    while let Some(record) = {
+                        let next = state.processed + 1;
+                        pending.remove(&next)
+                    } {
+                        state.processed = record.seq;
+                        state.apply(&OnlineMetrics::default(), chain, Step::of(&record), sink);
+                        self.applied += 1;
+                    }
+                }
+                let completed_calls = state.completed_calls;
+                if state.machine.open_calls() == 0 && pending.is_empty() && completed_calls > 0 {
+                    sink(OnlineEvent::ChainIdle { chain, completed_calls });
+                    if self.forget_idle {
+                        self.chains.remove(&chain);
+                    }
+                }
+            }
+        }
+
+        /// [`OnlineAnalyzer::finish`]: chains in UUID order, buffered
+        /// records in `seq` order with every gap reported.
+        fn finish(&mut self, sink: &mut impl FnMut(OnlineEvent)) {
+            let mut chains: Vec<_> = self.chains.drain().collect();
+            chains.sort_by_key(|(chain, _)| *chain);
+            for (chain, (mut state, pending)) in chains {
+                for (seq, record) in pending {
+                    let expected = state.processed + 1;
+                    if seq != expected {
+                        let message = format!("gap in event numbers: expected {expected}, have {seq}");
+                        sink(OnlineEvent::Abnormality { chain, at_seq: seq, message });
+                    }
+                    state.processed = seq;
+                    state.apply(&OnlineMetrics::default(), chain, Step::of(&record), sink);
+                    self.applied += 1;
+                }
+                let ChainState { processed, machine, completed_calls, .. } = &mut state;
+                let metrics = &OnlineMetrics::default();
+                let processed = *processed;
+                machine.finish(&mut Emitter { chain, processed, completed_calls, metrics, sink });
+            }
+        }
+
+        fn summaries(&self) -> Vec<OpenChainSummary> {
+            let mut out: Vec<OpenChainSummary> = self
+                .chains
+                .iter()
+                .filter(|(_, (state, pending))| state.machine.open_calls() > 0 || !pending.is_empty())
+                .map(|(&chain, (state, pending))| OpenChainSummary {
+                    chain,
+                    open_calls: state.machine.open_calls(),
+                    innermost: state.machine.innermost(),
+                    buffered_records: pending.len(),
+                    completed_calls: state.completed_calls,
+                    processed_seq: state.processed,
+                })
+                .collect();
+            out.sort_by_key(|summary| summary.chain);
+            out
+        }
+
+        fn buffered(&self) -> usize {
+            self.chains.values().map(|(_, pending)| pending.len()).sum()
+        }
+    }
+
+    /// One call on `uuid` from `seq` on, with a nested child call when
+    /// `nested`; returns its records and the next free `seq`.
+    fn call(uuid: u128, seq: u64, object: u64, t0: u64, nested: bool) -> (Vec<ProbeRecord>, u64) {
+        if !nested {
+            return (sync_call(uuid, seq, object, t0), seq + 4);
+        }
+        let mut records = vec![
+            rec(uuid, seq, TraceEvent::StubStart, CallKind::Sync, object, (t0, t0 + 5)),
+            rec(uuid, seq + 1, TraceEvent::SkelStart, CallKind::Sync, object, (t0 + 10, t0 + 12)),
+        ];
+        records.extend(sync_call(uuid, seq + 2, object + 1, t0 + 100));
+        records.push(rec(uuid, seq + 6, TraceEvent::SkelEnd, CallKind::Sync, object, (t0 + 450, t0 + 452)));
+        records.push(rec(uuid, seq + 7, TraceEvent::StubEnd, CallKind::Sync, object, (t0 + 500, t0 + 503)));
+        (records, seq + 8)
+    }
+
+    /// A few chains of flat and nested calls, delivered the way a lossy
+    /// transport delivers them: records dropped (gaps), a few events
+    /// corrupted, records repeated (the later copy carries other stamps, so
+    /// which copy the machine saw shows in the latency), displaced by up to
+    /// `spread` places, and cut into batches at `1 / cut_every` of the
+    /// boundaries. Returns the stream and its batch lengths.
+    fn disordered(seed: u64) -> (Vec<ProbeRecord>, Vec<usize>) {
+        let mut rng = causeway_core::rng::Rng::seed_from_u64(seed);
+        let mut records = Vec::new();
+        for uuid in 1..=rng.gen_range(1..=4) as u128 {
+            let mut seq = 1;
+            for n in 0..rng.gen_range(1..=4) as u64 {
+                let (call, next) = call(uuid, seq, n * 2, n * 1000, rng.gen_bool(0.4));
+                records.extend(call);
+                seq = next;
+            }
+        }
+        let mut delivered: Vec<(usize, ProbeRecord)> = Vec::new();
+        let spread = [1, 3, 8, 64][rng.gen_range(0..4)];
+        for (index, mut record) in records.into_iter().enumerate() {
+            if rng.gen_bool(0.05) {
+                continue;
+            }
+            if rng.gen_bool(0.03) {
+                record.event = TraceEvent::ALL[rng.gen_range(0..4)];
+            }
+            if rng.gen_bool(0.1) {
+                let mut again = record.clone();
+                again.wall_end = again.wall_end.map(|end| end + 7);
+                delivered.push((index + rng.gen_range(0..=spread), again));
+            }
+            delivered.push((index + rng.gen_range(0..spread), record));
+        }
+        delivered.sort_by_key(|(position, _)| *position);
+        let records: Vec<ProbeRecord> = delivered.into_iter().map(|(_, record)| record).collect();
+        let cut_every = rng.gen_range(1..=8);
+        let mut batches = vec![0];
+        for _ in 0..records.len() {
+            if *batches.last().unwrap() > 0 && rng.gen_range(0..cut_every) == 0 {
+                batches.push(0);
+            }
+            *batches.last_mut().unwrap() += 1;
+        }
+        (records, batches)
+    }
+
+    /// `stream` cut into batches of the given lengths.
+    fn cut<'a>(stream: &'a [ProbeRecord], batches: &'a [usize]) -> impl Iterator<Item = &'a [ProbeRecord]> {
+        let mut rest = stream;
+        batches.iter().map(move |&len| {
+            let (batch, tail) = rest.split_at(len);
+            rest = tail;
+            batch
+        })
+    }
+
+    /// Every record fed is applied, dropped or replaced as a duplicate, or
+    /// still buffered.
+    fn assert_conserved(registry: &MetricsRegistry, analyzer: &OnlineAnalyzer, applied: u64) {
+        let fed = registry.counter_value("causeway_online_records_total").unwrap_or(0);
+        let duplicates = registry.counter_value("causeway_online_duplicate_records_total");
+        let buffered = analyzer.buffered_records() as u64;
+        assert_eq!(fed, applied + duplicates.unwrap_or(0) + buffered);
+    }
+
+    /// Feeds `stream` batch by batch to a fresh analyzer through `ingest`
+    /// and checks it against the oracle after every batch and at the end.
+    fn check_analyzer(
+        stream: &[ProbeRecord],
+        batches: &[usize],
+        ingest: impl Fn(&mut OnlineAnalyzer, &[ProbeRecord], &mut Vec<OnlineEvent>),
     ) {
-        let chain = record.uuid;
-        let state = states.entry(chain).or_default();
-        if record.seq > state.processed {
-            state.pending.insert(record.seq, record);
+        let registry = MetricsRegistry::new();
+        let mut analyzer = OnlineAnalyzer::with_metrics(&registry);
+        let mut oracle = Oracle::default();
+        let (mut events, mut expected) = (Vec::new(), Vec::new());
+        for batch in cut(stream, batches) {
+            ingest(&mut analyzer, batch, &mut events);
+            oracle.batch(batch, &mut |e| expected.push(e));
+            assert_eq!(events, expected);
+            assert_eq!(analyzer.open_chain_summaries(), oracle.summaries());
+            assert_eq!(analyzer.open_chains(), oracle.summaries().len());
+            assert_eq!(analyzer.buffered_records(), oracle.buffered());
+            assert_conserved(&registry, &analyzer, oracle.applied);
         }
-        while let Some(record) = {
-            let next = state.processed + 1;
-            state.pending.remove(&next)
-        } {
-            state.processed = record.seq;
-            state.apply(&OnlineMetrics::default(), chain, &record, sink);
+        analyzer.finish(&mut |e| events.push(e));
+        oracle.finish(&mut |e| expected.push(e));
+        assert_eq!(events, expected);
+        assert_eq!((analyzer.open_chains(), analyzer.buffered_records()), (0, 0));
+        assert_conserved(&registry, &analyzer, oracle.applied);
+    }
+
+    /// Feeds `stream` batch by batch to a live monitor with `shards`
+    /// shards: it forgets a chain when it goes idle, and shows its events
+    /// as totals and its open chains as summaries.
+    fn check_live(stream: &[ProbeRecord], batches: &[usize], shards: usize) {
+        use crate::live::{LiveConfig, LiveMonitor};
+        let cfg = LiveConfig { shards, metrics: Some(MetricsRegistry::new()), ..LiveConfig::default() };
+        let monitor = LiveMonitor::new(cfg, Default::default(), Default::default());
+        let mut oracle = Oracle { forget_idle: true, ..Oracle::default() };
+        let (mut completed, mut abnormal) = (0, 0);
+        for batch in cut(stream, batches) {
+            monitor.ingest_batch_at(batch.to_vec(), 1);
+            oracle.batch(batch, &mut |event| match event {
+                OnlineEvent::CallCompleted { .. } => completed += 1,
+                OnlineEvent::Abnormality { .. } => abnormal += 1,
+                OnlineEvent::ChainIdle { .. } => {}
+            });
+            assert_eq!(monitor.total_completed(), completed, "shards={shards}");
+            assert_eq!(monitor.total_abnormalities(), abnormal, "shards={shards}");
+            assert_eq!(monitor.open_chain_summaries(), oracle.summaries(), "shards={shards}");
         }
-        if state.machine.open_calls() == 0 && state.pending.is_empty() && state.completed_calls > 0 {
-            sink(OnlineEvent::ChainIdle { chain, completed_calls: state.completed_calls });
+    }
+
+    #[test]
+    fn a_buffered_step_is_no_bigger_than_64_bytes() {
+        assert!(std::mem::size_of::<Step<Stamps>>() <= 64);
+    }
+
+    /// 1,024 calls on one chain delivered so that every arrival lands in
+    /// the middle of the re-sequencing buffer, the sorted buffer's worst
+    /// shift pattern: seqs 2 and n, then 3 and n − 1, and so on inwards,
+    /// seq 1 last.
+    #[test]
+    fn a_chain_delivered_middle_out_gives_the_oracles_events() {
+        let mut records = Vec::new();
+        for n in 0..1024 {
+            records.extend(sync_call(1, 1 + 4 * n, n, 1000 * n));
         }
+        let (mut low, mut high) = (1, records.len() - 1);
+        let mut delivered = Vec::new();
+        while low <= high {
+            delivered.push(records[low].clone());
+            if high != low {
+                delivered.push(records[high].clone());
+            }
+            (low, high) = (low + 1, high - 1);
+        }
+        delivered.push(records[0].clone());
+        assert_eq!(delivered.len(), 4096);
+        check_analyzer(&delivered, &[delivered.len()], |analyzer, batch, events| {
+            analyzer.ingest_batch_with_threads(batch.to_vec(), 1, &mut |e| events.push(e));
+        });
+        let (events, analyzer) = collect(delivered);
+        let completed = events.iter().filter(|e| matches!(e, OnlineEvent::CallCompleted { .. }));
+        assert_eq!(completed.count(), 1024);
+        assert_eq!(analyzer.open_chains(), 0);
     }
 
     use proptest::prelude::*;
@@ -858,12 +1157,32 @@ mod tests {
                 })
                 .collect();
             let (events, _) = collect(records.clone());
-            let mut states = HashMap::new();
+            let mut oracle = Oracle::default();
             let mut expected = Vec::new();
             for record in records {
-                step_via_buffer(&mut states, record, &mut |e| expected.push(e));
+                oracle.batch(&[record], &mut |e| expected.push(e));
             }
             prop_assert_eq!(events, expected);
+        }
+
+        /// Every ingest path re-sequences as the oracle does: per record,
+        /// in batches at 1 and 3 threads, and through the live monitor at
+        /// 1 and 4 shards.
+        #[test]
+        fn every_ingest_path_resequences_as_the_oracle_does(seed in any::<u64>()) {
+            let (stream, batches) = disordered(seed);
+            let singles = vec![1; stream.len()];
+            check_analyzer(&stream, &singles, |analyzer, batch, events| {
+                analyzer.ingest(batch[0].clone(), &mut |e| events.push(e));
+            });
+            for threads in [1, 3] {
+                check_analyzer(&stream, &batches, |analyzer, batch, events| {
+                    analyzer.ingest_batch_with_threads(batch.to_vec(), threads, &mut |e| events.push(e));
+                });
+            }
+            for shards in [1, 4] {
+                check_live(&stream, &batches, shards);
+            }
         }
     }
 }

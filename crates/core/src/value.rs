@@ -97,14 +97,6 @@ impl Value {
         }
     }
 
-    /// Borrows as `&[Value]` when the value is a `Seq`.
-    pub fn as_seq(&self) -> Option<&[Value]> {
-        match self {
-            Value::Seq(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Looks up a struct field by name.
     pub fn field(&self, name: &str) -> Option<&Value> {
         match self {

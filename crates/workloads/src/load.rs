@@ -134,12 +134,6 @@ impl LoadReport {
             .clamp(1, self.latencies_ns.len());
         Some(self.latencies_ns[rank - 1])
     }
-
-    /// Completions (ok + errors) per second of elapsed wall time.
-    pub fn throughput_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64().max(1e-9);
-        (self.ok + self.errors) as f64 / secs
-    }
 }
 
 /// Issues `schedule` through `op` from `workers` threads, open-loop.

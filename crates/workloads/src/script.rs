@@ -78,21 +78,13 @@ impl MethodScript {
 pub struct ScriptedServant {
     methods: Vec<MethodScript>,
     targets: RwLock<Vec<Option<ObjRef>>>,
-    /// Manual probe around the whole method body, per method index (the
-    /// paper's "one probe for one target function").
-    body_probes: RwLock<Vec<Option<Arc<ManualProbe>>>>,
 }
 
 impl ScriptedServant {
     /// Creates a servant with one script per method (index order must match
     /// the interface's method declaration order).
     pub fn new(methods: Vec<MethodScript>) -> Arc<ScriptedServant> {
-        let body_probes = RwLock::new(vec![None; methods.len()]);
-        Arc::new(ScriptedServant {
-            methods,
-            targets: RwLock::new(Vec::new()),
-            body_probes,
-        })
+        Arc::new(ScriptedServant { methods, targets: RwLock::new(Vec::new()) })
     }
 
     /// Wires the call-target table slot `index` to `target`. Slots may be
@@ -103,15 +95,6 @@ impl ScriptedServant {
             targets.resize(index + 1, None);
         }
         targets[index] = Some(target);
-    }
-
-    /// Attaches a manual probe around the body of method `method`.
-    pub fn set_body_probe(&self, method: usize, probe: Arc<ManualProbe>) {
-        let mut probes = self.body_probes.write();
-        if probes.len() <= method {
-            probes.resize(method + 1, None);
-        }
-        probes[method] = Some(probe);
     }
 
     fn run_action(&self, ctx: &ServerCtx, action: &Action) -> Result<(), AppError> {
@@ -163,22 +146,10 @@ impl Servant for ScriptedServant {
             .methods
             .get(method.0 as usize)
             .ok_or_else(|| AppError::new("BadMethod", format!("{method}")))?;
-        let body_probe = self
-            .body_probes
-            .read()
-            .get(method.0 as usize)
-            .cloned()
-            .flatten();
-        let run = || -> MethodResult {
-            for action in &script.actions {
-                self.run_action(ctx, action)?;
-            }
-            Ok(Value::I64(script.actions.len() as i64))
-        };
-        match body_probe {
-            Some(probe) => probe.measure(run),
-            None => run(),
+        for action in &script.actions {
+            self.run_action(ctx, action)?;
         }
+        Ok(Value::I64(script.actions.len() as i64))
     }
 }
 
