@@ -327,19 +327,17 @@ impl ComDomain {
             }
             ApartmentKind::Mta(size) => {
                 for i in 0..size.max(1) {
-                    let domain = self.clone();
-                    let rx = rx.clone();
+                    let (domain, rx, tx) = (self.clone(), rx.clone(), tx.clone());
                     handles.push(
                         std::thread::Builder::new()
                             .name(format!("{}-{id}-mta{i}", self.inner.process))
                             .spawn(move || {
                                 let _worker = domain.inner.gate.worker();
-                                while let Ok(incoming) = rx.recv() {
-                                    match incoming {
-                                        AptIncoming::Call(msg) => domain.dispatch(msg),
-                                        AptIncoming::Stop => break,
-                                    }
+                                while let Ok(AptIncoming::Call(msg)) = rx.recv() {
+                                    domain.dispatch(msg);
                                 }
+                                // The stop reaches the next worker in turn.
+                                let _ = tx.send(AptIncoming::Stop);
                             })
                             .expect("spawn mta worker"),
                     );
@@ -404,10 +402,8 @@ impl ComDomain {
         let apartments: Vec<Sender<AptIncoming>> =
             self.inner.apartments.write().drain().map(|(_, tx)| tx).collect();
         for tx in apartments {
-            // MTA pools share one queue; sending Stop per handle is safest.
-            for _ in 0..8 {
-                let _ = tx.send(AptIncoming::Stop);
-            }
+            // One stop per apartment: an MTA worker forwards it to the next.
+            let _ = tx.send(AptIncoming::Stop);
         }
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.inner.handles.lock());
         for handle in handles {

@@ -36,6 +36,12 @@ use std::time::{Duration, Instant};
 /// silently growing queue.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 65_536;
 
+/// Most threads that wait idle for reuse at once, at each site that reuses
+/// threads (ORB request threads, HTTP connection threads); a thread that
+/// finds this many already waiting exits instead, so a burst leaves no pool
+/// behind.
+pub const MAX_PARKED: usize = 4;
+
 #[derive(Debug)]
 struct GateInner {
     in_flight: AtomicI64,
@@ -122,12 +128,6 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// Restarts the queue-wait clock, for a request handed on to another
-    /// queue (an acceptor feeding its workers).
-    pub fn restamp(&mut self) {
-        self.enqueued = Instant::now();
-    }
-
     /// Opens the server-side bracket of this ticket's request on the
     /// calling worker: records the queue wait, counts the dispatch and
     /// marks it in flight in the engine series. The ticket is released when

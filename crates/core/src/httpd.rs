@@ -15,17 +15,22 @@
 //! correct and the per-request overhead measurable (the perf ledger's
 //! `httpd.roundtrip_us.*` rows).
 //!
-//! Connection threads are reused through a [`ParkLot`]. The accept
-//! thread hands each accepted stream to a parked connection thread when
-//! one is waiting and spawns a thread only when none is. A thread that has
-//! answered parks for the next stream; at most
-//! [`MAX_PARKED`](crate::park::MAX_PARKED) park at once and the rest exit,
-//! so a burst leaves no pool behind. Shutdown stops the lot, which ends the
-//! parked threads.
+//! Connection threads are reused. The accept thread hands each accepted
+//! stream to the connection thread that parked last, and spawns a thread
+//! only when none is parked. A thread that has answered parks for the next
+//! stream before its stream closes, so a client that connects again as
+//! soon as it has read its response finds it waiting. At most
+//! [`MAX_PARKED`] park at once and the rest exit, so a burst leaves no
+//! pool behind. Shutdown ends the parked threads. The accept thread stays
+//! (unlike the ORB's request threads, which wait on their inbox
+//! themselves): a thread waiting on a shared channel or listener could only
+//! wait again after closing its stream, so a sequential client's next
+//! connection could reach another thread, and the kernel wakes blocked
+//! `accept` callers oldest first.
 //!
 //! The `causeway_httpd_*` series go to the registry the server was given
-//! ([`HttpServer::bind_with_limits`]); the other constructors use
-//! [`MetricsRegistry::global`].
+//! ([`HttpServer::bind_with_limits`]); the other constructors give each
+//! server a fresh registry of its own.
 //!
 //! # Example
 //!
@@ -41,8 +46,10 @@
 //! server.shutdown();
 //! ```
 
+use crate::engine::MAX_PARKED;
 use crate::metrics::{Counter, MetricsRegistry};
-use crate::park::ParkLot;
+use crate::sync::Mutex;
+use crossbeam::channel::{Receiver, Sender, bounded};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -158,9 +165,10 @@ struct ServerShared {
     /// Concurrently served connections; bounded by `max_connections`.
     active: AtomicUsize,
     max_connections: usize,
-    /// The connection threads parked for reuse; stopped at shutdown,
-    /// which ends them.
-    lot: ParkLot<Conn>,
+    /// Hand-off senders of the connection threads parked for reuse, last
+    /// parked on top; `None` once the server has stopped. Dropping a sender
+    /// ends its thread.
+    parked: Mutex<Option<Vec<Sender<Conn>>>>,
     /// Requests this server answered, for [`HttpServer::requests_served`].
     served: AtomicU64,
     requests: Counter,
@@ -206,6 +214,35 @@ impl std::fmt::Debug for ServerShared {
     }
 }
 
+impl ServerShared {
+    /// Hands `conn` to the connection thread parked last, skipping threads
+    /// gone since they parked. Gives `conn` back when no thread took it
+    /// (the caller spawns one).
+    fn hand_off(&self, mut conn: Conn) -> Result<(), Conn> {
+        loop {
+            let Some(parked) = self.parked.lock().as_mut().and_then(Vec::pop) else {
+                return Err(conn);
+            };
+            match parked.send(conn) {
+                Ok(()) => return Ok(()),
+                Err(returned) => conn = returned.0,
+            }
+        }
+    }
+
+    /// Parks the calling connection thread: the channel its next stream
+    /// arrives on, or `None` when the server has stopped or [`MAX_PARKED`]
+    /// threads already wait (the thread exits). Shutdown and park take the
+    /// same lock, so a thread that finishes after the stop never parks.
+    fn park(&self) -> Option<Receiver<Conn>> {
+        let mut parked = self.parked.lock();
+        let stack = parked.as_mut().filter(|stack| stack.len() < MAX_PARKED)?;
+        let (handoff, next) = bounded(1);
+        stack.push(handoff);
+        Some(next)
+    }
+}
+
 impl HttpServer {
     /// Binds `addr` (e.g. `"127.0.0.1:9464"`, port `0` for ephemeral) and
     /// starts serving `routes` in the background.
@@ -226,7 +263,7 @@ impl HttpServer {
             routes,
             read_timeout,
             DEFAULT_MAX_CONNECTIONS,
-            MetricsRegistry::global(),
+            &MetricsRegistry::new(),
         )
     }
 
@@ -252,7 +289,7 @@ impl HttpServer {
             read_timeout,
             active: AtomicUsize::new(0),
             max_connections: max_connections.max(1),
-            lot: ParkLot::new(),
+            parked: Mutex::new(Some(Vec::new())),
             served: AtomicU64::new(0),
             requests: registry.counter(
                 "causeway_httpd_requests_total",
@@ -298,7 +335,7 @@ impl HttpServer {
                         stream,
                     };
                     // A parked thread takes it if one is waiting.
-                    if let Err(conn) = accept_shared.lot.hand_off(conn) {
+                    if let Err(conn) = accept_shared.hand_off(conn) {
                         // If the spawn fails the closure (and the permit)
                         // is dropped right here, releasing the slot.
                         let _ = std::thread::Builder::new()
@@ -338,7 +375,7 @@ impl HttpServer {
         }
         // Ends every parked thread, and keeps a thread still serving from
         // parking after this.
-        self.shared.lot.stop();
+        *self.shared.parked.lock() = None;
     }
 }
 
@@ -349,15 +386,15 @@ impl Drop for HttpServer {
 }
 
 /// One connection thread: serves `conn`, then parks for the next stream
-/// until shutdown, or exits when the lot is full.
+/// until shutdown, or exits when [`MAX_PARKED`] threads already wait.
 fn connection_thread(mut conn: Conn) {
     loop {
         let shared = &conn.permit.shared;
         serve_connection(&conn.stream, shared);
         // Park before the stream closes: a client that has seen the end
         // of its response and connects again finds this thread waiting.
-        // Stopping the lot (or dropping the server) disconnects `next`.
-        let Some(next) = shared.lot.park() else {
+        // Shutting down (or dropping the server) disconnects `next`.
+        let Some(next) = shared.park() else {
             return;
         };
         drop(conn);
@@ -1075,5 +1112,52 @@ mod tests {
         assert_eq!(req.path, "/latency");
         assert_eq!(req.query_param("iface"), Some("Pps::Stage"));
         assert!(parse_request_line("garbage").is_none());
+    }
+
+    /// A stream to `peer` holding a slot of `shared`'s connection cap, for
+    /// the parked-stack tests.
+    fn conn(shared: &Arc<ServerShared>, peer: &TcpListener) -> Conn {
+        shared.active.fetch_add(1, Ordering::AcqRel);
+        let stream = TcpStream::connect(peer.local_addr().expect("peer addr")).expect("connect");
+        Conn { permit: ConnPermit { shared: Arc::clone(shared) }, stream }
+    }
+
+    #[test]
+    fn the_parked_stack_holds_at_most_max_parked_threads() {
+        let server = HttpServer::bind("127.0.0.1:0", Vec::new()).expect("bind");
+        let peer = TcpListener::bind("127.0.0.1:0").expect("peer");
+        let shared = &server.shared;
+        let parked: Vec<_> = (0..MAX_PARKED).map(|_| shared.park().expect("room")).collect();
+        assert!(shared.park().is_none(), "a full stack turns the next thread away");
+        // Last parked, first served.
+        assert!(shared.hand_off(conn(shared, &peer)).is_ok());
+        assert!(parked[MAX_PARKED - 1].try_recv().is_ok());
+        assert!(shared.park().is_some(), "a hand-off frees a place");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_connection_thread_gone_since_it_parked_is_skipped() {
+        let server = HttpServer::bind("127.0.0.1:0", Vec::new()).expect("bind");
+        let peer = TcpListener::bind("127.0.0.1:0").expect("peer");
+        let shared = &server.shared;
+        let alive = shared.park().expect("room");
+        drop(shared.park().expect("room"));
+        assert!(shared.hand_off(conn(shared, &peer)).is_ok());
+        assert!(alive.try_recv().is_ok());
+        assert!(shared.hand_off(conn(shared, &peer)).is_err(), "nobody left");
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_disconnects_parked_threads_and_wins_over_park() {
+        let server = HttpServer::bind("127.0.0.1:0", Vec::new()).expect("bind");
+        let peer = TcpListener::bind("127.0.0.1:0").expect("peer");
+        let shared = Arc::clone(&server.shared);
+        let parked = shared.park().expect("room");
+        server.shutdown();
+        assert!(parked.recv().is_err(), "a parked thread is released by the shutdown");
+        assert!(shared.park().is_none(), "no thread parks after the shutdown");
+        assert!(shared.hand_off(conn(&shared, &peer)).is_err());
     }
 }

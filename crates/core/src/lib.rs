@@ -24,10 +24,8 @@
 //!   [`record::ProbeRecord`]s into per-thread [`sink::LogStore`] buffers.
 //! * [`engine::Gate`] — the runtimes' one admission gate: in-flight
 //!   tickets, bounded admission, the dispatch bracket that releases a
-//!   request only after its worker's last record is pushed, and
-//!   quiescence.
-//! * [`park::ParkLot`] — where the HTTP server's connection threads park
-//!   for reuse instead of exiting.
+//!   request only after its worker's last record is pushed, quiescence,
+//!   and [`engine::MAX_PARKED`], the cap on threads waiting for reuse.
 //! * [`clock`] — pluggable wall and per-thread CPU clocks, including a
 //!   deterministic [`clock::ManualClock`] for tests and a
 //!   [`clock::VirtualCpuClock`] that substitutes for the HP-UX 11 per-thread
@@ -78,7 +76,6 @@ pub mod manual;
 pub mod metrics;
 pub mod monitor;
 pub mod names;
-pub mod park;
 pub mod pool;
 pub mod record;
 pub mod rng;

@@ -285,10 +285,10 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// The process-global registry: the default of `LiveMonitor`, of
-    /// `serve`/`HttpServer` and of a standalone `LogStore::new()`, so a
-    /// binary that builds only those gets one whole scrape. Runtimes never
-    /// publish here unless handed it.
+    /// The process-global registry: the default of `LiveMonitor` (whose
+    /// registry `serve` publishes to) and of a standalone `LogStore::new()`,
+    /// so a binary that builds only those gets one whole scrape. Runtimes
+    /// and `HttpServer::bind` never publish here unless handed it.
     pub fn global() -> &'static MetricsRegistry {
         static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
         GLOBAL.get_or_init(MetricsRegistry::new)

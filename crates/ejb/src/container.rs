@@ -309,22 +309,20 @@ impl Container {
 
     fn start(&self) {
         let (tx, rx): (Sender<ContainerMsg>, Receiver<ContainerMsg>) = unbounded();
-        self.inner.domain.routes.write().insert(self.inner.process, tx);
+        self.inner.domain.routes.write().insert(self.inner.process, tx.clone());
         let mut workers = self.inner.workers.lock();
         for i in 0..self.inner.config.dispatch_threads.max(1) {
-            let container = self.clone();
-            let rx = rx.clone();
+            let (container, rx, tx) = (self.clone(), rx.clone(), tx.clone());
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("{}-ejb{}", self.inner.process, i))
                     .spawn(move || {
                         let _worker = container.inner.domain.gate.worker();
-                        while let Ok(msg) = rx.recv() {
-                            match msg {
-                                ContainerMsg::Work(item) => container.dispatch(item),
-                                ContainerMsg::Stop => break,
-                            }
+                        while let Ok(ContainerMsg::Work(item)) = rx.recv() {
+                            container.dispatch(item);
                         }
+                        // The stop reaches the next worker in turn.
+                        let _ = tx.send(ContainerMsg::Stop);
                     })
                     .expect("spawn dispatch worker"),
             );
@@ -443,9 +441,8 @@ impl Container {
     /// Stops this container's dispatch workers.
     pub fn shutdown(&self) {
         if let Some(tx) = self.inner.domain.routes.write().remove(&self.inner.process) {
-            for _ in 0..self.inner.config.dispatch_threads.max(1) {
-                let _ = tx.send(ContainerMsg::Stop);
-            }
+            // One stop: each worker forwards it to the next.
+            let _ = tx.send(ContainerMsg::Stop);
         }
         let workers: Vec<JoinHandle<()>> = std::mem::take(&mut *self.inner.workers.lock());
         for worker in workers {

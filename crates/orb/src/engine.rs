@@ -6,9 +6,16 @@
 //! with O2 (the skeleton-start probe refreshes the thread's FTL on every
 //! dispatch), is why the tunnel survives thread reuse.
 //!
-//! Thread-per-request is the survey's Leader/Followers, with no acceptor:
-//! request threads wait on the process inbox themselves, so a request
-//! reaches the thread that serves it with one wake-up. The thread that
+//! Under thread-per-request and the pool, no thread stands between the
+//! inbox and the workers: they take requests off the process inbox
+//! themselves, so a request reaches the thread that serves it with one
+//! hand-off. A thread admits the request it
+//! took at that moment, so under overload the request shed is the one that
+//! waited longest, not the newest arrival. Both stop on one
+//! [`Incoming::Stop`]: the thread that receives it forwards one stop to the
+//! inbox and exits, and the next waiting thread does the same.
+//!
+//! Thread-per-request is the survey's Leader/Followers. The thread that
 //! takes the last idle place starts a successor before it dispatches, so a
 //! queued request never waits on a crew that is all busy. A thread whose
 //! dispatch has returned clears its thread-specific storage and waits
@@ -18,22 +25,28 @@
 //! that carried none) finds no stale chain to extend. Admission counts
 //! busy threads only: a thread counts itself busy, asks the gate with the
 //! count it found and undoes it on a shed. A stop wins over a park: the
-//! thread that receives [`Incoming::Stop`] marks the engine stopped under
-//! the lock every successor spawn takes, forwards the stop and exits, and
-//! a thread that finishes after the stop exits too.
+//! thread that receives the stop marks the engine stopped under the lock
+//! every successor spawn takes before it forwards the stop, and a thread
+//! that finishes after the stop exits too.
+//!
+//! A pool is exactly its workers. A worker admits the request it took
+//! against the requests still queued behind it in the inbox.
+//!
+//! Thread-per-connection keeps a router thread, because it routes each
+//! request to its connection's worker; it admits against that worker's
+//! queue.
 //!
 //! Admission, in-flight accounting and the dispatch bracket belong to the
-//! system's [`causeway_core::engine::Gate`]. The pool and per-connection
-//! acceptors re-stamp a request's ticket when they hand it to a worker, so
-//! `causeway_engine_queue_wait_ns` measures the wait for a worker (under
-//! thread-per-request, the wait in the inbox). A worker's records are
+//! system's [`causeway_core::engine::Gate`]; `causeway_engine_queue_wait_ns`
+//! runs from [`Gate::enter`](causeway_core::engine::Gate::enter) at the
+//! caller to the dispatch under every policy. A worker's records are
 //! visible to a drain as soon as it pushes them, so no policy seals or
 //! flushes anything: a request stops counting as in flight after its last
 //! record is pushed (the gate's dispatch guard, see [`crate::orb::Orb`]).
 
 use crate::orb::Orb;
-use crate::transport::{ConnKey, Incoming};
-use causeway_core::park::MAX_PARKED;
+use crate::transport::{ConnKey, Incoming, RequestMsg};
+use causeway_core::engine::{Ticket, MAX_PARKED};
 use causeway_core::sync::Mutex;
 use causeway_core::tss;
 use crossbeam::channel::{Receiver, Sender, unbounded};
@@ -50,7 +63,7 @@ pub enum ThreadingPolicy {
     /// (module docs).
     #[default]
     ThreadPerRequest,
-    /// A fixed pool of worker threads sharing the request queue.
+    /// A fixed pool of worker threads taking requests off the inbox.
     ThreadPool(usize),
     /// One dedicated worker per client connection, spawned on first use.
     ThreadPerConnection,
@@ -59,8 +72,8 @@ pub enum ThreadingPolicy {
 /// The running server side of one process.
 #[derive(Debug)]
 pub struct ServerEngine {
-    /// None under thread-per-request.
-    acceptor: Option<JoinHandle<()>>,
+    /// Some under thread-per-connection only.
+    router: Option<JoinHandle<()>>,
     workers: Arc<Mutex<Workers>>,
     /// Lets `Drop` stop the engine when nobody sent [`Incoming::Stop`].
     stop_tx: Sender<Incoming>,
@@ -77,8 +90,9 @@ struct Workers {
 
 impl ServerEngine {
     /// Starts an engine consuming `rx` under `policy`. `stop_tx` must feed
-    /// the same inbox as `rx`; the engine uses it to stop itself when
-    /// dropped without an explicit [`Incoming::Stop`].
+    /// the same inbox as `rx`; the engine's threads forward the stop on it,
+    /// and the engine uses it to stop itself when dropped without an
+    /// explicit [`Incoming::Stop`].
     pub fn start(
         orb: Orb,
         rx: Receiver<Incoming>,
@@ -86,7 +100,7 @@ impl ServerEngine {
         policy: ThreadingPolicy,
     ) -> ServerEngine {
         let workers = Arc::new(Mutex::new(Workers::default()));
-        let acceptor = match policy {
+        let router = match policy {
             ThreadingPolicy::ThreadPerRequest => {
                 let crew = Arc::new(Crew {
                     orb,
@@ -99,18 +113,29 @@ impl ServerEngine {
                 spawn_request_thread(&crew, &mut workers.lock());
                 None
             }
-            ThreadingPolicy::ThreadPool(size) => Some(spawn_pool(orb, rx, size, &workers)),
+            ThreadingPolicy::ThreadPool(size) => {
+                let mut guard = workers.lock();
+                for i in 0..size.max(1) {
+                    let (orb, inbox, stop_tx) = (orb.clone(), rx.clone(), stop_tx.clone());
+                    let handle = std::thread::Builder::new()
+                        .name(format!("{}-pool{}", orb.process(), i))
+                        .spawn(move || pool_worker(&orb, &inbox, &stop_tx))
+                        .expect("spawn pool worker");
+                    guard.handles.push(handle);
+                }
+                None
+            }
             ThreadingPolicy::ThreadPerConnection => {
-                Some(spawn_per_connection(orb, rx, Arc::clone(&workers)))
+                Some(spawn_router(orb, rx, Arc::clone(&workers)))
             }
         };
-        ServerEngine { acceptor, workers, stop_tx }
+        ServerEngine { router, workers, stop_tx }
     }
 
-    /// Joins the acceptor and every worker. Call after sending
+    /// Joins the router and every worker. Call after sending
     /// [`Incoming::Stop`] to the inbox.
     pub fn join(&mut self) {
-        if let Some(handle) = self.acceptor.take() {
+        if let Some(handle) = self.router.take() {
             let _ = handle.join();
         }
         // A request thread may spawn a successor until the stop reaches
@@ -135,19 +160,10 @@ impl ServerEngine {
 
 impl Drop for ServerEngine {
     fn drop(&mut self) {
-        // Stop the engine's threads instead of leaking them (a no-op after
+        // Stop the engine's threads instead of leaking them (harmless after
         // `join`: nothing receives any more), then join them.
         let _ = self.stop_tx.send(Incoming::Stop);
         self.join();
-    }
-}
-
-/// A pooled or per-connection worker: dispatches requests until it receives
-/// [`Incoming::Stop`] or its queue closes.
-fn serve(orb: Orb, rx: Receiver<Incoming>) {
-    let _worker = orb.gate().worker();
-    while let Ok(Incoming::Request(msg, ticket)) = rx.recv() {
-        orb.dispatch(msg, ticket);
     }
 }
 
@@ -235,96 +251,59 @@ fn request_thread(crew: &Arc<Crew>) {
     }
 }
 
-fn spawn_pool(
-    orb: Orb,
-    rx: Receiver<Incoming>,
-    size: usize,
-    workers: &Mutex<Workers>,
-) -> JoinHandle<()> {
-    let size = size.max(1);
-    let (work_tx, work_rx) = unbounded::<Incoming>();
-    {
-        let mut guard = workers.lock();
-        for i in 0..size {
-            let orb = orb.clone();
-            let work_rx = work_rx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("{}-pool{}", orb.process(), i))
-                .spawn(move || serve(orb, work_rx))
-                .expect("spawn pool worker");
-            guard.handles.push(handle);
+/// One pool worker: takes requests off the inbox and admits each against
+/// the requests still queued behind it, until the stop reaches it; then it
+/// forwards the stop to the next worker and exits.
+fn pool_worker(orb: &Orb, inbox: &Receiver<Incoming>, stop_tx: &Sender<Incoming>) {
+    let _worker = orb.gate().worker();
+    while let Ok(Incoming::Request(msg, ticket)) = inbox.recv() {
+        if orb.gate().admits(inbox.len()) {
+            orb.dispatch(msg, ticket);
+        } else {
+            orb.shed(msg, ticket);
         }
     }
-    std::thread::Builder::new()
-        .name(format!("{}-acceptor", orb.process()))
-        .spawn(move || {
-            while let Ok(incoming) = rx.recv() {
-                match incoming {
-                    Incoming::Request(msg, mut ticket) => {
-                        // Bounded admission: a full worker queue sheds the
-                        // request with an overload reply instead of letting
-                        // an arrival burst grow the queue without bound.
-                        if !orb.gate().admits(work_tx.len()) {
-                            orb.shed(msg, ticket);
-                            continue;
-                        }
-                        ticket.restamp();
-                        if work_tx.send(Incoming::Request(msg, ticket)).is_err() {
-                            break;
-                        }
-                    }
-                    Incoming::Stop => {
-                        for _ in 0..size {
-                            let _ = work_tx.send(Incoming::Stop);
-                        }
-                        break;
-                    }
-                }
-            }
-        })
-        .expect("spawn acceptor")
+    let _ = stop_tx.send(Incoming::Stop);
 }
 
-fn spawn_per_connection(
+/// The per-connection router: the one acceptor left, because it routes each
+/// request to its connection's worker. It ends at the stop; dropping its
+/// connection queues then ends each worker once it has served what was
+/// routed to it.
+fn spawn_router(
     orb: Orb,
     rx: Receiver<Incoming>,
     workers: Arc<Mutex<Workers>>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
-        .name(format!("{}-acceptor", orb.process()))
+        .name(format!("{}-router", orb.process()))
         .spawn(move || {
-            let mut conns: HashMap<ConnKey, Sender<Incoming>> = HashMap::new();
-            while let Ok(incoming) = rx.recv() {
-                match incoming {
-                    Incoming::Request(msg, mut ticket) => {
-                        let conn = msg.conn;
-                        // Bounded admission per connection queue (the
-                        // worker is per connection, so the bound is too).
-                        if !orb.gate().admits(conns.get(&conn).map_or(0, Sender::len)) {
-                            orb.shed(msg, ticket);
-                            continue;
-                        }
-                        let tx = conns.entry(conn).or_insert_with(|| {
-                            let (tx, conn_rx) = unbounded::<Incoming>();
-                            let orb = orb.clone();
-                            let handle = std::thread::Builder::new()
-                                .name(format!("{}-conn{}", orb.process(), conn.0))
-                                .spawn(move || serve(orb, conn_rx))
-                                .expect("spawn connection worker");
-                            workers.lock().handles.push(handle);
-                            tx
-                        });
-                        ticket.restamp();
-                        let _ = tx.send(Incoming::Request(msg, ticket));
-                    }
-                    Incoming::Stop => {
-                        for tx in conns.values() {
-                            let _ = tx.send(Incoming::Stop);
-                        }
-                        break;
-                    }
+            let mut conns: HashMap<ConnKey, Sender<(RequestMsg, Ticket)>> = HashMap::new();
+            while let Ok(Incoming::Request(msg, ticket)) = rx.recv() {
+                let conn = msg.conn;
+                // Bounded admission per connection queue (the worker is
+                // per connection, so the bound is too).
+                if !orb.gate().admits(conns.get(&conn).map_or(0, Sender::len)) {
+                    orb.shed(msg, ticket);
+                    continue;
                 }
+                let tx = conns.entry(conn).or_insert_with(|| {
+                    let (tx, conn_rx) = unbounded::<(RequestMsg, Ticket)>();
+                    let orb = orb.clone();
+                    let handle = std::thread::Builder::new()
+                        .name(format!("{}-conn{}", orb.process(), conn.0))
+                        .spawn(move || {
+                            let _worker = orb.gate().worker();
+                            while let Ok((msg, ticket)) = conn_rx.recv() {
+                                orb.dispatch(msg, ticket);
+                            }
+                        })
+                        .expect("spawn connection worker");
+                    workers.lock().handles.push(handle);
+                    tx
+                });
+                let _ = tx.send((msg, ticket));
             }
         })
-        .expect("spawn acceptor")
+        .expect("spawn router")
 }

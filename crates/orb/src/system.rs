@@ -444,6 +444,12 @@ impl System {
     }
 
     /// Stops all engines and joins their threads. Idempotent.
+    ///
+    /// Each process gets one [`Incoming::Stop`] and leaves the fabric at
+    /// once, before any engine is joined: a servant still busy in a stopped
+    /// process then gets [`OrbError::ProcessUnreachable`] for a call into
+    /// any stopped process, instead of queueing a request no thread will
+    /// take and waiting out the reply timeout.
     pub fn shutdown(&self) {
         let mut started = self.started.lock();
         if !*started {
@@ -452,10 +458,10 @@ impl System {
         let mut engines = self.engines.lock();
         for (process, _) in engines.iter() {
             let _ = self.fabric.send(*process, Incoming::Stop);
-        }
-        for (process, engine) in engines.iter_mut() {
-            engine.join();
             self.fabric.unregister(*process);
+        }
+        for (_, engine) in engines.iter_mut() {
+            engine.join();
         }
         engines.clear();
         *started = false;

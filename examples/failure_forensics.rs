@@ -10,8 +10,10 @@ use causeway::analyzer::render::{AsciiOptions, ascii_tree};
 use causeway::collector::db::MonitoringDb;
 use causeway::collector::segment;
 use causeway::core::monitor::ProbeMode;
+use causeway::core::uuid::Uuid;
 use causeway::core::value::Value;
 use causeway::orb::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -66,7 +68,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     system.quiesce(Duration::from_secs(5))?;
     system.shutdown();
-    let run = system.harvest();
+    let mut run = system.harvest();
+    // The harvested log groups records by thread, in an order that depends
+    // on timing. Put them in job order (chains by their first stamp, then
+    // by event number) so that the tear below always hits the same record:
+    // job 3's last.
+    let mut first_stamp: HashMap<Uuid, u64> = HashMap::new();
+    for r in &run.records {
+        let stamp = first_stamp.entry(r.uuid).or_insert(u64::MAX);
+        *stamp = (*stamp).min(r.wall_start.unwrap_or(0));
+    }
+    run.records.sort_by_key(|r| (first_stamp[&r.uuid], r.uuid, r.seq, r.event));
 
     // Simulate a crash that tore the persisted log mid-record: one record
     // per frame, and the cut lands inside the last record's frame.
